@@ -31,7 +31,9 @@ __all__ = [
     "build_alignment",
     "similarity",
     "nn_classify",
+    "ls_svm_system",
     "svm_train",
+    "svm_decision_values",
     "svm_classify",
     "kernel_matrix",
     "kernel_pca_weights",
@@ -196,31 +198,6 @@ class SvmModel:
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be > 0")
 
-    def kernel_block(self) -> np.ndarray:
-        X = self.support_data.samples
-        return X.T @ self.A_ref @ X
-
-    def F_matrix(self) -> np.ndarray:
-        n = self.alpha.size
-        F = np.zeros((n + 1, n + 1))
-        F[0, 1:] = 1.0
-        F[1:, 0] = 1.0
-        F[1:, 1:] = self.kernel_block() + np.eye(n) / self.gamma
-        return F
-
-    def J_matrix(self) -> np.ndarray:
-        n = self.alpha.size
-        J = np.zeros((n + 1, n + 1))
-        J[0, 1:] = 1.0
-        J[1:, 0] = 1.0
-        return J
-
-    def K_gamma_matrix(self) -> np.ndarray:
-        n = self.alpha.size
-        K = np.zeros((n + 1, n + 1))
-        K[1:, 1:] = self.kernel_block() + np.eye(n) / self.gamma
-        return K
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -250,11 +227,12 @@ class SvmModel:
         return cls(obj["b"], np.array(obj["alpha"]), obj["gamma"], data, np.array(obj["A"]))
 
 
-def svm_train(Xs: Domain, A: np.ndarray, gamma: float) -> SvmModel:
-    """Solve the least-squares SVM system F (b, alpha) = (0, y).
+def ls_svm_system(Xs: Domain, A: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares SVM system F (b, alpha) = (0, y) of Suykens and
+    Vandewalle, with F = [[0, 1^T], [1, Xs^T A Xs + I/gamma]].
 
-    F is built from the similarity kernel K[i,i'] = x_i^T A x_i'; since A is
-    generally non-symmetric, F is solved as-is with a general dense solver.
+    This is the one place that validates the LS-SVM inputs (gamma > 0,
+    visible labels in {-1, +1}) and builds F; returns (F, (0, y)).
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be > 0")
@@ -264,30 +242,39 @@ def svm_train(Xs: Domain, A: np.ndarray, gamma: float) -> SvmModel:
     if not set(np.unique(y)) <= {-1, 1}:
         raise ConfigurationError("SVM labels must lie in {-1, +1}")
     n = Xs.n
-    K = Xs.samples.T @ A @ Xs.samples
     F = np.zeros((n + 1, n + 1))
     F[0, 1:] = 1.0
     F[1:, 0] = 1.0
-    F[1:, 1:] = K + np.eye(n) / gamma
+    F[1:, 1:] = Xs.samples.T @ A @ Xs.samples + np.eye(n) / gamma
+    return F, np.concatenate(([0.0], y.astype(float)))
+
+
+def svm_train(Xs: Domain, A: np.ndarray, gamma: float) -> SvmModel:
+    """Solve the least-squares SVM system F (b, alpha) = (0, y).
+
+    F is built from the similarity kernel K[i,i'] = x_i^T A x_i'; since A is
+    generally non-symmetric, F is solved as-is with a general dense solver.
+    """
+    F, rhs = ls_svm_system(Xs, A, gamma)
     if np.linalg.cond(F) > 1e12:
         raise IllConditionedError(
             "SVM system is numerically singular; try a larger gamma"
         )
-    rhs = np.concatenate(([0.0], y.astype(float)))
     sol = np.linalg.solve(F, rhs)
     return SvmModel(float(sol[0]), sol[1:], gamma, Xs, A)
 
 
-def svm_classify(model: SvmModel, xt: np.ndarray) -> int:
-    """Predicted label sign(sum_i alpha_i x_i^T A xt + b); sign(0) -> +1."""
-    k = model.support_data.samples.T @ model.A_ref @ np.asarray(xt, float)
-    value = float(model.alpha @ k + model.b)
-    return 1 if value >= 0 else -1
+def svm_decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Decision values w . x + b for every column x of X, where
+    w = A^T (X_s alpha) folds the support set into one D-vector."""
+    w = model.A_ref.T @ (model.support_data.samples @ model.alpha)
+    return w @ np.asarray(X, float) + model.b
 
 
-def svm_decision_value(model: SvmModel, xt: np.ndarray) -> float:
-    k = model.support_data.samples.T @ model.A_ref @ np.asarray(xt, float)
-    return float(model.alpha @ k + model.b)
+def svm_classify(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Predicted label of every column of X (columns are points, as in
+    `nn_classify`): the sign of its decision value, with sign(0) -> +1."""
+    return np.where(svm_decision_values(model, X) >= 0, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +287,21 @@ def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.n
     The circuit uses q = ceil(log2 D) qubits: each feature drives an RY
     rotation on qubit (m mod q), followed by one ring of controlled-Z
     entanglers. Features are min-max rescaled to [0, pi] first.
-    """
-    from .quantum_core import apply_unitary_vec
 
+    Rotations on one qubit add, so before the ring each sample is the product
+    state of RY(theta_k)|0> with theta_k the sum of the angles on qubit k. The
+    ring is a +-1 diagonal shared by every sample, so it cancels in every
+    overlap and is left out.
+    """
     D, n = X.shape
-    q = max(1, math.ceil(math.log2(D))) if D > 1 else 1
+    q = max(1, math.ceil(math.log2(D)))
     angles = np.where(span[:, None] > 0, (X - lo[:, None]) / np.where(span[:, None] > 0, span[:, None], 1.0) * math.pi, 0.0)
-    states = np.zeros((n, 2**q))
-    cz = np.diag([1.0, 1.0, 1.0, -1.0])
-    for j in range(n):
-        vec = np.zeros(2**q, dtype=complex)
-        vec[0] = 1.0
-        for m in range(D):
-            t = angles[m, j]
-            ry = np.array(
-                [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]]
-            )
-            vec = apply_unitary_vec(vec, ry, [m % q], q)
-        if q == 2:
-            vec = apply_unitary_vec(vec, cz, [0, 1], q)
-        elif q > 2:
-            for k in range(q):
-                vec = apply_unitary_vec(vec, cz, [k, (k + 1) % q], q)
-        states[j] = vec.real
+    theta = np.zeros((q, n))
+    np.add.at(theta, np.arange(D) % q, angles)
+    states = np.ones((n, 1))
+    for k in range(q):  # qubit 0 is the most significant bit
+        qubit = np.stack([np.cos(theta[k] / 2), np.sin(theta[k] / 2)], axis=1)
+        states = (states[:, :, None] * qubit[:, None, :]).reshape(n, -1)
     return states
 
 
@@ -350,7 +329,6 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
 
 
 def _double_center(K: np.ndarray) -> np.ndarray:
-    n, m = K.shape
     return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
 
 
@@ -447,13 +425,7 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     Ws = kernel_pca_weights(Kss, d)
     Wt = kernel_pca_weights(Ktt, d)
     # cross-Gram centered against both domain means
-    Kst_c = (
-        Kst
-        - Kst.mean(axis=0, keepdims=True)
-        - Kst.mean(axis=1, keepdims=True)
-        + Kst.mean()
-    )
-    M = kernel_alignment(Ws, Kst_c, Wt)
+    M = kernel_alignment(Ws, _double_center(Kst), Wt)
     Zs = Ws.T @ _double_center(Kss)
     Zt = Wt.T @ _double_center(Ktt)
     return KernelAlignment(

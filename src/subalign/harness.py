@@ -51,7 +51,6 @@ class ExperimentConfig:
     shots: int = 1024
     repeats: int = 15
     exact_theta: bool = True
-    precision_sweep: tuple[int, ...] = ()
     gamma: float = 1.0
     seeds: tuple[int, ...] = (0,)
     output_dir: str = "runs"
@@ -82,8 +81,6 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"d: {self.d} exceeds the feature dimension D={self.dataset.D}"
                 )
-        if any(not 1 <= p <= 12 for p in self.precision_sweep):
-            raise ConfigurationError("quantum.precision_sweep: values must be in 1..12")
 
     def echo(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -100,7 +97,6 @@ class RunReport:
     config: dict
     accuracy: list[dict]
     parity: list[dict]
-    sweep: list[dict]
     timings: list[dict]
 
     def to_json(self) -> str:
@@ -108,7 +104,9 @@ class RunReport:
 
     @classmethod
     def from_json(cls, doc: str) -> "RunReport":
-        return cls(**json.loads(doc))
+        fields = json.loads(doc)
+        fields.pop("sweep", None)  # older reports carry a qPCA precision-sweep section
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,6 @@ _KEY_MAP = {
     "quantum.shots": (None, "shots", int),
     "quantum.repeats": (None, "repeats", int),
     "quantum.exact_theta": (None, "exact_theta", None),
-    "quantum.precision_sweep": (None, "precision_sweep", None),
     "seeds": (None, "seeds", None),
     "output_dir": (None, "output_dir", str),
     "workers": (None, "workers", int),
@@ -185,10 +182,6 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
         group, name, conv = _KEY_MAP[key]
         if key == "seeds":
             cfg_kwargs["seeds"] = tuple(int(s) for s in value.split(",") if s.strip())
-        elif key == "quantum.precision_sweep":
-            cfg_kwargs["precision_sweep"] = tuple(
-                int(s) for s in value.split(",") if s.strip()
-            )
         elif key == "quantum.exact_theta":
             cfg_kwargs["exact_theta"] = _parse_bool(value)
         elif group == "dataset":
@@ -268,7 +261,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     ys = source_c.visible_labels
     want_nn = config.classifier in ("nn", "both")
     want_svm = config.classifier in ("svm", "both")
-    nn_pred = svm_model = None
+    nn_pred = svm_pred = None
     if config.track in ("classical", "both"):
         t0 = time.perf_counter()
         if want_nn:
@@ -279,12 +272,10 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             )
         if want_svm:
             svm_model = csa.svm_train(source_c, art.A, config.gamma)
-            pred = np.array(
-                [csa.svm_classify(svm_model, target_c.samples[:, j]) for j in range(target_c.n)]
-            )
+            svm_pred = csa.svm_classify(svm_model, target_c.samples)
             accuracy.append(
                 {"seed": seed, "track": "classical", "classifier": "svm",
-                 "accuracy": _accuracy(pred, target_c)}
+                 "accuracy": _accuracy(svm_pred, target_c)}
             )
         timings.append({"seed": seed, "stage": "classical_classify", "seconds": time.perf_counter() - t0})
 
@@ -370,17 +361,14 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 {"seed": seed, "track": "quantum", "classifier": "nn",
                  "accuracy": _accuracy(q_pred, target_c)}
             )
-        if want_svm and svm_model is not None:
+        if want_svm and svm_pred is not None:
             q_model = qsa.q_svm_train(source_c, art.A, config.gamma,
                                       precision_qubits=max(config.precision_qubits, 10))
             q_pred = np.array([
                 qsa.q_svm_classify(q_model, source_c, art.A, target_c.samples[:, j], plan)[0]
                 for j in range(target_c.n)
             ])
-            c_pred = np.array(
-                [csa.svm_classify(svm_model, target_c.samples[:, j]) for j in range(target_c.n)]
-            )
-            agree = float(np.mean(q_pred == c_pred))
+            agree = float(np.mean(q_pred == svm_pred))
             parity.append(_parity_row(
                 f"seed{seed}.svm_labels", 1.0, agree, 1.0 - agree,
                 0.02 if config.exact_theta else 0.05,
@@ -391,15 +379,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             )
         timings.append({"seed": seed, "stage": "quantum_classify", "seconds": time.perf_counter() - t0})
 
-    sweep = []
-    for prec in config.precision_sweep:
-        q_Ps = qsa.qpca(source_c, config.d, prec).basis
-        err = float(np.linalg.norm(q_Ps.P @ q_Ps.P.T - Ps.P @ Ps.P.T))
-        sweep.append({"seed": seed, "precision_qubits": prec, "projector_error": err})
-
     timings.append({"seed": seed, "stage": "total", "seconds": time.perf_counter() - t_start})
-    return {"accuracy": accuracy, "parity": parity, "sweep": sweep,
-            "timings": timings, "trace": trace}
+    return {"accuracy": accuracy, "parity": parity, "timings": timings, "trace": trace}
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -418,7 +399,6 @@ def run(config: ExperimentConfig) -> RunReport:
         config=config.echo(),
         accuracy=[row for r in results for row in r["accuracy"]],
         parity=[row for r in results for row in r["parity"]],
-        sweep=[row for r in results for row in r["sweep"]],
         timings=[row for r in results for row in r["timings"]],
     )
     trace_rows = [row for r in results for row in r["trace"]]
@@ -453,17 +433,11 @@ def _write_outputs(
         report.parity,
         ["quantity", "classical", "quantum", "abs_err", "rel_err", "tolerance", "pass"],
     )
-    if report.sweep:
-        _write_csv(
-            out / f"sweep_v{SCHEMA_VERSION}.csv",
-            report.sweep,
-            ["seed", "precision_qubits", "projector_error"],
-        )
 
 
 def compare_tracks(report: RunReport) -> list[dict]:
-    """Summarize a both-track report: per-quantity max error, label
-    agreement, and precision-sweep sensitivity rows when present."""
+    """Summarize a both-track report: per-quantity max error and label
+    agreement."""
     tracks = {row["track"] for row in report.accuracy}
     if not {"classical", "quantum"} <= tracks:
         raise SubalignError("report does not contain both tracks; run with track=both")
@@ -486,13 +460,5 @@ def compare_tracks(report: RunReport) -> list[dict]:
                 "quantity": name, "kind": "max_abs_err",
                 "value": float(np.max([r["abs_err"] for r in recs])),
                 "all_pass": all(r["pass"] for r in recs),
-            })
-    if report.sweep:
-        precisions = sorted({r["precision_qubits"] for r in report.sweep})
-        for prec in precisions:
-            errs = [r["projector_error"] for r in report.sweep if r["precision_qubits"] == prec]
-            rows.append({
-                "quantity": f"qpca_projector_error@n={prec}", "kind": "median",
-                "value": float(np.median(errs)), "all_pass": True,
             })
     return rows

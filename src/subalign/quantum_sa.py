@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classical_sa import SubspaceBasis, _fix_signs
+from .classical_sa import SubspaceBasis, _as_matrix, _fix_signs, ls_svm_system
 from .datasets import Domain
 from .errors import (
     ConfigurationError,
@@ -113,7 +113,7 @@ def qpca(
     Eigenvalues are recovered from the sampled eigenphases as
     lambda = 2 pi phase / t0 (times the covariance trace).
     """
-    M = X.samples if isinstance(X, Domain) else np.asarray(X, float)
+    M = _as_matrix(X)
     D, n = M.shape
     if D > QPCA_MAX_DIM:
         raise ConfigurationError(f"qPCA capped at D <= {QPCA_MAX_DIM}")
@@ -291,7 +291,7 @@ def q_project(
     exact_theta: bool = True,
 ) -> QuantumState:
     """State encoding P^T X (the subspace projection of a dataset)."""
-    Xm = X.samples if isinstance(X, Domain) else np.asarray(X, float)
+    Xm = _as_matrix(X)
     return matrix_product_state(P, Xm, precision_qubits, exact_theta).state
 
 
@@ -305,8 +305,7 @@ def q_build_alignment(
 ) -> dict:
     """Full quantum alignment chain: M* state, projected source, aligned
     source, and projected target, with reconstructed matrices for parity."""
-    Xs_m = Xs.samples if isinstance(Xs, Domain) else np.asarray(Xs, float)
-    Xt_m = Xt.samples if isinstance(Xt, Domain) else np.asarray(Xt, float)
+    Xs_m, Xt_m = _as_matrix(Xs), _as_matrix(Xt)
     ips_m = matrix_product_state(Ps.P, Pt.P, precision_qubits, exact_theta)
     M = ips_m.as_matrix()
     ips_xs = matrix_product_state(Ps.P, Xs_m, precision_qubits, exact_theta)
@@ -406,19 +405,6 @@ def q_nn_classify(
 # qSVM
 
 
-def _svm_system(Xs: Domain, A: np.ndarray, gamma: float) -> np.ndarray:
-    y = Xs.visible_labels
-    if y is None:
-        raise ConfigurationError("source domain must carry visible labels")
-    n = Xs.n
-    K = Xs.samples.T @ A @ Xs.samples
-    F = np.zeros((n + 1, n + 1))
-    F[0, 1:] = 1.0
-    F[1:, 0] = 1.0
-    F[1:, 1:] = K + np.eye(n) / gamma
-    return F
-
-
 def q_svm_train(
     Xs: Domain,
     A: np.ndarray,
@@ -428,13 +414,11 @@ def q_svm_train(
 ) -> QsvmState:
     """Matrix inversion of the (Hermitian-embedded) SVM system by spectral
     emulation of phase estimation plus the 1/lambda conditional rotation."""
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be > 0")
     n = Xs.n
     rows = n + 1
     if rows > QSVM_MAX_ROWS:
         raise ConfigurationError(f"inversion register budget: n_s + 1 <= {QSVM_MAX_ROWS}")
-    F = _svm_system(Xs, A, gamma)
+    F, rhs = ls_svm_system(Xs, A, gamma)
     trF = float(np.trace(F))
     Fh = F / trF
     H = np.zeros((2 * rows, 2 * rows))
@@ -448,9 +432,7 @@ def q_svm_train(
     keep = np.abs(lam_rounded) >= lmax / kappa_max
     if not np.any(keep):
         raise IllConditionedError("every eigenvalue fell below the inversion cutoff")
-    y = Xs.visible_labels.astype(float)
-    y_hat = np.concatenate(([0.0], y))
-    y_hat /= np.linalg.norm(y_hat)
+    y_hat = rhs / np.linalg.norm(rhs)
     y_emb = np.concatenate([y_hat, np.zeros(rows)])
     coef = V.T @ y_emb
     C = float(np.min(np.abs(lam_rounded[keep])))

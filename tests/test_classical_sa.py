@@ -13,6 +13,7 @@ from subalign.errors import (
     RankDeficiencyError,
     ShapeError,
 )
+from subalign.quantum_core import apply_unitary_vec
 
 
 def _random_orthonormal(rng, D, d):
@@ -226,22 +227,48 @@ class TestSvm:
         rng = np.random.default_rng(12)
         dom = Domain(rng.standard_normal((3, 8)), rng.choice([-1, 1], 8))
         A = rng.standard_normal((3, 3)) * 0.3 + np.eye(3)
+        F, rhs = csa.ls_svm_system(dom, A, 2.0)
+        assert np.array_equal(F[0], np.concatenate(([0.0], np.ones(8))))
+        assert np.array_equal(F[:, 0], F[0])
+        assert np.array_equal(rhs, np.concatenate(([0.0], dom.labels.astype(float))))
         model = csa.svm_train(dom, A, 2.0)
-        F = model.F_matrix()
         lhs = F @ np.concatenate(([model.b], model.alpha))
-        rhs = np.concatenate(([0.0], dom.labels.astype(float)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(F))
 
-    def test_F_decomposition(self):
-        model = csa.svm_train(self._toy(), np.eye(2), 1.0)
-        assert np.array_equal(model.J_matrix() + model.K_gamma_matrix(), model.F_matrix())
+    def test_labels_outside_pm_one_rejected(self):
+        dom = Domain(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([0, 1]))
+        with pytest.raises(ConfigurationError, match="-1, \\+1"):
+            csa.svm_train(dom, np.eye(2), 1.0)
 
     def test_orthogonal_query_gets_bias_sign(self):
         dom = self._toy()
         model = csa.svm_train(dom, np.eye(2), 1.0)
         xt = np.array([0.0, 3.0])  # similarity column vanishes
-        assert csa.svm_decision_value(model, xt) == pytest.approx(model.b)
+        assert csa.svm_decision_values(model, xt) == pytest.approx(model.b)
         assert csa.svm_classify(model, xt) == (1 if model.b >= 0 else -1)
+
+    def test_batch_decision_matches_columns_and_dense_solve(self):
+        rng = np.random.default_rng(17)
+        D, n, m = 5, 12, 30
+        dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+        A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
+        Xq = rng.standard_normal((D, m))
+        model = csa.svm_train(dom, A, 1.5)
+        values = csa.svm_decision_values(model, Xq)
+        labels = csa.svm_classify(model, Xq)
+        assert values.shape == labels.shape == (m,)
+        # dense reference: the bordered system written out and solved directly
+        K = dom.samples.T @ A @ dom.samples
+        F = np.block([[np.zeros((1, 1)), np.ones((1, n))],
+                      [np.ones((n, 1)), K + np.eye(n) / 1.5]])
+        sol = np.linalg.solve(F, np.concatenate(([0.0], dom.labels.astype(float))))
+        ref = np.array([sol[1:] @ (dom.samples.T @ A @ Xq[:, j]) + sol[0] for j in range(m)])
+        scale = np.max(np.abs(ref))
+        for j in range(m):
+            assert abs(values[j] - csa.svm_decision_values(model, Xq[:, j])) <= 1e-12 * scale
+            assert labels[j] == csa.svm_classify(model, Xq[:, j])
+        assert np.max(np.abs(values - ref)) <= 1e-12 * scale
+        assert np.array_equal(labels, np.where(ref >= 0, 1, -1))
 
     def test_zero_decision_is_positive(self):
         dom = self._toy()
@@ -279,6 +306,42 @@ class TestKernels:
         X = np.random.default_rng(15).standard_normal((4, 5))
         K = csa.kernel_matrix(X, X, csa.KernelSpec("hard"))
         assert np.allclose(np.diag(K), 1.0, atol=1e-10)
+
+    @staticmethod
+    def _hard_states_by_gates(X, lo, span):
+        """Gate-level hard-kernel circuit: RY(angle_m) on qubit m mod q for
+        every feature m, then a ring of controlled-Z gates."""
+        D, n = X.shape
+        q = max(1, math.ceil(math.log2(D)))
+        safe = np.where(span > 0, span, 1.0)
+        cz = np.diag([1.0, 1.0, 1.0, -1.0])
+        states = np.zeros((n, 2**q))
+        for j in range(n):
+            vec = np.zeros(2**q, dtype=complex)
+            vec[0] = 1.0
+            for m in range(D):
+                t = (X[m, j] - lo[m]) / safe[m] * math.pi if span[m] > 0 else 0.0
+                ry = np.array([[math.cos(t / 2), -math.sin(t / 2)],
+                               [math.sin(t / 2), math.cos(t / 2)]])
+                vec = apply_unitary_vec(vec, ry, [m % q], q)
+            if q == 2:
+                vec = apply_unitary_vec(vec, cz, [0, 1], q)
+            elif q > 2:
+                for k in range(q):
+                    vec = apply_unitary_vec(vec, cz, [k, (k + 1) % q], q)
+            states[j] = vec.real
+        return states
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9])
+    def test_hard_gram_matches_gate_circuit(self, D):
+        rng = np.random.default_rng(100 + D)
+        X, Y = rng.standard_normal((D, 6)), rng.standard_normal((D, 4))
+        X[0], Y[0] = 0.7, 0.7  # a zero-span feature
+        both = np.hstack([X, Y])
+        lo, span = both.min(axis=1), np.ptp(both, axis=1)
+        expect = self._hard_states_by_gates(X, lo, span) @ self._hard_states_by_gates(Y, lo, span).T
+        K = csa.kernel_matrix(X, Y, csa.KernelSpec("hard"))
+        assert np.max(np.abs(K - expect)) <= 1e-12
 
     def test_unknown_kernel(self):
         with pytest.raises(ConfigurationError):

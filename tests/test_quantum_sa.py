@@ -250,6 +250,12 @@ class TestQsvm:
         with pytest.raises(ConfigurationError):
             qsa.q_svm_train(dom, np.eye(2), 1.0)
 
+    def test_labels_outside_pm_one_rejected(self):
+        # the readout scale assumes ||(0, y)|| = sqrt(n), true only for +-1 labels
+        dom = Domain(np.array([[1.0, -1.0], [0.2, -0.1]]), np.array([1, 2]))
+        with pytest.raises(ConfigurationError, match="-1, \\+1"):
+            qsa.q_svm_train(dom, np.eye(2), 1.0)
+
     def test_orthogonal_query_gets_bias_sign(self):
         X = np.array([[1.0, -1.0], [0.0, 0.0]])
         dom = Domain(X, np.array([1, -1]))
