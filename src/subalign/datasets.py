@@ -102,19 +102,6 @@ class DomainShift:
             raise ConfigurationError(f"translation length {t.shape} != D={D}")
         return out + t[:, None]
 
-    def invert(self, X: np.ndarray) -> np.ndarray:
-        D = X.shape[0]
-        t = np.asarray(self.translation, dtype=float)
-        if t.ndim == 0:
-            t = np.full(D, float(t))
-        out = (X - t[:, None]) / self.scale
-        if D >= 2 and self.rotation_angle != 0.0:
-            c, s = math.cos(-self.rotation_angle), math.sin(-self.rotation_angle)
-            top = out[:2].copy()
-            out[0] = c * top[0] - s * top[1]
-            out[1] = s * top[0] + c * top[1]
-        return out
-
 
 @dataclass(frozen=True)
 class SynthSpec:

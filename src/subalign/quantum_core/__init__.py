@@ -1,54 +1,29 @@
-"""Desk-scale exact quantum simulator: register-aware states, density
-operators, and the algorithm primitives built on them."""
+"""Desk-scale exact quantum simulation: the spectral engine (phase-estimation
+outcome distributions and the readouts built on them) plus the register-aware
+state types it reads and writes."""
 
 from .state import (
-    MAX_DENSITY_QUBITS,
-    MAX_QUBITS,
-    DensityOperator,
     QuantumState,
     RegisterLayout,
     ShotPlan,
-    amplitude_encode,
-    apply_unitary_vec,
     encode_matrix,
     partial_trace,
-    trace_distance,
 )
 from .algorithms import (
-    GroverStats,
     amplitude_estimation,
-    conditional_rotation,
-    density_exponentiation,
     grover_min_find,
     pe_outcome_kernel,
-    phase_estimation,
-    postselect_r0,
-    qft_matrix,
     signed_overlap,
-    swap_test,
 )
 
 __all__ = [
-    "MAX_DENSITY_QUBITS",
-    "MAX_QUBITS",
-    "DensityOperator",
     "QuantumState",
     "RegisterLayout",
     "ShotPlan",
-    "GroverStats",
-    "amplitude_encode",
     "amplitude_estimation",
-    "apply_unitary_vec",
-    "conditional_rotation",
-    "density_exponentiation",
     "encode_matrix",
     "grover_min_find",
     "partial_trace",
     "pe_outcome_kernel",
-    "phase_estimation",
-    "postselect_r0",
-    "qft_matrix",
     "signed_overlap",
-    "swap_test",
-    "trace_distance",
 ]

@@ -1,9 +1,12 @@
-"""Quantum algorithm primitives: QFT/phase estimation, density-operator
-exponentiation, swap and Hadamard tests, amplitude estimation, conditional
-rotation, and Grover-based minimum finding.
+"""The spectral engine of the quantum track: exact phase-estimation outcome
+distributions on the 2^-n lattice, the readouts built on them (amplitude
+estimation and the Hadamard test, over arrays), and Grover-based minimum
+finding.
 
-Everything is simulated exactly; measurement-bearing primitives offer both
-an exact-expectation mode and a seeded shot-sampled mode.
+Everything is simulated exactly; each readout returns the exact (most
+probable) outcome, or one seeded shot-sampled outcome per entry when given a
+generator. The gate-level circuits that these distributions stand for live
+in the test suite as their oracle.
 """
 from __future__ import annotations
 
@@ -11,186 +14,96 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ..errors import (
-    ConfigurationError,
-    PostselectionError,
-    RangeError,
-    ValidationError,
-)
-from .state import (
-    DensityOperator,
-    QuantumState,
-    RegisterLayout,
-    ShotPlan,
-)
+from ..errors import ConfigurationError, RangeError
+from .state import ShotPlan
 
-MAX_PRECISION_QUBITS = 12
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
+# working values per amplitude-estimation block: a readout's temporaries stay
+# a few KiB however many entries it reads out
+BLOCK_ELEMENTS = 2**8
 
 
-def qft_matrix(n: int) -> np.ndarray:
-    """The n-qubit quantum Fourier transform as a dense matrix."""
-    N = 2**n
-    j, k = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    return np.exp(2j * np.pi * j * k / N) / math.sqrt(N)
-
-
-def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValidationError("operator must be square")
-    if np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) > tol:
-        raise ValidationError("operator is not unitary within 1e-10")
-    return U
-
-
-def pe_outcome_kernel(phase: float, n: int) -> np.ndarray:
-    """Exact phase-estimation outcome distribution over k = 0..2^n-1 for an
-    eigenstate with eigenphase ``phase`` (in units of full turns)."""
-    N = 2**n
-    delta = phase - np.arange(N) / N
+def _fejer(delta: np.ndarray, N: int) -> np.ndarray:
+    """Unnormalized probability of an N-point phase-estimation outcome at
+    distance ``delta`` (full turns) from the eigenphase."""
+    sin_d = np.sin(np.pi * delta)
     num = np.sin(np.pi * N * delta) ** 2
-    den = N**2 * np.sin(np.pi * delta) ** 2
-    out = np.where(np.abs(np.sin(np.pi * delta)) < 1e-15, 1.0, num / np.maximum(den, 1e-300))
-    return out / out.sum()
+    return np.where(np.abs(sin_d) < 1e-15, 1.0, num / np.maximum(N**2 * sin_d**2, 1e-300))
 
 
-def phase_estimation(
-    U: np.ndarray,
-    input_state: QuantumState,
-    precision_qubits: int,
-    register_name: str = "PE",
-) -> QuantumState:
-    """Standard phase estimation of ``U`` applied to the whole input state;
-    the precision register is prepended (most significant)."""
-    if not 1 <= precision_qubits <= MAX_PRECISION_QUBITS:
-        raise ConfigurationError(
-            f"precision_qubits must be in 1..{MAX_PRECISION_QUBITS}"
-        )
-    U = _check_unitary(U)
-    if U.shape[0] != input_state.layout.dim:
-        raise ValidationError("unitary dimension does not match input state")
-    N = 2**precision_qubits
-    T, Z = scipy.linalg.schur(U, output="complex")
-    eigs = np.diag(T)
-    w = Z.conj().T @ input_state.amplitudes
-    powers = eigs[None, :] ** np.arange(N)[:, None]  # (N, dim) eigenvalue powers
-    psi = (powers * w[None, :]) @ Z.T  # row k holds U^k |input>
-    psi /= math.sqrt(N)
-    out = np.fft.fft(psi, axis=0) / math.sqrt(N)  # inverse QFT on the index axis
-    layout = input_state.layout.prepended(register_name, precision_qubits)
-    return QuantumState(out.reshape(-1), layout, input_state.global_scale)
+def pe_outcome_kernel(phases, n: int) -> np.ndarray:
+    """Exact phase-estimation outcome distributions over k = 0..2^n-1, one
+    row per eigenphase in ``phases`` (in units of full turns)."""
+    N = 2**n
+    out = _fejer(np.asarray(phases, dtype=float)[..., None] - np.arange(N) / N, N)
+    return out / out.sum(axis=-1, keepdims=True)
 
 
-def density_exponentiation(
-    rho: DensityOperator, sigma: DensityOperator, t: float, slices: int
-) -> DensityOperator:
-    """Approximate e^{-i rho t} sigma e^{i rho t} by ``slices`` rounds of the
-    partial-swap channel, consuming one copy of rho per round.
-
-    Trace-distance error decays like t^2 / slices.
-    """
-    if slices < 1:
-        raise ConfigurationError("slices must be >= 1")
-    if rho.dim != sigma.dim:
-        raise ValidationError("rho and sigma dimensions differ")
-    d = rho.dim
-    dt = t / slices
-    # swap operator on the two copies; exp(-i S dt) = cos(dt) I - i sin(dt) S
-    S = np.zeros((d * d, d * d))
-    idx = np.arange(d * d)
-    a, b = idx // d, idx % d
-    S[idx, b * d + a] = 1.0
-    U = math.cos(dt) * np.eye(d * d) - 1j * math.sin(dt) * S
-    sig = sigma.matrix
-    for _ in range(slices):
-        joint = U @ np.kron(sig, rho.matrix) @ U.conj().T
-        sig = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)
-        sig = 0.5 * (sig + sig.conj().T)
-    sig /= np.trace(sig).real
-    return DensityOperator(sig, sigma.layout)
+def _ae_distribution(amps: np.ndarray, m: int) -> np.ndarray:
+    """Outcome distribution of amplitude estimation: phase estimation of the
+    Grover iterate, whose eigenphases are +-theta/pi with sin^2(theta) = amp,
+    on a state weighting both eigenvectors equally."""
+    theta = np.arcsin(np.sqrt(amps))
+    return 0.5 * (pe_outcome_kernel(theta / math.pi, m) + pe_outcome_kernel(-theta / math.pi, m))
 
 
-def swap_test(a: QuantumState, b: QuantumState, plan: ShotPlan) -> float:
-    """Squared overlap |<a|b>|^2, exact or from ancilla shot statistics."""
-    if a.layout.dim != b.layout.dim:
-        raise ValidationError("states live in different dimensions")
-    overlap_sq = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if plan.exact:
-        return overlap_sq
-    p0 = (1.0 + overlap_sq) / 2.0
-    hits = plan.rng().binomial(plan.shots, p0)
-    return 2.0 * hits / plan.shots - 1.0
+def _ae_outcomes(amps: np.ndarray, m: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Most probable (or, with ``rng``, sampled) AE outcome k for each entry."""
+    N = 2**m
+    if rng is None:
+        # The distribution is symmetric under k -> N - k, and on [0, N/2]
+        # its maximum sits at one of the two lattice neighbours of the
+        # eigenphase theta/pi, so only those two outcomes are evaluated.
+        phase = np.arcsin(np.sqrt(amps))[:, None] / math.pi
+        k = np.minimum(np.floor(phase * N), N // 2 - 1) + np.arange(2)
+        weight = _fejer(phase - k / N, N) + _fejer(phase + k / N, N)
+        return k[np.arange(amps.size), np.argmax(weight, axis=-1)].astype(int)
+    # inverse-CDF draw, as Generator.choice does for one entry
+    dist = _ae_distribution(amps, m)
+    cdf = np.cumsum(dist / dist.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= rng.random(amps.size)[:, None], axis=-1)
 
 
-def signed_overlap(a: QuantumState, b: QuantumState, plan: ShotPlan) -> float:
-    """Hadamard-test estimate of Re<a|b> (the swap test loses the sign)."""
-    if a.layout.dim != b.layout.dim:
-        raise ValidationError("states live in different dimensions")
-    re = float(np.real(np.vdot(a.amplitudes, b.amplitudes)))
-    if plan.exact:
-        return re
-    p0 = min(max((1.0 + re) / 2.0, 0.0), 1.0)
-    hits = plan.rng().binomial(plan.shots, p0)
-    return 2.0 * hits / plan.shots - 1.0
+def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Canonical amplitude estimation with an m-qubit phase register, for
+    every good-state probability in ``amps``.
 
-
-def amplitude_estimation(
-    state_prep: np.ndarray,
-    good_projector: np.ndarray,
-    m: int,
-    plan: ShotPlan | None = None,
-) -> float:
-    """Canonical amplitude estimation with an m-qubit phase register.
-
-    Returns sin^2(pi k / 2^m) for the measured (or, in exact mode, the most
-    probable) outcome k; error <= pi/2^m + pi^2/2^(2m) with probability
-    >= 8/pi^2.
+    Returns sin^2(pi k / 2^m) for the most probable outcome k, or with
+    ``rng`` for one sampled outcome per entry; error <= pi/2^m + pi^2/2^(2m)
+    with probability >= 8/pi^2. Outcomes k and 2^m - k read out the same
+    amplitude, so k is folded into [0, 2^(m-1)] before the readout: the
+    result takes one of exactly 2^(m-1) + 1 values. Entries are read out in
+    blocks of at most BLOCK_ELEMENTS working values, so memory stays bounded
+    whatever the size of ``amps``; draws are taken in entry order.
     """
     if not 1 <= m <= MAX_AE_QUBITS:
         raise ConfigurationError(f"m must be in 1..{MAX_AE_QUBITS}")
-    A = _check_unitary(state_prep)
-    P = np.asarray(good_projector, dtype=complex)
-    if np.max(np.abs(P @ P - P)) > 1e-10 or np.max(np.abs(P - P.conj().T)) > 1e-10:
-        raise ValidationError("good_projector must be an orthogonal projector")
-    psi = A[:, 0]
-    amp = float(np.real(np.vdot(psi, P @ psi)))
-    amp = min(max(amp, 0.0), 1.0)
-    theta = math.asin(math.sqrt(amp))
+    amps = np.asarray(amps, dtype=float)
+    if np.any((amps < -1e-12) | (amps > 1.0 + 1e-12)):
+        raise RangeError("amplitudes must lie in [0, 1]")
     N = 2**m
-    dist = 0.5 * (pe_outcome_kernel(theta / math.pi, m) + pe_outcome_kernel(-theta / math.pi, m))
-    if plan is None or plan.exact:
-        k = int(np.argmax(dist))
-    else:
-        k = int(plan.rng().choice(N, p=dist / dist.sum()))
-    return math.sin(math.pi * k / N) ** 2
+    lattice = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+    flat = amps.reshape(-1)
+    out = np.empty(flat.size)
+    rows = max(1, BLOCK_ELEMENTS // (2 if rng is None else N))
+    for lo in range(0, flat.size, rows):
+        k = _ae_outcomes(np.clip(flat[lo : lo + rows], 0.0, 1.0), m, rng)
+        out[lo : lo + rows] = lattice[np.minimum(k, N - k)]
+    return out.reshape(amps.shape)
 
 
-def conditional_rotation(state: QuantumState, value_register: str, f) -> QuantumState:
-    """Append an ancilla register R; basis value v of ``value_register`` gains
-    amplitude f(v) on |0>_R and sqrt(1 - f(v)^2) on |1>_R."""
-    q = state.layout.qubits(value_register)
-    fv = np.array([float(f(v)) for v in range(2**q)])
-    if np.any(np.abs(fv) > 1.0 + 1e-12):
-        raise RangeError("|f(value)| must not exceed 1")
-    fv = np.clip(fv, -1.0, 1.0)
-    axis = state.layout.axis(value_register)
-    psi = state.reshaped()
-    shape = [1] * psi.ndim
-    shape[axis] = 2**q
-    fb = fv.reshape(shape)
-    new = np.stack([psi * fb, psi * np.sqrt(1.0 - fb**2)], axis=-1)
-    layout = state.layout.appended("R", 1)
-    return QuantumState(new.reshape(-1), layout, state.global_scale)
-
-
-def postselect_r0(state: QuantumState, register: str = "R") -> tuple[QuantumState, float]:
-    """Condition on the rotation ancilla reading |0>; returns the renormalized
-    state and the exact success probability."""
-    return state.project(register, 0)
+def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Hadamard-test estimates of the overlaps Re<a|b> in ``re`` (the swap
+    test loses the sign): the exact values, or with ``rng`` one draw of
+    ``shots`` ancilla measurements per entry."""
+    re = np.asarray(re, dtype=float)
+    if rng is None:
+        return re
+    p0 = np.clip((1.0 + re) / 2.0, 0.0, 1.0)
+    return 2.0 * rng.binomial(shots, p0) / shots - 1.0
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,39 +64,9 @@ class RegisterLayout:
                 return i
         raise ConfigurationError(f"unknown register {name!r}")
 
-    def qubit_range(self, name: str) -> range:
-        """Global qubit positions (0 = most significant) of a register."""
-        off = 0
-        for reg, q in self.registers:
-            if reg == name:
-                return range(off, off + q)
-            off += q
-        raise ConfigurationError(f"unknown register {name!r}")
-
-    def appended(self, name: str, qubits: int) -> "RegisterLayout":
-        return RegisterLayout(self.registers + ((name, qubits),))
-
-    def prepended(self, name: str, qubits: int) -> "RegisterLayout":
-        return RegisterLayout(((name, qubits),) + self.registers)
-
     def without(self, name: str) -> "RegisterLayout":
         self.axis(name)
         return RegisterLayout(tuple(r for r in self.registers if r[0] != name))
-
-
-def apply_unitary_vec(vec: np.ndarray, U: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply a k-qubit unitary to the given global qubit positions of an
-    n-qubit statevector (position 0 = most significant bit)."""
-    qubits = list(qubits)
-    k = len(qubits)
-    if U.shape != (2**k, 2**k):
-        raise ShapeError(f"unitary shape {U.shape} does not match {k} qubits")
-    psi = vec.reshape([2] * n)
-    psi = np.moveaxis(psi, qubits, range(k))
-    shape = psi.shape
-    psi = U @ psi.reshape(2**k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), qubits)
-    return psi.reshape(-1)
 
 
 @dataclass
@@ -123,60 +93,8 @@ class QuantumState:
         if not math.isfinite(self.global_scale) or self.global_scale < 0:
             raise ValidationError("global_scale must be finite and >= 0")
 
-    @property
-    def num_qubits(self) -> int:
-        return self.layout.total
-
     def reshaped(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.shape)
-
-    def apply(self, U: np.ndarray, registers: str | list[str]) -> "QuantumState":
-        """Apply a unitary acting on one or more named registers (in the
-        given order, most significant first)."""
-        if isinstance(registers, str):
-            registers = [registers]
-        qubits = [q for r in registers for q in self.layout.qubit_range(r)]
-        amps = apply_unitary_vec(self.amplitudes, np.asarray(U, complex), qubits, self.num_qubits)
-        return replace(self, amplitudes=amps)
-
-    def tensor(self, other: "QuantumState") -> "QuantumState":
-        layout = RegisterLayout(self.layout.registers + other.layout.registers)
-        return QuantumState(
-            np.kron(self.amplitudes, other.amplitudes),
-            layout,
-            self.global_scale * other.global_scale,
-        )
-
-    def probabilities(self, register: str) -> np.ndarray:
-        """Marginal measurement distribution of one register."""
-        axis = self.layout.axis(register)
-        p = np.abs(self.reshaped()) ** 2
-        other = tuple(i for i in range(len(self.layout.registers)) if i != axis)
-        return p.sum(axis=other)
-
-    def project(self, register: str, value: int) -> tuple["QuantumState", float]:
-        """Condition on a register reading ``value``; returns the renormalized
-        state (register removed) and the Born probability."""
-        axis = self.layout.axis(register)
-        sub = np.take(self.reshaped(), value, axis=axis)
-        prob = float(np.sum(np.abs(sub) ** 2))
-        if prob <= 0:
-            from ..errors import PostselectionError
-
-            raise PostselectionError(
-                f"outcome {value} of register {register!r} has zero probability"
-            )
-        return (
-            QuantumState(
-                sub.reshape(-1) / math.sqrt(prob),
-                self.layout.without(register),
-                self.global_scale,
-            ),
-            prob,
-        )
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
 
     def to_json(self) -> str:
         """Debug/golden-test dump: layout plus nonzero amplitudes."""
@@ -310,11 +228,3 @@ def partial_trace(obj: QuantumState | DensityOperator, over: str) -> DensityOper
         dim = int(np.prod(dims))
         rho = rho.reshape(dim, dim)
     return DensityOperator(rho, layout.without(over))
-
-
-def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
-    """Half the trace norm of the difference."""
-    am = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
-    bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    diff = am - bm
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -25,7 +25,6 @@ from .quantum_core import (
     QuantumState,
     RegisterLayout,
     ShotPlan,
-    amplitude_encode,
     amplitude_estimation,
     encode_matrix,
     grover_min_find,
@@ -45,8 +44,6 @@ __all__ = [
     "q_nn_classify",
     "q_svm_train",
     "q_svm_classify",
-    "build_phi1",
-    "build_g_operator",
     "overlap_angle",
 ]
 
@@ -59,7 +56,7 @@ class QpcaResult:
     basis: SubspaceBasis
     sampled_eigenphases: np.ndarray
     precision_qubits: int
-    copies_used: int
+    outcome_probabilities: np.ndarray  # precision-register distribution, k = 0..2^n-1
     warnings: list[str] = field(default_factory=list)
 
 
@@ -105,7 +102,6 @@ def qpca(
     X,
     d: int,
     precision_qubits: int = 8,
-    copies: int | None = None,
 ) -> QpcaResult:
     """Principal subspace via phase estimation of exp(i rho t0) on the
     covariance state rho ~ X X^T obtained by partial trace.
@@ -119,8 +115,7 @@ def qpca(
         raise ConfigurationError(f"qPCA capped at D <= {QPCA_MAX_DIM}")
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range")
-    psi = encode_matrix(M, index_name="i", feature_name="m")
-    rho = partial_trace(psi, "i")
+    rho = partial_trace(encode_matrix(M, index_name="i", feature_name="m"), "i")
     cov_trace = float(np.sum(M * M))
 
     lam, U = np.linalg.eigh(rho.matrix)
@@ -129,8 +124,7 @@ def qpca(
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
     phases = lam * t0 / (2 * math.pi)
     N = 2**precision_qubits
-    kernels = np.stack([pe_outcome_kernel(p, precision_qubits) for p in phases])
-    weights = lam[:, None] * kernels  # (eigvec, outcome) joint distribution
+    weights = lam[:, None] * pe_outcome_kernel(phases, precision_qubits)  # (eigvec, outcome)
     outcome_prob = weights.sum(axis=0)
 
     # Eigenphases live below 1/2 by the choice of t0, so outcomes in the
@@ -192,7 +186,7 @@ def qpca(
         basis=basis,
         sampled_eigenphases=np.array(selected_phases),
         precision_qubits=precision_qubits,
-        copies_used=copies if copies is not None else N - 1,
+        outcome_probabilities=outcome_prob,
         warnings=warnings,
     )
 
@@ -205,21 +199,6 @@ def overlap_angle(cosine: float) -> float:
     """Angle theta with sin(theta) = sqrt((1 + <u|v>)/2)."""
     c = min(max(cosine, -1.0), 1.0)
     return math.asin(math.sqrt((1.0 + c) / 2.0))
-
-
-def build_phi1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The mixed column state (|0>(u+v) + |1>(u-v))/2 for unit u, v."""
-    return np.concatenate([(u + v) / 2.0, (u - v) / 2.0]).astype(complex)
-
-
-def build_g_operator(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Grover-type operator (2|phi1><phi1| - I)(-sigma_z x I) whose
-    eigenvalues on the column pair are exp(+-2i theta)."""
-    phi1 = build_phi1(u, v)
-    dim = phi1.size
-    refl = 2.0 * np.outer(phi1, phi1.conj()) - np.eye(dim)
-    sz = np.kron(np.diag([1.0, -1.0]), np.eye(dim // 2))
-    return refl @ (-sz)
 
 
 def _lattice_theta(theta: float, n: int) -> float:
@@ -327,17 +306,37 @@ def q_build_alignment(
 # quantum nearest neighbor
 
 
-def _encode_vec(v: np.ndarray) -> QuantumState:
-    return amplitude_encode(v, name="C1")
+def _ae_distances(
+    X_hat_a: np.ndarray, X_hat_t: np.ndarray, plan: ShotPlan, ae_bits: int
+) -> np.ndarray:
+    """AE estimates of every target-source distance, (n_t, n_s).
 
-
-def _ae_distance(a: float, ae_bits: int, plan: ShotPlan) -> float:
-    """Push a normalized distance through the amplitude-estimation lattice."""
-    a = min(max(a, 0.0), 1.0)
-    s, c = math.sqrt(a), math.sqrt(1.0 - a)
-    prep = np.array([[c, -s], [s, c]])
-    good = np.diag([0.0, 1.0])
-    return amplitude_estimation(prep, good, ae_bits, plan)
+    Distances are built from Hadamard-test overlaps of the unit columns and
+    the stored vector norms, then pushed through the amplitude-estimation
+    lattice, normalized by each target's largest distance. In exact mode
+    every pair is read out at once; in sampled mode target j draws its
+    overlaps and then its AE outcomes from its own generator, seeded
+    (plan.seed, j).
+    """
+    src_norms = np.linalg.norm(X_hat_a, axis=0)
+    tgt_norms = np.linalg.norm(X_hat_t, axis=0)
+    # a zero vector has no state; its unit column of zeros gives overlap 0,
+    # which leaves the distance at tn^2 + sn^2
+    src_unit = X_hat_a / np.where(src_norms > 0, src_norms, 1.0)
+    tgt_unit = X_hat_t / np.where(tgt_norms > 0, tgt_norms, 1.0)
+    re = tgt_unit.T @ src_unit
+    if plan.exact:
+        blocks = [(slice(None), None)]
+    else:
+        blocks = [(j, np.random.default_rng([plan.seed, j])) for j in range(re.shape[0])]
+    est = np.empty_like(re)
+    for rows, rng in blocks:
+        ov = signed_overlap(re[rows], plan.shots, rng)
+        tn = tgt_norms[rows, None]
+        dists = np.sqrt(np.maximum(tn**2 + src_norms**2 - 2.0 * tn * src_norms * ov, 0.0))
+        dmax = np.maximum(dists.max(axis=-1, keepdims=True), 1e-12)
+        est[rows] = amplitude_estimation(dists / dmax, ae_bits, rng) * dmax
+    return est
 
 
 def q_nn_classify(
@@ -350,9 +349,10 @@ def q_nn_classify(
 ) -> tuple[np.ndarray, list[dict]]:
     """Label each target point by its nearest aligned source point.
 
-    Per-pair distances are built from Hadamard-test overlaps and the stored
-    vector norms, pushed through the amplitude-estimation lattice, and the
-    minimum is located with Durr-Hoyer minimum finding.
+    Every target-source distance is estimated by Hadamard tests and
+    amplitude estimation (``_ae_distances``), and each target's minimum is
+    located with Durr-Hoyer minimum finding. A target whose minimum is
+    shared by sources with more than one label gets a warning.
     """
     X_hat_a = np.asarray(X_hat_a, float)
     X_hat_t = np.asarray(X_hat_t, float)
@@ -360,39 +360,21 @@ def q_nn_classify(
     if d > 8 or n_s > 64:
         raise ConfigurationError("register budget: d <= 8 and n_s <= 64")
     labels = np.asarray(labels)
-    src_norms = np.linalg.norm(X_hat_a, axis=0)
-    src_states = [
-        _encode_vec(X_hat_a[:, i]) if src_norms[i] > 0 else None for i in range(n_s)
-    ]
-    out = np.empty(X_hat_t.shape[1], dtype=labels.dtype)
+    est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
+    out = np.empty(est.shape[0], dtype=labels.dtype)
     diagnostics = []
-    for j in range(X_hat_t.shape[1]):
-        t = X_hat_t[:, j]
-        tn = np.linalg.norm(t)
-        t_state = _encode_vec(t) if tn > 0 else None
-        pair_plan = replace(plan, seed=plan.seed + 7919 * j)
-        dists = np.empty(n_s)
-        for i in range(n_s):
-            if t_state is None or src_states[i] is None:
-                d2 = tn**2 + src_norms[i] ** 2
-            else:
-                ov = signed_overlap(t_state, src_states[i], pair_plan)
-                d2 = tn**2 + src_norms[i] ** 2 - 2.0 * tn * src_norms[i] * ov
-            dists[i] = math.sqrt(max(d2, 0.0))
-        dmax = max(float(dists.max()), 1e-12)
-        est = np.array(
-            [_ae_distance(dists[i] / dmax, ae_bits, pair_plan) * dmax for i in range(n_s)]
-        )
+    for j, row in enumerate(est):
+        tied = labels[row == row.min()]
         warn = None
-        order = np.argsort(est)
-        if n_s > 1 and est[order[0]] == est[order[1]] and labels[order[0]] != labels[order[1]]:
+        if np.any(tied != tied[0]):
             warn = "ambiguous nearest neighbor at AE resolution"
-        stats = grover_min_find(est, pair_plan, repeats=repeats, return_stats=True)
+        target_plan = replace(plan, seed=plan.seed + 7919 * j)
+        stats = grover_min_find(row, target_plan, repeats=repeats, return_stats=True)
         out[j] = labels[stats.index]
         diagnostics.append(
             {
                 "target": j,
-                "distances": est,
+                "distances": row,
                 "nearest": int(stats.index),
                 "oracle_queries": stats.oracle_queries,
                 "warning": warn,
@@ -466,27 +448,33 @@ def q_svm_classify(
     model: QsvmState,
     Xs: Domain,
     A: np.ndarray,
-    xt: np.ndarray,
+    X: np.ndarray,
     plan: ShotPlan,
-) -> tuple[int, dict]:
-    """Signed decision via a Hadamard-test overlap of the training-parameter
-    state and the query state; sign(0) -> +1."""
+):
+    """Signed decisions via Hadamard-test overlaps of the training-parameter
+    state (b, alpha_1 x_1, ..., alpha_n x_n) and each query state
+    (1, A x, ..., A x); sign(0) -> +1.
+
+    ``X`` is one point or a D x m matrix of points (columns). A point gives
+    (label, info); a matrix gives (labels, info) with one entry per column in
+    each per-query field of info. In sampled mode each column gets its own
+    draw from one generator seeded by the plan.
+    """
     b, alpha = model.readout()
-    X = Xs.samples
-    n = Xs.n
-    xt = np.asarray(xt, float)
-    at = A @ xt
-    psi_t = np.concatenate([[b]] + [alpha[i] * X[:, i] for i in range(n)])
-    psi_x = np.concatenate([[1.0]] + [at] * n)
-    decision = signed_overlap(
-        amplitude_encode(psi_t), amplitude_encode(psi_x), plan
-    )
+    Xm = np.asarray(X, float)
+    AX = A @ Xm.reshape(Xm.shape[0], -1)
+    N_x = model.norms["N_x"]
+    N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
+    re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)
+    decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng())
+    labels = np.where(decision >= 0, 1, -1)
     info = {
         "decision_value": decision,
-        "N_t": float(psi_x @ psi_x),
-        "N_x": float(psi_t @ psi_t),
-        "low_confidence": (not plan.exact)
-        and abs(decision) < 3.0 / math.sqrt(plan.shots),
+        "N_t": N_t,
+        "N_x": N_x,
+        "low_confidence": (not plan.exact) & (np.abs(decision) < 3.0 / math.sqrt(plan.shots)),
     }
-    label = 1 if decision >= 0 else -1
-    return label, info
+    if Xm.ndim == 1:
+        info = {key: val[0] if isinstance(val, np.ndarray) else val for key, val in info.items()}
+        return int(labels[0]), info
+    return labels, info

@@ -1,0 +1,164 @@
+"""Gate-level circuits that the spectral engine in subalign.quantum_core
+stands for.
+
+The pipeline never runs these: qPCA, amplitude estimation and the matrix
+products read exact outcome distributions off eigendecompositions instead.
+The tests run the circuits below on small instances and require the
+engine's distributions to match them. They are kept here, outside the
+package, so the package needs no scipy at import time.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from subalign.errors import ConfigurationError, ShapeError, ValidationError
+from subalign.quantum_core import QuantumState, RegisterLayout, ShotPlan
+from subalign.quantum_core.state import DensityOperator
+
+MAX_PRECISION_QUBITS = 12
+
+
+def apply_unitary_vec(vec: np.ndarray, U: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Apply a k-qubit unitary to the given global qubit positions of an
+    n-qubit statevector (position 0 = most significant bit)."""
+    qubits = list(qubits)
+    k = len(qubits)
+    if U.shape != (2**k, 2**k):
+        raise ShapeError(f"unitary shape {U.shape} does not match {k} qubits")
+    psi = vec.reshape([2] * n)
+    psi = np.moveaxis(psi, qubits, range(k))
+    shape = psi.shape
+    psi = U @ psi.reshape(2**k, -1)
+    psi = np.moveaxis(psi.reshape(shape), range(k), qubits)
+    return psi.reshape(-1)
+
+
+def probabilities(state: QuantumState, register: str) -> np.ndarray:
+    """Marginal measurement distribution of one register."""
+    axis = state.layout.axis(register)
+    p = np.abs(state.reshaped()) ** 2
+    other = tuple(i for i in range(len(state.layout.registers)) if i != axis)
+    return p.sum(axis=other)
+
+
+def prepended(layout: RegisterLayout, name: str, qubits: int) -> RegisterLayout:
+    """The layout with a new most-significant register in front."""
+    return RegisterLayout(((name, qubits),) + layout.registers)
+
+
+def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValidationError("operator must be square")
+    if np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) > tol:
+        raise ValidationError("operator is not unitary within 1e-10")
+    return U
+
+
+def phase_estimation(
+    U: np.ndarray,
+    input_state: QuantumState,
+    precision_qubits: int,
+    register_name: str = "PE",
+) -> QuantumState:
+    """Standard phase estimation of ``U`` applied to the whole input state;
+    the precision register is prepended (most significant)."""
+    if not 1 <= precision_qubits <= MAX_PRECISION_QUBITS:
+        raise ConfigurationError(
+            f"precision_qubits must be in 1..{MAX_PRECISION_QUBITS}"
+        )
+    U = _check_unitary(U)
+    if U.shape[0] != input_state.layout.dim:
+        raise ValidationError("unitary dimension does not match input state")
+    N = 2**precision_qubits
+    T, Z = scipy.linalg.schur(U, output="complex")
+    eigs = np.diag(T)
+    w = Z.conj().T @ input_state.amplitudes
+    powers = eigs[None, :] ** np.arange(N)[:, None]  # (N, dim) eigenvalue powers
+    psi = (powers * w[None, :]) @ Z.T  # row k holds U^k |input>
+    psi /= math.sqrt(N)
+    out = np.fft.fft(psi, axis=0) / math.sqrt(N)  # inverse QFT on the index axis
+    layout = prepended(input_state.layout, register_name, precision_qubits)
+    return QuantumState(out.reshape(-1), layout, input_state.global_scale)
+
+
+def ae_distribution(state_prep: np.ndarray, good_projector: np.ndarray, m: int) -> np.ndarray:
+    """Outcome distribution of amplitude estimation as a circuit: phase
+    estimation of the Grover iterate Q = -A S_0 A^dagger S_good on A|0>."""
+    A = _check_unitary(state_prep)
+    P = np.asarray(good_projector, dtype=complex)
+    if np.max(np.abs(P @ P - P)) > 1e-10 or np.max(np.abs(P - P.conj().T)) > 1e-10:
+        raise ValidationError("good_projector must be an orthogonal projector")
+    dim = A.shape[0]
+    S0 = np.eye(dim)
+    S0[0, 0] = -1.0
+    Q = -A @ S0 @ A.conj().T @ (np.eye(dim) - 2.0 * P)
+    start = QuantumState(A[:, 0], RegisterLayout.single("A", int(math.log2(dim))))
+    return probabilities(phase_estimation(Q, start, m), "PE")
+
+
+def density_exponentiation(
+    rho: DensityOperator, sigma: DensityOperator, t: float, slices: int
+) -> DensityOperator:
+    """Approximate e^{-i rho t} sigma e^{i rho t} by ``slices`` rounds of the
+    partial-swap channel, consuming one copy of rho per round.
+
+    Trace-distance error decays like t^2 / slices.
+    """
+    if slices < 1:
+        raise ConfigurationError("slices must be >= 1")
+    if rho.dim != sigma.dim:
+        raise ValidationError("rho and sigma dimensions differ")
+    d = rho.dim
+    dt = t / slices
+    # swap operator on the two copies; exp(-i S dt) = cos(dt) I - i sin(dt) S
+    S = np.zeros((d * d, d * d))
+    idx = np.arange(d * d)
+    a, b = idx // d, idx % d
+    S[idx, b * d + a] = 1.0
+    U = math.cos(dt) * np.eye(d * d) - 1j * math.sin(dt) * S
+    sig = sigma.matrix
+    for _ in range(slices):
+        joint = U @ np.kron(sig, rho.matrix) @ U.conj().T
+        sig = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)
+        sig = 0.5 * (sig + sig.conj().T)
+    sig /= np.trace(sig).real
+    return DensityOperator(sig, sigma.layout)
+
+
+def swap_test(a: QuantumState, b: QuantumState, plan: ShotPlan) -> float:
+    """Squared overlap |<a|b>|^2, exact or from ancilla shot statistics."""
+    if a.layout.dim != b.layout.dim:
+        raise ValidationError("states live in different dimensions")
+    overlap_sq = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if plan.exact:
+        return overlap_sq
+    p0 = (1.0 + overlap_sq) / 2.0
+    hits = plan.rng().binomial(plan.shots, p0)
+    return 2.0 * hits / plan.shots - 1.0
+
+
+def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
+    """Half the trace norm of the difference."""
+    am = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
+    bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
+    diff = am - bm
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def build_phi1(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The mixed column state (|0>(u+v) + |1>(u-v))/2 for unit u, v."""
+    return np.concatenate([(u + v) / 2.0, (u - v) / 2.0]).astype(complex)
+
+
+def build_g_operator(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Grover-type operator (2|phi1><phi1| - I)(-sigma_z x I) whose
+    eigenvalues on the column pair are exp(+-2i theta)."""
+    phi1 = build_phi1(u, v)
+    dim = phi1.size
+    refl = 2.0 * np.outer(phi1, phi1.conj()) - np.eye(dim)
+    sz = np.kron(np.diag([1.0, -1.0]), np.eye(dim // 2))
+    return refl @ (-sz)

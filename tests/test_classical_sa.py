@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_oracle import apply_unitary_vec
 from subalign import classical_sa as csa
 from subalign.datasets import Domain, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import (
@@ -13,7 +14,6 @@ from subalign.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from subalign.quantum_core import apply_unitary_vec
 
 
 def _random_orthonormal(rng, D, d):

@@ -65,17 +65,6 @@ class TestSynth:
         assert target.visible_labels is None
         assert target.hidden_labels().shape == (target.n,)
 
-    def test_shift_invertibility(self):
-        shift = DomainShift(rotation_angle=1.0, translation=2.0, scale=1.5)
-        spec = SynthSpec(D=2, n_s=400, n_t=400, seed=5, domain_shift=shift)
-        source, target = synth_shifted_gaussians(spec)
-        recovered = shift.invert(target.samples)
-        sigma = spec.noise_sigma + spec.class_separation  # loose scale bound
-        tol = 3 * sigma / math.sqrt(spec.n_t)
-        assert np.all(
-            np.abs(recovered.mean(axis=1) - source.samples.mean(axis=1)) < 3 * tol
-        )
-
 
 class TestCsv:
     def test_orientation(self, tmp_path):

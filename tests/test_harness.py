@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +82,16 @@ class TestRun:
         assert all(r["pass"] for r in report.parity)
         assert all("tolerance" in r for r in report.parity)
 
+    def test_quantum_track_classifies(self, tmp_path):
+        cfg = _config(tmp_path, "track = quantum\nclassifier = both\nquantum.exact_theta = true\n")
+        report = run(cfg)
+        for seed in cfg.seeds:
+            acc = [r for r in report.accuracy if r["seed"] == seed]
+            assert sorted((r["track"], r["classifier"]) for r in acc) == [
+                ("quantum", "nn"), ("quantum", "svm")
+            ]
+            assert len([r for r in report.parity if r["quantity"].startswith(f"seed{seed}.")]) == 4
+
     def test_quantum_cap_error(self, tmp_path):
         cfg = _config(tmp_path, "track = both\n")
         cfg.dataset = harness.SynthSpec(D=3, n_s=40, n_t=6)
@@ -108,6 +121,19 @@ class TestRun:
         doc = json.loads((tmp_path / "report_v1.json").read_text())
         doc["sweep"] = [{"seed": 0, "precision_qubits": 4, "projector_error": 0.0}]
         assert RunReport.from_json(json.dumps(doc)).parity == report.parity
+
+
+class TestImport:
+    def test_harness_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import subalign.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCompareTracks:

@@ -6,31 +6,36 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_oracle import (
+    ae_distribution,
+    build_g_operator,
+    build_phi1,
+    density_exponentiation,
+    phase_estimation,
+    probabilities,
+    swap_test,
+    trace_distance,
+)
+from subalign import quantum_sa as qsa
 from subalign.errors import (
     ConfigurationError,
     EncodingError,
-    PostselectionError,
+    RangeError,
     ValidationError,
 )
 from subalign.quantum_core import (
-    DensityOperator,
     QuantumState,
     RegisterLayout,
     ShotPlan,
-    amplitude_encode,
     amplitude_estimation,
-    conditional_rotation,
-    density_exponentiation,
     encode_matrix,
     grover_min_find,
     partial_trace,
     pe_outcome_kernel,
-    phase_estimation,
-    postselect_r0,
-    qft_matrix,
-    swap_test,
-    trace_distance,
+    signed_overlap,
 )
+from subalign.quantum_core.algorithms import _ae_distribution
+from subalign.quantum_core.state import DensityOperator, amplitude_encode
 
 EXACT = ShotPlan()
 
@@ -72,7 +77,9 @@ class TestPartialTrace:
         rng = np.random.default_rng(0)
         a = _random_state(rng, 1, "A")
         b = _random_state(rng, 1, "B")
-        joint = a.tensor(b)
+        joint = QuantumState(
+            np.kron(a.amplitudes, b.amplitudes), RegisterLayout((("A", 1), ("B", 1)))
+        )
         rho = partial_trace(joint, "B")
         assert np.allclose(rho.matrix, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-12)
 
@@ -103,20 +110,20 @@ class TestPhaseEstimation:
     def test_z_on_one(self):
         s = amplitude_encode([0.0, 1.0])
         out = phase_estimation(np.diag([1.0, -1.0]), s, 3)
-        probs = out.probabilities("PE")
+        probs = probabilities(out, "PE")
         assert probs[4] == pytest.approx(1.0, abs=1e-12)  # "100" = phase 1/2
 
     def test_eighth_turn(self):
         s = amplitude_encode([0.0, 1.0])
         U = np.diag([1.0, np.exp(1j * math.pi / 4)])
         out = phase_estimation(U, s, 3)
-        assert out.probabilities("PE")[1] == pytest.approx(1.0, abs=1e-12)
+        assert probabilities(out, "PE")[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_off_lattice_matches_kernel(self):
         s = amplitude_encode([0.0, 1.0])
         U = np.diag([1.0, np.exp(2j * math.pi / 3)])
         out = phase_estimation(U, s, 5)
-        probs = out.probabilities("PE")
+        probs = probabilities(out, "PE")
         expect = pe_outcome_kernel(1.0 / 3.0, 5)
         assert np.max(np.abs(probs - expect)) <= 1e-10
         assert np.argmax(probs) == round(32 / 3) % 32
@@ -131,7 +138,7 @@ class TestPhaseEstimation:
         k = k % 2**n
         U = np.diag([np.exp(2j * math.pi * k / 2**n), 1.0])
         out = phase_estimation(U, amplitude_encode([1.0, 0.0]), n)
-        assert out.probabilities("PE")[k] == pytest.approx(1.0, abs=1e-10)
+        assert probabilities(out, "PE")[k] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDensityExponentiation:
@@ -196,58 +203,122 @@ class TestSwapTest:
 
 
 class TestAmplitudeEstimation:
-    @staticmethod
-    def _prep(amp):
-        s, c = math.sqrt(amp), math.sqrt(1 - amp)
-        return np.array([[c, -s], [s, c]]), np.diag([0.0, 1.0])
-
     def test_lattice_value_exact(self):
         m = 5
         amp = math.sin(math.pi * 3 / 2**m) ** 2
-        prep, good = self._prep(amp)
-        assert amplitude_estimation(prep, good, m) == pytest.approx(amp, abs=1e-12)
+        assert amplitude_estimation([amp], m)[0] == pytest.approx(amp, abs=1e-12)
 
     def test_zero_amplitude(self):
-        prep, good = self._prep(0.0)
-        assert amplitude_estimation(prep, good, 6) == pytest.approx(0.0, abs=1e-12)
+        assert amplitude_estimation([0.0], 6)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_error_bound_frequency(self):
         m = 8
         bound = math.pi / 2**m + math.pi**2 / 2 ** (2 * m)
-        prep, good = self._prep(0.3)
         hits = 0
         for seed in range(200):
-            est = amplitude_estimation(
-                prep, good, m, ShotPlan(seed=seed, mode="sampled")
-            )
+            est = amplitude_estimation([0.3], m, np.random.default_rng(seed))[0]
             hits += abs(est - 0.3) <= bound
         assert hits / 200 >= 0.81
 
     def test_bad_projector(self):
-        prep, _ = self._prep(0.3)
+        s, c = math.sqrt(0.3), math.sqrt(0.7)
+        prep = np.array([[c, -s], [s, c]])
         with pytest.raises(ValidationError):
-            amplitude_estimation(prep, np.array([[1.0, 1.0], [0.0, 0.0]]), 4)
+            ae_distribution(prep, np.array([[1.0, 1.0], [0.0, 0.0]]), 4)
+
+    def test_amplitude_outside_unit_interval_rejected(self):
+        with pytest.raises(RangeError):
+            amplitude_estimation([0.5, 1.5], 4)
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_exact_readouts_are_lattice_points(self, m):
+        # outcomes k and 2^m - k are one lattice point; round-off must not
+        # split it into values an ulp apart
+        grid = np.linspace(0.0, 1.0, 4001)
+        est = amplitude_estimation(grid, m)
+        assert np.unique(est).size <= 2 ** (m - 1) + 1
+        # and each is the most probable outcome of the full distribution
+        k = np.argmax(_ae_distribution(grid, m), axis=-1)
+        assert np.array_equal(est, np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2)
+
+    def test_sampled_draws_one_outcome_per_entry(self):
+        amps = np.random.default_rng(5).uniform(0.0, 1.0, (20, 10))
+        est = amplitude_estimation(amps, 4, np.random.default_rng(0))
+        assert est.shape == (20, 10)
+        # blocking does not change the draws: entry i takes the i-th draw
+        rng = np.random.default_rng(0)
+        one_by_one = [amplitude_estimation([a], 4, rng)[0] for a in amps.ravel()]
+        assert np.array_equal(est.ravel(), one_by_one)
+        assert np.unique(amplitude_estimation(np.full(200, 0.3), 4, rng)).size > 1
 
 
-class TestConditionalRotation:
-    def test_constant_one(self):
-        s = amplitude_encode([1.0, 1.0], name="V")
-        rotated = conditional_rotation(s, "V", lambda v: 1.0)
-        _, p = postselect_r0(rotated)
-        assert p == pytest.approx(1.0, abs=1e-12)
+class TestSignedOverlap:
+    def test_exact_returns_overlaps(self):
+        re = np.array([[0.25, -1.0], [0.0, 1.0]])
+        assert np.array_equal(signed_overlap(re, 16), re)
 
-    def test_constant_zero(self):
-        s = amplitude_encode([1.0, 1.0], name="V")
-        rotated = conditional_rotation(s, "V", lambda v: 0.0)
-        with pytest.raises(PostselectionError):
-            postselect_r0(rotated)
+    def test_sampled_within_shot_noise(self):
+        re = np.linspace(-1.0, 1.0, 101)
+        shots = 4096
+        est = signed_overlap(re, shots, np.random.default_rng(1))
+        sigma = np.sqrt(np.maximum(1.0 - re**2, 1e-12) / shots)
+        assert np.all(np.abs(est - re) <= 5 * sigma + 1e-9)
+        assert np.unique(est[40:61]).size > 1
 
-    def test_born_sum(self):
-        s = amplitude_encode([1.0, 1.0], name="V")
-        f = {0: 0.6, 1: 0.8}
-        rotated = conditional_rotation(s, "V", lambda v: f[v])
-        _, p = postselect_r0(rotated)
-        assert p == pytest.approx(0.5 * (0.36 + 0.64), abs=1e-12)
+
+class TestEngineAgainstGateOracle:
+    """The spectral engine's outcome distributions against the circuits
+    they stand for (tests/gate_oracle.py), within 1e-12."""
+
+    def test_kernel_rows_match_single_phase_calls(self):
+        phases = np.random.default_rng(11).uniform(-1.0, 1.0, 40)
+        rows = pe_outcome_kernel(phases, 6)
+        assert rows.shape == (40, 64)
+        for p, row in zip(phases, rows):
+            assert np.array_equal(row, pe_outcome_kernel(p, 6))
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_ae_matches_grover_iterate_phase_estimation(self, m):
+        amps = np.random.default_rng(12 + m).uniform(0.0, 1.0, 50)
+        engine = _ae_distribution(amps, m)
+        for amp, row in zip(amps, engine):
+            s, c = math.sqrt(amp), math.sqrt(1.0 - amp)
+            prep = np.array([[c, -s], [s, c]])
+            circuit = ae_distribution(prep, np.diag([0.0, 1.0]), m)
+            assert np.max(np.abs(circuit - row)) <= 1e-12
+        # the exact readout is the folded most probable outcome
+        k = np.argmax(engine, axis=-1)
+        expect = np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2
+        assert np.array_equal(amplitude_estimation(amps, m), expect)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_qpca_outcomes_match_density_exponentiation_phase_estimation(self, n):
+        rng = np.random.default_rng(20 + n)
+        X = rng.standard_normal((3, 6))
+        X -= X.mean(axis=1, keepdims=True)
+        res = qsa.qpca(X, 2, precision_qubits=n)
+        psi = encode_matrix(X, index_name="i", feature_name="m")
+        rho = partial_trace(psi, "i").matrix
+        # exp(i rho t0) is what density-matrix exponentiation applies
+        U = np.kron(np.eye(2 ** psi.layout.qubits("i")), scipy.linalg.expm(1j * rho * 0.95 * math.pi))
+        circuit = probabilities(phase_estimation(U, psi, n), "PE")
+        assert np.max(np.abs(circuit - res.outcome_probabilities)) <= 1e-12
+
+    def test_g_operator_matches_two_peak_distribution(self):
+        rng = np.random.default_rng(30)
+        for m in (3, 5, 7):
+            for _ in range(5):
+                u = rng.standard_normal(4)
+                u /= np.linalg.norm(u)
+                v = rng.standard_normal(4)
+                v /= np.linalg.norm(v)
+                theta = qsa.overlap_angle(float(u @ v))
+                phi1 = QuantumState(build_phi1(u, v), RegisterLayout.single("C", 3))
+                circuit = probabilities(phase_estimation(build_g_operator(u, v), phi1, m), "PE")
+                peaks = 0.5 * (
+                    pe_outcome_kernel(theta / math.pi, m) + pe_outcome_kernel(-theta / math.pi, m)
+                )
+                assert np.max(np.abs(circuit - peaks)) <= 1e-12
 
 
 class TestGroverMinFind:
@@ -277,34 +348,12 @@ class TestGroverMinFind:
 
 
 class TestStateAlgebra:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 6), st.integers(0, 10**6))
-    def test_qft_round_trip(self, q, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
-        v /= np.linalg.norm(v)
-        F = qft_matrix(q)
-        assert np.max(np.abs(F.conj().T @ (F @ v) - v)) <= 1e-10
-
-    def test_qft_unitary(self):
-        F = qft_matrix(4)
-        assert np.max(np.abs(F @ F.conj().T - np.eye(16))) <= 1e-10
-
     def test_state_json_round_trip(self):
         rng = np.random.default_rng(10)
         s = _random_state(rng, 3)
         back = QuantumState.from_json(s.to_json())
         assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-15)
         assert back.layout == s.layout
-
-    def test_projection_probability(self):
-        s = QuantumState(
-            np.array([math.sqrt(0.25), 0, 0, math.sqrt(0.75)]),
-            RegisterLayout((("A", 1), ("B", 1))),
-        )
-        sub, p = s.project("A", 1)
-        assert p == pytest.approx(0.75)
-        assert np.allclose(sub.amplitudes, [0, 1])
 
     def test_density_operator_validation(self):
         with pytest.raises(ValidationError):

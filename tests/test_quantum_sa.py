@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gate_oracle import build_g_operator
 from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
@@ -86,7 +87,7 @@ class TestThetaPipeline:
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             theta = qsa.overlap_angle(float(u @ v))
-            G = qsa.build_g_operator(u, v)
+            G = build_g_operator(u, v)
             eigs = np.linalg.eigvals(G)
             want = {np.exp(2j * theta), np.exp(-2j * theta)}
             found = sum(
@@ -190,6 +191,24 @@ class TestQuantumNn:
         assert diag[0]["warning"] is not None
         assert pred[0] in (0, 1)
 
+    def test_three_way_tie_warns(self):
+        # three sources at one distance; the first two share a label
+        X_hat_a = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        labels = np.array([0, 0, 1])
+        pred, diag = qsa.q_nn_classify(X_hat_a, labels, np.zeros((2, 1)), EXACT)
+        assert diag[0]["warning"] is not None
+
+    def test_sampled_pairs_draw_independently(self):
+        # identical sources must not share one noise draw, and the draws
+        # are fixed by the plan's seed
+        X_hat_a = np.tile([[1.0], [0.5]], (1, 40))
+        X_hat_t = np.array([[0.3], [0.4]])
+        plan = ShotPlan(shots=64, seed=3, mode="sampled")
+        _, diag = qsa.q_nn_classify(X_hat_a, np.arange(40), X_hat_t, plan)
+        assert np.unique(diag[0]["distances"]).size > 1
+        _, again = qsa.q_nn_classify(X_hat_a, np.arange(40), X_hat_t, plan)
+        assert np.array_equal(diag[0]["distances"], again[0]["distances"])
+
     def test_register_budget(self):
         with pytest.raises(ConfigurationError):
             qsa.q_nn_classify(np.ones((9, 4)), np.arange(4), np.ones((9, 2)), EXACT)
@@ -265,6 +284,25 @@ class TestQsvm:
         xt = np.array([0.0, 5.0])  # A xt = 0: kernel column vanishes
         label, info = qsa.q_svm_classify(qmodel, dom, A, xt, EXACT)
         assert label == (1 if b >= 0 else -1)
+
+    def test_batch_matches_single_points(self):
+        dom = self._toy()
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        X = np.random.default_rng(10).standard_normal((2, 25))
+        labels, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), X, EXACT)
+        for j in range(X.shape[1]):
+            label, one = qsa.q_svm_classify(qmodel, dom, np.eye(2), X[:, j], EXACT)
+            assert label == labels[j]
+            assert one["decision_value"] == pytest.approx(info["decision_value"][j], abs=1e-14)
+
+    def test_sampled_columns_draw_independently(self):
+        dom = self._toy()
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        X = np.tile([[0.3], [-0.2]], (1, 50))
+        _, info = qsa.q_svm_classify(
+            qmodel, dom, np.eye(2), X, ShotPlan(shots=256, seed=4, mode="sampled")
+        )
+        assert np.unique(info["decision_value"]).size > 1
 
     def test_grid_parity_exact_and_sampled(self):
         dom = self._toy()
