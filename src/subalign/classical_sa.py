@@ -87,18 +87,25 @@ class SubspaceBasis:
 
 @dataclass
 class AlignmentArtifacts:
-    """Everything the alignment step produces: M*, the aligned basis P_a,
-    the target aligned matrix A, and both projected datasets."""
+    """Everything the alignment step produces: M*, the aligned basis
+    P_a = Ps M*, the target basis P_t and both projected datasets.
+
+    The target aligned matrix A = P_a P_t^T has rank d, so it is kept as
+    the factor pair (P_a, P_t) and formed only when ``A`` is read."""
 
     M_star: np.ndarray
     P_a: np.ndarray
-    A: np.ndarray
+    P_t: np.ndarray
     X_hat_a: np.ndarray
     X_hat_t: np.ndarray
 
     def __post_init__(self):
         if np.linalg.norm(self.M_star, 2) > 1 + 1e-10:
             raise ConfigurationError("spectral norm of M* exceeds 1")
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.P_a @ self.P_t.T
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,8 @@ def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:
 
 
 def build_alignment(Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt) -> AlignmentArtifacts:
-    """Assemble M*, P_a = Ps M*, A = Ps M* Pt^T and the projected datasets."""
+    """Assemble M*, P_a = Ps M*, the factors of A = P_a Pt^T and the
+    projected datasets."""
     Ms = alignment_matrix(Ps, Pt)
     Xs_m, Xt_m = _as_matrix(Xs), _as_matrix(Xt)
     if Xs_m.shape[0] != Ps.P.shape[0] or Xt_m.shape[0] != Pt.P.shape[0]:
@@ -154,7 +162,7 @@ def build_alignment(Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt) -> AlignmentAr
     return AlignmentArtifacts(
         M_star=Ms,
         P_a=P_a,
-        A=Ps.P @ Ms @ Pt.P.T,
+        P_t=Pt.P,
         X_hat_a=P_a.T @ Xs_m,
         X_hat_t=Pt.P.T @ Xt_m,
     )
@@ -182,29 +190,48 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray
     return np.asarray(train_labels)[nearest]
 
 
+def _factor_pair(A) -> tuple[np.ndarray, np.ndarray]:
+    """Read A as factors (L, R) with A = L R^T: a pair is taken as it is, a
+    D x D array as (A, I_D)."""
+    if isinstance(A, tuple):
+        L, R = (np.asarray(f, dtype=float) for f in A)
+    else:
+        L = np.asarray(A, dtype=float)
+        R = np.eye(L.shape[0])
+    if L.ndim != 2 or L.shape != R.shape:
+        raise ShapeError("A must be a D x D array or a pair of D x r factors")
+    return L, R
+
+
 @dataclass
 class SvmModel:
-    """Least-squares SVM trained through the cross-domain similarity kernel."""
+    """Least-squares SVM trained through the cross-domain similarity kernel.
+
+    ``A_ref`` is A as a D x D array or a factor pair (L, R) with A = L R^T;
+    it is stored as the pair."""
 
     b: float
     alpha: np.ndarray
     gamma: float
     support_data: Domain
-    A_ref: np.ndarray
+    A_ref: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.alpha)) or not math.isfinite(self.b):
             raise ConfigurationError("non-finite SVM parameters")
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be > 0")
+        self.A_ref = _factor_pair(self.A_ref)
 
     def to_json(self) -> str:
+        L, R = self.A_ref
         return json.dumps(
             {
                 "b": self.b,
                 "alpha": self.alpha.tolist(),
                 "gamma": self.gamma,
-                "A": self.A_ref.tolist(),
+                "L": L.tolist(),
+                "R": R.tolist(),
                 "support_samples": self.support_data.samples.tolist(),
                 "support_labels": self.support_data.hidden_labels().tolist()
                 if self.support_data.labels is not None
@@ -224,15 +251,23 @@ class SvmModel:
             np.array(obj["support_labels"]) if obj["support_labels"] else None,
             name="support",
         )
-        return cls(obj["b"], np.array(obj["alpha"]), obj["gamma"], data, np.array(obj["A"]))
+        A = (obj["L"], obj["R"]) if "L" in obj else obj["A"]  # older models store A
+        return cls(obj["b"], np.array(obj["alpha"]), obj["gamma"], data, A)
 
 
-def ls_svm_system(Xs: Domain, A: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def ls_svm_system(
+    Xs: Domain, A, gamma: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The least-squares SVM system F (b, alpha) = (0, y) of Suykens and
-    Vandewalle, with F = [[0, 1^T], [1, Xs^T A Xs + I/gamma]].
+    Vandewalle, F = [[0, 1^T], [1, Xs^T A Xs + I/gamma]], in factored form.
+
+    With c = 1/gamma, o = (0, 1, ..., 1) and A = L R^T (``_factor_pair``),
+    F = c I + B C^T, where B and C are (n+1) x (r+3) and their column pairs
+    are (e0, -c e0), which clears the corner, the border pairs (e0, o) and
+    (o, e0), and the kernel pair ([0; Xs^T L], [0; Xs^T R]).
 
     This is the one place that validates the LS-SVM inputs (gamma > 0,
-    visible labels in {-1, +1}) and builds F; returns (F, (0, y)).
+    visible labels in {-1, +1}) and builds F; returns (c, B, C, (0, y)).
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be > 0")
@@ -241,33 +276,64 @@ def ls_svm_system(Xs: Domain, A: np.ndarray, gamma: float) -> tuple[np.ndarray, 
         raise ConfigurationError("source domain must carry visible labels")
     if not set(np.unique(y)) <= {-1, 1}:
         raise ConfigurationError("SVM labels must lie in {-1, +1}")
-    n = Xs.n
-    F = np.zeros((n + 1, n + 1))
-    F[0, 1:] = 1.0
-    F[1:, 0] = 1.0
-    F[1:, 1:] = Xs.samples.T @ A @ Xs.samples + np.eye(n) / gamma
-    return F, np.concatenate(([0.0], y.astype(float)))
+    L, R = _factor_pair(A)
+    if L.shape[0] != Xs.dim:
+        raise ShapeError("A does not match the data dimension")
+    n, r = Xs.n, L.shape[1]
+    c = 1.0 / gamma
+    B, C = np.zeros((n + 1, r + 3)), np.zeros((n + 1, r + 3))
+    B[0, 0], C[0, 0] = 1.0, -c  # (e0, -c e0)
+    B[0, 1], C[1:, 1] = 1.0, 1.0  # (e0, o)
+    B[1:, 2], C[0, 2] = 1.0, 1.0  # (o, e0)
+    B[1:, 3:], C[1:, 3:] = Xs.samples.T @ L, Xs.samples.T @ R
+    return c, B, C, np.concatenate(([0.0], y.astype(float)))
 
 
-def svm_train(Xs: Domain, A: np.ndarray, gamma: float) -> SvmModel:
-    """Solve the least-squares SVM system F (b, alpha) = (0, y).
+def _svm_core(c: float, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal basis Q of the columns of [B C], the core
+    F_Q = c I + (Q^T B)(C^T Q), and the condition number of F = c I + B C^T.
 
-    F is built from the similarity kernel K[i,i'] = x_i^T A x_i'; since A is
-    generally non-symmetric, F is solved as-is with a general dense solver.
+    F maps span(Q) onto itself and equals c I on its complement, so
+    F = Q F_Q Q^T + c (I - Q Q^T): the singular values of F are those of F_Q,
+    plus c when Q is not square.
     """
-    F, rhs = ls_svm_system(Xs, A, gamma)
-    if np.linalg.cond(F) > 1e12:
+    Q = np.linalg.qr(np.hstack([B, C]))[0]
+    k = Q.shape[1]
+    core = c * np.eye(k) + (Q.T @ B) @ (C.T @ Q)
+    sv = np.linalg.svd(core, compute_uv=False)
+    if k < Q.shape[0]:
+        sv = np.append(sv, c)
+    with np.errstate(divide="ignore"):
+        return Q, core, float(sv.max() / sv.min())
+
+
+def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
+    """Solve the least-squares SVM system F (b, alpha) = (0, y) through its
+    low-rank core (``_svm_core``), in O(n r^2) for A = L R^T with inner
+    dimension r; ``A`` is a D x D array or the pair (L, R).
+
+    The condition number of F is gated at 1e12. The solution is
+    Q F_Q^-1 Q^T rhs plus the part of rhs outside span(Q) divided by c; that
+    part is left out when Q is square, where it is rounding noise times gamma.
+    """
+    c, B, C, rhs = ls_svm_system(Xs, A, gamma)
+    Q, core, cond = _svm_core(c, B, C)
+    if cond > 1e12:
         raise IllConditionedError(
             "SVM system is numerically singular; try a larger gamma"
         )
-    sol = np.linalg.solve(F, rhs)
+    z = Q.T @ rhs
+    sol = Q @ np.linalg.solve(core, z)
+    if Q.shape[1] < Q.shape[0]:
+        sol += (rhs - Q @ z) / c
     return SvmModel(float(sol[0]), sol[1:], gamma, Xs, A)
 
 
 def svm_decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Decision values w . x + b for every column x of X, where
-    w = A^T (X_s alpha) folds the support set into one D-vector."""
-    w = model.A_ref.T @ (model.support_data.samples @ model.alpha)
+    w = R (L^T (X_s alpha)) folds the support set into one D-vector."""
+    L, R = model.A_ref
+    w = R @ (L.T @ (model.support_data.samples @ model.alpha))
     return w @ np.asarray(X, float) + model.b
 
 
@@ -305,8 +371,20 @@ def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.n
     return states
 
 
-def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix between the columns of X and Y under the selected kernel."""
+def _feature_range(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature minimum and span over the columns of all ``mats``: the
+    min-max rescaling the hard kernel's feature map is fitted with."""
+    both = np.hstack(mats)
+    lo = both.min(axis=1)
+    return lo, both.max(axis=1) - lo
+
+
+def kernel_matrix(X, Y, spec: KernelSpec, feature_range=None) -> np.ndarray:
+    """Gram matrix between the columns of X and Y under the selected kernel.
+
+    The hard kernel rescales features with ``feature_range`` = (lo, span) as
+    fitted by `kernel_sa_fit`; without one it fits the range on the columns
+    of X and Y together."""
     Xm, Ym = _as_matrix(X), _as_matrix(Y)
     if Xm.shape[0] != Ym.shape[0]:
         raise ShapeError("kernel operands must share the feature dimension")
@@ -320,9 +398,7 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
             K *= np.cos(Xm[m][:, None] - Ym[m][None, :])
         return K
     # hard kernel: exact statevector overlaps of the feature circuit
-    both = np.hstack([Xm, Ym])
-    lo, hi = both.min(axis=1), both.max(axis=1)
-    span = hi - lo
+    lo, span = _feature_range(Xm, Ym) if feature_range is None else feature_range
     Sx = _hard_kernel_states(Xm, lo, span)
     Sy = _hard_kernel_states(Ym, lo, span)
     return Sx @ Sy.T
@@ -378,6 +454,7 @@ class KernelAlignment:
     Xt: Domain
     mean_s: np.ndarray
     mean_t: np.ndarray
+    feature_range: tuple[np.ndarray, np.ndarray]  # (lo, span) of the centered domains
     Ws: np.ndarray
     Wt: np.ndarray
     M_star: np.ndarray
@@ -387,16 +464,16 @@ class KernelAlignment:
     def project_source(self, X) -> np.ndarray:
         Xm = _as_matrix(X) - self.mean_s[:, None]
         K = _double_center_cross(
-            kernel_matrix(self.Xs, Xm, self.spec),
-            kernel_matrix(self.Xs, self.Xs, self.spec),
+            kernel_matrix(self.Xs, Xm, self.spec, self.feature_range),
+            kernel_matrix(self.Xs, self.Xs, self.spec, self.feature_range),
         )
         return self.M_star.T @ (self.Ws.T @ K)
 
     def project_target(self, X) -> np.ndarray:
         Xm = _as_matrix(X) - self.mean_t[:, None]
         K = _double_center_cross(
-            kernel_matrix(self.Xt, Xm, self.spec),
-            kernel_matrix(self.Xt, self.Xt, self.spec),
+            kernel_matrix(self.Xt, Xm, self.spec, self.feature_range),
+            kernel_matrix(self.Xt, self.Xt, self.spec, self.feature_range),
         )
         return self.Wt.T @ K
 
@@ -419,9 +496,11 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     extract kernel-PCA weights, and align the feature subspaces."""
     Xs_c, mean_s = center_columns(Xs)
     Xt_c, mean_t = center_columns(Xt)
-    Kss = kernel_matrix(Xs_c, Xs_c, spec)
-    Ktt = kernel_matrix(Xt_c, Xt_c, spec)
-    Kst = kernel_matrix(Xs_c, Xt_c, spec)
+    # one feature map for every Gram matrix and projection
+    fitted = _feature_range(Xs_c.samples, Xt_c.samples)
+    Kss = kernel_matrix(Xs_c, Xs_c, spec, fitted)
+    Ktt = kernel_matrix(Xt_c, Xt_c, spec, fitted)
+    Kst = kernel_matrix(Xs_c, Xt_c, spec, fitted)
     Ws = kernel_pca_weights(Kss, d)
     Wt = kernel_pca_weights(Ktt, d)
     # cross-Gram centered against both domain means
@@ -429,5 +508,5 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     Zs = Ws.T @ _double_center(Kss)
     Zt = Wt.T @ _double_center(Ktt)
     return KernelAlignment(
-        spec, Xs_c, Xt_c, mean_s, mean_t, Ws, Wt, M, M.T @ Zs, Zt
+        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, Ws, Wt, M, M.T @ Zs, Zt
     )

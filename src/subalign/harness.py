@@ -256,6 +256,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     Ps = csa.pca_subspace(source_c, config.d)
     Pt = csa.pca_subspace(target_c, config.d)
     art = csa.build_alignment(Ps, Pt, source_c, target_c)
+    A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
     timings.append({"seed": seed, "stage": "classical_align", "seconds": time.perf_counter() - t0})
 
     ys = source_c.visible_labels
@@ -267,7 +268,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     if want_nn:
         nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
     if want_svm:
-        svm_model = csa.svm_train(source_c, art.A, config.gamma)
+        svm_model = csa.svm_train(source_c, A_factors, config.gamma)
         svm_pred = csa.svm_classify(svm_model, target_c.samples)
     if config.track in ("classical", "both"):
         if want_nn:
@@ -349,10 +350,15 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         )
         t0 = time.perf_counter()
         if want_nn:
-            q_pred, _diag = qsa.q_nn_classify(
+            q_pred, diag = qsa.q_nn_classify(
                 chain["X_hat_a"], ys, chain["X_hat_t"], plan,
                 ae_bits=config.ae_bits, repeats=config.repeats,
             )
+            trace.append({
+                "seed": seed, "stage": "q_nn_classify", "m": len(diag),
+                "oracle_queries": int(sum(row["oracle_queries"] for row in diag)),
+                "ambiguous": sum(1 for row in diag if row["warning"]),
+            })
             agree = float(np.mean(q_pred == nn_pred))
             # exact mode can still disagree when the AE lattice ties two
             # distances, so allow a couple of flips; sampled mode gets more
@@ -365,9 +371,13 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                  "accuracy": _accuracy(q_pred, target_c)}
             )
         if want_svm:
-            q_model = qsa.q_svm_train(source_c, art.A, config.gamma,
+            q_model = qsa.q_svm_train(source_c, A_factors, config.gamma,
                                       precision_qubits=max(config.precision_qubits, 10))
-            q_pred = qsa.q_svm_classify(q_model, source_c, art.A, target_c.samples, plan)[0]
+            q_pred, info = qsa.q_svm_classify(q_model, source_c, A_factors, target_c.samples, plan)
+            trace.append({
+                "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
+                "low_confidence": int(np.sum(info["low_confidence"])),
+            })
             agree = float(np.mean(q_pred == svm_pred))
             parity.append(_parity_row(
                 f"seed{seed}.svm_labels", 1.0, agree, 1.0 - agree,

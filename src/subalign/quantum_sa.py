@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classical_sa import SubspaceBasis, _as_matrix, _fix_signs, ls_svm_system
+from .classical_sa import SubspaceBasis, _as_matrix, _factor_pair, _fix_signs, ls_svm_system
 from .datasets import Domain
 from .errors import (
     ConfigurationError,
@@ -389,18 +389,21 @@ def q_nn_classify(
 
 def q_svm_train(
     Xs: Domain,
-    A: np.ndarray,
+    A,
     gamma: float,
     precision_qubits: int = 10,
     kappa_max: float = 1e4,
 ) -> QsvmState:
     """Matrix inversion of the (Hermitian-embedded) SVM system by spectral
-    emulation of phase estimation plus the 1/lambda conditional rotation."""
+    emulation of phase estimation plus the 1/lambda conditional rotation.
+
+    ``A`` is a D x D array or a factor pair (L, R) with A = L R^T."""
     n = Xs.n
     rows = n + 1
     if rows > QSVM_MAX_ROWS:
         raise ConfigurationError(f"inversion register budget: n_s + 1 <= {QSVM_MAX_ROWS}")
-    F, rhs = ls_svm_system(Xs, A, gamma)
+    c, B, C, rhs = ls_svm_system(Xs, A, gamma)
+    F = c * np.eye(rows) + B @ C.T
     trF = float(np.trace(F))
     Fh = F / trF
     H = np.zeros((2 * rows, 2 * rows))
@@ -447,13 +450,14 @@ def q_svm_train(
 def q_svm_classify(
     model: QsvmState,
     Xs: Domain,
-    A: np.ndarray,
+    A,
     X: np.ndarray,
     plan: ShotPlan,
 ):
     """Signed decisions via Hadamard-test overlaps of the training-parameter
     state (b, alpha_1 x_1, ..., alpha_n x_n) and each query state
-    (1, A x, ..., A x); sign(0) -> +1.
+    (1, A x, ..., A x); sign(0) -> +1. ``A`` is a D x D array or a factor
+    pair (L, R) with A = L R^T.
 
     ``X`` is one point or a D x m matrix of points (columns). A point gives
     (label, info); a matrix gives (labels, info) with one entry per column in
@@ -462,7 +466,8 @@ def q_svm_classify(
     """
     b, alpha = model.readout()
     Xm = np.asarray(X, float)
-    AX = A @ Xm.reshape(Xm.shape[0], -1)
+    L, R = _factor_pair(A)
+    AX = L @ (R.T @ Xm.reshape(Xm.shape[0], -1))
     N_x = model.norms["N_x"]
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
     re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,13 +228,68 @@ class TestSvm:
         rng = np.random.default_rng(12)
         dom = Domain(rng.standard_normal((3, 8)), rng.choice([-1, 1], 8))
         A = rng.standard_normal((3, 3)) * 0.3 + np.eye(3)
-        F, rhs = csa.ls_svm_system(dom, A, 2.0)
+        c, B, C, rhs = csa.ls_svm_system(dom, A, 2.0)
+        assert c == 0.5 and B.shape == C.shape == (9, 6)
+        F = c * np.eye(9) + B @ C.T
         assert np.array_equal(F[0], np.concatenate(([0.0], np.ones(8))))
         assert np.array_equal(F[:, 0], F[0])
+        K = dom.samples.T @ A @ dom.samples
+        assert np.max(np.abs(F[1:, 1:] - K - np.eye(8) / 2.0)) <= 1e-12 * np.max(np.abs(K))
         assert np.array_equal(rhs, np.concatenate(([0.0], dom.labels.astype(float))))
         model = csa.svm_train(dom, A, 2.0)
         lhs = F @ np.concatenate(([model.b], model.alpha))
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(F))
+
+    def test_core_matches_dense_system(self):
+        """The condition number from the core equals that of the dense F and
+        the factored solve leaves a backward-stable residual, over random
+        systems with Q both square (n + 1 <= 2 (D + 3)) and not."""
+        rng = np.random.default_rng(21)
+        eps = np.finfo(float).eps
+        square = raised = 0
+        for _ in range(300):
+            n, D = int(rng.integers(2, 31)), int(rng.integers(1, 7))
+            gamma = 10.0 ** rng.uniform(-3, 13)
+            dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+            A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
+            c, B, C, rhs = csa.ls_svm_system(dom, A, gamma)
+            F = c * np.eye(n + 1) + B @ C.T
+            Q, _, cond = csa._svm_core(c, B, C)
+            square += Q.shape[1] == n + 1
+            dense = np.linalg.cond(F)
+            # the dense SVD itself finds sigma_min of F only to about
+            # eps * ||F|| (Weyl), i.e. to eps * cond relative; that term is
+            # added to the 1e-8 agreement and widens the band around the gate
+            band = 1e-8 + (n + 1) * eps * dense
+            assert abs(cond - dense) <= band * dense
+            if abs(dense - 1e12) > band * dense:
+                assert (cond > 1e12) == (dense > 1e12)
+            try:
+                model = csa.svm_train(dom, A, gamma)
+            except IllConditionedError:
+                assert cond > 1e12
+                raised += 1
+                continue
+            x = np.concatenate(([model.b], model.alpha))
+            residual = np.linalg.norm(F @ x - rhs)
+            assert residual <= 1e-13 * np.linalg.norm(F, 2) * np.linalg.norm(x)
+        assert 0 < square < 300 and 0 < raised < 300
+
+    def test_train_memory_is_linear_in_n(self):
+        """At n = 3000, D = 64, d = 8 training on the factors of A allocates
+        far less than one (n + 1)^2 matrix."""
+        n = 3000
+        source, target = synth_shifted_gaussians(SynthSpec(D=64, n_s=n, n_t=200, seed=0))
+        sc, _ = center_columns(source)
+        tc, _ = center_columns(target)
+        art = csa.build_alignment(csa.pca_subspace(sc, 8), csa.pca_subspace(tc, 8), sc, tc)
+        tracemalloc.start()
+        try:
+            csa.svm_train(sc, (art.P_a, art.P_t), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 * 8 / 4
 
     def test_labels_outside_pm_one_rejected(self):
         dom = Domain(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([0, 1]))
@@ -247,13 +303,15 @@ class TestSvm:
         assert csa.svm_decision_values(model, xt) == pytest.approx(model.b)
         assert csa.svm_classify(model, xt) == (1 if model.b >= 0 else -1)
 
-    def test_batch_decision_matches_columns_and_dense_solve(self):
+    @pytest.mark.parametrize("form", ["array", "pair"])
+    def test_batch_decision_matches_columns_and_dense_solve(self, form):
         rng = np.random.default_rng(17)
         D, n, m = 5, 12, 30
         dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
-        A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
+        L, R = rng.standard_normal((D, 3)), rng.standard_normal((D, 3))
+        A = L @ R.T
         Xq = rng.standard_normal((D, m))
-        model = csa.svm_train(dom, A, 1.5)
+        model = csa.svm_train(dom, A if form == "array" else (L, R), 1.5)
         values = csa.svm_decision_values(model, Xq)
         labels = csa.svm_classify(model, Xq)
         assert values.shape == labels.shape == (m,)
@@ -262,6 +320,7 @@ class TestSvm:
         F = np.block([[np.zeros((1, 1)), np.ones((1, n))],
                       [np.ones((n, 1)), K + np.eye(n) / 1.5]])
         sol = np.linalg.solve(F, np.concatenate(([0.0], dom.labels.astype(float))))
+        assert np.max(np.abs(np.concatenate(([model.b], model.alpha)) - sol)) <= 1e-12 * np.max(np.abs(sol))
         ref = np.array([sol[1:] @ (dom.samples.T @ A @ Xq[:, j]) + sol[0] for j in range(m)])
         scale = np.max(np.abs(ref))
         for j in range(m):
@@ -414,6 +473,17 @@ class TestKernelAlignment:
         for _ in range(100):
             delta = rng.standard_normal(M.shape)
             assert objective(M + 0.01 * delta / np.linalg.norm(delta)) >= base - 1e-12
+
+    def test_hard_projection_independent_of_batch(self):
+        source, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=30, n_t=30, seed=0))
+        fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("hard"), 2)
+        # new points from another draw, some beyond the fitted range
+        fresh_s, fresh_t = synth_shifted_gaussians(SynthSpec(D=4, n_s=3, n_t=3, seed=1))
+        for project, X in ((fit.project_target, fresh_t.samples), (fit.project_source, fresh_s.samples)):
+            X = np.hstack([X, 3.0 * X])
+            batch = project(X)
+            for j in range(X.shape[1]):
+                assert np.max(np.abs(project(X[:, [j]])[:, 0] - batch[:, j])) <= 1e-12
 
     def test_linear_reduction_predictions(self):
         for seed in range(5):

@@ -92,6 +92,20 @@ class TestRun:
             ]
             assert len([r for r in report.parity if r["quantity"].startswith(f"seed{seed}.")]) == 4
 
+    def test_trace_keeps_classifier_diagnostics(self, tmp_path):
+        cfg = parse_config_text(
+            f"dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
+            f"track = both\nclassifier = both\nquantum.exact_theta = false\noutput_dir = {tmp_path}\n"
+        )
+        run(cfg)
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        by_stage = {row["stage"]: row for row in rows}
+        # every exact qSVM overlap on this seed lies below 3/sqrt(shots)
+        assert by_stage["q_svm_classify"]["low_confidence"] == 20
+        assert by_stage["q_svm_classify"]["m"] == 20
+        nn = by_stage["q_nn_classify"]
+        assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
+
     def test_quantum_cap_error(self, tmp_path):
         cfg = _config(tmp_path, "track = both\n")
         cfg.dataset = harness.SynthSpec(D=3, n_s=40, n_t=6)
