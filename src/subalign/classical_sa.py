@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 DEGENERACY_GAP = 1e-12
+# entries per block of the 1-NN distance matrix; from n_s > 2^13 on a block
+# is one query, which ran faster at n_s = 10^4 than blocks of 3 to 26
+NN_BLOCK_ELEMENTS = 2**14
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -177,17 +180,34 @@ def similarity(xs: np.ndarray, xt: np.ndarray, A: np.ndarray) -> float:
 
 
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """1-nearest-neighbor labels (columns are points, ties to lowest index)."""
+    """1-nearest-neighbor labels (columns are points, ties to lowest index).
+
+    Exhaustive search over blocks of queries: each block's n_s x step matrix
+    of squared distances ||t||^2 - 2 t.q + ||q||^2 holds about
+    NN_BLOCK_ELEMENTS entries, so memory is O(n_s * step), never n_s x n_t.
+    Scaling by -2 is exact, so every entry is rounded as in the dense
+    formula; `np.argmin` keeps the lowest index among tied sources.
+    """
     train, queries = np.asarray(train, float), np.asarray(queries, float)
-    if train.shape[1] == 0:
+    labels = np.asarray(train_labels)
+    if train.ndim != 2 or queries.ndim != 2 or train.shape[0] != queries.shape[0]:
+        raise ShapeError("train and queries must be matrices with the same row count")
+    n_s = train.shape[1]
+    if n_s == 0:
         raise ConfigurationError("empty training set")
-    d2 = (
-        np.sum(train**2, axis=0)[:, None]
-        - 2 * train.T @ queries
-        + np.sum(queries**2, axis=0)[None, :]
-    )
-    nearest = np.argmin(d2, axis=0)
-    return np.asarray(train_labels)[nearest]
+    if len(labels) != n_s:
+        raise ShapeError(f"{len(labels)} labels for {n_s} training points")
+    neg2_train_t = -2.0 * train.T
+    train_sq = np.sum(train**2, axis=0)[:, None]
+    query_sq = np.sum(queries**2, axis=0)
+    step = max(1, NN_BLOCK_ELEMENTS // n_s)
+    nearest = np.empty(queries.shape[1], dtype=np.intp)
+    for j in range(0, queries.shape[1], step):
+        d2 = neg2_train_t @ queries[:, j:j + step]
+        d2 += train_sq
+        d2 += query_sq[j:j + step]
+        nearest[j:j + step] = np.argmin(d2, axis=0)
+    return labels[nearest]
 
 
 def _factor_pair(A) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +475,8 @@ class KernelAlignment:
     mean_s: np.ndarray
     mean_t: np.ndarray
     feature_range: tuple[np.ndarray, np.ndarray]  # (lo, span) of the centered domains
+    gram_means_s: tuple[np.ndarray, float]  # row means and grand mean of K_ss
+    gram_means_t: tuple[np.ndarray, float]  # row means and grand mean of K_tt
     Ws: np.ndarray
     Wt: np.ndarray
     M_star: np.ndarray
@@ -464,16 +486,14 @@ class KernelAlignment:
     def project_source(self, X) -> np.ndarray:
         Xm = _as_matrix(X) - self.mean_s[:, None]
         K = _double_center_cross(
-            kernel_matrix(self.Xs, Xm, self.spec, self.feature_range),
-            kernel_matrix(self.Xs, self.Xs, self.spec, self.feature_range),
+            kernel_matrix(self.Xs, Xm, self.spec, self.feature_range), *self.gram_means_s
         )
         return self.M_star.T @ (self.Ws.T @ K)
 
     def project_target(self, X) -> np.ndarray:
         Xm = _as_matrix(X) - self.mean_t[:, None]
         K = _double_center_cross(
-            kernel_matrix(self.Xt, Xm, self.spec, self.feature_range),
-            kernel_matrix(self.Xt, self.Xt, self.spec, self.feature_range),
+            kernel_matrix(self.Xt, Xm, self.spec, self.feature_range), *self.gram_means_t
         )
         return self.Wt.T @ K
 
@@ -483,12 +503,14 @@ class KernelAlignment:
         return float(zs[:, 0] @ zt[:, 0])
 
 
-def _double_center_cross(Kxy: np.ndarray, Kxx: np.ndarray) -> np.ndarray:
+def _double_center_cross(Kxy: np.ndarray, row_mean: np.ndarray, grand_mean: float) -> np.ndarray:
     """Center a cross-Gram K(train, query) consistently with a double-centered
-    training Gram."""
-    col_mean = Kxy.mean(axis=0, keepdims=True)
-    row_mean = Kxx.mean(axis=1, keepdims=True)
-    return Kxy - col_mean - row_mean + Kxx.mean()
+    training Gram K(train, train), given by its row means and grand mean."""
+    return Kxy - Kxy.mean(axis=0, keepdims=True) - row_mean[:, None] + grand_mean
+
+
+def _gram_means(K: np.ndarray) -> tuple[np.ndarray, float]:
+    return K.mean(axis=1), float(K.mean())
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
@@ -508,5 +530,6 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     Zs = Ws.T @ _double_center(Kss)
     Zt = Wt.T @ _double_center(Ktt)
     return KernelAlignment(
-        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, Ws, Wt, M, M.T @ Zs, Zt
+        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, _gram_means(Kss), _gram_means(Ktt),
+        Ws, Wt, M, M.T @ Zs, Zt,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -330,14 +331,20 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "scale": float(ips.scale),
                 "max_deviation": float(np.max(np.abs(ips.as_matrix() - classical_ref[stage]))),
             })
-        # entrywise tolerance: exact-theta mode is limited by float error,
-        # finite precision by the 2^(1-n) overlap lattice times the scales
-        eps = 1e-6 if config.exact_theta else 2.0 ** (1 - config.precision_qubits)
+        # entrywise tolerances: exact-theta mode is limited by float error.
+        # With finite precision, M*_ij = u.v for unit columns u of Ps and v
+        # of Pt. Rounding theta to the pi/2^n lattice moves it by at most
+        # pi/2^(n+1), and the recovered cosine rec = -cos(2 theta) has slope
+        # at most 2, so each entry is off by at most pi/2^n * ||u|| ||v||,
+        # which is pi/2^n
+        m_tol = 1e-6 if config.exact_theta else math.pi / 2**config.precision_qubits
         m_err = np.max(np.abs(chain["M_star"] - art.M_star))
         parity.append(_parity_row(
             f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(chain["M_star"])),
-            m_err, eps,
+            m_err, m_tol,
         ))
+        # X_hat_a: the 2^(1-n) overlap lattice times the scales
+        eps = 1e-6 if config.exact_theta else 2.0 ** (1 - config.precision_qubits)
         scale_a = max(1.0, float(np.max(np.abs(art.X_hat_a))))
         a_err = np.max(np.abs(chain["X_hat_a"] - art.X_hat_a))
         parity.append(_parity_row(

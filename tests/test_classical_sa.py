@@ -198,6 +198,63 @@ class TestNnClassify:
             d = [np.linalg.norm(train[:, i] - queries[:, j]) for i in range(40)]
             assert pred[j] == labels[int(np.argmin(d))]
 
+    @staticmethod
+    def _dense_nearest(train, queries):
+        d2 = (
+            np.sum(train**2, axis=0)[:, None]
+            - 2 * train.T @ queries
+            + np.sum(queries**2, axis=0)[None, :]
+        )
+        return np.argmin(d2, axis=0)
+
+    @pytest.mark.parametrize("n_s, n_t", [(csa.NN_BLOCK_ELEMENTS + 5, 7), (1000, 37)])
+    def test_blocks_match_dense_reference(self, n_s, n_t):
+        """One query per block when n_s exceeds the block size, and a short
+        last block when n_t is not a multiple of the step."""
+        step = max(1, csa.NN_BLOCK_ELEMENTS // n_s)
+        assert step == 1 or n_t % step
+        rng = np.random.default_rng(21)
+        train = rng.standard_normal((3, n_s))
+        queries = rng.standard_normal((3, n_t))
+        pred = csa.nn_classify(train, np.arange(n_s), queries)
+        assert np.array_equal(pred, self._dense_nearest(train, queries))
+
+    def test_duplicate_nearest_sources_give_lowest_index(self):
+        rng = np.random.default_rng(22)
+        n_s = 1000
+        train = rng.standard_normal((4, n_s))
+        train[:, 900] = train[:, 300]
+        train[:, 600] = train[:, 5]
+        # more queries than one block holds, each sitting on a duplicated source
+        k = csa.NN_BLOCK_ELEMENTS // n_s + 3
+        queries = np.repeat(train[:, [300, 5]], k, axis=1)
+        pred = csa.nn_classify(train, np.arange(n_s), queries)
+        assert np.array_equal(pred, np.repeat([300, 5], k))
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            csa.nn_classify(np.zeros((3, 4)), np.arange(4), np.zeros((2, 5)))
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="3 labels for 4"):
+            csa.nn_classify(np.zeros((2, 4)), np.array([1, -1, 1]), np.zeros((2, 5)))
+
+    def test_memory_is_linear_in_queries(self):
+        """At n_s = n_t = 4000, d = 8 the search allocates far less than one
+        n_s x n_t distance matrix (128 MB)."""
+        rng = np.random.default_rng(23)
+        n = 4000
+        train = rng.standard_normal((8, n))
+        labels = rng.integers(0, 2, n)
+        queries = rng.standard_normal((8, n))
+        tracemalloc.start()
+        try:
+            csa.nn_classify(train, labels, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
 
 class TestSvm:
     def _toy(self):
@@ -484,6 +541,31 @@ class TestKernelAlignment:
             batch = project(X)
             for j in range(X.shape[1]):
                 assert np.max(np.abs(project(X[:, [j]])[:, 0] - batch[:, j])) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "cosine", "hard"])
+    def test_projection_uses_one_gram_and_matches_two_gram_centering(self, kind, monkeypatch):
+        spec = csa.KernelSpec(kind, 2)
+        source, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=30, n_t=25, seed=3))
+        fit = csa.kernel_sa_fit(source, target, spec, 2)
+        fresh_s, fresh_t = synth_shifted_gaussians(SynthSpec(D=4, n_s=6, n_t=5, seed=4))
+
+        def two_gram(train, mean, X):
+            # the training Gram rebuilt for every projection
+            Kxy = csa.kernel_matrix(train, X - mean[:, None], spec, fit.feature_range)
+            Kxx = csa.kernel_matrix(train, train, spec, fit.feature_range)
+            return Kxy - Kxy.mean(axis=0) - Kxx.mean(axis=1)[:, None] + Kxx.mean()
+
+        expect_s = fit.M_star.T @ fit.Ws.T @ two_gram(fit.Xs, fit.mean_s, fresh_s.samples)
+        expect_t = fit.Wt.T @ two_gram(fit.Xt, fit.mean_t, fresh_t.samples)
+        calls = []
+        kernel_matrix = csa.kernel_matrix
+        monkeypatch.setattr(csa, "kernel_matrix", lambda *a, **k: calls.append(1) or kernel_matrix(*a, **k))
+        zs = fit.project_source(fresh_s.samples)
+        assert len(calls) == 1
+        zt = fit.project_target(fresh_t.samples)
+        assert len(calls) == 2
+        assert np.max(np.abs(zs - expect_s)) <= 1e-12
+        assert np.max(np.abs(zt - expect_t)) <= 1e-12
 
     def test_linear_reduction_predictions(self):
         for seed in range(5):

@@ -106,6 +106,20 @@ class TestRun:
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
 
+    def test_finite_theta_m_star_tolerance_is_lattice_bound(self, tmp_path):
+        """Rounding theta to the pi/2^n lattice can move an entry of M* by
+        pi/2^n; this seed's error lies between 2^(1-n) and that bound."""
+        cfg = parse_config_text(
+            f"dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
+            f"track = both\nquantum.exact_theta = false\noutput_dir = {tmp_path}\n"
+        )
+        rows = {row["quantity"]: row for row in run(cfg).parity}
+        m_row = rows["seed0.M_star"]
+        assert 2.0**-7 < m_row["abs_err"] <= np.pi / 2**8
+        assert m_row["tolerance"] == np.pi / 2**8 and m_row["pass"]
+        a_row = rows["seed0.X_hat_a"]
+        assert a_row["tolerance"] == 2.0**-7 * 3 * max(1.0, a_row["classical"])
+
     def test_quantum_cap_error(self, tmp_path):
         cfg = _config(tmp_path, "track = both\n")
         cfg.dataset = harness.SynthSpec(D=3, n_s=40, n_t=6)
