@@ -82,6 +82,29 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"d: {self.d} exceeds the feature dimension D={self.dataset.D}"
                 )
+            self.check_quantum_caps(self.dataset.D, self.dataset.n_s)
+
+    def check_quantum_caps(self, D: int, n_s: int) -> None:
+        """Reject a quantum run the simulator's registers cannot hold; the
+        harness calls it before any work (for CSV inputs, once loaded)."""
+        if self.track not in ("quantum", "both"):
+            return
+        if D > qsa.QPCA_MAX_DIM:
+            raise ConfigurationError(
+                f"quantum caps exceeded: D={D} > {qsa.QPCA_MAX_DIM}; use a smaller D"
+            )
+        if self.classifier in ("svm", "both") and n_s + 1 > qsa.QSVM_MAX_ROWS:
+            raise ConfigurationError(
+                f"quantum caps exceeded: n_s={n_s} too large for the "
+                f"inversion register; use n_s <= {qsa.QSVM_MAX_ROWS - 1}"
+            )
+        if self.classifier in ("nn", "both") and (
+            n_s > qsa.QNN_MAX_SOURCES or self.d > qsa.QNN_MAX_DIM
+        ):
+            raise ConfigurationError(
+                f"quantum caps exceeded: the NN track needs n_s <= {qsa.QNN_MAX_SOURCES} "
+                f"and d <= {qsa.QNN_MAX_DIM}"
+            )
 
     def echo(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -249,6 +272,8 @@ def _parity_row(quantity, classical_val, quantum_val, abs_err, tol):
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
     source, target = _load_pair(config, seed)
+    if config.dataset is None:
+        config.check_quantum_caps(source.dim, source.n)
     source_c, _ = center_columns(source)
     target_c, _ = center_columns(target)
     accuracy, parity, timings, trace = [], [], [], []
@@ -295,17 +320,6 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         timings.append({"seed": seed, "stage": "kernel_track", "seconds": time.perf_counter() - t0})
 
     if config.track in ("quantum", "both"):
-        if source_c.dim > qsa.QPCA_MAX_DIM:
-            raise ConfigurationError(
-                f"quantum caps exceeded: D={source_c.dim} > {qsa.QPCA_MAX_DIM}; use a smaller D"
-            )
-        if want_svm and source_c.n + 1 > qsa.QSVM_MAX_ROWS:
-            raise ConfigurationError(
-                f"quantum caps exceeded: n_s={source_c.n} too large for the "
-                f"inversion register; use n_s <= {qsa.QSVM_MAX_ROWS - 1}"
-            )
-        if want_nn and source_c.n > 64:
-            raise ConfigurationError("quantum caps exceeded: n_s > 64 for the NN track")
         t0 = time.perf_counter()
         q_Ps = qsa.qpca(source_c, config.d, config.precision_qubits).basis
         q_Pt = qsa.qpca(target_c, config.d, config.precision_qubits).basis

@@ -20,8 +20,9 @@ from .state import ShotPlan
 
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
-# working values per amplitude-estimation block: a readout's temporaries stay
-# a few KiB however many entries it reads out
+# working values per block of an amplitude-estimation readout or of a
+# lockstep minimum search: temporaries stay a few KiB however many entries
+# or searches a call has
 BLOCK_ELEMENTS = 2**8
 
 
@@ -108,38 +109,65 @@ def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np
 
 @dataclass
 class GroverStats:
-    index: int
+    """Outcome of one `grover_min_find` call. ``index`` is an int for a 1-D
+    input and one index per row for a matrix; ``oracle_queries`` and
+    ``threshold_updates`` are totals over the call, ``target_queries`` holds
+    each row's queries summed over its repeats."""
+
+    index: int | np.ndarray
     oracle_queries: int
     threshold_updates: int
+    target_queries: np.ndarray
 
 
-def _durr_hoyer_once(values: np.ndarray, rng: np.random.Generator):
-    N = values.size
+def _durr_hoyer_rows(values: np.ndarray, repeats: int, rng: np.random.Generator):
+    """``repeats`` Durr-Hoyer searches on every row of ``values``, run in
+    lockstep: each step is one exponential-search Grover run of every live
+    search. Returns each row's best index, queries and threshold updates.
+
+    The marked set of a search (every entry strictly below its threshold) is
+    a prefix of its row's stable sort order, so a search is fully described
+    by its threshold's sorted position, its marked count, its growth factor
+    and its query count.
+    """
+    T, N = values.shape
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
-    y_idx = int(rng.integers(N))
-    queries = 0
-    updates = 0
-    while queries < budget:
-        marked = np.flatnonzero(values < values[y_idx])
-        if marked.size == 0:
-            break
-        # exponential Grover search over the marked set
-        m = 1.0
-        found = False
-        theta = math.asin(math.sqrt(marked.size / N))
-        while queries < budget:
-            j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
-            queries += j + 1
-            p_hit = math.sin((2 * j + 1) * theta) ** 2
-            if rng.random() < p_hit:
-                y_idx = int(rng.choice(marked))
-                updates += 1
-                found = True
-                break
-            m = min(1.2 * m, math.sqrt(N))
-        if not found:
-            break
-    return y_idx, queries, updates
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    # below[t, k]: entries of row t strictly below its k-th smallest value,
+    # i.e. the first sorted position that holds that value
+    first = np.ones((T, N), dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    below = np.maximum.accumulate(np.where(first, np.arange(N), 0), axis=1)
+    row = np.repeat(np.arange(T), repeats)
+    pos = rng.integers(N, size=row.size)  # a uniform index is a uniform sorted position
+    marked = below[row, pos]
+    growth = np.ones(row.size)
+    queries = np.zeros(row.size, dtype=np.int64)
+    updates = np.zeros(row.size, dtype=np.int64)
+    live = np.flatnonzero(marked > 0)
+    while live.size:
+        c = marked[live]
+        # a Grover run of j iterations on the marked set; a search's last run
+        # is cut short so that no search spends more than its budget
+        j = rng.integers(0, np.ceil(growth[live]).astype(np.int64))
+        j = np.minimum(j, budget - 1 - queries[live])
+        queries[live] += j + 1
+        hit = rng.random(live.size) < np.sin((2 * j + 1) * np.arcsin(np.sqrt(c / N))) ** 2
+        won, lost = live[hit], live[~hit]
+        pos[won] = (rng.random(won.size) * c[hit]).astype(np.int64)  # uniform over the marked set
+        marked[won] = below[row[won], pos[won]]
+        growth[won] = 1.0
+        updates[won] += 1
+        growth[lost] = np.minimum(1.2 * growth[lost], math.sqrt(N))
+        live = live[(marked[live] > 0) & (queries[live] < budget)]
+    # the lowest sorted position is the best value, and the lowest index on ties
+    best = pos.reshape(T, repeats).min(axis=1)
+    return (
+        order[np.arange(T), best],
+        queries.reshape(T, repeats).sum(axis=1),
+        updates.reshape(T, repeats).sum(axis=1),
+    )
 
 
 def grover_min_find(
@@ -151,24 +179,39 @@ def grover_min_find(
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
-    A single run returns the true argmin with probability >= 1/2; the driver
-    repeats ``repeats`` times and keeps the best index found.
+    ``values`` is one list of N values, or a (T, N) matrix with one search
+    problem per row. A single search returns its row's argmin with
+    probability >= 1/2 within ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle
+    queries; each row is searched ``repeats`` times and keeps the best index
+    found (the lowest index among equal values). Returns an int for a 1-D
+    input and a (T,) index array for a matrix, or with ``return_stats`` a
+    `GroverStats`.
+
+    All T * repeats searches run in lockstep on arrays, in blocks of whole
+    rows holding at most BLOCK_ELEMENTS searches (one row when ``repeats``
+    exceeds it); each block builds its own sort tables, so memory is
+    O(BLOCK_ELEMENTS * (1 + N / repeats)) whatever T is. Every draw comes
+    from the plan's "min_find" stream, block after block.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    if values.ndim not in (1, 2):
+        raise ConfigurationError("values must be a vector or a (T, N) matrix")
+    N = values.shape[-1]
+    if N == 0:
         raise ConfigurationError("empty input")
-    if values.size > MAX_GROVER_N:
+    if N > MAX_GROVER_N:
         raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
-    rng = plan.rng()
-    best_idx, total_queries, total_updates = None, 0, 0
-    for _ in range(max(repeats, 1)):
-        idx, queries, updates = _durr_hoyer_once(values, rng)
-        total_queries += queries
-        total_updates += updates
-        if best_idx is None or values[idx] < values[best_idx] or (
-            values[idx] == values[best_idx] and idx < best_idx
-        ):
-            best_idx = idx
+    matrix = values.reshape(-1, N)
+    repeats = max(int(repeats), 1)
+    rng = plan.rng("min_find")
+    T = len(matrix)
+    index, queries, updates = (np.zeros(T, dtype=np.int64) for _ in range(3))
+    rows = max(1, BLOCK_ELEMENTS // repeats)
+    for lo in range(0, T, rows):
+        block = slice(lo, lo + rows)
+        index[block], queries[block], updates[block] = _durr_hoyer_rows(matrix[block], repeats, rng)
+    if values.ndim == 1:
+        index = int(index[0])
     if return_stats:
-        return GroverStats(best_idx, total_queries, total_updates)
-    return best_idx
+        return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)
+    return index

@@ -9,7 +9,7 @@ classical track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
 
 QPCA_MAX_DIM = 16
 QSVM_MAX_ROWS = 16
+QNN_MAX_DIM = 8
+QNN_MAX_SOURCES = 64
 
 
 @dataclass
@@ -195,14 +197,9 @@ def qpca(
 # matrix multiplication pipeline
 
 
-def overlap_angle(cosine: float) -> float:
-    """Angle theta with sin(theta) = sqrt((1 + <u|v>)/2)."""
-    c = min(max(cosine, -1.0), 1.0)
-    return math.asin(math.sqrt((1.0 + c) / 2.0))
-
-
-def _lattice_theta(theta: float, n: int) -> float:
-    return round(theta * 2**n / math.pi) * math.pi / 2**n
+def overlap_angle(cosine):
+    """Angle theta with sin(theta) = sqrt((1 + <u|v>)/2), entrywise."""
+    return np.arcsin(np.sqrt((1.0 + np.clip(cosine, -1.0, 1.0)) / 2.0))
 
 
 def matrix_product_state(
@@ -216,9 +213,10 @@ def matrix_product_state(
 
     Per column pair the overlap angle theta is either represented exactly
     (exact-theta mode) or read off the 2^-n phase lattice, and the
-    conditional rotation writes the recovered cosine onto the R=|0> branch.
-    The reported success probability is the exact Born probability of the
-    postselection.
+    conditional rotation writes the recovered cosine onto the R=|0> branch;
+    every pair is read out at once. A pair with a zero column has no state
+    and contributes 0. The reported success probability is the exact Born
+    probability of the postselection.
     """
     P = np.asarray(P, float)
     Q = np.asarray(Q, float)
@@ -228,22 +226,15 @@ def matrix_product_state(
     pnorm, qnorm = np.linalg.norm(P), np.linalg.norm(Q)
     if pnorm == 0 or qnorm == 0:
         raise ConfigurationError("zero operand matrix")
-    unnorm = np.zeros((r, c))
-    for i in range(r):
-        ui = P[:, i]
-        nu = np.linalg.norm(ui)
-        for j in range(c):
-            vj = Q[:, j]
-            nv = np.linalg.norm(vj)
-            if nu == 0 or nv == 0:
-                continue
-            cos_ij = float(ui @ vj / (nu * nv))
-            if exact_theta:
-                rec = cos_ij
-            else:
-                theta = overlap_angle(cos_ij)
-                rec = 2.0 * math.sin(_lattice_theta(theta, precision_qubits)) ** 2 - 1.0
-            unnorm[i, j] = nu * nv * rec / (pnorm * qnorm)
+    norms = np.outer(np.linalg.norm(P, axis=0), np.linalg.norm(Q, axis=0))
+    cos = np.divide(P.T @ Q, norms, out=np.zeros((r, c)), where=norms > 0)
+    if exact_theta:
+        rec = cos
+    else:
+        N = 2**precision_qubits
+        theta = np.round(overlap_angle(cos) * N / math.pi) * math.pi / N
+        rec = 2.0 * np.sin(theta) ** 2 - 1.0
+    unnorm = norms * rec / (pnorm * qnorm)
     success = float(np.sum(unnorm**2))
     if success < 1e-6:
         raise PostselectionError(
@@ -315,8 +306,8 @@ def _ae_distances(
     the stored vector norms, then pushed through the amplitude-estimation
     lattice, normalized by each target's largest distance. In exact mode
     every pair is read out at once; in sampled mode target j draws its
-    overlaps and then its AE outcomes from its own generator, seeded
-    (plan.seed, j).
+    overlaps and then its AE outcomes from its own stream,
+    ``plan.rng("nn_distances", j)``.
     """
     src_norms = np.linalg.norm(X_hat_a, axis=0)
     tgt_norms = np.linalg.norm(X_hat_t, axis=0)
@@ -328,7 +319,7 @@ def _ae_distances(
     if plan.exact:
         blocks = [(slice(None), None)]
     else:
-        blocks = [(j, np.random.default_rng([plan.seed, j])) for j in range(re.shape[0])]
+        blocks = [(j, plan.rng("nn_distances", j)) for j in range(re.shape[0])]
     est = np.empty_like(re)
     for rows, rng in blocks:
         ov = signed_overlap(re[rows], plan.shots, rng)
@@ -350,37 +341,34 @@ def q_nn_classify(
     """Label each target point by its nearest aligned source point.
 
     Every target-source distance is estimated by Hadamard tests and
-    amplitude estimation (``_ae_distances``), and each target's minimum is
-    located with Durr-Hoyer minimum finding. A target whose minimum is
-    shared by sources with more than one label gets a warning.
+    amplitude estimation (``_ae_distances``), and one Durr-Hoyer call finds
+    every target's minimum, all searches in lockstep. A target whose minimum
+    is shared by sources with more than one label gets a warning.
     """
     X_hat_a = np.asarray(X_hat_a, float)
     X_hat_t = np.asarray(X_hat_t, float)
     d, n_s = X_hat_a.shape
-    if d > 8 or n_s > 64:
-        raise ConfigurationError("register budget: d <= 8 and n_s <= 64")
+    if d > QNN_MAX_DIM or n_s > QNN_MAX_SOURCES:
+        raise ConfigurationError(
+            f"register budget: d <= {QNN_MAX_DIM} and n_s <= {QNN_MAX_SOURCES}"
+        )
     labels = np.asarray(labels)
     est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
-    out = np.empty(est.shape[0], dtype=labels.dtype)
-    diagnostics = []
-    for j, row in enumerate(est):
-        tied = labels[row == row.min()]
-        warn = None
-        if np.any(tied != tied[0]):
-            warn = "ambiguous nearest neighbor at AE resolution"
-        target_plan = replace(plan, seed=plan.seed + 7919 * j)
-        stats = grover_min_find(row, target_plan, repeats=repeats, return_stats=True)
-        out[j] = labels[stats.index]
-        diagnostics.append(
-            {
-                "target": j,
-                "distances": row,
-                "nearest": int(stats.index),
-                "oracle_queries": stats.oracle_queries,
-                "warning": warn,
-            }
-        )
-    return out, diagnostics
+    stats = grover_min_find(est, plan, repeats=repeats, return_stats=True)
+    at_min = est == est.min(axis=1, keepdims=True)
+    first_label = labels[np.argmax(at_min, axis=1)]
+    ambiguous = np.any(at_min & (labels != first_label[:, None]), axis=1)
+    diagnostics = [
+        {
+            "target": j,
+            "distances": est[j],
+            "nearest": int(stats.index[j]),
+            "oracle_queries": int(stats.target_queries[j]),
+            "warning": "ambiguous nearest neighbor at AE resolution" if ambiguous[j] else None,
+        }
+        for j in range(est.shape[0])
+    ]
+    return labels[stats.index], diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +450,7 @@ def q_svm_classify(
     ``X`` is one point or a D x m matrix of points (columns). A point gives
     (label, info); a matrix gives (labels, info) with one entry per column in
     each per-query field of info. In sampled mode each column gets its own
-    draw from one generator seeded by the plan.
+    draw from the plan's "svm_decisions" stream.
     """
     b, alpha = model.readout()
     Xm = np.asarray(X, float)
@@ -471,7 +459,7 @@ def q_svm_classify(
     N_x = model.norms["N_x"]
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
     re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)
-    decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng())
+    decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))
     labels = np.where(decision >= 0, 1, -1)
     info = {
         "decision_value": decision,

@@ -137,8 +137,39 @@ def swap_test(a: QuantumState, b: QuantumState, plan: ShotPlan) -> float:
     if plan.exact:
         return overlap_sq
     p0 = (1.0 + overlap_sq) / 2.0
-    hits = plan.rng().binomial(plan.shots, p0)
+    hits = plan.rng("swap_test").binomial(plan.shots, p0)
     return 2.0 * hits / plan.shots - 1.0
+
+
+def _durr_hoyer_once(values: np.ndarray, rng: np.random.Generator):
+    """One Durr-Hoyer search, one Grover run per loop step: the statistical
+    oracle of the lockstep engine in `grover_min_find`."""
+    N = values.size
+    budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
+    y_idx = int(rng.integers(N))
+    queries = 0
+    updates = 0
+    while queries < budget:
+        marked = np.flatnonzero(values < values[y_idx])
+        if marked.size == 0:
+            break
+        # exponential Grover search over the marked set
+        m = 1.0
+        found = False
+        theta = math.asin(math.sqrt(marked.size / N))
+        while queries < budget:
+            j = int(rng.integers(0, max(int(math.ceil(m)), 1)))
+            queries += j + 1
+            p_hit = math.sin((2 * j + 1) * theta) ** 2
+            if rng.random() < p_hit:
+                y_idx = int(rng.choice(marked))
+                updates += 1
+                found = True
+                break
+            m = min(1.2 * m, math.sqrt(N))
+        if not found:
+            break
+    return y_idx, queries, updates
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subalign import cli, harness
+from subalign.datasets import SynthSpec, save_csv, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
@@ -92,16 +93,26 @@ class TestRun:
             ]
             assert len([r for r in report.parity if r["quantity"].startswith(f"seed{seed}.")]) == 4
 
-    def test_trace_keeps_classifier_diagnostics(self, tmp_path):
+    def test_trace_keeps_classifier_diagnostics(self, tmp_path, monkeypatch):
         cfg = parse_config_text(
             f"dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
             f"track = both\nclassifier = both\nquantum.exact_theta = false\noutput_dir = {tmp_path}\n"
         )
+        q_svm_classify = harness.qsa.q_svm_classify
+        decided = []
+
+        def spy(*args, **kwargs):
+            decided.append(q_svm_classify(*args, **kwargs))
+            return decided[-1]
+
+        monkeypatch.setattr(harness.qsa, "q_svm_classify", spy)
         run(cfg)
         rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
         by_stage = {row["stage"]: row for row in rows}
-        # every exact qSVM overlap on this seed lies below 3/sqrt(shots)
-        assert by_stage["q_svm_classify"]["low_confidence"] == 20
+        # the row counts the sampled decisions below 3/sqrt(shots)
+        (_, info), = decided
+        low = np.abs(info["decision_value"]) < 3.0 / np.sqrt(cfg.shots)
+        assert by_stage["q_svm_classify"]["low_confidence"] == int(np.sum(low))
         assert by_stage["q_svm_classify"]["m"] == 20
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
@@ -126,6 +137,34 @@ class TestRun:
         cfg.classifier = "svm"
         with pytest.raises(ConfigurationError, match="caps exceeded"):
             run(cfg)
+
+    def test_quantum_caps_checked_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness.csa, "pca_subspace", lambda *args: calls.append(args))
+        with pytest.raises(ConfigurationError, match="caps exceeded"):
+            run(_config(tmp_path, "track = both\ndataset.D = 32\n"))
+        # CSV inputs are checked as soon as they are loaded
+        source, target = synth_shifted_gaussians(SynthSpec(D=32, n_s=8, n_t=6))
+        for name, dom in (("s.csv", source), ("t.csv", target)):
+            save_csv(dom, str(tmp_path / name))
+        cfg = _config(
+            tmp_path,
+            f"track = both\ndataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 33\n",
+        )
+        with pytest.raises(ConfigurationError, match="caps exceeded"):
+            run(cfg)
+        assert calls == []
+
+    def test_sampled_run_is_reproducible(self, tmp_path):
+        text = (
+            "dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
+            "track = both\nclassifier = both\nquantum.exact_theta = false\n"
+        )
+        for run_dir in ("a", "b"):
+            run(parse_config_text(text + f"output_dir = {tmp_path / run_dir}\n"))
+        for name in ("accuracy_v1.csv", "parity_v1.csv", "trace_v1.jsonl"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_reproducible_accuracy_csv(self, tmp_path):
         run(_config(tmp_path / "a"))

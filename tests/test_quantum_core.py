@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_oracle import (
+    _durr_hoyer_once,
     ae_distribution,
     build_g_operator,
     build_phi1,
@@ -34,7 +35,7 @@ from subalign.quantum_core import (
     pe_outcome_kernel,
     signed_overlap,
 )
-from subalign.quantum_core.algorithms import _ae_distribution
+from subalign.quantum_core.algorithms import BLOCK_ELEMENTS, _ae_distribution
 from subalign.quantum_core.state import DensityOperator, amplitude_encode
 
 EXACT = ShotPlan()
@@ -345,6 +346,107 @@ class TestGroverMinFind:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             grover_min_find([], EXACT)
+
+
+def _budget(N):
+    return math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
+
+
+class TestLockstepMinFind:
+    @pytest.mark.parametrize("N", [15, 64])
+    def test_query_distribution_matches_oracle(self, N):
+        """10^4 single searches of the lockstep engine against 10^4 runs of
+        the one-search-at-a-time oracle, on the same standard-normal rows.
+
+        Mean: the two sample means are independent, so their difference has
+        standard error se = sqrt(var_e/n + var_o/n); allow 5 se (a two-sided
+        false alarm of about 6e-7 for a correct engine).
+        95th percentile: q is the engine's, the smallest count whose
+        empirical CDF reaches 0.95. Each empirical CDF value near the 95th
+        percentile has standard error sqrt(0.95 * 0.05 / n), so if both
+        samples come from one distribution the oracle's CDF differs from the
+        engine's at any count by at most tol = 5 sqrt(2 * 0.95 * 0.05 / n):
+        the oracle's CDF is at least 0.95 - tol at q and at most 0.95 + tol
+        just below q.
+        """
+        n = 10_000
+        rows = np.random.default_rng(N).standard_normal((n, N))
+        stats = grover_min_find(rows, ShotPlan(seed=1, mode="sampled"), return_stats=True)
+        engine = stats.target_queries
+        rng = np.random.default_rng(2)
+        oracle = np.array([_durr_hoyer_once(row, rng)[1] for row in rows])
+        se = math.sqrt(engine.var() / n + oracle.var() / n)
+        assert abs(engine.mean() - oracle.mean()) <= 5 * se
+        q = np.quantile(engine, 0.95, method="inverted_cdf")
+        tol = 5 * math.sqrt(2 * 0.95 * 0.05 / n)
+        assert np.mean(oracle <= q) >= 0.95 - tol
+        assert np.mean(oracle < q) <= 0.95 + tol
+        assert engine.max() <= _budget(N)
+
+    def test_blocks_find_every_argmin(self):
+        repeats = 15
+        T = 3 * BLOCK_ELEMENTS // repeats + 5  # four blocks, the last one short
+        rows = np.random.default_rng(12).standard_normal((T, 15))
+        plan = ShotPlan(seed=3, mode="sampled")
+        stats = grover_min_find(rows, plan, repeats, return_stats=True)
+        assert T * repeats > BLOCK_ELEMENTS
+        assert np.array_equal(stats.index, np.argmin(rows, axis=1))
+        assert isinstance(stats.oracle_queries, int)
+        assert stats.oracle_queries == int(stats.target_queries.sum())
+        assert np.array_equal(grover_min_find(rows, plan, repeats), stats.index)
+
+    def test_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((40, 15))
+        for row in rows:
+            first, second = np.sort(rng.choice(15, size=2, replace=False))
+            row[first] = row[second] = row.min() - 1.0
+        index = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats=15)
+        assert np.array_equal(index, np.argmin(rows, axis=1))
+
+    def test_budget_holds_when_no_run_hits(self, monkeypatch):
+        """With every hit test failing, each search runs until its budget is
+        spent; its last Grover run is cut so it never exceeds the budget."""
+
+        class NeverHits:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def integers(self, *args, **kwargs):
+                return self.gen.integers(*args, **kwargs)
+
+            def random(self, size=None):
+                return np.ones(size)
+
+        real = ShotPlan.rng
+        monkeypatch.setattr(ShotPlan, "rng", lambda self, *key: NeverHits(real(self, *key)))
+        N = 64
+        rows = np.random.default_rng(14).standard_normal((300, N))
+        stats = grover_min_find(rows, ShotPlan(seed=5, mode="sampled"), return_stats=True)
+        assert set(np.unique(stats.target_queries)) == {0, _budget(N)}
+        assert stats.threshold_updates == 0
+
+
+class TestShotPlanStreams:
+    KEYS = [
+        ("nn_distances", 0), ("nn_distances", 1), ("min_find",), ("svm_decisions",), ("swap_test",)
+    ]
+
+    def test_stages_draw_from_distinct_streams(self):
+        # default_rng(s), default_rng([s]) and default_rng([s, 0]) coincide,
+        # so streams keyed that way would repeat each other's shot noise
+        for seed in range(10):
+            plan = ShotPlan(shots=64, seed=seed, mode="sampled")
+            first = [plan.rng(*key).random() for key in self.KEYS]
+            assert len(set(first)) == len(first)
+            assert np.random.default_rng(seed).random() not in first
+            assert plan.rng("nn_distances", 1).random() == first[1]
+
+    def test_key_width_is_fixed_per_stage(self):
+        plan = ShotPlan(seed=0, mode="sampled")
+        for key in [("nn_distances",), ("min_find", 0), ("bogus",)]:
+            with pytest.raises(ConfigurationError):
+                plan.rng(*key)
 
 
 class TestStateAlgebra:

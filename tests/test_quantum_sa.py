@@ -133,6 +133,39 @@ class TestMatrixProductState:
         assert implied == pytest.approx(np.linalg.norm(P.T @ Q), abs=1e-10)
         assert 0.0 < ips.success_probability <= 1.0
 
+    @pytest.mark.parametrize("exact_theta", [True, False])
+    def test_array_readout_matches_pair_loop(self, exact_theta):
+        """The per-pair loop the pipeline used to run is the reference; a
+        zero column on either side contributes 0."""
+
+        def pair_loop(P, Q, n):
+            out = np.zeros((P.shape[1], Q.shape[1]))
+            for i in range(P.shape[1]):
+                nu = np.linalg.norm(P[:, i])
+                for j in range(Q.shape[1]):
+                    nv = np.linalg.norm(Q[:, j])
+                    if nu == 0 or nv == 0:
+                        continue
+                    cos_ij = float(P[:, i] @ Q[:, j] / (nu * nv))
+                    if exact_theta:
+                        rec = cos_ij
+                    else:
+                        theta = math.asin(math.sqrt((1.0 + min(max(cos_ij, -1.0), 1.0)) / 2.0))
+                        theta = round(theta * 2**n / math.pi) * math.pi / 2**n
+                        rec = 2.0 * math.sin(theta) ** 2 - 1.0
+                    out[i, j] = nu * nv * rec
+            return out
+
+        rng = np.random.default_rng(11)
+        for n in (3, 8):
+            P, Q = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+            P[:, 1] = 0.0
+            Q[:, 2] = 0.0
+            got = qsa.matrix_product_state(P, Q, n, exact_theta).as_matrix()
+            want = pair_loop(P, Q, n)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.all(got[1, :] == 0.0) and np.all(got[:, 2] == 0.0)
+
     def test_degenerate_overlap_error(self):
         P = np.array([[1.0], [0.0]])
         Q = np.array([[0.0], [1.0]])  # orthogonal: zero postselection mass
@@ -309,17 +342,25 @@ class TestQsvm:
         model = csa.svm_train(dom, np.eye(2), 1.0)
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
-        shots = 4096
+        shots, draws = 4096, 1000
         for i, xt in enumerate(grid):
             label, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), xt, EXACT)
             assert label == csa.svm_classify(model, xt)
             exact_val = info["decision_value"]
-            s_label, s_info = qsa.q_svm_classify(
-                qmodel, dom, np.eye(2), xt,
+            # `draws` independent sampled decisions of the same point, one
+            # column each. One decision is 2 k/shots - 1 with k binomial, so
+            # its standard deviation is sigma below. Three standard errors:
+            # sigma/sqrt(draws) for the mean and, for a near-normal sample,
+            # sigma/sqrt(2 draws) for the sample standard deviation.
+            _, s_info = qsa.q_svm_classify(
+                qmodel, dom, np.eye(2), np.tile(xt[:, None], (1, draws)),
                 ShotPlan(shots=shots, seed=1000 + i, mode="sampled"),
             )
+            sampled = s_info["decision_value"]
             sigma = math.sqrt(max(1.0 - exact_val**2, 1e-12) / shots)
-            assert abs(s_info["decision_value"] - exact_val) <= 3 * sigma + 1e-9
+            assert np.all((sampled + 1.0) * shots / 2 == np.round((sampled + 1.0) * shots / 2))
+            assert abs(sampled.mean() - exact_val) <= 3 * sigma / math.sqrt(draws)
+            assert abs(sampled.std() - sigma) <= 3 * sigma / math.sqrt(2 * draws)
 
 
 class TestEndToEndParity:
