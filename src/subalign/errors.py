@@ -17,10 +17,6 @@ class ParseError(SubalignError):
     """Malformed input file."""
 
 
-class EncodingError(SubalignError):
-    """A vector cannot be amplitude-encoded (e.g. zero norm)."""
-
-
 class ValidationError(SubalignError):
     """An operator or state fails a structural check (unitarity, idempotence, ...)."""
 

@@ -1,29 +1,21 @@
 """Desk-scale exact quantum simulation: the spectral engine (phase-estimation
-outcome distributions and the readouts built on them) plus the register-aware
-state types it reads and writes."""
+outcome distributions and the readouts built on them) and the measurement
+plan its readouts draw shot noise from."""
 
-from .state import (
-    QuantumState,
-    RegisterLayout,
-    ShotPlan,
-    encode_matrix,
-    partial_trace,
-)
+from .state import ShotPlan
 from .algorithms import (
     amplitude_estimation,
     grover_min_find,
     pe_outcome_kernel,
+    pe_readout,
     signed_overlap,
 )
 
 __all__ = [
-    "QuantumState",
-    "RegisterLayout",
     "ShotPlan",
     "amplitude_estimation",
-    "encode_matrix",
     "grover_min_find",
-    "partial_trace",
     "pe_outcome_kernel",
+    "pe_readout",
     "signed_overlap",
 ]

@@ -42,6 +42,16 @@ def pe_outcome_kernel(phases, n: int) -> np.ndarray:
     return out / out.sum(axis=-1, keepdims=True)
 
 
+def pe_readout(phases, n: int) -> np.ndarray:
+    """The most probable phase-estimation outcome of each eigenphase in
+    ``phases``, in full turns: the nearest point of the 2^-n lattice. Every
+    outcome of a row of `pe_outcome_kernel` shares the numerator
+    sin^2(pi N delta), so the nearest point mod 1 is the row's argmax. The
+    sign is kept: -k/N stands for the outcome N - k."""
+    N = 2**n
+    return np.round(np.asarray(phases, dtype=float) * N) / N
+
+
 def _ae_distribution(amps: np.ndarray, m: int) -> np.ndarray:
     """Outcome distribution of amplitude estimation: phase estimation of the
     Grover iterate, whose eigenphases are +-theta/pi with sin^2(theta) = amp,

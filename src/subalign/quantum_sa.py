@@ -2,9 +2,9 @@
 qPCA, the matrix-multiplication pipeline for M* and the projections,
 quantum nearest-neighbor classification, and the qSVM.
 
-Each stage exposes enough bookkeeping (global scales, success
-probabilities) that its output can be compared entrywise against the
-classical track.
+Each stage exposes enough bookkeeping (the norms its amplitudes drop,
+success probabilities) that its output can be compared entrywise against
+the classical track.
 """
 from __future__ import annotations
 
@@ -22,14 +22,11 @@ from .errors import (
     PrecisionError,
 )
 from .quantum_core import (
-    QuantumState,
-    RegisterLayout,
     ShotPlan,
     amplitude_estimation,
-    encode_matrix,
     grover_min_find,
-    partial_trace,
     pe_outcome_kernel,
+    pe_readout,
     signed_overlap,
 )
 
@@ -39,7 +36,6 @@ __all__ = [
     "QsvmState",
     "qpca",
     "matrix_product_state",
-    "q_project",
     "q_build_alignment",
     "q_nn_classify",
     "q_svm_train",
@@ -64,35 +60,34 @@ class QpcaResult:
 
 @dataclass
 class InnerProductState:
-    """State over |i>^I1 |j>^I2 whose amplitudes are proportional to the
-    entries of P^T Q, with the dropped norms tracked in ``scale``."""
+    """The postselected state over |i>^I1 |j>^I2: ``amplitudes`` (r x c,
+    unit norm) are proportional to the entries of P^T Q, ``scale`` is the
+    norm ||P||_F ||Q||_F that the encoding drops, and postselection keeps
+    the branch of probability ``success_probability``."""
 
-    state: QuantumState
+    amplitudes: np.ndarray
     scale: float
     success_probability: float
-    rows: int
-    cols: int
 
     def as_matrix(self) -> np.ndarray:
-        """Reconstruct P^T Q from amplitudes and the scale ledger."""
-        shaped = self.state.reshaped().real * self.state.global_scale
-        return shaped[: self.rows, : self.cols]
+        """Reconstruct P^T Q: the amplitudes times ||P|| ||Q|| sqrt(success)."""
+        return self.amplitudes * (self.scale * math.sqrt(self.success_probability))
 
 
 @dataclass
 class QsvmState:
-    """Inverted SVM system as a normalized state plus readout bookkeeping."""
+    """The inverted SVM system: the unit state (b, alpha) / ||(b, alpha)||,
+    the ``scale`` that reads (b, alpha) back, the postselection probability,
+    and N_x, the squared norm of the training-parameter state."""
 
-    b_alpha_state: QuantumState
-    norms: dict
-    gamma: float
+    amplitudes: np.ndarray
+    scale: float
     success_probability: float
-    rows: int
-    readout_scale: float
+    N_x: float
 
     def readout(self) -> tuple[float, np.ndarray]:
         """Reconstruct (b, alpha) exactly (simulation privilege)."""
-        vec = self.b_alpha_state.amplitudes.real[: self.rows] * self.readout_scale
+        vec = self.amplitudes * self.scale
         return float(vec[0]), vec[1:]
 
 
@@ -106,7 +101,8 @@ def qpca(
     precision_qubits: int = 8,
 ) -> QpcaResult:
     """Principal subspace via phase estimation of exp(i rho t0) on the
-    covariance state rho ~ X X^T obtained by partial trace.
+    covariance state rho = X X^T / tr(X X^T), the reduced state of the
+    column encoding sum_i |i>|x_i> once the index register is traced out.
 
     Eigenvalues are recovered from the sampled eigenphases as
     lambda = 2 pi phase / t0 (times the covariance trace).
@@ -117,12 +113,13 @@ def qpca(
         raise ConfigurationError(f"qPCA capped at D <= {QPCA_MAX_DIM}")
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range")
-    rho = partial_trace(encode_matrix(M, index_name="i", feature_name="m"), "i")
     cov_trace = float(np.sum(M * M))
+    if cov_trace == 0:
+        raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")
 
-    lam, U = np.linalg.eigh(rho.matrix)
+    lam, U = np.linalg.eigh(M @ M.T / cov_trace)
     order = np.argsort(lam)[::-1]
-    lam, U = np.maximum(lam[order], 0.0), U[:, order].real
+    lam, U = np.maximum(lam[order], 0.0), U[:, order]
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
     phases = lam * t0 / (2 * math.pi)
     N = 2**precision_qubits
@@ -181,7 +178,7 @@ def qpca(
             "top subspace is only determined up to rotation"
         )
 
-    P = _fix_signs(np.stack(selected_vecs, axis=1)[:D])
+    P = _fix_signs(np.stack(selected_vecs, axis=1))
     eigvals = np.array(selected_phases) * 2 * math.pi / t0 * cov_trace
     basis = SubspaceBasis(P, eigvals, list(warnings))
     return QpcaResult(
@@ -231,8 +228,8 @@ def matrix_product_state(
     if exact_theta:
         rec = cos
     else:
-        N = 2**precision_qubits
-        theta = np.round(overlap_angle(cos) * N / math.pi) * math.pi / N
+        # G has eigenphases +-theta/pi turns
+        theta = pe_readout(overlap_angle(cos) / math.pi, precision_qubits) * math.pi
         rec = 2.0 * np.sin(theta) ** 2 - 1.0
     unnorm = norms * rec / (pnorm * qnorm)
     success = float(np.sum(unnorm**2))
@@ -241,28 +238,7 @@ def matrix_product_state(
             f"postselection probability {success:.3e} below 1e-6; "
             "overlaps are degenerate"
         )
-    iq = max(1, math.ceil(math.log2(r)))
-    jq = max(1, math.ceil(math.log2(c)))
-    layout = RegisterLayout((("I1", iq), ("I2", jq)))
-    amps = np.zeros((2**iq, 2**jq))
-    amps[:r, :c] = unnorm / math.sqrt(success)
-    state = QuantumState(
-        amps.reshape(-1).astype(complex),
-        layout,
-        pnorm * qnorm * math.sqrt(success),
-    )
-    return InnerProductState(state, pnorm * qnorm, success, r, c)
-
-
-def q_project(
-    P: np.ndarray,
-    X,
-    precision_qubits: int = 8,
-    exact_theta: bool = True,
-) -> QuantumState:
-    """State encoding P^T X (the subspace projection of a dataset)."""
-    Xm = _as_matrix(X)
-    return matrix_product_state(P, Xm, precision_qubits, exact_theta).state
+    return InnerProductState(unnorm / math.sqrt(success), pnorm * qnorm, success)
 
 
 def q_build_alignment(
@@ -400,8 +376,8 @@ def q_svm_train(
     lam, V = np.linalg.eigh(H)
     lmax = float(np.max(np.abs(lam)))
     t0 = 2 * math.pi * 0.25 / lmax
-    N = 2**precision_qubits
-    lam_rounded = np.round(lam * t0 / (2 * math.pi) * N) / N * 2 * math.pi / t0
+    # each eigenvalue reads out at its most probable phase-estimation outcome
+    lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
     keep = np.abs(lam_rounded) >= lmax / kappa_max
     if not np.any(keep):
         raise IllConditionedError("every eigenvalue fell below the inversion cutoff")
@@ -418,21 +394,11 @@ def q_svm_train(
     mag = float(np.linalg.norm(x))
     if mag == 0:
         raise PostselectionError("inversion produced the zero solution")
-    q = max(1, math.ceil(math.log2(rows)))
-    amps = np.zeros(2**q, dtype=complex)
-    amps[:rows] = x / mag
-    state = QuantumState(amps, RegisterLayout.single("BA", q))
-    readout_scale = mag * math.sqrt(n) / trF  # ||(0, y)|| = sqrt(n) for +-1 labels
-    b, alpha = float(x[0] / mag * readout_scale), x[1:] / mag * readout_scale
+    amplitudes = x / mag
+    scale = mag * math.sqrt(n) / trF  # ||(0, y)|| = sqrt(n) for +-1 labels
+    b, alpha = amplitudes[0] * scale, amplitudes[1:] * scale
     N_x = float(b**2 + np.sum(alpha**2 * np.sum(Xs.samples**2, axis=0)))
-    return QsvmState(
-        b_alpha_state=state,
-        norms={"N_x": N_x},
-        gamma=gamma,
-        success_probability=success,
-        rows=rows,
-        readout_scale=readout_scale,
-    )
+    return QsvmState(amplitudes, scale, success, N_x)
 
 
 def q_svm_classify(
@@ -456,7 +422,7 @@ def q_svm_classify(
     Xm = np.asarray(X, float)
     L, R = _factor_pair(A)
     AX = L @ (R.T @ Xm.reshape(Xm.shape[0], -1))
-    N_x = model.norms["N_x"]
+    N_x = model.N_x
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
     re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)
     decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))

@@ -4,8 +4,11 @@ stands for.
 The pipeline never runs these: qPCA, amplitude estimation and the matrix
 products read exact outcome distributions off eigendecompositions instead.
 The tests run the circuits below on small instances and require the
-engine's distributions to match them. They are kept here, outside the
-package, so the package needs no scipy at import time.
+engine's distributions to match them. States are plain amplitude vectors
+and density matrices; `column_state` and `partial_trace` check the identity
+rho = M M^T / ||M||_F^2 from which qPCA forms its covariance state. They are
+kept here, outside the package, so the package needs no scipy at import
+time.
 """
 from __future__ import annotations
 
@@ -15,8 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from subalign.errors import ConfigurationError, ShapeError, ValidationError
-from subalign.quantum_core import QuantumState, RegisterLayout, ShotPlan
-from subalign.quantum_core.state import DensityOperator
+from subalign.quantum_core import ShotPlan
 
 MAX_PRECISION_QUBITS = 12
 
@@ -36,17 +38,25 @@ def apply_unitary_vec(vec: np.ndarray, U: np.ndarray, qubits, n: int) -> np.ndar
     return psi.reshape(-1)
 
 
-def probabilities(state: QuantumState, register: str) -> np.ndarray:
-    """Marginal measurement distribution of one register."""
-    axis = state.layout.axis(register)
-    p = np.abs(state.reshaped()) ** 2
-    other = tuple(i for i in range(len(state.layout.registers)) if i != axis)
-    return p.sum(axis=other)
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """Measurement distribution of the first register of an (outcome, rest)
+    amplitude array: each row's probability mass."""
+    return np.sum(np.abs(amps) ** 2, axis=1)
 
 
-def prepended(layout: RegisterLayout, name: str, qubits: int) -> RegisterLayout:
-    """The layout with a new most-significant register in front."""
-    return RegisterLayout(((name, qubits),) + layout.registers)
+def column_state(M: np.ndarray) -> np.ndarray:
+    """Amplitude encoding sum_i |i>|M[:, i]> / ||M||_F of a D x n matrix,
+    index register first: a vector over registers of sizes (n, D)."""
+    M = np.asarray(M, dtype=float)
+    return (M.T / np.linalg.norm(M)).reshape(-1)
+
+
+def partial_trace(psi: np.ndarray, dims, over: int) -> np.ndarray:
+    """Reduced density matrix of the pure state ``psi`` over registers of
+    sizes ``dims`` (most significant first), with register ``over`` traced
+    out; the kept registers stay in order."""
+    rows = np.moveaxis(np.reshape(psi, dims), over, 0).reshape(dims[over], -1)
+    return rows.T @ rows.conj()
 
 
 def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -58,31 +68,25 @@ def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return U
 
 
-def phase_estimation(
-    U: np.ndarray,
-    input_state: QuantumState,
-    precision_qubits: int,
-    register_name: str = "PE",
-) -> QuantumState:
-    """Standard phase estimation of ``U`` applied to the whole input state;
-    the precision register is prepended (most significant)."""
+def phase_estimation(U: np.ndarray, psi: np.ndarray, precision_qubits: int) -> np.ndarray:
+    """Standard phase estimation of ``U`` applied to the whole input vector
+    ``psi``: the (2^n, dim) amplitudes, one row per precision outcome."""
     if not 1 <= precision_qubits <= MAX_PRECISION_QUBITS:
         raise ConfigurationError(
             f"precision_qubits must be in 1..{MAX_PRECISION_QUBITS}"
         )
     U = _check_unitary(U)
-    if U.shape[0] != input_state.layout.dim:
+    psi = np.asarray(psi, dtype=complex)
+    if U.shape[0] != psi.size:
         raise ValidationError("unitary dimension does not match input state")
     N = 2**precision_qubits
     T, Z = scipy.linalg.schur(U, output="complex")
     eigs = np.diag(T)
-    w = Z.conj().T @ input_state.amplitudes
+    w = Z.conj().T @ psi
     powers = eigs[None, :] ** np.arange(N)[:, None]  # (N, dim) eigenvalue powers
-    psi = (powers * w[None, :]) @ Z.T  # row k holds U^k |input>
-    psi /= math.sqrt(N)
-    out = np.fft.fft(psi, axis=0) / math.sqrt(N)  # inverse QFT on the index axis
-    layout = prepended(input_state.layout, register_name, precision_qubits)
-    return QuantumState(out.reshape(-1), layout, input_state.global_scale)
+    rows = (powers * w[None, :]) @ Z.T  # row k holds U^k |psi>
+    # uniform superposition of k, then the inverse QFT on the index axis
+    return np.fft.fft(rows, axis=0) / N
 
 
 def ae_distribution(state_prep: np.ndarray, good_projector: np.ndarray, m: int) -> np.ndarray:
@@ -96,13 +100,12 @@ def ae_distribution(state_prep: np.ndarray, good_projector: np.ndarray, m: int) 
     S0 = np.eye(dim)
     S0[0, 0] = -1.0
     Q = -A @ S0 @ A.conj().T @ (np.eye(dim) - 2.0 * P)
-    start = QuantumState(A[:, 0], RegisterLayout.single("A", int(math.log2(dim))))
-    return probabilities(phase_estimation(Q, start, m), "PE")
+    return probabilities(phase_estimation(Q, A[:, 0], m))
 
 
 def density_exponentiation(
-    rho: DensityOperator, sigma: DensityOperator, t: float, slices: int
-) -> DensityOperator:
+    rho: np.ndarray, sigma: np.ndarray, t: float, slices: int
+) -> np.ndarray:
     """Approximate e^{-i rho t} sigma e^{i rho t} by ``slices`` rounds of the
     partial-swap channel, consuming one copy of rho per round.
 
@@ -110,9 +113,9 @@ def density_exponentiation(
     """
     if slices < 1:
         raise ConfigurationError("slices must be >= 1")
-    if rho.dim != sigma.dim:
+    if rho.shape != sigma.shape:
         raise ValidationError("rho and sigma dimensions differ")
-    d = rho.dim
+    d = rho.shape[0]
     dt = t / slices
     # swap operator on the two copies; exp(-i S dt) = cos(dt) I - i sin(dt) S
     S = np.zeros((d * d, d * d))
@@ -120,20 +123,20 @@ def density_exponentiation(
     a, b = idx // d, idx % d
     S[idx, b * d + a] = 1.0
     U = math.cos(dt) * np.eye(d * d) - 1j * math.sin(dt) * S
-    sig = sigma.matrix
+    sig = np.asarray(sigma, dtype=complex)
     for _ in range(slices):
-        joint = U @ np.kron(sig, rho.matrix) @ U.conj().T
+        joint = U @ np.kron(sig, rho) @ U.conj().T
         sig = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)
         sig = 0.5 * (sig + sig.conj().T)
-    sig /= np.trace(sig).real
-    return DensityOperator(sig, sigma.layout)
+    return sig / np.trace(sig).real
 
 
-def swap_test(a: QuantumState, b: QuantumState, plan: ShotPlan) -> float:
-    """Squared overlap |<a|b>|^2, exact or from ancilla shot statistics."""
-    if a.layout.dim != b.layout.dim:
+def swap_test(a: np.ndarray, b: np.ndarray, plan: ShotPlan) -> float:
+    """Squared overlap |<a|b>|^2 of two unit vectors, exact or from ancilla
+    shot statistics."""
+    if np.shape(a) != np.shape(b):
         raise ValidationError("states live in different dimensions")
-    overlap_sq = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    overlap_sq = float(np.abs(np.vdot(a, b)) ** 2)
     if plan.exact:
         return overlap_sq
     p0 = (1.0 + overlap_sq) / 2.0
@@ -172,12 +175,9 @@ def _durr_hoyer_once(values: np.ndarray, rng: np.random.Generator):
     return y_idx, queries, updates
 
 
-def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference."""
-    am = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
-    bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    diff = am - bm
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
 
 
 def build_phi1(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -25,12 +25,10 @@ from subalign.datasets import (
     synth_shifted_gaussians,
 )
 from subalign.quantum_core import (
-    RegisterLayout,
     ShotPlan,
     amplitude_estimation,
     grover_min_find,
 )
-from subalign.quantum_core.state import DensityOperator, amplitude_encode
 
 EXACT = ShotPlan()
 
@@ -222,15 +220,15 @@ def test_criterion_8_primitive_suites():
     for _ in range(100):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        sa_, sb = amplitude_encode(a), amplitude_encode(b)
-        direct = abs(np.vdot(sa_.amplitudes, sb.amplitudes)) ** 2
+        sa_, sb = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        direct = abs(np.vdot(sa_, sb)) ** 2
         if abs(swap_test(sa_, sb, EXACT) - direct) > 1e-12:
             ok = False
     # PE deterministic on lattice eigenphases
     for k, n in ((3, 4), (5, 5), (1, 3)):
         U = np.diag([np.exp(2j * math.pi * k / 2**n), 1.0])
-        out = phase_estimation(U, amplitude_encode([1.0, 0.0]), n)
-        if abs(probabilities(out, "PE")[k] - 1.0) > 1e-10:
+        out = phase_estimation(U, [1.0, 0.0], n)
+        if abs(probabilities(out)[k] - 1.0) > 1e-10:
             ok = False
     # AE error bound frequency over 200 seeded runs
     m = 8
@@ -260,12 +258,12 @@ def test_criterion_8_primitive_suites():
     # density-exponentiation 1/l decay
     B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     R = B @ B.conj().T
-    rho = DensityOperator(R / np.trace(R).real, RegisterLayout.single("A", 1))
+    rho = R / np.trace(R).real
     B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     R = B @ B.conj().T
-    sigma = DensityOperator(R / np.trace(R).real, RegisterLayout.single("A", 1))
-    U = scipy.linalg.expm(-1j * rho.matrix)
-    exact = DensityOperator(U @ sigma.matrix @ U.conj().T, sigma.layout)
+    sigma = R / np.trace(R).real
+    U = scipy.linalg.expm(-1j * rho)
+    exact = U @ sigma @ U.conj().T
     ls = [2, 4, 8, 16, 32, 64]
     errs = [trace_distance(density_exponentiation(rho, sigma, 1.0, l), exact) for l in ls]
     slope = float(np.polyfit(np.log(ls), np.log(errs), 1)[0])

@@ -12,6 +12,13 @@ from subalign.errors import ConfigurationError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
 
+# the small sampled-mode config the trace and svm_labels tests run
+SAMPLED_D4 = (
+    "dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
+    "track = both\nclassifier = both\nquantum.exact_theta = false\n"
+)
+
+
 def _config(tmp_path, extra=""):
     return parse_config_text(
         f"""
@@ -93,29 +100,57 @@ class TestRun:
             ]
             assert len([r for r in report.parity if r["quantity"].startswith(f"seed{seed}.")]) == 4
 
-    def test_trace_keeps_classifier_diagnostics(self, tmp_path, monkeypatch):
-        cfg = parse_config_text(
-            f"dataset.D = 4\ndataset.n_s = 12\ndataset.n_t = 20\nd = 2\nseeds = 0\n"
-            f"track = both\nclassifier = both\nquantum.exact_theta = false\noutput_dir = {tmp_path}\n"
-        )
+    @staticmethod
+    def _spy_svm_decisions(monkeypatch):
+        """Record (plan, (labels, info)) of every `q_svm_classify` call."""
         q_svm_classify = harness.qsa.q_svm_classify
         decided = []
 
-        def spy(*args, **kwargs):
-            decided.append(q_svm_classify(*args, **kwargs))
-            return decided[-1]
+        def spy(model, Xs, A, X, plan):
+            decided.append((plan, q_svm_classify(model, Xs, A, X, plan)))
+            return decided[-1][1]
 
         monkeypatch.setattr(harness.qsa, "q_svm_classify", spy)
+        return decided
+
+    def test_trace_keeps_classifier_diagnostics(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n")
+        decided = self._spy_svm_decisions(monkeypatch)
         run(cfg)
         rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
         by_stage = {row["stage"]: row for row in rows}
         # the row counts the sampled decisions below 3/sqrt(shots)
-        (_, info), = decided
+        (_, info), = [out for plan, out in decided if not plan.exact]
         low = np.abs(info["decision_value"]) < 3.0 / np.sqrt(cfg.shots)
         assert by_stage["q_svm_classify"]["low_confidence"] == int(np.sum(low))
         assert by_stage["q_svm_classify"]["m"] == 20
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
+
+    def test_trace_registers_follow_array_shapes(self, tmp_path):
+        run(parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n"))
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        registers = {row["stage"]: row["registers"] for row in rows if "registers" in row}
+        # M* is d x d, X_hat_s and X_hat_a d x n_s, X_hat_t d x n_t
+        assert registers == {
+            "M": [["I1", 1], ["I2", 1]],
+            "X_hat_s": [["I1", 1], ["I2", 4]],
+            "X_hat_a": [["I1", 1], ["I2", 4]],
+            "X_hat_t": [["I1", 1], ["I2", 5]],
+        }
+
+    def test_sampled_svm_tolerance_is_shot_bound(self, tmp_path, monkeypatch):
+        """The sampled svm_labels tolerance is 0.02 plus the mean Hoeffding
+        flip bound exp(-shots r^2 / 2) over the exact overlaps r, plus
+        sqrt(ln(100) / 2m) for m targets."""
+        cfg = parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n")
+        decided = self._spy_svm_decisions(monkeypatch)
+        row = {r["quantity"]: r for r in run(cfg).parity}["seed0.svm_labels"]
+        (_, info), = [out for plan, out in decided if plan.exact]
+        r = info["decision_value"]
+        bound = np.mean(np.exp(-cfg.shots * r**2 / 2)) + np.sqrt(np.log(100) / (2 * r.size))
+        assert row["tolerance"] == pytest.approx(0.02 + bound, rel=1e-12)
+        assert row["pass"] == (row["abs_err"] <= row["tolerance"])
 
     def test_finite_theta_m_star_tolerance_is_lattice_bound(self, tmp_path):
         """Rounding theta to the pi/2^n lattice can move an entry of M* by

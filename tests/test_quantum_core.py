@@ -11,135 +11,115 @@ from gate_oracle import (
     ae_distribution,
     build_g_operator,
     build_phi1,
+    column_state,
     density_exponentiation,
+    partial_trace,
     phase_estimation,
     probabilities,
     swap_test,
     trace_distance,
 )
+from subalign import classical_sa as csa
+from subalign import quantum_core
 from subalign import quantum_sa as qsa
+from subalign.datasets import Domain
 from subalign.errors import (
     ConfigurationError,
-    EncodingError,
     RangeError,
     ValidationError,
 )
 from subalign.quantum_core import (
-    QuantumState,
-    RegisterLayout,
     ShotPlan,
     amplitude_estimation,
-    encode_matrix,
     grover_min_find,
-    partial_trace,
     pe_outcome_kernel,
+    pe_readout,
     signed_overlap,
 )
 from subalign.quantum_core.algorithms import BLOCK_ELEMENTS, _ae_distribution
-from subalign.quantum_core.state import DensityOperator, amplitude_encode
 
 EXACT = ShotPlan()
 
 
-def _random_state(rng, q, name="A"):
+def _random_state(rng, q):
     v = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
-    return QuantumState(v / np.linalg.norm(v), RegisterLayout.single(name, q))
+    return v / np.linalg.norm(v)
 
 
-def _random_density(rng, q, name="A"):
+def _random_density(rng, q):
     B = rng.standard_normal((2**q, 2**q)) + 1j * rng.standard_normal((2**q, 2**q))
     R = B @ B.conj().T
-    return DensityOperator(R / np.trace(R).real, RegisterLayout.single(name, q))
+    return R / np.trace(R).real
 
 
-class TestEncoding:
-    def test_basis_vector(self):
-        s = amplitude_encode([1.0, 0.0])
-        assert np.allclose(s.amplitudes, [1, 0])
-        assert s.global_scale == pytest.approx(1.0)
-
-    def test_three_four_five(self):
-        s = amplitude_encode([3.0, 4.0])
-        assert np.allclose(s.amplitudes, [0.6, 0.8])
-        assert s.global_scale == pytest.approx(5.0)
-
-    def test_padding(self):
-        s = amplitude_encode([1.0, 1.0, 1.0])
-        assert s.amplitudes.size == 4
-        assert s.amplitudes[3] == 0.0
-
-    def test_zero_vector(self):
-        with pytest.raises(EncodingError):
-            amplitude_encode([0.0, 0.0])
+class TestExports:
+    def test_all_lists_engine_and_shot_plan(self):
+        engine = {
+            "pe_outcome_kernel", "pe_readout", "amplitude_estimation", "signed_overlap",
+            "grover_min_find",
+        }
+        assert set(quantum_core.__all__) == engine | {"ShotPlan"}
 
 
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(0)
-        a = _random_state(rng, 1, "A")
-        b = _random_state(rng, 1, "B")
-        joint = QuantumState(
-            np.kron(a.amplitudes, b.amplitudes), RegisterLayout((("A", 1), ("B", 1)))
-        )
-        rho = partial_trace(joint, "B")
-        assert np.allclose(rho.matrix, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-12)
+        a = _random_state(rng, 1)
+        b = _random_state(rng, 1)
+        rho = partial_trace(np.kron(a, b), (2, 2), 1)
+        assert np.allclose(rho, np.outer(a, a.conj()), atol=1e-12)
 
     def test_bell_state(self):
         amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        s = QuantumState(amps, RegisterLayout((("A", 1), ("B", 1))))
-        for reg in ("A", "B"):
-            rho = partial_trace(s, reg)
-            assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+        for reg in (0, 1):
+            rho = partial_trace(amps, (2, 2), reg)
+            assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_covariance_state(self):
+        # the identity qPCA forms its input from: tracing the index register
+        # out of the column encoding leaves X X^T / ||X||_F^2
         rng = np.random.default_rng(1)
         X = rng.standard_normal((2, 4))
-        psi = encode_matrix(X, index_name="i", feature_name="m")
-        rho = partial_trace(psi, "i")
+        rho = partial_trace(column_state(X), (4, 2), 0)
         expect = X @ X.T / np.sum(X * X)
-        assert np.max(np.abs(rho.matrix - expect)) <= 1e-10
+        assert np.max(np.abs(rho - expect)) <= 1e-12
 
     def test_purity_bound(self):
         rng = np.random.default_rng(2)
-        s = _random_state(rng, 3, "A")
-        s2 = QuantumState(s.amplitudes, RegisterLayout((("A", 2), ("B", 1))))
-        rho = partial_trace(s2, "B")
-        assert np.trace(rho.matrix @ rho.matrix).real <= 1 + 1e-10
+        rho = partial_trace(_random_state(rng, 3), (4, 2), 1)
+        assert np.trace(rho @ rho).real <= 1 + 1e-10
 
 
 class TestPhaseEstimation:
     def test_z_on_one(self):
-        s = amplitude_encode([0.0, 1.0])
-        out = phase_estimation(np.diag([1.0, -1.0]), s, 3)
-        probs = probabilities(out, "PE")
+        out = phase_estimation(np.diag([1.0, -1.0]), [0.0, 1.0], 3)
+        probs = probabilities(out)
         assert probs[4] == pytest.approx(1.0, abs=1e-12)  # "100" = phase 1/2
 
     def test_eighth_turn(self):
-        s = amplitude_encode([0.0, 1.0])
         U = np.diag([1.0, np.exp(1j * math.pi / 4)])
-        out = phase_estimation(U, s, 3)
-        assert probabilities(out, "PE")[1] == pytest.approx(1.0, abs=1e-12)
+        out = phase_estimation(U, [0.0, 1.0], 3)
+        assert probabilities(out)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_off_lattice_matches_kernel(self):
-        s = amplitude_encode([0.0, 1.0])
         U = np.diag([1.0, np.exp(2j * math.pi / 3)])
-        out = phase_estimation(U, s, 5)
-        probs = probabilities(out, "PE")
+        out = phase_estimation(U, [0.0, 1.0], 5)
+        probs = probabilities(out)
         expect = pe_outcome_kernel(1.0 / 3.0, 5)
         assert np.max(np.abs(probs - expect)) <= 1e-10
         assert np.argmax(probs) == round(32 / 3) % 32
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
-            phase_estimation(np.ones((2, 2)), amplitude_encode([1.0, 0.0]), 3)
+            phase_estimation(np.ones((2, 2)), [1.0, 0.0], 3)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 7), st.integers(2, 4))
     def test_lattice_eigenphase_deterministic(self, k, n):
         k = k % 2**n
         U = np.diag([np.exp(2j * math.pi * k / 2**n), 1.0])
-        out = phase_estimation(U, amplitude_encode([1.0, 0.0]), n)
-        assert probabilities(out, "PE")[k] == pytest.approx(1.0, abs=1e-10)
+        out = phase_estimation(U, [1.0, 0.0], n)
+        assert probabilities(out)[k] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDensityExponentiation:
@@ -147,20 +127,20 @@ class TestDensityExponentiation:
         rng = np.random.default_rng(3)
         rho, sigma = _random_density(rng, 1), _random_density(rng, 1)
         out = density_exponentiation(rho, sigma, 0.0, 4)
-        assert np.max(np.abs(out.matrix - sigma.matrix)) <= 1e-10
+        assert np.max(np.abs(out - sigma)) <= 1e-10
 
     def test_maximally_mixed_generator(self):
         rng = np.random.default_rng(4)
-        rho = DensityOperator(np.eye(2) / 2, RegisterLayout.single("A", 1))
+        rho = np.eye(2) / 2
         sigma = _random_density(rng, 1)
         out = density_exponentiation(rho, sigma, 1.0, 64)
-        assert np.max(np.abs(out.matrix - sigma.matrix)) <= 1e-2
+        assert np.max(np.abs(out - sigma)) <= 1e-2
 
     def test_error_decays_inverse_l(self):
         rng = np.random.default_rng(5)
         rho, sigma = _random_density(rng, 1), _random_density(rng, 1)
-        U = scipy.linalg.expm(-1j * rho.matrix)
-        exact = DensityOperator(U @ sigma.matrix @ U.conj().T, sigma.layout)
+        U = scipy.linalg.expm(-1j * rho)
+        exact = U @ sigma @ U.conj().T
         errs = []
         for l in [2, 4, 8, 16, 32, 64]:
             out = density_exponentiation(rho, sigma, 1.0, l)
@@ -184,22 +164,22 @@ class TestSwapTest:
         assert swap_test(a, a, EXACT) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        a = amplitude_encode([1.0, 0.0])
-        b = amplitude_encode([0.0, 1.0])
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 1.0])
         assert swap_test(a, b, EXACT) == pytest.approx(0.0, abs=1e-15)
         sampled = swap_test(a, b, ShotPlan(shots=4096, seed=0, mode="sampled"))
         assert abs(sampled) <= 3 * math.sqrt(0.25 / 4096) * 2 + 1e-9
 
     def test_plus_against_zero(self):
-        a = amplitude_encode([1.0, 1.0])
-        b = amplitude_encode([1.0, 0.0])
+        a = np.array([1.0, 1.0]) / math.sqrt(2)
+        b = np.array([1.0, 0.0])
         assert swap_test(a, b, EXACT) == pytest.approx(0.5, abs=1e-12)
 
     def test_hundred_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             a, b = _random_state(rng, 2), _random_state(rng, 2)
-            direct = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            direct = abs(np.vdot(a, b)) ** 2
             assert abs(swap_test(a, b, EXACT) - direct) <= 1e-12
 
 
@@ -267,6 +247,32 @@ class TestSignedOverlap:
         assert np.unique(est[40:61]).size > 1
 
 
+class TestPeReadout:
+    @staticmethod
+    def _qsvm_phases():
+        """Eigenphases lambda t0 / 2 pi of the qSVM's Hermitian embedding
+        [[0, F], [F^T, 0]] / tr F, as `q_svm_train` forms them; half of them
+        are negative."""
+        rng = np.random.default_rng(40)
+        dom = Domain(rng.standard_normal((3, 9)), np.array([1, -1] * 4 + [1]))
+        c, B, C, _ = csa.ls_svm_system(dom, np.eye(3), 1.0)
+        F = c * np.eye(10) + B @ C.T
+        zero = np.zeros((10, 10))
+        lam = np.linalg.eigvalsh(np.block([[zero, F], [F.T, zero]]) / np.trace(F))
+        return lam * 0.25 / np.max(np.abs(lam))
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_is_most_probable_outcome_mod_one(self, n):
+        qsvm = self._qsvm_phases()
+        assert np.sum(qsvm < 0) == 10
+        phases = np.concatenate([np.random.default_rng(41 + n).uniform(-1.0, 1.0, 300), qsvm])
+        N = 2**n
+        k = np.argmax(pe_outcome_kernel(phases, n), axis=-1)
+        read = pe_readout(phases, n)
+        assert np.array_equal(np.mod(read * N, N), k)
+        assert np.all(np.abs(read - phases) <= 0.5 / N)
+
+
 class TestEngineAgainstGateOracle:
     """The spectral engine's outcome distributions against the circuits
     they stand for (tests/gate_oracle.py), within 1e-12."""
@@ -298,11 +304,11 @@ class TestEngineAgainstGateOracle:
         X = rng.standard_normal((3, 6))
         X -= X.mean(axis=1, keepdims=True)
         res = qsa.qpca(X, 2, precision_qubits=n)
-        psi = encode_matrix(X, index_name="i", feature_name="m")
-        rho = partial_trace(psi, "i").matrix
+        psi = column_state(X)
+        rho = partial_trace(psi, X.shape[::-1], 0)
         # exp(i rho t0) is what density-matrix exponentiation applies
-        U = np.kron(np.eye(2 ** psi.layout.qubits("i")), scipy.linalg.expm(1j * rho * 0.95 * math.pi))
-        circuit = probabilities(phase_estimation(U, psi, n), "PE")
+        U = np.kron(np.eye(X.shape[1]), scipy.linalg.expm(1j * rho * 0.95 * math.pi))
+        circuit = probabilities(phase_estimation(U, psi, n))
         assert np.max(np.abs(circuit - res.outcome_probabilities)) <= 1e-12
 
     def test_g_operator_matches_two_peak_distribution(self):
@@ -314,8 +320,7 @@ class TestEngineAgainstGateOracle:
                 v = rng.standard_normal(4)
                 v /= np.linalg.norm(v)
                 theta = qsa.overlap_angle(float(u @ v))
-                phi1 = QuantumState(build_phi1(u, v), RegisterLayout.single("C", 3))
-                circuit = probabilities(phase_estimation(build_g_operator(u, v), phi1, m), "PE")
+                circuit = probabilities(phase_estimation(build_g_operator(u, v), build_phi1(u, v), m))
                 peaks = 0.5 * (
                     pe_outcome_kernel(theta / math.pi, m) + pe_outcome_kernel(-theta / math.pi, m)
                 )
@@ -448,19 +453,3 @@ class TestShotPlanStreams:
             with pytest.raises(ConfigurationError):
                 plan.rng(*key)
 
-
-class TestStateAlgebra:
-    def test_state_json_round_trip(self):
-        rng = np.random.default_rng(10)
-        s = _random_state(rng, 3)
-        back = QuantumState.from_json(s.to_json())
-        assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-15)
-        assert back.layout == s.layout
-
-    def test_density_operator_validation(self):
-        with pytest.raises(ValidationError):
-            DensityOperator(np.eye(2), RegisterLayout.single("A", 1))  # trace 2
-
-    def test_norm_enforced(self):
-        with pytest.raises(ValidationError):
-            QuantumState(np.array([1.0, 1.0]), RegisterLayout.single("A", 1))

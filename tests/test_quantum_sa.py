@@ -69,6 +69,11 @@ class TestQpca:
         with pytest.raises(ConfigurationError):
             qsa.qpca(np.ones((17, 20)), 2)
 
+    def test_all_zero_input_rejected(self):
+        # rho = X X^T / tr(X X^T) does not exist for X = 0
+        with pytest.raises(ConfigurationError, match="nonzero"):
+            qsa.qpca(np.zeros((4, 5)), 1)
+
 
 class TestThetaPipeline:
     def test_theta_identity(self):
@@ -177,17 +182,16 @@ class TestQProject:
     def test_identity_projection(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((4, 3))
-        state = qsa.q_project(np.eye(4), X)
-        recon = state.reshaped().real * state.global_scale
-        assert np.max(np.abs(recon[:4, :3] - X)) <= 1e-6
+        recon = qsa.matrix_product_state(np.eye(4), X, exact_theta=True).as_matrix()
+        assert recon.shape == (4, 3)
+        assert np.max(np.abs(recon - X)) <= 1e-6
 
     def test_single_sample_direction(self):
         rng = np.random.default_rng(8)
         P = _random_orthonormal(rng, 4, 2)
         x = rng.standard_normal((4, 1))
         y = np.hstack([x, np.zeros((4, 1))])  # pad to n >= 2 columns
-        state = qsa.q_project(P, y)
-        recon = (state.reshaped().real * state.global_scale)[:2, :1]
+        recon = qsa.matrix_product_state(P, y, exact_theta=True).as_matrix()[:, :1]
         assert np.max(np.abs(recon - P.T @ x)) <= 1e-6
 
     def test_full_chain_cosine(self):
