@@ -1,6 +1,7 @@
 """Classical subspace alignment: PCA bases, the closed-form alignment
 matrix M* = Ps^T Pt, cross-domain similarity, 1-NN and least-squares SVM
-classifiers, and the kernelized variant.
+classifiers, and the kernelized variant (on explicit feature states for the
+linear and hard kernels, on Gram matrices for the others).
 
 This module is the oracle track the quantum pipeline is verified against.
 """
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,12 +37,18 @@ __all__ = [
     "svm_decision_values",
     "svm_classify",
     "kernel_matrix",
+    "kernel_pca",
     "kernel_pca_weights",
     "kernel_alignment",
     "kernel_sa_fit",
 ]
 
 DEGENERACY_GAP = 1e-12
+# kernel PCA needs the d-th eigenvalue above this
+RANK_FLOOR = 1e-12
+# kernels whose feature map `kernel_sa_fit` builds explicitly: phi(x) = x and
+# the 2^q-dim hard-kernel statevector, q = max(1, ceil(log2 D))
+FEATURE_KINDS = ("linear", "hard")
 # entries per block of the 1-NN distance matrix; from n_s > 2^13 on a block
 # is one query, which ran faster at n_s = 10^4 than blocks of 3 to 26
 NN_BLOCK_ELEMENTS = 2**14
@@ -64,11 +71,13 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SubspaceBasis:
-    """Top-d principal directions (orthonormal columns) with eigenvalues."""
+    """Top-d principal directions (orthonormal columns) with eigenvalues and,
+    when known, the eigenvalue gap lambda_d - lambda_{d+1} at the cut."""
 
     P: np.ndarray
     eigenvalues: np.ndarray
     warnings: list[str] = field(default_factory=list)
+    gap: float = math.nan
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=float)
@@ -125,26 +134,27 @@ class KernelSpec:
             raise ConfigurationError("polynomial degree must be >= 1")
 
 
-def pca_subspace(X, d: int) -> SubspaceBasis:
-    """Top-d eigenvectors of X X^T (X must be centered).
+def _top_basis(w: np.ndarray, V: np.ndarray, d: int) -> SubspaceBasis:
+    """The top-d eigenpairs of a symmetric PSD matrix from its `eigh`, signed
+    by `_fix_signs`; eigenvalues past the last are 0. A degenerate-subspace
+    warning is attached when the gap at the cut is below 1e-12."""
+    order = np.argsort(w)[::-1]
+    w, V = w[order], V[:, order]
+    gap = float(w[d - 1] - (w[d] if d < len(w) else 0.0))
+    warnings = []
+    if d < len(w) and gap < DEGENERACY_GAP:
+        warnings.append(f"degenerate subspace: eigenvalue gap {gap:.3e} at cut d={d}")
+    return SubspaceBasis(_fix_signs(V[:, :d]), np.maximum(w[:d], 0.0), warnings, gap)
 
-    A degenerate-subspace warning is attached when the eigenvalue gap at the
-    cut is below 1e-12.
-    """
+
+def pca_subspace(X, d: int) -> SubspaceBasis:
+    """Top-d eigenvectors of X X^T (X must be centered), with the gap at the
+    cut and a warning when it is below 1e-12."""
     M = _as_matrix(X)
     D, n = M.shape
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range for D={D}, n={n}")
-    w, V = np.linalg.eigh(M @ M.T)
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
-    warnings = []
-    if d < D and w[d - 1] - w[d] < DEGENERACY_GAP:
-        warnings.append(
-            f"degenerate subspace: eigenvalue gap {w[d - 1] - w[d]:.3e} at cut d={d}"
-        )
-    P = _fix_signs(V[:, :d])
-    return SubspaceBasis(P, np.maximum(w[:d], 0.0), warnings)
+    return _top_basis(*np.linalg.eigh(M @ M.T), d)
 
 
 def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:
@@ -368,7 +378,8 @@ def svm_classify(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 
 def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Statevectors of the hard-kernel feature circuit, one row per column of X.
+    """Statevectors of the hard-kernel feature circuit, one column (of 2^q
+    entries) per column of X.
 
     The circuit uses q = ceil(log2 D) qubits: each feature drives an RY
     rotation on qubit (m mod q), followed by one ring of controlled-Z
@@ -384,10 +395,10 @@ def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.n
     angles = np.where(span[:, None] > 0, (X - lo[:, None]) / np.where(span[:, None] > 0, span[:, None], 1.0) * math.pi, 0.0)
     theta = np.zeros((q, n))
     np.add.at(theta, np.arange(D) % q, angles)
-    states = np.ones((n, 1))
+    states = np.ones((1, n))
     for k in range(q):  # qubit 0 is the most significant bit
-        qubit = np.stack([np.cos(theta[k] / 2), np.sin(theta[k] / 2)], axis=1)
-        states = (states[:, :, None] * qubit[:, None, :]).reshape(n, -1)
+        qubit = np.stack([np.cos(theta[k] / 2), np.sin(theta[k] / 2)])
+        states = (states[:, None, :] * qubit[None, :, :]).reshape(-1, n)
     return states
 
 
@@ -399,41 +410,48 @@ def _feature_range(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, both.max(axis=1) - lo
 
 
+def _feature_map(X: np.ndarray, spec: KernelSpec, feature_range) -> np.ndarray:
+    """Feature columns phi(X) of a kernel in FEATURE_KINDS: X itself for the
+    linear kernel, the hard-kernel statevectors under ``feature_range``."""
+    return X if spec.kind == "linear" else _hard_kernel_states(X, *feature_range)
+
+
 def kernel_matrix(X, Y, spec: KernelSpec, feature_range=None) -> np.ndarray:
     """Gram matrix between the columns of X and Y under the selected kernel.
 
-    The hard kernel rescales features with ``feature_range`` = (lo, span) as
-    fitted by `kernel_sa_fit`; without one it fits the range on the columns
-    of X and Y together."""
+    The linear and hard kernels are phi(X)^T phi(Y) through `_feature_map`,
+    the map `kernel_sa_fit` fits with. The hard kernel rescales features with
+    ``feature_range`` = (lo, span) as fitted by `kernel_sa_fit`; without one
+    it fits the range on the columns of X and Y together."""
     Xm, Ym = _as_matrix(X), _as_matrix(Y)
     if Xm.shape[0] != Ym.shape[0]:
         raise ShapeError("kernel operands must share the feature dimension")
-    if spec.kind == "linear":
-        return Xm.T @ Ym
+    if spec.kind == "hard" and feature_range is None:
+        feature_range = _feature_range(Xm, Ym)
+    if spec.kind in FEATURE_KINDS:
+        return _feature_map(Xm, spec, feature_range).T @ _feature_map(Ym, spec, feature_range)
     if spec.kind == "polynomial":
         return (Xm.T @ Ym) ** spec.degree
-    if spec.kind == "cosine":
-        K = np.ones((Xm.shape[1], Ym.shape[1]))
-        for m in range(Xm.shape[0]):
-            K *= np.cos(Xm[m][:, None] - Ym[m][None, :])
-        return K
-    # hard kernel: exact statevector overlaps of the feature circuit
-    lo, span = _feature_range(Xm, Ym) if feature_range is None else feature_range
-    Sx = _hard_kernel_states(Xm, lo, span)
-    Sy = _hard_kernel_states(Ym, lo, span)
-    return Sx @ Sy.T
+    K = np.ones((Xm.shape[1], Ym.shape[1]))  # cosine
+    for m in range(Xm.shape[0]):
+        K *= np.cos(Xm[m][:, None] - Ym[m][None, :])
+    return K
 
 
 def _double_center(K: np.ndarray) -> np.ndarray:
     return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
 
 
-def kernel_pca_weights(K: np.ndarray, d: int) -> np.ndarray:
-    """Kernel-PCA weight matrix W (n x d) with unit-norm feature components.
+def _rank_deficient(d: int) -> RankDeficiencyError:
+    return RankDeficiencyError(
+        f"component {d} has eigenvalue <= {RANK_FLOOR:g}; Gram matrix rank is deficient"
+    )
 
-    The Gram matrix is double-centered before eigendecomposition; columns
-    are v_k / sqrt(lambda_k) with the same sign convention as `pca_subspace`.
-    """
+
+def kernel_pca(K: np.ndarray, d: int) -> SubspaceBasis:
+    """Top-d unit eigenvectors (n-dim) and eigenvalues of the double-centered
+    Gram matrix, with the same sign convention and gap warning as
+    `pca_subspace`."""
     K = np.asarray(K, float)
     n = K.shape[0]
     if K.shape != (n, n):
@@ -441,18 +459,19 @@ def kernel_pca_weights(K: np.ndarray, d: int) -> np.ndarray:
     scale = max(np.max(np.abs(K)), 1.0)
     if np.max(np.abs(K - K.T)) > 1e-8 * scale:
         raise ConfigurationError("Gram matrix is not symmetric")
-    Kc = _double_center(K)
-    w, V = np.linalg.eigh(Kc)
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
-    if np.min(w) < -1e-8 * scale:
+    w, V = np.linalg.eigh(_double_center(K))
+    if w[0] < -1e-8 * scale:
         raise ConfigurationError("Gram matrix is not positive semidefinite")
-    if d > n or w[d - 1] <= 1e-12:
-        raise RankDeficiencyError(
-            f"component {d} has eigenvalue <= 1e-12; Gram matrix rank is deficient"
-        )
-    V = _fix_signs(V[:, :d])
-    return V / np.sqrt(w[:d])
+    if d > n or w[n - d] <= RANK_FLOOR:
+        raise _rank_deficient(d)
+    return _top_basis(w, V, d)
+
+
+def kernel_pca_weights(K: np.ndarray, d: int) -> np.ndarray:
+    """Kernel-PCA weight matrix W (n x d) with unit-norm feature components:
+    the `kernel_pca` eigenvectors v_k scaled by 1 / sqrt(lambda_k)."""
+    basis = kernel_pca(K, d)
+    return basis.P / np.sqrt(basis.eigenvalues)
 
 
 def kernel_alignment(Ws: np.ndarray, Kst: np.ndarray, Wt: np.ndarray) -> np.ndarray:
@@ -466,8 +485,12 @@ def kernel_alignment(Ws: np.ndarray, Kst: np.ndarray, Wt: np.ndarray) -> np.ndar
 
 @dataclass
 class KernelAlignment:
-    """Fitted kernel-SA pipeline; all feature-space quantities are computed
-    through Gram matrices, never materializing the feature map."""
+    """Fitted kernel-SA pipeline (see `kernel_sa_fit` for its two paths).
+
+    ``basis_s`` and ``basis_t`` are each domain's kernel-PCA basis: r-dim
+    feature directions on the feature path, n-dim eigenvectors of the
+    double-centered Gram matrix on the Gram path. Projections of new points
+    go through one cross-Gram matrix against the training domain."""
 
     spec: KernelSpec
     Xs: Domain
@@ -482,6 +505,20 @@ class KernelAlignment:
     M_star: np.ndarray
     Z_a: np.ndarray  # aligned source projections, d x n_s
     Z_t: np.ndarray  # target projections, d x n_t
+    basis_s: SubspaceBasis
+    basis_t: SubspaceBasis
+
+    @property
+    def path(self) -> str:
+        return "features" if self.spec.kind in FEATURE_KINDS else "gram"
+
+    @property
+    def warnings(self) -> list[str]:
+        return [
+            f"{name}: {w}"
+            for name, basis in (("source", self.basis_s), ("target", self.basis_t))
+            for w in basis.warnings
+        ]
 
     def project_source(self, X) -> np.ndarray:
         Xm = _as_matrix(X) - self.mean_s[:, None]
@@ -513,23 +550,67 @@ def _gram_means(K: np.ndarray) -> tuple[np.ndarray, float]:
     return K.mean(axis=1), float(K.mean())
 
 
+def _feature_kpca(F: np.ndarray, d: int):
+    """Kernel PCA of one domain through its feature columns F (r x n).
+
+    Returns the centered features F_c, their `pca_subspace` basis V signed
+    so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
+    `_fix_signs`, the weights W = F_c^T V / lambda and the Gram means
+    (F^T phi_bar, |phi_bar|^2)."""
+    mean = F.mean(axis=1)
+    Fc = F - mean[:, None]
+    if d > min(Fc.shape):
+        raise _rank_deficient(d)
+    basis = pca_subspace(Fc, d)
+    if basis.eigenvalues[-1] <= RANK_FLOOR:
+        raise _rank_deficient(d)
+    U = Fc.T @ basis.P
+    signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(d)])
+    basis = replace(basis, P=basis.P * signs)
+    return Fc, basis, U * (signs / basis.eigenvalues), (F.T @ mean, float(mean @ mean))
+
+
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
-    """Run the kernel-SA pipeline: center both domains, build Gram matrices,
-    extract kernel-PCA weights, and align the feature subspaces."""
+    """Run the kernel-SA pipeline: center both domains, fit one hard-kernel
+    feature range on them, take each domain's kernel-PCA basis and align the
+    two feature subspaces.
+
+    A domain's state sum_i |i>|phi(x_i) - phi_bar> has the reduced states
+    F_c^T F_c (index register: the double-centered Gram K_c) and F_c F_c^T
+    (feature register), up to normalization. Its Schmidt decomposition gives
+    both the same nonzero spectrum, and a unit eigenvector v of the feature
+    side maps to u = F_c^T v / sqrt(lambda) on the index side.
+
+    - Linear and hard kernels (FEATURE_KINDS) have an explicit r-dim feature
+      map (r = D, or 2^q for hard with q = max(1, ceil(log2 D))), so kernel
+      PCA is `pca_subspace` of F_c and the fit is plain SA on the features:
+      M* = Vs^T Vt, Z_a = M*^T Vs^T F_sc, Z_t = Vt^T F_tc and
+      W = F_c^T V / lambda, in O(n r d) with no n x n matrix. V is signed so
+      that u follows `kernel_pca`'s convention; both paths give one fit.
+    - Polynomial (D^p features) and cosine (2^D) take the Gram path: three
+      Gram matrices and `kernel_pca` of K_ss and K_tt.
+    """
     Xs_c, mean_s = center_columns(Xs)
     Xt_c, mean_t = center_columns(Xt)
     # one feature map for every Gram matrix and projection
     fitted = _feature_range(Xs_c.samples, Xt_c.samples)
-    Kss = kernel_matrix(Xs_c, Xs_c, spec, fitted)
-    Ktt = kernel_matrix(Xt_c, Xt_c, spec, fitted)
-    Kst = kernel_matrix(Xs_c, Xt_c, spec, fitted)
-    Ws = kernel_pca_weights(Kss, d)
-    Wt = kernel_pca_weights(Ktt, d)
-    # cross-Gram centered against both domain means
-    M = kernel_alignment(Ws, _double_center(Kst), Wt)
-    Zs = Ws.T @ _double_center(Kss)
-    Zt = Wt.T @ _double_center(Ktt)
+    if spec.kind in FEATURE_KINDS:
+        Fs, Bs, Ws, means_s = _feature_kpca(_feature_map(Xs_c.samples, spec, fitted), d)
+        Ft, Bt, Wt, means_t = _feature_kpca(_feature_map(Xt_c.samples, spec, fitted), d)
+        art = build_alignment(Bs, Bt, Fs, Ft)
+        M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
+    else:
+        Kss = kernel_matrix(Xs_c, Xs_c, spec, fitted)
+        Ktt = kernel_matrix(Xt_c, Xt_c, spec, fitted)
+        Kst = kernel_matrix(Xs_c, Xt_c, spec, fitted)
+        Bs, Bt = kernel_pca(Kss, d), kernel_pca(Ktt, d)
+        Ws, Wt = (B.P / np.sqrt(B.eigenvalues) for B in (Bs, Bt))
+        # cross-Gram centered against both domain means
+        M = kernel_alignment(Ws, _double_center(Kst), Wt)
+        Z_a = M.T @ (Ws.T @ _double_center(Kss))
+        Z_t = Wt.T @ _double_center(Ktt)
+        means_s, means_t = _gram_means(Kss), _gram_means(Ktt)
     return KernelAlignment(
-        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, _gram_means(Kss), _gram_means(Ktt),
-        Ws, Wt, M, M.T @ Zs, Zt,
+        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, means_s, means_t,
+        Ws, Wt, M, Z_a, Z_t, Bs, Bt,
     )

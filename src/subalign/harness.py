@@ -313,6 +313,15 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         t0 = time.perf_counter()
         fit = csa.kernel_sa_fit(source, target, config.kernel, config.d)
         pred = csa.nn_classify(fit.Z_a, ys, fit.Z_t)
+        # the kernel-PCA spectrum at the cut: "features" bases live in the
+        # r-dim feature space, "gram" bases in the n-dim index space
+        Bs, Bt = fit.basis_s, fit.basis_t
+        trace.append({
+            "seed": seed, "stage": "kernel_fit", "path": fit.path,
+            "dim_s": Bs.P.shape[0], "lambda_d_s": float(Bs.eigenvalues[-1]), "gap_s": Bs.gap,
+            "dim_t": Bt.P.shape[0], "lambda_d_t": float(Bt.eigenvalues[-1]), "gap_t": Bt.gap,
+            "warnings": fit.warnings,
+        })
         accuracy.append(
             {"seed": seed, "track": "kernel", "classifier": "nn",
              "accuracy": _accuracy(pred, target_c)}

@@ -567,6 +567,84 @@ class TestKernelAlignment:
         assert np.max(np.abs(zs - expect_s)) <= 1e-12
         assert np.max(np.abs(zt - expect_t)) <= 1e-12
 
+    @staticmethod
+    def _gram_reference(fit, d):
+        """The fit through three full Gram matrices and `kernel_pca_weights`."""
+        def gram(X, Y):
+            return csa.kernel_matrix(X, Y, fit.spec, fit.feature_range)
+
+        Kss, Ktt, Kst = gram(fit.Xs, fit.Xs), gram(fit.Xt, fit.Xt), gram(fit.Xs, fit.Xt)
+        Ws, Wt = csa.kernel_pca_weights(Kss, d), csa.kernel_pca_weights(Ktt, d)
+        M = csa.kernel_alignment(Ws, csa._double_center(Kst), Wt)
+        return {
+            "M_star": M, "Ws": Ws, "Wt": Wt,
+            "Z_a": M.T @ (Ws.T @ csa._double_center(Kss)),
+            "Z_t": Wt.T @ csa._double_center(Ktt),
+        }
+
+    @pytest.mark.parametrize("kind", ["linear", "hard"])
+    @pytest.mark.parametrize("D", [1, 2, 3, 8, 9, 16])
+    def test_feature_path_matches_gram_reference(self, kind, D):
+        d = min(D, 2)
+        for seed in range(5):
+            source, target = synth_shifted_gaussians(SynthSpec(D=D, n_s=40, n_t=35, seed=seed))
+            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), d)
+            assert fit.path == "features"
+            ref = self._gram_reference(fit, d)
+            for name, expect in ref.items():
+                # 1e-10 is far below any entry a sign flip would move
+                assert np.max(np.abs(getattr(fit, name) - expect)) <= 1e-10, (seed, name)
+            ys = fit.Xs.visible_labels
+            assert np.array_equal(
+                csa.nn_classify(fit.Z_a, ys, fit.Z_t), csa.nn_classify(ref["Z_a"], ys, ref["Z_t"])
+            )
+
+    def test_hard_fit_memory_is_linear_in_n(self, monkeypatch):
+        """At D=8, n_s = n_t = 3000 the fit builds no Gram matrix and runs no
+        n x n eigensolver; one 3000 x 3000 Gram alone is 69 MiB."""
+        source, target = synth_shifted_gaussians(SynthSpec(D=8, n_s=3000, n_t=3000, seed=0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hard-kernel fit must not take the Gram path")
+
+        for name in ("kernel_matrix", "kernel_pca", "kernel_pca_weights"):
+            monkeypatch.setattr(csa, name, refuse)
+        tracemalloc.start()
+        try:
+            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("hard"), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.Z_a.shape == (2, 3000)
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("kind", ["linear", "hard", "cosine"])
+    def test_constant_source_is_rank_deficient(self, kind):
+        rng = np.random.default_rng(21)
+        source = Domain(np.tile(rng.standard_normal((3, 1)), (1, 10)), np.arange(10) % 2)
+        target = Domain(rng.standard_normal((3, 12)))
+        with pytest.raises(RankDeficiencyError):
+            csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), 1)
+
+    def test_fit_exposes_spectrum_at_the_cut(self):
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=30, n_t=25, seed=2))
+        for kind, dims in (("hard", (4, 4)), ("linear", (3, 3)), ("cosine", (30, 25))):
+            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), 2)
+            for basis, dim, X in ((fit.basis_s, dims[0], fit.Xs), (fit.basis_t, dims[1], fit.Xt)):
+                assert basis.P.shape == (dim, 2)
+                K = csa.kernel_matrix(X, X, fit.spec, fit.feature_range)
+                w = np.sort(np.linalg.eigvalsh(csa._double_center(K)))[::-1]
+                assert np.allclose(basis.eigenvalues, w[:2], atol=1e-10)
+                assert basis.gap == pytest.approx(w[1] - w[2], abs=1e-10)
+
+    def test_degenerate_kernel_spectrum_warns(self):
+        # four points on a square: a double eigenvalue at the cut d=1
+        square = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        fit = csa.kernel_sa_fit(Domain(square, np.array([0, 0, 1, 1])), Domain(square),
+                                csa.KernelSpec("linear"), 1)
+        assert len(fit.warnings) == 2
+        assert fit.warnings[0].startswith("source: degenerate subspace")
+
     def test_linear_reduction_predictions(self):
         for seed in range(5):
             spec = SynthSpec(D=3, n_s=20, n_t=20, seed=seed)

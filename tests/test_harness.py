@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subalign import classical_sa as csa
 from subalign import cli, harness
 from subalign.datasets import SynthSpec, save_csv, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, SubalignError
@@ -138,6 +140,22 @@ class TestRun:
             "X_hat_a": [["I1", 1], ["I2", 4]],
             "X_hat_t": [["I1", 1], ["I2", 5]],
         }
+
+    @pytest.mark.parametrize("kind, path, dims", [("hard", "features", (4, 4)), ("cosine", "gram", (8, 6))])
+    def test_kernel_fit_trace_row_per_seed(self, tmp_path, kind, path, dims):
+        cfg = _config(tmp_path, f"kernel.kind = {kind}\n")
+        run(cfg)
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        rows = [row for row in rows if row["stage"] == "kernel_fit"]
+        assert [row["seed"] for row in rows] == [0, 1]
+        for row in rows:
+            source, target = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
+            fit = csa.kernel_sa_fit(source, target, cfg.kernel, cfg.d)
+            assert row["path"] == path and (row["dim_s"], row["dim_t"]) == dims
+            for dom, basis in (("s", fit.basis_s), ("t", fit.basis_t)):
+                assert row[f"lambda_d_{dom}"] == basis.eigenvalues[-1] > 0
+                assert row[f"gap_{dom}"] == basis.gap
+            assert row["warnings"] == fit.warnings
 
     def test_sampled_svm_tolerance_is_shot_bound(self, tmp_path, monkeypatch):
         """The sampled svm_labels tolerance is 0.02 plus the mean Hoeffding
