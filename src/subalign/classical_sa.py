@@ -49,9 +49,11 @@ RANK_FLOOR = 1e-12
 # kernels whose feature map `kernel_sa_fit` builds explicitly: phi(x) = x and
 # the 2^q-dim hard-kernel statevector, q = max(1, ceil(log2 D))
 FEATURE_KINDS = ("linear", "hard")
-# entries per block of the 1-NN distance matrix; from n_s > 2^13 on a block
-# is one query, which ran faster at n_s = 10^4 than blocks of 3 to 26
-NN_BLOCK_ELEMENTS = 2**14
+# entries per block of the 1-NN distance matrix (step queries x n_s sources).
+# At d=8, n_s=n_t=10^4 (random data, 2 cores): 2^14 took 313 ms, 2^15 148 ms,
+# 2^16 102 ms, 2^17 139 ms; at d=2, n_s=1000, 2^15 takes 1.0 ms. 2^16 raised
+# the peak memory of the kernel-hard bench config from 0.84 to 1.04 MiB.
+NN_BLOCK_ELEMENTS = 2**15
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -192,31 +194,37 @@ def similarity(xs: np.ndarray, xt: np.ndarray, A: np.ndarray) -> float:
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels (columns are points, ties to lowest index).
 
-    Exhaustive search over blocks of queries: each block's n_s x step matrix
-    of squared distances ||t||^2 - 2 t.q + ||q||^2 holds about
-    NN_BLOCK_ELEMENTS entries, so memory is O(n_s * step), never n_s x n_t.
-    Scaling by -2 is exact, so every entry is rounded as in the dense
-    formula; `np.argmin` keeps the lowest index among tied sources.
+    Exhaustive search over blocks of step = clamp(NN_BLOCK_ELEMENTS // n_s,
+    1, n_t) queries. The training side is built once as the (d+1) x n_s
+    array [-2 T; ||t||^2], and each block of queries is copied into one
+    reused step x (d+1) buffer whose last column is 1, so one GEMM gives
+    ||t||^2 - 2 t.q for the whole block, a query per row. ||q||^2 is left
+    out: it is the same along a row and cannot move that row's argmin.
+    `np.argmin` runs along the contiguous row and keeps the lowest index
+    among tied sources (duplicate sources give bit-identical entries).
+    Memory is O(n_s * step), never n_s x n_t.
     """
     train, queries = np.asarray(train, float), np.asarray(queries, float)
     labels = np.asarray(train_labels)
     if train.ndim != 2 or queries.ndim != 2 or train.shape[0] != queries.shape[0]:
         raise ShapeError("train and queries must be matrices with the same row count")
-    n_s = train.shape[1]
+    (d, n_s), n_t = train.shape, queries.shape[1]
     if n_s == 0:
         raise ConfigurationError("empty training set")
     if len(labels) != n_s:
         raise ShapeError(f"{len(labels)} labels for {n_s} training points")
-    neg2_train_t = -2.0 * train.T
-    train_sq = np.sum(train**2, axis=0)[:, None]
-    query_sq = np.sum(queries**2, axis=0)
-    step = max(1, NN_BLOCK_ELEMENTS // n_s)
-    nearest = np.empty(queries.shape[1], dtype=np.intp)
-    for j in range(0, queries.shape[1], step):
-        d2 = neg2_train_t @ queries[:, j:j + step]
-        d2 += train_sq
-        d2 += query_sq[j:j + step]
-        nearest[j:j + step] = np.argmin(d2, axis=0)
+    aug_train = np.empty((d + 1, n_s))
+    np.multiply(train, -2.0, out=aug_train[:d])
+    np.einsum("ij,ij->j", train, train, out=aug_train[d])
+    step = max(1, min(NN_BLOCK_ELEMENTS // n_s, n_t))
+    block = np.ones((step, d + 1))
+    d2 = np.empty((step, n_s))
+    nearest = np.empty(n_t, dtype=np.intp)
+    for j in range(0, n_t, step):
+        m = min(step, n_t - j)
+        block[:m, :d] = queries[:, j:j + m].T
+        np.matmul(block[:m], aug_train, out=d2[:m])
+        np.argmin(d2[:m], axis=1, out=nearest[j:j + m])
     return labels[nearest]
 
 
@@ -489,8 +497,9 @@ class KernelAlignment:
 
     ``basis_s`` and ``basis_t`` are each domain's kernel-PCA basis: r-dim
     feature directions on the feature path, n-dim eigenvectors of the
-    double-centered Gram matrix on the Gram path. Projections of new points
-    go through one cross-Gram matrix against the training domain."""
+    double-centered Gram matrix on the Gram path. A new point is projected
+    from its own features on the feature path, and through one cross-Gram
+    matrix against the training domain on the Gram path."""
 
     spec: KernelSpec
     Xs: Domain
@@ -498,8 +507,10 @@ class KernelAlignment:
     mean_s: np.ndarray
     mean_t: np.ndarray
     feature_range: tuple[np.ndarray, np.ndarray]  # (lo, span) of the centered domains
-    gram_means_s: tuple[np.ndarray, float]  # row means and grand mean of K_ss
-    gram_means_t: tuple[np.ndarray, float]  # row means and grand mean of K_tt
+    feature_mean_s: np.ndarray | None  # phi_bar of the source features (feature path)
+    feature_mean_t: np.ndarray | None  # phi_bar of the target features (feature path)
+    gram_means_s: tuple[np.ndarray, float] | None  # row and grand means of K_ss (Gram path)
+    gram_means_t: tuple[np.ndarray, float] | None  # row and grand means of K_tt (Gram path)
     Ws: np.ndarray
     Wt: np.ndarray
     M_star: np.ndarray
@@ -520,19 +531,30 @@ class KernelAlignment:
             for w in basis.warnings
         ]
 
+    def _coords(self, X, mean, basis, feature_mean, train, gram_means, W) -> np.ndarray:
+        """Kernel-PCA coordinates of the columns of X in one domain's basis.
+
+        Feature path: V^T (phi(x - mean) - phi_bar), O(r d) per point. Gram
+        path: W^T K_c with K_c the cross-Gram against the training domain,
+        centered like its Gram. The two agree, as F_c F_c^T V = V Lambda:
+        W^T K_c = V^T F_c F_c^T (phi - phi_bar) / lambda = V^T (phi - phi_bar).
+        """
+        Xm = _as_matrix(X) - mean[:, None]
+        if self.path == "features":
+            F = _feature_map(Xm, self.spec, self.feature_range)
+            return basis.P.T @ (F - feature_mean[:, None])
+        K = kernel_matrix(train, Xm, self.spec, self.feature_range)
+        return W.T @ _double_center_cross(K, *gram_means)
+
     def project_source(self, X) -> np.ndarray:
-        Xm = _as_matrix(X) - self.mean_s[:, None]
-        K = _double_center_cross(
-            kernel_matrix(self.Xs, Xm, self.spec, self.feature_range), *self.gram_means_s
+        return self.M_star.T @ self._coords(
+            X, self.mean_s, self.basis_s, self.feature_mean_s, self.Xs, self.gram_means_s, self.Ws
         )
-        return self.M_star.T @ (self.Ws.T @ K)
 
     def project_target(self, X) -> np.ndarray:
-        Xm = _as_matrix(X) - self.mean_t[:, None]
-        K = _double_center_cross(
-            kernel_matrix(self.Xt, Xm, self.spec, self.feature_range), *self.gram_means_t
+        return self._coords(
+            X, self.mean_t, self.basis_t, self.feature_mean_t, self.Xt, self.gram_means_t, self.Wt
         )
-        return self.Wt.T @ K
 
     def similarity(self, xs: np.ndarray, xt: np.ndarray) -> float:
         zs = self.project_source(np.asarray(xs, float)[:, None])
@@ -555,8 +577,8 @@ def _feature_kpca(F: np.ndarray, d: int):
 
     Returns the centered features F_c, their `pca_subspace` basis V signed
     so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
-    `_fix_signs`, the weights W = F_c^T V / lambda and the Gram means
-    (F^T phi_bar, |phi_bar|^2)."""
+    `_fix_signs`, the weights W = F_c^T V / lambda and the feature mean
+    phi_bar."""
     mean = F.mean(axis=1)
     Fc = F - mean[:, None]
     if d > min(Fc.shape):
@@ -567,7 +589,7 @@ def _feature_kpca(F: np.ndarray, d: int):
     U = Fc.T @ basis.P
     signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(d)])
     basis = replace(basis, P=basis.P * signs)
-    return Fc, basis, U * (signs / basis.eigenvalues), (F.T @ mean, float(mean @ mean))
+    return Fc, basis, U * (signs / basis.eigenvalues), mean
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
@@ -595,10 +617,11 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     # one feature map for every Gram matrix and projection
     fitted = _feature_range(Xs_c.samples, Xt_c.samples)
     if spec.kind in FEATURE_KINDS:
-        Fs, Bs, Ws, means_s = _feature_kpca(_feature_map(Xs_c.samples, spec, fitted), d)
-        Ft, Bt, Wt, means_t = _feature_kpca(_feature_map(Xt_c.samples, spec, fitted), d)
+        Fs, Bs, Ws, phi_bar_s = _feature_kpca(_feature_map(Xs_c.samples, spec, fitted), d)
+        Ft, Bt, Wt, phi_bar_t = _feature_kpca(_feature_map(Xt_c.samples, spec, fitted), d)
         art = build_alignment(Bs, Bt, Fs, Ft)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
+        means_s = means_t = None
     else:
         Kss = kernel_matrix(Xs_c, Xs_c, spec, fitted)
         Ktt = kernel_matrix(Xt_c, Xt_c, spec, fitted)
@@ -610,7 +633,8 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
         Z_a = M.T @ (Ws.T @ _double_center(Kss))
         Z_t = Wt.T @ _double_center(Ktt)
         means_s, means_t = _gram_means(Kss), _gram_means(Ktt)
+        phi_bar_s = phi_bar_t = None
     return KernelAlignment(
-        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, means_s, means_t,
+        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, phi_bar_s, phi_bar_t, means_s, means_t,
         Ws, Wt, M, Z_a, Z_t, Bs, Bt,
     )

@@ -87,20 +87,21 @@ class DomainShift:
     scale: float = 1.0
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        """The shifted copy of X (X is not modified), built in one array."""
         D = X.shape[0]
-        out = X.copy()
-        if D >= 2 and self.rotation_angle != 0.0:
-            c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
-            top = out[:2].copy()
-            out[0] = c * top[0] - s * top[1]
-            out[1] = s * top[0] + c * top[1]
-        out *= self.scale
         t = np.asarray(self.translation, dtype=float)
         if t.ndim == 0:
             t = np.full(D, float(t))
         if t.shape != (D,):
             raise ConfigurationError(f"translation length {t.shape} != D={D}")
-        return out + t[:, None]
+        out = np.multiply(X, self.scale)
+        if D >= 2 and self.rotation_angle != 0.0:
+            c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
+            # rotate first, then scale, as for the other rows
+            out[0] = (c * X[0] - s * X[1]) * self.scale
+            out[1] = (s * X[0] + c * X[1]) * self.scale
+        out += t[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,17 @@ def _class_labels(spec: SynthSpec) -> np.ndarray:
 
 
 def _draw(spec: SynthSpec, rng: np.random.Generator, n: int):
+    """n labelled points: class means plus sigma-scaled noise. The means are
+    nonzero only in row 0, so the noise is scaled in place and the means are
+    added to row 0 only; the samples equal means[:, classes] + sigma * Z."""
     means = _class_means(spec)
     label_values = _class_labels(spec)
     classes = rng.integers(0, spec.class_count, size=n)
-    X = means[:, classes] + spec.noise_sigma * rng.standard_normal((spec.D, n))
+    X = rng.standard_normal((spec.D, n))
+    X *= spec.noise_sigma
+    if spec.noise_sigma == 0:
+        X[1:] = 0.0  # 0 * z is -0.0 for z < 0; adding the zero mean gives +0.0
+    X[0] += means[0, classes]
     return X, label_values[classes]
 
 

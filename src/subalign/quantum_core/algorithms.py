@@ -20,9 +20,11 @@ from .state import ShotPlan
 
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
-# working values per block of an amplitude-estimation readout or of a
-# lockstep minimum search: temporaries stay a few KiB however many entries
-# or searches a call has
+# searches per block of a lockstep minimum search, and twice the entries per
+# block of an amplitude-estimation readout, however many a call has. The
+# exact AE readout evaluates two outcomes per entry (a few KiB per block); a
+# sampled one builds each entry's full 2^m-outcome distribution, a peak of
+# about 6 MiB per block at m = 10 (128 x 1024 floats are 1 MiB per array)
 BLOCK_ELEMENTS = 2**8
 
 
@@ -87,8 +89,9 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     with probability >= 8/pi^2. Outcomes k and 2^m - k read out the same
     amplitude, so k is folded into [0, 2^(m-1)] before the readout: the
     result takes one of exactly 2^(m-1) + 1 values. Entries are read out in
-    blocks of at most BLOCK_ELEMENTS working values, so memory stays bounded
-    whatever the size of ``amps``; draws are taken in entry order.
+    blocks of BLOCK_ELEMENTS // 2, so memory stays bounded whatever the size
+    of ``amps``; draws are taken in entry order, so the blocking does not
+    change them.
     """
     if not 1 <= m <= MAX_AE_QUBITS:
         raise ConfigurationError(f"m must be in 1..{MAX_AE_QUBITS}")
@@ -99,7 +102,7 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     lattice = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
     flat = amps.reshape(-1)
     out = np.empty(flat.size)
-    rows = max(1, BLOCK_ELEMENTS // (2 if rng is None else N))
+    rows = BLOCK_ELEMENTS // 2
     for lo in range(0, flat.size, rows):
         k = _ae_outcomes(np.clip(flat[lo : lo + rows], 0.0, 1.0), m, rng)
         out[lo : lo + rows] = lattice[np.minimum(k, N - k)]

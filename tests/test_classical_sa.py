@@ -231,6 +231,30 @@ class TestNnClassify:
         pred = csa.nn_classify(train, np.arange(n_s), queries)
         assert np.array_equal(pred, np.repeat([300, 5], k))
 
+    def test_clamped_single_block_matches_dense_reference(self):
+        # the quantum-caps shape: all 200 queries fit one block of 200 rows
+        n_s, n_t = 15, 200
+        assert csa.NN_BLOCK_ELEMENTS // n_s > n_t
+        rng = np.random.default_rng(24)
+        train = rng.standard_normal((4, n_s))
+        queries = rng.standard_normal((4, n_t))
+        pred = csa.nn_classify(train, np.arange(n_s), queries)
+        assert np.array_equal(pred, self._dense_nearest(train, queries))
+
+    def test_far_from_origin_matches_direct_distances(self):
+        """Shifted by 1e3, ||t||^2 - 2 t.q cancels about 1e6 down to O(1);
+        every query whose two nearest sources are more than 1e-8 apart
+        (relative) still gets the nearest one."""
+        rng = np.random.default_rng(25)
+        train = rng.standard_normal((4, 1000)) + 1e3
+        queries = rng.standard_normal((4, 300)) + 1e3
+        pred = csa.nn_classify(train, np.arange(1000), queries)
+        d2 = np.sum((train[:, :, None] - queries[:, None, :]) ** 2, axis=0)
+        top2 = np.sort(d2, axis=0)[:2]
+        clear = top2[1] - top2[0] > 1e-8 * top2[1]
+        assert clear.sum() > 290
+        assert np.array_equal(pred[clear], np.argmin(d2, axis=0)[clear])
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             csa.nn_classify(np.zeros((3, 4)), np.arange(4), np.zeros((2, 5)))
@@ -557,13 +581,15 @@ class TestKernelAlignment:
 
         expect_s = fit.M_star.T @ fit.Ws.T @ two_gram(fit.Xs, fit.mean_s, fresh_s.samples)
         expect_t = fit.Wt.T @ two_gram(fit.Xt, fit.mean_t, fresh_t.samples)
+        # the feature path projects from the points' own features, no Gram
+        grams_per_call = 0 if kind in csa.FEATURE_KINDS else 1
         calls = []
         kernel_matrix = csa.kernel_matrix
         monkeypatch.setattr(csa, "kernel_matrix", lambda *a, **k: calls.append(1) or kernel_matrix(*a, **k))
         zs = fit.project_source(fresh_s.samples)
-        assert len(calls) == 1
+        assert len(calls) == grams_per_call
         zt = fit.project_target(fresh_t.samples)
-        assert len(calls) == 2
+        assert len(calls) == 2 * grams_per_call
         assert np.max(np.abs(zs - expect_s)) <= 1e-12
         assert np.max(np.abs(zt - expect_t)) <= 1e-12
 

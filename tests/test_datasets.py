@@ -60,6 +60,52 @@ class TestSynth:
         assert np.array_equal(t1.samples, t2.samples)
         assert np.array_equal(s1.labels, s2.labels)
 
+    @staticmethod
+    def _reference_draws(spec):
+        """The generator written out in full: means[:, classes] + sigma * Z
+        for both domains, then copy, rotate, scale and translate the target."""
+        rng = np.random.default_rng(spec.seed)
+        means = np.zeros((spec.D, spec.class_count))
+        means[0] = (np.arange(spec.class_count) - (spec.class_count - 1) / 2.0) * spec.class_separation
+        label_values = np.array([-1, 1]) if spec.class_count == 2 else np.arange(spec.class_count)
+        draws = []
+        for n in (spec.n_s, spec.n_t):
+            classes = rng.integers(0, spec.class_count, size=n)
+            X = means[:, classes] + spec.noise_sigma * rng.standard_normal((spec.D, n))
+            draws.append((X, label_values[classes]))
+        shift, X = spec.domain_shift, draws[1][0].copy()
+        if spec.D >= 2 and shift.rotation_angle != 0.0:
+            c, s = math.cos(shift.rotation_angle), math.sin(shift.rotation_angle)
+            top = X[:2].copy()
+            X[0] = c * top[0] - s * top[1]
+            X[1] = s * top[0] + c * top[1]
+        X *= shift.scale
+        t = np.broadcast_to(np.asarray(shift.translation, dtype=float), (spec.D,))
+        draws[1] = (X + t[:, None], draws[1][1])
+        return draws
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shift, sigma, classes", [
+        (DomainShift(), 1.0, 2),
+        (DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3), 1.0, 3),
+        (DomainShift(rotation_angle=0.7, translation=0.5, scale=0.8), 0.0, 3),
+        (DomainShift(), 0.0, 2),
+    ])
+    def test_samples_match_reference_formula_bitwise(self, seed, shift, sigma, classes):
+        spec = SynthSpec(D=4, n_s=50, n_t=60, class_count=classes, domain_shift=shift,
+                         noise_sigma=sigma, seed=seed)
+        for domain, (X, y) in zip(synth_shifted_gaussians(spec), self._reference_draws(spec)):
+            # tobytes also tells +0.0 from -0.0
+            assert domain.samples.tobytes() == X.tobytes()
+            assert np.array_equal(domain.labels, y)
+
+    def test_shift_leaves_its_input_unchanged(self):
+        X = np.random.default_rng(8).standard_normal((3, 10))
+        before = X.copy()
+        out = DomainShift(rotation_angle=0.4, translation=1.0, scale=2.0).apply(X)
+        assert np.array_equal(X, before)
+        assert not np.shares_memory(out, X)
+
     def test_target_labels_hidden(self):
         _, target = synth_shifted_gaussians(SynthSpec())
         assert target.visible_labels is None

@@ -232,6 +232,15 @@ class TestAmplitudeEstimation:
         assert np.array_equal(est.ravel(), one_by_one)
         assert np.unique(amplitude_estimation(np.full(200, 0.3), 4, rng)).size > 1
 
+    def test_sampled_blocks_draw_like_single_entries(self):
+        # 300 entries span three sampled blocks at m = 7, the last one short
+        amps = np.random.default_rng(6).uniform(0.0, 1.0, 300)
+        assert amps.size > 2 * (BLOCK_ELEMENTS // 2)
+        est = amplitude_estimation(amps, 7, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        one_by_one = [amplitude_estimation([a], 7, rng)[0] for a in amps]
+        assert np.array_equal(est, one_by_one)
+
 
 class TestSignedOverlap:
     def test_exact_returns_overlaps(self):
