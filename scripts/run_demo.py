@@ -3,8 +3,12 @@
 and quantum tracks side by side, and print the accuracy/parity summary."""
 import argparse
 import sys
+from pathlib import Path
 
-from subalign import harness
+# run from a plain checkout: the package lives in src/ next to this directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from subalign import harness  # noqa: E402
 
 
 def main() -> int:

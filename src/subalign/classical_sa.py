@@ -60,15 +60,19 @@ def _as_matrix(X) -> np.ndarray:
     return X.samples if isinstance(X, Domain) else np.asarray(X, dtype=float)
 
 
+def _lead_signs(V: np.ndarray) -> np.ndarray:
+    """-1 for every column whose largest-magnitude entry (the first such
+    entry on ties) is negative, +1 for the others."""
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
+
+
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of every column positive (first such
-    entry wins on ties), so eigenvector signs are deterministic."""
-    V = V.copy()
-    for k in range(V.shape[1]):
-        lead = np.argmax(np.abs(V[:, k]))
-        if V[lead, k] < 0:
-            V[:, k] = -V[:, k]
-    return V
+    """Make the largest-magnitude entry of every column positive, so
+    eigenvector signs are deterministic. The result is C-ordered: the
+    layout decides which BLAS path, and so which rounding, later products
+    take."""
+    return np.multiply(V, _lead_signs(V), order="C")
 
 
 @dataclass
@@ -587,7 +591,7 @@ def _feature_kpca(F: np.ndarray, d: int):
     if basis.eigenvalues[-1] <= RANK_FLOOR:
         raise _rank_deficient(d)
     U = Fc.T @ basis.P
-    signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(d)])
+    signs = _lead_signs(U)
     basis = replace(basis, P=basis.P * signs)
     return Fc, basis, U * (signs / basis.eigenvalues), mean
 

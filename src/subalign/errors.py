@@ -25,10 +25,6 @@ class RangeError(SubalignError):
     """A scalar map leaves its admissible range."""
 
 
-class PrecisionError(SubalignError):
-    """Phase-register resolution is insufficient for the requested task."""
-
-
 class IllConditionedError(SubalignError):
     """A linear system is numerically singular."""
 

@@ -330,8 +330,19 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
 
     if config.track in ("quantum", "both"):
         t0 = time.perf_counter()
-        q_Ps = qsa.qpca(source_c, config.d, config.precision_qubits).basis
-        q_Pt = qsa.qpca(target_c, config.d, config.precision_qubits).basis
+        q_bases = []
+        for domain, data in (("source", source_c), ("target", target_c)):
+            res = qsa.qpca(data, config.d, config.precision_qubits)
+            # the outcome k each basis vector read out at, the readout gap at
+            # the cut (eigenvalue units) and the lattice-tie warnings
+            trace.append({
+                "seed": seed, "stage": "qpca", "domain": domain,
+                "outcomes": [round(p * 2**config.precision_qubits) for p in res.sampled_eigenphases],
+                "gap": res.basis.gap, "warnings": res.basis.warnings,
+            })
+            q_bases.append(res.basis)
+        del res  # its outcome distribution would stay alive through the classifiers
+        q_Ps, q_Pt = q_bases
         chain = qsa.q_build_alignment(
             q_Ps, q_Pt, source_c, target_c,
             precision_qubits=config.precision_qubits,

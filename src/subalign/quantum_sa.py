@@ -9,18 +9,13 @@ the classical track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classical_sa import SubspaceBasis, _as_matrix, _factor_pair, _fix_signs, ls_svm_system
 from .datasets import Domain
-from .errors import (
-    ConfigurationError,
-    IllConditionedError,
-    PostselectionError,
-    PrecisionError,
-)
+from .errors import ConfigurationError, IllConditionedError, PostselectionError
 from .quantum_core import (
     ShotPlan,
     amplitude_estimation,
@@ -53,9 +48,7 @@ QNN_MAX_SOURCES = 64
 class QpcaResult:
     basis: SubspaceBasis
     sampled_eigenphases: np.ndarray
-    precision_qubits: int
     outcome_probabilities: np.ndarray  # precision-register distribution, k = 0..2^n-1
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -104,8 +97,11 @@ def qpca(
     covariance state rho = X X^T / tr(X X^T), the reduced state of the
     column encoding sum_i |i>|x_i> once the index register is traced out.
 
-    Eigenvalues are recovered from the sampled eigenphases as
-    lambda = 2 pi phase / t0 (times the covariance trace).
+    Each eigenvector reads out at the most probable outcome of its own
+    phase-estimation distribution, and the d highest readouts form the
+    basis. Eigenvalues are recovered from the readout phases as
+    lambda = 2 pi phase / t0 (times the covariance trace); the basis gap is
+    the readout gap at the cut.
     """
     M = _as_matrix(X)
     D, n = M.shape
@@ -118,75 +114,34 @@ def qpca(
         raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")
 
     lam, U = np.linalg.eigh(M @ M.T / cov_trace)
-    order = np.argsort(lam)[::-1]
-    lam, U = np.maximum(lam[order], 0.0), U[:, order]
+    lam = np.maximum(lam, 0.0)
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
-    phases = lam * t0 / (2 * math.pi)
     N = 2**precision_qubits
-    weights = lam[:, None] * pe_outcome_kernel(phases, precision_qubits)  # (eigvec, outcome)
-    outcome_prob = weights.sum(axis=0)
-
-    # Eigenphases live below 1/2 by the choice of t0, so outcomes in the
-    # upper half of the lattice are aliasing tails; scan only local maxima
-    # of the lower half, largest phase first.
-    half = N // 2
-    lower = outcome_prob[:half]
-    maxima = [
-        k
-        for k in range(half - 1, -1, -1)
-        if (k == 0 or lower[k] >= lower[k - 1])
-        and (k == half - 1 or lower[k] >= lower[k + 1])
-    ]
-    # when the lattice is too coarse for distinct peaks, fall back to the
-    # remaining outcomes (their conditional states still separate vectors)
-    candidates = maxima + [k for k in range(half - 1, -1, -1) if k not in maxima]
-    selected_vecs: list[np.ndarray] = []
-    selected_phases: list[float] = []
-    warnings: list[str] = []
-    for k in candidates:
-        if len(selected_vecs) >= d:
-            break
-        if outcome_prob[k] < 1e-8:
-            continue
-        cond = weights[:, k] / outcome_prob[k]
-        for j in np.argsort(cond)[::-1]:
-            if len(selected_vecs) >= d or cond[j] < 0.25:
-                break
-            v = U[:, j].copy()
-            for s in selected_vecs:
-                v -= (s @ v) * s
-            if np.linalg.norm(v) < 0.5:
-                continue
-            selected_vecs.append(v / np.linalg.norm(v))
-            selected_phases.append(k / N)
-    if len(selected_vecs) >= d:
-        order_sel = np.argsort(selected_phases)[::-1]
-        selected_vecs = [selected_vecs[i] for i in order_sel]
-        selected_phases = [selected_phases[i] for i in order_sel]
-    if len(selected_vecs) < d:
-        gaps = np.abs(np.diff(phases[: d + 1]))
-        raise PrecisionError(
-            f"could not separate the top-{d} eigenphases at {precision_qubits} "
-            f"precision qubits (phase gaps {gaps})"
-        )
-    if any(
-        abs(selected_phases[i] - selected_phases[i + 1]) < 1.0 / N
-        for i in range(d - 1)
-    ):
+    rows = pe_outcome_kernel(lam * t0 / (2 * math.pi), precision_qubits)  # (eigvec, outcome)
+    # Each eigenvector reads out at its own most probable outcome k. Inside a
+    # lattice cell, (P(k+1) - P(k-1)) / P(k) rises with the eigenphase and
+    # stays defined on the lattice, where P(k) = 1 and P(k+-1) = 0; it orders
+    # eigenvectors that share an outcome. Two of them whose statistics differ
+    # by no more than float resolution cannot be told apart.
+    k = np.argmax(rows, axis=1)
+    idx = np.arange(len(k))
+    tilt = (rows[idx, (k + 1) % N] - rows[idx, (k - 1) % N]) / rows[idx, k]
+    order = np.lexsort((-tilt, -k))
+    top = order[: d + 1]
+    warnings = []
+    if np.any((np.diff(k[top]) == 0) & (np.diff(tilt[top]) >= -np.finfo(float).eps)):
         warnings.append(
-            f"eigenphase gap below the 2^-{precision_qubits} lattice; "
-            "top subspace is only determined up to rotation"
+            f"eigenvectors share an outcome at {precision_qubits} precision qubits "
+            "and cannot be told apart; top subspace is only determined up to rotation"
         )
-
-    P = _fix_signs(np.stack(selected_vecs, axis=1))
-    eigvals = np.array(selected_phases) * 2 * math.pi / t0 * cov_trace
-    basis = SubspaceBasis(P, eigvals, list(warnings))
+    phases = k[order] / N
+    eigvals = phases * 2 * math.pi / t0 * cov_trace
+    gap = float(eigvals[d - 1] - (eigvals[d] if d < D else 0.0))
+    basis = SubspaceBasis(_fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
     return QpcaResult(
         basis=basis,
-        sampled_eigenphases=np.array(selected_phases),
-        precision_qubits=precision_qubits,
-        outcome_probabilities=outcome_prob,
-        warnings=warnings,
+        sampled_eigenphases=phases[:d],
+        outcome_probabilities=lam @ rows,
     )
 
 

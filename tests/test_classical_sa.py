@@ -56,6 +56,22 @@ class TestPcaSubspace:
                 np.linalg.norm(basis.P[:, k] + V[:, k]),
             ) < 1e-10
 
+    def test_fix_signs_matches_column_loop(self):
+        def loop(V):  # the per-column rule, as reference
+            V = V.copy()
+            for k in range(V.shape[1]):
+                if V[np.argmax(np.abs(V[:, k])), k] < 0:
+                    V[:, k] = -V[:, k]
+            return V
+
+        rng = np.random.default_rng(3)
+        V = rng.uniform(-0.4, 0.4, (6, 4))
+        V[:2, 0] = [0.5, -0.5]  # ties on magnitude: the first entry wins
+        V[:2, 1] = [-0.5, 0.5]
+        for M in (V, np.asfortranarray(V), V[:, ::-1]):
+            out = csa._fix_signs(M)
+            assert out.flags.c_contiguous and out.tobytes() == loop(M).tobytes()
+
     def test_d_out_of_range(self):
         with pytest.raises(ConfigurationError):
             csa.pca_subspace(np.ones((2, 4)), 3)

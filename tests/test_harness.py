@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,8 @@ import pytest
 
 from subalign import classical_sa as csa
 from subalign import cli, harness
-from subalign.datasets import SynthSpec, save_csv, synth_shifted_gaussians
+from subalign import quantum_sa as qsa
+from subalign.datasets import SynthSpec, center_columns, save_csv, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
@@ -157,6 +159,22 @@ class TestRun:
                 assert row[f"gap_{dom}"] == basis.gap
             assert row["warnings"] == fit.warnings
 
+    def test_qpca_trace_row_per_domain_and_seed(self, tmp_path):
+        cfg = _config(tmp_path, "track = both\nquantum.exact_theta = true\n")
+        run(cfg)
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        rows = [row for row in rows if row["stage"] == "qpca"]
+        assert [(row["seed"], row["domain"]) for row in rows] == [
+            (0, "source"), (0, "target"), (1, "source"), (1, "target")
+        ]
+        for row in rows:
+            pair = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
+            data = center_columns(pair[row["domain"] == "target"])[0]
+            res = qsa.qpca(data, cfg.d, cfg.precision_qubits)
+            assert row["outcomes"] == [round(p * 2**cfg.precision_qubits) for p in res.sampled_eigenphases]
+            assert row["gap"] == res.basis.gap and np.isfinite(row["gap"])
+            assert row["warnings"] == res.basis.warnings
+
     def test_sampled_svm_tolerance_is_shot_bound(self, tmp_path, monkeypatch):
         """The sampled svm_labels tolerance is 0.02 plus the mean Hoeffding
         flip bound exp(-shots r^2 / 2) over the exact overlaps r, plus
@@ -254,6 +272,22 @@ class TestImport:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestDemo:
+    def test_demo_runs_from_a_plain_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"
+        env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, str(script), "--output-dir", str(tmp_path / "demo")],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        verdicts = [
+            line.split()[-1] for line in out.stdout.splitlines()
+            if line.split()[:1] in (["M_star"], ["X_hat_a"], ["nn_labels"])
+        ]
+        assert verdicts == ["ok", "ok", "ok"]
 
 
 class TestCompareTracks:

@@ -31,7 +31,7 @@ class TestQpca:
     def test_degenerate_spectrum_warns_but_spans(self):
         X = np.hstack([np.eye(2), -np.eye(2)])  # isotropic: equal eigenvalues
         res = qsa.qpca(X, 2, precision_qubits=8)
-        assert res.warnings
+        assert res.basis.warnings
         P = res.basis.P
         assert np.max(np.abs(P @ P.T - np.eye(2))) <= 1e-10
 
@@ -64,6 +64,48 @@ class TestQpca:
             ]
             medians.append(np.median(errs))
         assert all(medians[i + 1] <= medians[i] + 1e-9 for i in range(3))
+
+    @staticmethod
+    def _caps_domain(seed, which):
+        """A centered domain of the quantum-caps shape (D=16, n_s=15, n_t=200)."""
+        pair = synth_shifted_gaussians(SynthSpec(D=16, n_s=15, n_t=200, seed=seed))
+        return center_columns(pair[which])[0].samples
+
+    @staticmethod
+    def _projector_distance(X, res):
+        c = csa.pca_subspace(X, res.basis.d)
+        return np.linalg.norm(res.basis.P @ res.basis.P.T - c.P @ c.P.T, 2)
+
+    def test_each_eigenvector_reads_out_at_its_own_outcome(self):
+        # target eigenphases 30.67, 9.29, 8.63, 8.02, 7.56 lattice steps: a
+        # scan of the summed distribution took side lobes (outcomes 6, 6, 4)
+        X = self._caps_domain(0, 1)
+        res = qsa.qpca(X, 4, precision_qubits=8)
+        assert np.rint(res.sampled_eigenphases * 256).tolist() == [31, 9, 9, 8]
+        assert self._projector_distance(X, res) < 1e-10
+
+    def test_shared_outcome_ordered_by_own_distribution(self):
+        # three eigenvectors at 8.199, 7.916 and 7.742 lattice steps share
+        # outcome 8; the top two of them belong to the basis
+        X = self._caps_domain(9, 1)
+        res = qsa.qpca(X, 4, precision_qubits=8)
+        assert np.rint(res.sampled_eigenphases * 256).tolist() == [32, 9, 8, 8]
+        assert res.basis.warnings == []
+        _, U = np.linalg.eigh(X @ X.T)
+        kept = np.linalg.norm(res.basis.P.T @ U[:, ::-1][:, 2:5], axis=0)
+        assert np.allclose(kept, [1.0, 1.0, 0.0], atol=1e-10)
+        assert self._projector_distance(X, res) < 1e-10
+
+    def test_rank_deficient_source_reads_out_cleanly(self):
+        # n_s = 15 < D = 16: centered, rho has two zero eigenvalues, whose
+        # phases sit on the lattice with P(k +- 1) = 0
+        X = self._caps_domain(0, 0)
+        with np.errstate(divide="raise", invalid="raise"):
+            res = qsa.qpca(X, 4, precision_qubits=8)
+        assert res.basis.warnings == []
+        # readouts 46, 21, 15, 10; the fifth eigenvector reads out at 8
+        assert res.basis.gap == pytest.approx(2 / 256 * 2 / 0.95 * np.sum(X * X), rel=1e-12)
+        assert self._projector_distance(X, res) < 1e-10
 
     def test_dimension_cap(self):
         with pytest.raises(ConfigurationError):
