@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datasets import Domain, center_columns
+from .datasets import Domain
 from .errors import (
     ConfigurationError,
     IllConditionedError,
@@ -501,20 +501,10 @@ class KernelAlignment:
 
     ``basis_s`` and ``basis_t`` are each domain's kernel-PCA basis: r-dim
     feature directions on the feature path, n-dim eigenvectors of the
-    double-centered Gram matrix on the Gram path. A new point is projected
-    from its own features on the feature path, and through one cross-Gram
-    matrix against the training domain on the Gram path."""
+    double-centered Gram matrix on the Gram path."""
 
     spec: KernelSpec
-    Xs: Domain
-    Xt: Domain
-    mean_s: np.ndarray
-    mean_t: np.ndarray
     feature_range: tuple[np.ndarray, np.ndarray]  # (lo, span) of the centered domains
-    feature_mean_s: np.ndarray | None  # phi_bar of the source features (feature path)
-    feature_mean_t: np.ndarray | None  # phi_bar of the target features (feature path)
-    gram_means_s: tuple[np.ndarray, float] | None  # row and grand means of K_ss (Gram path)
-    gram_means_t: tuple[np.ndarray, float] | None  # row and grand means of K_tt (Gram path)
     Ws: np.ndarray
     Wt: np.ndarray
     M_star: np.ndarray
@@ -535,56 +525,14 @@ class KernelAlignment:
             for w in basis.warnings
         ]
 
-    def _coords(self, X, mean, basis, feature_mean, train, gram_means, W) -> np.ndarray:
-        """Kernel-PCA coordinates of the columns of X in one domain's basis.
-
-        Feature path: V^T (phi(x - mean) - phi_bar), O(r d) per point. Gram
-        path: W^T K_c with K_c the cross-Gram against the training domain,
-        centered like its Gram. The two agree, as F_c F_c^T V = V Lambda:
-        W^T K_c = V^T F_c F_c^T (phi - phi_bar) / lambda = V^T (phi - phi_bar).
-        """
-        Xm = _as_matrix(X) - mean[:, None]
-        if self.path == "features":
-            F = _feature_map(Xm, self.spec, self.feature_range)
-            return basis.P.T @ (F - feature_mean[:, None])
-        K = kernel_matrix(train, Xm, self.spec, self.feature_range)
-        return W.T @ _double_center_cross(K, *gram_means)
-
-    def project_source(self, X) -> np.ndarray:
-        return self.M_star.T @ self._coords(
-            X, self.mean_s, self.basis_s, self.feature_mean_s, self.Xs, self.gram_means_s, self.Ws
-        )
-
-    def project_target(self, X) -> np.ndarray:
-        return self._coords(
-            X, self.mean_t, self.basis_t, self.feature_mean_t, self.Xt, self.gram_means_t, self.Wt
-        )
-
-    def similarity(self, xs: np.ndarray, xt: np.ndarray) -> float:
-        zs = self.project_source(np.asarray(xs, float)[:, None])
-        zt = self.project_target(np.asarray(xt, float)[:, None])
-        return float(zs[:, 0] @ zt[:, 0])
-
-
-def _double_center_cross(Kxy: np.ndarray, row_mean: np.ndarray, grand_mean: float) -> np.ndarray:
-    """Center a cross-Gram K(train, query) consistently with a double-centered
-    training Gram K(train, train), given by its row means and grand mean."""
-    return Kxy - Kxy.mean(axis=0, keepdims=True) - row_mean[:, None] + grand_mean
-
-
-def _gram_means(K: np.ndarray) -> tuple[np.ndarray, float]:
-    return K.mean(axis=1), float(K.mean())
-
 
 def _feature_kpca(F: np.ndarray, d: int):
     """Kernel PCA of one domain through its feature columns F (r x n).
 
     Returns the centered features F_c, their `pca_subspace` basis V signed
     so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
-    `_fix_signs`, the weights W = F_c^T V / lambda and the feature mean
-    phi_bar."""
-    mean = F.mean(axis=1)
-    Fc = F - mean[:, None]
+    `_fix_signs`, and the weights W = F_c^T V / lambda."""
+    Fc = F - F.mean(axis=1)[:, None]
     if d > min(Fc.shape):
         raise _rank_deficient(d)
     basis = pca_subspace(Fc, d)
@@ -593,13 +541,13 @@ def _feature_kpca(F: np.ndarray, d: int):
     U = Fc.T @ basis.P
     signs = _lead_signs(U)
     basis = replace(basis, P=basis.P * signs)
-    return Fc, basis, U * (signs / basis.eigenvalues), mean
+    return Fc, basis, U * (signs / basis.eigenvalues)
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
-    """Run the kernel-SA pipeline: center both domains, fit one hard-kernel
-    feature range on them, take each domain's kernel-PCA basis and align the
-    two feature subspaces.
+    """Run the kernel-SA pipeline on two centered domains (as `pca_subspace`
+    takes them): fit one hard-kernel feature range on them, take each
+    domain's kernel-PCA basis and align the two feature subspaces.
 
     A domain's state sum_i |i>|phi(x_i) - phi_bar> has the reduced states
     F_c^T F_c (index register: the double-centered Gram K_c) and F_c F_c^T
@@ -616,29 +564,21 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     - Polynomial (D^p features) and cosine (2^D) take the Gram path: three
       Gram matrices and `kernel_pca` of K_ss and K_tt.
     """
-    Xs_c, mean_s = center_columns(Xs)
-    Xt_c, mean_t = center_columns(Xt)
-    # one feature map for every Gram matrix and projection
-    fitted = _feature_range(Xs_c.samples, Xt_c.samples)
+    # one feature map for every Gram matrix
+    fitted = _feature_range(Xs.samples, Xt.samples)
     if spec.kind in FEATURE_KINDS:
-        Fs, Bs, Ws, phi_bar_s = _feature_kpca(_feature_map(Xs_c.samples, spec, fitted), d)
-        Ft, Bt, Wt, phi_bar_t = _feature_kpca(_feature_map(Xt_c.samples, spec, fitted), d)
+        Fs, Bs, Ws = _feature_kpca(_feature_map(Xs.samples, spec, fitted), d)
+        Ft, Bt, Wt = _feature_kpca(_feature_map(Xt.samples, spec, fitted), d)
         art = build_alignment(Bs, Bt, Fs, Ft)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
-        means_s = means_t = None
     else:
-        Kss = kernel_matrix(Xs_c, Xs_c, spec, fitted)
-        Ktt = kernel_matrix(Xt_c, Xt_c, spec, fitted)
-        Kst = kernel_matrix(Xs_c, Xt_c, spec, fitted)
+        Kss = kernel_matrix(Xs, Xs, spec, fitted)
+        Ktt = kernel_matrix(Xt, Xt, spec, fitted)
+        Kst = kernel_matrix(Xs, Xt, spec, fitted)
         Bs, Bt = kernel_pca(Kss, d), kernel_pca(Ktt, d)
         Ws, Wt = (B.P / np.sqrt(B.eigenvalues) for B in (Bs, Bt))
         # cross-Gram centered against both domain means
         M = kernel_alignment(Ws, _double_center(Kst), Wt)
         Z_a = M.T @ (Ws.T @ _double_center(Kss))
         Z_t = Wt.T @ _double_center(Ktt)
-        means_s, means_t = _gram_means(Kss), _gram_means(Ktt)
-        phi_bar_s = phi_bar_t = None
-    return KernelAlignment(
-        spec, Xs_c, Xt_c, mean_s, mean_t, fitted, phi_bar_s, phi_bar_t, means_s, means_t,
-        Ws, Wt, M, Z_a, Z_t, Bs, Bt,
-    )
+    return KernelAlignment(spec, fitted, Ws, Wt, M, Z_a, Z_t, Bs, Bt)

@@ -3,6 +3,12 @@
 Internally samples are stored column-wise (a D x n matrix, one column per
 point). CSV files are row-wise (one row per sample), matching the common
 convention; `load_csv`/`save_csv` transpose accordingly.
+
+Ownership: `synth_shifted_gaussians` and `load_csv` return fresh arrays that
+belong to the caller. The harness centers the domains it loads in place
+(`center_columns_in_place`) and keeps no raw copy; `center_columns` leaves
+its input alone and returns a centered copy. Both run the same arithmetic,
+so their results are bitwise identical.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "center_columns",
+    "center_columns_in_place",
 ]
 
 
@@ -87,21 +94,26 @@ class DomainShift:
     scale: float = 1.0
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """The shifted copy of X (X is not modified), built in one array."""
+        """The shifted copy of X (X is not modified)."""
+        out = np.array(X, dtype=float)
+        self._apply_in_place(out)
+        return out
+
+    def _apply_in_place(self, X: np.ndarray) -> None:
+        """Shift the float array X in place: rotate rows 0 and 1, scale every
+        row, then translate."""
         D = X.shape[0]
         t = np.asarray(self.translation, dtype=float)
         if t.ndim == 0:
             t = np.full(D, float(t))
         if t.shape != (D,):
             raise ConfigurationError(f"translation length {t.shape} != D={D}")
-        out = np.multiply(X, self.scale)
         if D >= 2 and self.rotation_angle != 0.0:
             c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
-            # rotate first, then scale, as for the other rows
-            out[0] = (c * X[0] - s * X[1]) * self.scale
-            out[1] = (s * X[0] + c * X[1]) * self.scale
-        out += t[:, None]
-        return out
+            x0, x1 = c * X[0] - s * X[1], s * X[0] + c * X[1]
+            X[0], X[1] = x0, x1
+        X *= self.scale
+        X += t[:, None]
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,7 @@ def synth_shifted_gaussians(spec: SynthSpec) -> tuple[Domain, Domain]:
     rng = np.random.default_rng(spec.seed)
     Xs, ys = _draw(spec, rng, spec.n_s)
     Xt, yt = _draw(spec, rng, spec.n_t)
-    Xt = spec.domain_shift.apply(Xt)
+    spec.domain_shift._apply_in_place(Xt)  # Xt is this call's own draw
     source = Domain(Xs, ys, name="source")
     target = Domain(Xt, yt, name="target", labels_hidden=True)
     return source, target
@@ -232,9 +244,17 @@ def save_csv(domain: Domain, path: str, header: bool = False) -> None:
             writer.writerow(row)
 
 
-def center_columns(domain: Domain) -> tuple[Domain, np.ndarray]:
-    """Remove the per-feature mean; returns the centered domain and the mean
-    vector for reuse on query points."""
+def center_columns_in_place(domain: Domain) -> np.ndarray:
+    """Subtract the per-feature mean from ``domain.samples`` in place and
+    return the mean vector. The caller must own the samples array."""
     mean = domain.samples.mean(axis=1)
-    centered = replace(domain, samples=domain.samples - mean[:, None])
-    return centered, mean
+    domain.samples -= mean[:, None]
+    return mean
+
+
+def center_columns(domain: Domain) -> tuple[Domain, np.ndarray]:
+    """Remove the per-feature mean from a copy of the domain (``domain`` is
+    not modified); returns the centered domain and the mean vector for reuse
+    on query points."""
+    centered = replace(domain, samples=domain.samples.copy(order="K"))
+    return centered, center_columns_in_place(centered)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classical_sa as csa
 from . import quantum_sa as qsa
-from .datasets import Domain, DomainShift, SynthSpec, center_columns, load_csv
+from .datasets import Domain, DomainShift, SynthSpec, center_columns_in_place, load_csv
 from .errors import ConfigurationError, SubalignError
 from .quantum_core import ShotPlan
 
@@ -274,18 +274,20 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     source, target = _load_pair(config, seed)
     if config.dataset is None:
         config.check_quantum_caps(source.dim, source.n)
-    source_c, _ = center_columns(source)
-    target_c, _ = center_columns(target)
+    # the pair was loaded for this seed alone, so it is centered in place:
+    # every track works on the centered domains, and no raw copy is kept
+    center_columns_in_place(source)
+    center_columns_in_place(target)
     accuracy, parity, timings, trace = [], [], [], []
 
     t0 = time.perf_counter()
-    Ps = csa.pca_subspace(source_c, config.d)
-    Pt = csa.pca_subspace(target_c, config.d)
-    art = csa.build_alignment(Ps, Pt, source_c, target_c)
+    Ps = csa.pca_subspace(source, config.d)
+    Pt = csa.pca_subspace(target, config.d)
+    art = csa.build_alignment(Ps, Pt, source, target)
     A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
     timings.append({"seed": seed, "stage": "classical_align", "seconds": time.perf_counter() - t0})
 
-    ys = source_c.visible_labels
+    ys = source.visible_labels
     want_nn = config.classifier in ("nn", "both")
     want_svm = config.classifier in ("svm", "both")
     # the classical labels are both the classical track's output and the
@@ -294,18 +296,18 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     if want_nn:
         nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
     if want_svm:
-        svm_model = csa.svm_train(source_c, A_factors, config.gamma)
-        svm_pred = csa.svm_classify(svm_model, target_c.samples)
+        svm_model = csa.svm_train(source, A_factors, config.gamma)
+        svm_pred = csa.svm_classify(svm_model, target.samples)
     if config.track in ("classical", "both"):
         if want_nn:
             accuracy.append(
                 {"seed": seed, "track": "classical", "classifier": "nn",
-                 "accuracy": _accuracy(nn_pred, target_c)}
+                 "accuracy": _accuracy(nn_pred, target)}
             )
         if want_svm:
             accuracy.append(
                 {"seed": seed, "track": "classical", "classifier": "svm",
-                 "accuracy": _accuracy(svm_pred, target_c)}
+                 "accuracy": _accuracy(svm_pred, target)}
             )
     timings.append({"seed": seed, "stage": "classical_classify", "seconds": time.perf_counter() - t0})
 
@@ -324,34 +326,34 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         })
         accuracy.append(
             {"seed": seed, "track": "kernel", "classifier": "nn",
-             "accuracy": _accuracy(pred, target_c)}
+             "accuracy": _accuracy(pred, target)}
         )
         timings.append({"seed": seed, "stage": "kernel_track", "seconds": time.perf_counter() - t0})
 
     if config.track in ("quantum", "both"):
         t0 = time.perf_counter()
         q_bases = []
-        for domain, data in (("source", source_c), ("target", target_c)):
+        for domain, data in (("source", source), ("target", target)):
             res = qsa.qpca(data, config.d, config.precision_qubits)
             # the outcome k each basis vector read out at, the readout gap at
             # the cut (eigenvalue units) and the lattice-tie warnings
             trace.append({
                 "seed": seed, "stage": "qpca", "domain": domain,
-                "outcomes": [round(p * 2**config.precision_qubits) for p in res.sampled_eigenphases],
+                "outcomes": res.outcomes.tolist(),
                 "gap": res.basis.gap, "warnings": res.basis.warnings,
             })
             q_bases.append(res.basis)
         del res  # its outcome distribution would stay alive through the classifiers
         q_Ps, q_Pt = q_bases
         chain = qsa.q_build_alignment(
-            q_Ps, q_Pt, source_c, target_c,
+            q_Ps, q_Pt, source, target,
             precision_qubits=config.precision_qubits,
             exact_theta=config.exact_theta,
         )
         timings.append({"seed": seed, "stage": "quantum_align", "seconds": time.perf_counter() - t0})
         classical_ref = {
             "M": art.M_star,
-            "X_hat_s": Ps.P.T @ source_c.samples,
+            "X_hat_s": Ps.P.T @ source.samples,
             "X_hat_a": art.X_hat_a,
             "X_hat_t": art.X_hat_t,
         }
@@ -413,12 +415,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             ))
             accuracy.append(
                 {"seed": seed, "track": "quantum", "classifier": "nn",
-                 "accuracy": _accuracy(q_pred, target_c)}
+                 "accuracy": _accuracy(q_pred, target)}
             )
         if want_svm:
-            q_model = qsa.q_svm_train(source_c, A_factors, config.gamma,
+            q_model = qsa.q_svm_train(source, A_factors, config.gamma,
                                       precision_qubits=max(config.precision_qubits, 10))
-            q_pred, info = qsa.q_svm_classify(q_model, source_c, A_factors, target_c.samples, plan)
+            q_pred, info = qsa.q_svm_classify(q_model, source, A_factors, target.samples, plan)
             trace.append({
                 "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
                 "low_confidence": int(np.sum(info["low_confidence"])),
@@ -435,7 +437,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 # mean bound by more than sqrt(ln(100) / (2m)) with
                 # probability below 1%. The exact-mode allowance stays on top.
                 _, exact_info = qsa.q_svm_classify(
-                    q_model, source_c, A_factors, target_c.samples, ShotPlan()
+                    q_model, source, A_factors, target.samples, ShotPlan()
                 )
                 r = exact_info["decision_value"]
                 svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
@@ -445,7 +447,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             ))
             accuracy.append(
                 {"seed": seed, "track": "quantum", "classifier": "svm",
-                 "accuracy": _accuracy(q_pred, target_c)}
+                 "accuracy": _accuracy(q_pred, target)}
             )
         timings.append({"seed": seed, "stage": "quantum_classify", "seconds": time.perf_counter() - t0})
 

@@ -47,7 +47,7 @@ QNN_MAX_SOURCES = 64
 @dataclass
 class QpcaResult:
     basis: SubspaceBasis
-    sampled_eigenphases: np.ndarray
+    outcomes: np.ndarray  # the outcome k (ints) each basis vector read out at
     outcome_probabilities: np.ndarray  # precision-register distribution, k = 0..2^n-1
 
 
@@ -140,7 +140,7 @@ def qpca(
     basis = SubspaceBasis(_fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
     return QpcaResult(
         basis=basis,
-        sampled_eigenphases=phases[:d],
+        outcomes=k[order[:d]],
         outcome_probabilities=lam @ rows,
     )
 

@@ -290,7 +290,7 @@ def test_criterion_9_kernel_reduction():
         Ps, Pt = csa.pca_subspace(sc, 2), csa.pca_subspace(tc, 2)
         art = csa.build_alignment(Ps, Pt, sc, tc)
         plain = csa.nn_classify(art.X_hat_a, sc.visible_labels, art.X_hat_t)
-        fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("linear"), 2)
+        fit = csa.kernel_sa_fit(sc, tc, csa.KernelSpec("linear"), 2)
         kern = csa.nn_classify(fit.Z_a, sc.visible_labels, fit.Z_t)
         if not np.array_equal(plain, kern):
             ok = False

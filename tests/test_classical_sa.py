@@ -26,6 +26,11 @@ def _basis(rng, D, d):
     return csa.SubspaceBasis(_random_orthonormal(rng, D, d), np.arange(d, 0, -1.0))
 
 
+def _centered_pair(spec):
+    """A synthetic pair, centered as `kernel_sa_fit` takes it."""
+    return tuple(center_columns(domain)[0] for domain in synth_shifted_gaussians(spec))
+
+
 class TestPcaSubspace:
     def test_single_axis(self):
         X = np.zeros((3, 6))
@@ -559,8 +564,8 @@ class TestKernelAlignment:
 
     def test_objective_minimized(self):
         rng = np.random.default_rng(20)
-        source = Domain(rng.standard_normal((3, 8)))
-        target = Domain(rng.standard_normal((3, 8)))
+        source = center_columns(Domain(rng.standard_normal((3, 8))))[0]
+        target = center_columns(Domain(rng.standard_normal((3, 8))))[0]
         fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("cosine"), 2)
         M = fit.M_star
         # with whitened components the objective is |M|^2 - 2 tr(M^T M*) + d
@@ -571,51 +576,14 @@ class TestKernelAlignment:
             delta = rng.standard_normal(M.shape)
             assert objective(M + 0.01 * delta / np.linalg.norm(delta)) >= base - 1e-12
 
-    def test_hard_projection_independent_of_batch(self):
-        source, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=30, n_t=30, seed=0))
-        fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("hard"), 2)
-        # new points from another draw, some beyond the fitted range
-        fresh_s, fresh_t = synth_shifted_gaussians(SynthSpec(D=4, n_s=3, n_t=3, seed=1))
-        for project, X in ((fit.project_target, fresh_t.samples), (fit.project_source, fresh_s.samples)):
-            X = np.hstack([X, 3.0 * X])
-            batch = project(X)
-            for j in range(X.shape[1]):
-                assert np.max(np.abs(project(X[:, [j]])[:, 0] - batch[:, j])) <= 1e-12
-
-    @pytest.mark.parametrize("kind", ["linear", "polynomial", "cosine", "hard"])
-    def test_projection_uses_one_gram_and_matches_two_gram_centering(self, kind, monkeypatch):
-        spec = csa.KernelSpec(kind, 2)
-        source, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=30, n_t=25, seed=3))
-        fit = csa.kernel_sa_fit(source, target, spec, 2)
-        fresh_s, fresh_t = synth_shifted_gaussians(SynthSpec(D=4, n_s=6, n_t=5, seed=4))
-
-        def two_gram(train, mean, X):
-            # the training Gram rebuilt for every projection
-            Kxy = csa.kernel_matrix(train, X - mean[:, None], spec, fit.feature_range)
-            Kxx = csa.kernel_matrix(train, train, spec, fit.feature_range)
-            return Kxy - Kxy.mean(axis=0) - Kxx.mean(axis=1)[:, None] + Kxx.mean()
-
-        expect_s = fit.M_star.T @ fit.Ws.T @ two_gram(fit.Xs, fit.mean_s, fresh_s.samples)
-        expect_t = fit.Wt.T @ two_gram(fit.Xt, fit.mean_t, fresh_t.samples)
-        # the feature path projects from the points' own features, no Gram
-        grams_per_call = 0 if kind in csa.FEATURE_KINDS else 1
-        calls = []
-        kernel_matrix = csa.kernel_matrix
-        monkeypatch.setattr(csa, "kernel_matrix", lambda *a, **k: calls.append(1) or kernel_matrix(*a, **k))
-        zs = fit.project_source(fresh_s.samples)
-        assert len(calls) == grams_per_call
-        zt = fit.project_target(fresh_t.samples)
-        assert len(calls) == 2 * grams_per_call
-        assert np.max(np.abs(zs - expect_s)) <= 1e-12
-        assert np.max(np.abs(zt - expect_t)) <= 1e-12
-
     @staticmethod
-    def _gram_reference(fit, d):
-        """The fit through three full Gram matrices and `kernel_pca_weights`."""
+    def _gram_reference(fit, Xs, Xt, d):
+        """The fit of the centered domains Xs, Xt through three full Gram
+        matrices and `kernel_pca_weights`."""
         def gram(X, Y):
             return csa.kernel_matrix(X, Y, fit.spec, fit.feature_range)
 
-        Kss, Ktt, Kst = gram(fit.Xs, fit.Xs), gram(fit.Xt, fit.Xt), gram(fit.Xs, fit.Xt)
+        Kss, Ktt, Kst = gram(Xs, Xs), gram(Xt, Xt), gram(Xs, Xt)
         Ws, Wt = csa.kernel_pca_weights(Kss, d), csa.kernel_pca_weights(Ktt, d)
         M = csa.kernel_alignment(Ws, csa._double_center(Kst), Wt)
         return {
@@ -629,14 +597,14 @@ class TestKernelAlignment:
     def test_feature_path_matches_gram_reference(self, kind, D):
         d = min(D, 2)
         for seed in range(5):
-            source, target = synth_shifted_gaussians(SynthSpec(D=D, n_s=40, n_t=35, seed=seed))
+            source, target = _centered_pair(SynthSpec(D=D, n_s=40, n_t=35, seed=seed))
             fit = csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), d)
             assert fit.path == "features"
-            ref = self._gram_reference(fit, d)
+            ref = self._gram_reference(fit, source, target, d)
             for name, expect in ref.items():
                 # 1e-10 is far below any entry a sign flip would move
                 assert np.max(np.abs(getattr(fit, name) - expect)) <= 1e-10, (seed, name)
-            ys = fit.Xs.visible_labels
+            ys = source.visible_labels
             assert np.array_equal(
                 csa.nn_classify(fit.Z_a, ys, fit.Z_t), csa.nn_classify(ref["Z_a"], ys, ref["Z_t"])
             )
@@ -644,7 +612,7 @@ class TestKernelAlignment:
     def test_hard_fit_memory_is_linear_in_n(self, monkeypatch):
         """At D=8, n_s = n_t = 3000 the fit builds no Gram matrix and runs no
         n x n eigensolver; one 3000 x 3000 Gram alone is 69 MiB."""
-        source, target = synth_shifted_gaussians(SynthSpec(D=8, n_s=3000, n_t=3000, seed=0))
+        source, target = _centered_pair(SynthSpec(D=8, n_s=3000, n_t=3000, seed=0))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the hard-kernel fit must not take the Gram path")
@@ -663,16 +631,17 @@ class TestKernelAlignment:
     @pytest.mark.parametrize("kind", ["linear", "hard", "cosine"])
     def test_constant_source_is_rank_deficient(self, kind):
         rng = np.random.default_rng(21)
-        source = Domain(np.tile(rng.standard_normal((3, 1)), (1, 10)), np.arange(10) % 2)
-        target = Domain(rng.standard_normal((3, 12)))
+        constant = np.tile(rng.standard_normal((3, 1)), (1, 10))
+        source = center_columns(Domain(constant, np.arange(10) % 2))[0]
+        target = center_columns(Domain(rng.standard_normal((3, 12))))[0]
         with pytest.raises(RankDeficiencyError):
             csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), 1)
 
     def test_fit_exposes_spectrum_at_the_cut(self):
-        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=30, n_t=25, seed=2))
+        source, target = _centered_pair(SynthSpec(D=3, n_s=30, n_t=25, seed=2))
         for kind, dims in (("hard", (4, 4)), ("linear", (3, 3)), ("cosine", (30, 25))):
             fit = csa.kernel_sa_fit(source, target, csa.KernelSpec(kind), 2)
-            for basis, dim, X in ((fit.basis_s, dims[0], fit.Xs), (fit.basis_t, dims[1], fit.Xt)):
+            for basis, dim, X in ((fit.basis_s, dims[0], source), (fit.basis_t, dims[1], target)):
                 assert basis.P.shape == (dim, 2)
                 K = csa.kernel_matrix(X, X, fit.spec, fit.feature_range)
                 w = np.sort(np.linalg.eigvalsh(csa._double_center(K)))[::-1]
@@ -680,7 +649,7 @@ class TestKernelAlignment:
                 assert basis.gap == pytest.approx(w[1] - w[2], abs=1e-10)
 
     def test_degenerate_kernel_spectrum_warns(self):
-        # four points on a square: a double eigenvalue at the cut d=1
+        # four points on a square (centered): a double eigenvalue at the cut d=1
         square = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
         fit = csa.kernel_sa_fit(Domain(square, np.array([0, 0, 1, 1])), Domain(square),
                                 csa.KernelSpec("linear"), 1)
@@ -697,6 +666,6 @@ class TestKernelAlignment:
             Pt = csa.pca_subspace(tc, 2)
             art = csa.build_alignment(Ps, Pt, sc, tc)
             plain = csa.nn_classify(art.X_hat_a, sc.visible_labels, art.X_hat_t)
-            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("linear"), 2)
+            fit = csa.kernel_sa_fit(sc, tc, csa.KernelSpec("linear"), 2)
             kern = csa.nn_classify(fit.Z_a, sc.visible_labels, fit.Z_t)
             assert np.array_equal(plain, kern)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from subalign import classical_sa as csa
 from subalign import cli, harness
 from subalign import quantum_sa as qsa
-from subalign.datasets import SynthSpec, center_columns, save_csv, synth_shifted_gaussians
+from subalign.datasets import DomainShift, SynthSpec, center_columns, save_csv, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
@@ -152,7 +153,8 @@ class TestRun:
         assert [row["seed"] for row in rows] == [0, 1]
         for row in rows:
             source, target = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
-            fit = csa.kernel_sa_fit(source, target, cfg.kernel, cfg.d)
+            fit = csa.kernel_sa_fit(center_columns(source)[0], center_columns(target)[0],
+                                    cfg.kernel, cfg.d)
             assert row["path"] == path and (row["dim_s"], row["dim_t"]) == dims
             for dom, basis in (("s", fit.basis_s), ("t", fit.basis_t)):
                 assert row[f"lambda_d_{dom}"] == basis.eigenvalues[-1] > 0
@@ -171,7 +173,7 @@ class TestRun:
             pair = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
             data = center_columns(pair[row["domain"] == "target"])[0]
             res = qsa.qpca(data, cfg.d, cfg.precision_qubits)
-            assert row["outcomes"] == [round(p * 2**cfg.precision_qubits) for p in res.sampled_eigenphases]
+            assert row["outcomes"] == res.outcomes.tolist()
             assert row["gap"] == res.basis.gap and np.isfinite(row["gap"])
             assert row["warnings"] == res.basis.warnings
 
@@ -226,6 +228,55 @@ class TestRun:
         with pytest.raises(ConfigurationError, match="caps exceeded"):
             run(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("classifier", ["nn", "svm"])
+    def test_one_array_per_domain(self, tmp_path, classifier):
+        """Each domain is held as one array: at D=128 and 5000 points a
+        domain is 4.9 MiB, and the whole run peaks below three of them.
+        Holding the raw domains next to centered copies peaked at 21.1 (nn)
+        and 23.2 MiB (svm)."""
+        cfg = parse_config_text(
+            "dataset.D = 128\ndataset.n_s = 5000\ndataset.n_t = 5000\nd = 4\n"
+            f"track = classical\nclassifier = {classifier}\nseeds = 0\n"
+            f"output_dir = {tmp_path}\n",
+            environ={},
+        )
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 128 * 5000 * 8
+
+    def test_csv_seeds_center_their_own_load(self, tmp_path):
+        """Every seed loads the CSV files afresh and centers that load in
+        place, so two seeds give the same rows bit for bit; centering one
+        load twice would move the float rows."""
+        source, target = synth_shifted_gaussians(
+            SynthSpec(D=4, n_s=12, n_t=20, seed=5, domain_shift=DomainShift(0.5, 1.0, 1.2))
+        )
+        for name, dom in (("s.csv", source), ("t.csv", target)):
+            save_csv(dom, str(tmp_path / name))
+        cfg = parse_config_text(
+            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 5\n"
+            "d = 2\ntrack = both\nclassifier = both\nkernel.kind = hard\nseeds = 0,1\n"
+            f"output_dir = {tmp_path / 'out'}\n",
+            environ={},
+        )
+        report = run(cfg)
+        trace = [json.loads(line) for line in (tmp_path / "out" / "trace_v1.jsonl").read_text().splitlines()]
+        for row in trace:  # the Durr-Hoyer searches draw from the plan's seed
+            row.pop("oracle_queries", None)
+        parity = []  # a parity row names its seed in the quantity, "seed0.M_star"
+        for row in report.parity:
+            seed, quantity = row["quantity"].split(".", 1)
+            parity.append({**row, "seed": int(seed.removeprefix("seed")), "quantity": quantity})
+        for rows in (report.accuracy, parity, trace):
+            seed0, seed1 = ([{k: v for k, v in row.items() if k != "seed"}
+                             for row in rows if row["seed"] == seed] for seed in (0, 1))
+            assert seed0 and seed0 == seed1
 
     def test_sampled_run_is_reproducible(self, tmp_path):
         text = (

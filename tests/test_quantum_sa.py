@@ -24,9 +24,9 @@ class TestQpca:
         X = np.outer(u, [1.0, -2.0, 0.5])
         res = qsa.qpca(X, 1, precision_qubits=8)
         assert np.max(np.abs(np.abs(res.basis.P[:, 0]) - np.abs(u))) <= 1e-6
-        # single unit eigenvalue of rho -> phase = t0 / 2pi on the lattice
-        expect = round(0.95 * math.pi / (2 * math.pi) * 256) / 256
-        assert res.sampled_eigenphases[0] == pytest.approx(expect)
+        # single unit eigenvalue of rho -> phase t0 / 2pi, read at its nearest outcome
+        expect = round(0.95 * math.pi / (2 * math.pi) * 256)
+        assert res.outcomes.tolist() == [expect]
 
     def test_degenerate_spectrum_warns_but_spans(self):
         X = np.hstack([np.eye(2), -np.eye(2)])  # isotropic: equal eigenvalues
@@ -81,7 +81,7 @@ class TestQpca:
         # scan of the summed distribution took side lobes (outcomes 6, 6, 4)
         X = self._caps_domain(0, 1)
         res = qsa.qpca(X, 4, precision_qubits=8)
-        assert np.rint(res.sampled_eigenphases * 256).tolist() == [31, 9, 9, 8]
+        assert res.outcomes.tolist() == [31, 9, 9, 8]
         assert self._projector_distance(X, res) < 1e-10
 
     def test_shared_outcome_ordered_by_own_distribution(self):
@@ -89,7 +89,7 @@ class TestQpca:
         # outcome 8; the top two of them belong to the basis
         X = self._caps_domain(9, 1)
         res = qsa.qpca(X, 4, precision_qubits=8)
-        assert np.rint(res.sampled_eigenphases * 256).tolist() == [32, 9, 8, 8]
+        assert res.outcomes.tolist() == [32, 9, 8, 8]
         assert res.basis.warnings == []
         _, U = np.linalg.eigh(X @ X.T)
         kept = np.linalg.norm(res.basis.P.T @ U[:, ::-1][:, 2:5], axis=0)
