@@ -576,6 +576,16 @@ class TestKernelAlignment:
             delta = rng.standard_normal(M.shape)
             assert objective(M + 0.01 * delta / np.linalg.norm(delta)) >= base - 1e-12
 
+    def test_fit_leaves_its_centered_domains_unchanged(self):
+        # the harness passes the domains it centered in place; the fit reads
+        # them and must not center or shift them again
+        source, target = _centered_pair(SynthSpec(D=3, n_s=20, n_t=18, seed=7))
+        before = source.samples.copy(), target.samples.copy()
+        for kind in ("linear", "hard", "cosine", "polynomial"):
+            csa.kernel_sa_fit(source, target, csa.KernelSpec(kind, 2), 2)
+            assert source.samples.tobytes() == before[0].tobytes()
+            assert target.samples.tobytes() == before[1].tobytes()
+
     @staticmethod
     def _gram_reference(fit, Xs, Xt, d):
         """The fit of the centered domains Xs, Xt through three full Gram

@@ -10,6 +10,7 @@ from subalign.datasets import (
     DomainShift,
     SynthSpec,
     center_columns,
+    center_columns_in_place,
     load_csv,
     save_csv,
     synth_shifted_gaussians,
@@ -106,6 +107,18 @@ class TestSynth:
         assert np.array_equal(X, before)
         assert not np.shares_memory(out, X)
 
+    @pytest.mark.parametrize("shift", [
+        DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3),
+        DomainShift(rotation_angle=4.2, translation=0.5, scale=0.8),
+    ])
+    def test_in_place_target_shift_matches_apply_bitwise(self, shift):
+        # the draws do not depend on the shift, so the unshifted target is the
+        # raw draw that synth_shifted_gaussians shifts in place
+        spec = SynthSpec(D=4, n_s=20, n_t=30, seed=6)
+        _, raw = synth_shifted_gaussians(spec)
+        _, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=20, n_t=30, seed=6, domain_shift=shift))
+        assert target.samples.tobytes() == shift.apply(raw.samples).tobytes()
+
     def test_target_labels_hidden(self):
         _, target = synth_shifted_gaussians(SynthSpec())
         assert target.visible_labels is None
@@ -174,6 +187,24 @@ class TestCentering:
         rng = np.random.default_rng(0)
         centered, _ = center_columns(Domain(rng.standard_normal((5, 20))))
         assert np.all(np.abs(centered.samples.sum(axis=1)) <= 1e-10)
+
+
+    def test_copy_leaves_its_input_unchanged(self):
+        X = np.random.default_rng(9).standard_normal((4, 15)) + 3.0
+        dom = Domain(X.copy())
+        centered, _ = center_columns(dom)
+        assert np.array_equal(dom.samples, X)
+        assert not np.shares_memory(centered.samples, dom.samples)
+
+    def test_in_place_matches_copy_bitwise(self):
+        X = np.random.default_rng(10).standard_normal((4, 15)) * 2.0 - 1.5
+        centered, mean = center_columns(Domain(X.copy()))
+        dom = Domain(X.copy())
+        samples = dom.samples
+        mean_in_place = center_columns_in_place(dom)
+        assert dom.samples is samples
+        assert mean_in_place.tobytes() == mean.tobytes()
+        assert dom.samples.tobytes() == centered.samples.tobytes()
 
 
 class TestDomainValidation:

@@ -84,6 +84,15 @@ class TestQpca:
         assert res.outcomes.tolist() == [31, 9, 9, 8]
         assert self._projector_distance(X, res) < 1e-10
 
+    def test_outcomes_are_descending_register_readouts(self):
+        X = self._caps_domain(1, 0)
+        res = qsa.qpca(X, 3, precision_qubits=7)
+        assert res.outcomes.dtype.kind in "iu"
+        k = res.outcomes.tolist()
+        assert k == sorted(k, reverse=True) and 0 <= k[-1] and k[0] < 2**7
+        # each readout is an outcome the register actually shows
+        assert np.all(res.outcome_probabilities[res.outcomes] > 0)
+
     def test_shared_outcome_ordered_by_own_distribution(self):
         # three eigenvectors at 8.199, 7.916 and 7.742 lattice steps share
         # outcome 8; the top two of them belong to the basis
