@@ -1,13 +1,12 @@
 """Classical subspace alignment: PCA bases, the closed-form alignment
-matrix M* = Ps^T Pt, cross-domain similarity, 1-NN and least-squares SVM
-classifiers, and the kernelized variant (on explicit feature states for the
-linear and hard kernels, on Gram matrices for the others).
+matrix M* = Ps^T Pt, 1-NN and least-squares SVM classifiers, and the
+kernelized variant (on explicit feature states for the linear and hard
+kernels, on Gram matrices for the others).
 
 This module is the oracle track the quantum pipeline is verified against.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +29,6 @@ __all__ = [
     "pca_subspace",
     "alignment_matrix",
     "build_alignment",
-    "similarity",
     "nn_classify",
     "ls_svm_system",
     "svm_train",
@@ -187,14 +185,6 @@ def build_alignment(Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt) -> AlignmentAr
     )
 
 
-def similarity(xs: np.ndarray, xt: np.ndarray, A: np.ndarray) -> float:
-    """Cross-domain similarity xs^T A xt."""
-    xs, xt = np.asarray(xs, float), np.asarray(xt, float)
-    if xs.shape != (A.shape[0],) or xt.shape != (A.shape[1],):
-        raise ShapeError("vector dimensions do not match A")
-    return float(xs @ A @ xt)
-
-
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels (columns are points, ties to lowest index).
 
@@ -249,52 +239,16 @@ def _factor_pair(A) -> tuple[np.ndarray, np.ndarray]:
 class SvmModel:
     """Least-squares SVM trained through the cross-domain similarity kernel.
 
-    ``A_ref`` is A as a D x D array or a factor pair (L, R) with A = L R^T;
-    it is stored as the pair."""
+    ``w`` = R (L^T (X_s alpha)) folds the support set and A = L R^T into one
+    D-vector, so a decision value is w . x + b."""
 
     b: float
     alpha: np.ndarray
-    gamma: float
-    support_data: Domain
-    A_ref: tuple[np.ndarray, np.ndarray]
+    w: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.alpha)) or not math.isfinite(self.b):
             raise ConfigurationError("non-finite SVM parameters")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be > 0")
-        self.A_ref = _factor_pair(self.A_ref)
-
-    def to_json(self) -> str:
-        L, R = self.A_ref
-        return json.dumps(
-            {
-                "b": self.b,
-                "alpha": self.alpha.tolist(),
-                "gamma": self.gamma,
-                "L": L.tolist(),
-                "R": R.tolist(),
-                "support_samples": self.support_data.samples.tolist(),
-                "support_labels": self.support_data.hidden_labels().tolist()
-                if self.support_data.labels is not None
-                else None,
-                "shapes": {
-                    "D": self.support_data.dim,
-                    "n_s": self.support_data.n,
-                },
-            }
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "SvmModel":
-        obj = json.loads(doc)
-        data = Domain(
-            np.array(obj["support_samples"]),
-            np.array(obj["support_labels"]) if obj["support_labels"] else None,
-            name="support",
-        )
-        A = (obj["L"], obj["R"]) if "L" in obj else obj["A"]  # older models store A
-        return cls(obj["b"], np.array(obj["alpha"]), obj["gamma"], data, A)
 
 
 def ls_svm_system(
@@ -368,15 +322,14 @@ def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
     sol = Q @ np.linalg.solve(core, z)
     if Q.shape[1] < Q.shape[0]:
         sol += (rhs - Q @ z) / c
-    return SvmModel(float(sol[0]), sol[1:], gamma, Xs, A)
+    alpha = sol[1:]
+    L, R = _factor_pair(A)
+    return SvmModel(float(sol[0]), alpha, R @ (L.T @ (Xs.samples @ alpha)))
 
 
 def svm_decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Decision values w . x + b for every column x of X, where
-    w = R (L^T (X_s alpha)) folds the support set into one D-vector."""
-    L, R = model.A_ref
-    w = R @ (L.T @ (model.support_data.samples @ model.alpha))
-    return w @ np.asarray(X, float) + model.b
+    """Decision values w . x + b for every column x of X."""
+    return model.w @ np.asarray(X, float) + model.b
 
 
 def svm_classify(model: SvmModel, X: np.ndarray) -> np.ndarray:

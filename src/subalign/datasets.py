@@ -210,6 +210,10 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
     if not all(_is_number(c) for c in rows[0]):
         start = 1  # header row
     width = len(rows[start]) if start < len(rows) else 0
+    if label_column is not None and not 1 <= label_column <= width:
+        raise ConfigurationError(
+            f"{path}: label_column {label_column} outside 1..{width} (the column count)"
+        )
     data, labels = [], []
     for ridx, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:

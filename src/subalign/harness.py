@@ -32,7 +32,6 @@ __all__ = [
     "RunReport",
     "run",
     "compare_tracks",
-    "load_config",
     "parse_config_text",
 ]
 
@@ -106,14 +105,6 @@ class ExperimentConfig:
                 f"and d <= {qsa.QNN_MAX_DIM}"
             )
 
-    def echo(self) -> dict:
-        doc = dataclasses.asdict(self)
-        if self.dataset is not None:
-            doc["dataset"] = dataclasses.asdict(self.dataset)
-        if self.kernel is not None:
-            doc["kernel"] = dataclasses.asdict(self.kernel)
-        return doc
-
 
 @dataclass
 class RunReport:
@@ -135,6 +126,18 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # config parsing
+
+
+def _parse_bool(v: str) -> bool:
+    if v.lower() in ("1", "true", "yes", "on"):
+        return True
+    if v.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(v)
+
+
+def _parse_seeds(v: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in v.split(",") if s.strip())
 
 
 _KEY_MAP = {
@@ -160,19 +163,11 @@ _KEY_MAP = {
     "quantum.ae_bits": (None, "ae_bits", int),
     "quantum.shots": (None, "shots", int),
     "quantum.repeats": (None, "repeats", int),
-    "quantum.exact_theta": (None, "exact_theta", None),
-    "seeds": (None, "seeds", None),
+    "quantum.exact_theta": (None, "exact_theta", _parse_bool),
+    "seeds": (None, "seeds", _parse_seeds),
     "output_dir": (None, "output_dir", str),
     "workers": (None, "workers", int),
 }
-
-
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"cannot parse boolean value {v!r}")
 
 
 def parse_config_text(text: str, environ: dict | None = None) -> ExperimentConfig:
@@ -200,26 +195,19 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
     ds_kwargs: dict = {}
     shift_kwargs: dict = {}
     kernel_kwargs: dict = {}
+    groups = {None: cfg_kwargs, "dataset": ds_kwargs, "shift": shift_kwargs, "kernel": kernel_kwargs}
     for key, value in pairs.items():
         if key not in _KEY_MAP:
             raise ConfigurationError(f"unknown config key {key!r}")
         group, name, conv = _KEY_MAP[key]
-        if key == "seeds":
-            cfg_kwargs["seeds"] = tuple(int(s) for s in value.split(",") if s.strip())
-        elif key == "quantum.exact_theta":
-            cfg_kwargs["exact_theta"] = _parse_bool(value)
-        elif group == "dataset":
-            ds_kwargs[name] = conv(value)
-        elif group == "shift":
-            shift_kwargs[name] = conv(value)
-        elif group == "kernel":
-            kernel_kwargs[name] = conv(value)
-        else:
-            cfg_kwargs[name] = conv(value)
+        try:
+            groups[group][name] = conv(value)
+        except ValueError:
+            raise ConfigurationError(f"{key}: malformed value {value!r}") from None
     if cfg_kwargs.get("source_csv"):
         cfg_kwargs["dataset"] = None
     else:
-        spec = SynthSpec(**ds_kwargs) if ds_kwargs or not shift_kwargs else SynthSpec()
+        spec = SynthSpec(**ds_kwargs)
         if shift_kwargs:
             spec = replace(spec, domain_shift=DomainShift(**shift_kwargs))
         cfg_kwargs["dataset"] = spec
@@ -228,10 +216,6 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig(**cfg_kwargs)
     cfg.validate()
     return cfg
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +452,7 @@ def run(config: ExperimentConfig) -> RunReport:
     # merge deterministically in seed order (map already preserves it)
     report = RunReport(
         schema_version=SCHEMA_VERSION,
-        config=config.echo(),
+        config=dataclasses.asdict(config),
         accuracy=[row for r in results for row in r["accuracy"]],
         parity=[row for r in results for row in r["parity"]],
         timings=[row for r in results for row in r["timings"]],

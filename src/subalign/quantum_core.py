@@ -1,7 +1,9 @@
-"""The spectral engine of the quantum track: exact phase-estimation outcome
-distributions on the 2^-n lattice, the readouts built on them (amplitude
-estimation and the Hadamard test, over arrays), and Grover-based minimum
-finding.
+"""Desk-scale exact quantum simulation: the spectral engine of the quantum
+track and the measurement plan its readouts draw shot noise from.
+
+The engine holds exact phase-estimation outcome distributions on the 2^-n
+lattice, the readouts built on them (amplitude estimation and the Hadamard
+test, over arrays), and Grover-based minimum finding.
 
 Everything is simulated exactly; each readout returns the exact (most
 probable) outcome, or one seeded shot-sampled outcome per entry when given a
@@ -15,8 +17,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, RangeError
-from .state import ShotPlan
+from .errors import ConfigurationError, RangeError
+
+__all__ = [
+    "ShotPlan",
+    "amplitude_estimation",
+    "grover_min_find",
+    "pe_outcome_kernel",
+    "pe_readout",
+    "signed_overlap",
+]
+
+# ---------------------------------------------------------------------------
+# measurement plans
+
+# measurement stages that draw shot noise: stage -> (spawn-key code, number
+# of index values). A seed's streams are SeedSequence children keyed by
+# these, because default_rng(s), default_rng([s]) and default_rng([s, 0]) are
+# one and the same generator.
+STAGE_KEYS = {
+    "nn_distances": (0, 1),  # per target: Hadamard-test overlaps, then AE outcomes
+    "min_find": (1, 0),  # every Durr-Hoyer search of one call
+    "svm_decisions": (2, 0),  # the qSVM Hadamard tests of one call
+    "swap_test": (3, 0),  # the swap test of the gate-level oracle
+}
+
+
+@dataclass(frozen=True)
+class ShotPlan:
+    """Measurement plan: exact expectations or seeded shot sampling."""
+
+    shots: int = 1
+    seed: int = 0
+    mode: str = "exact_expectation"
+
+    def __post_init__(self):
+        if self.shots < 1:
+            raise ConfigurationError("shots must be >= 1")
+        if self.mode not in ("exact_expectation", "sampled"):
+            raise ConfigurationError(f"unknown plan mode {self.mode!r}")
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == "exact_expectation"
+
+    def rng(self, stage: str, *index: int) -> np.random.Generator:
+        """The generator of one measurement stage (and, for a stage that
+        draws per item, of item ``index``): a child of the plan's seed keyed
+        (stage code, *index). Every key of one stage has the same length, so
+        no two stages or items share a stream."""
+        if stage not in STAGE_KEYS:
+            raise ConfigurationError(f"unknown measurement stage {stage!r}")
+        code, width = STAGE_KEYS[stage]
+        if len(index) != width:
+            raise ConfigurationError(f"stage {stage!r} takes {width} index value(s)")
+        key = (code, *(int(i) for i in index))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+
+
+# ---------------------------------------------------------------------------
+# spectral engine
 
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
@@ -122,12 +182,12 @@ def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np
 
 @dataclass
 class GroverStats:
-    """Outcome of one `grover_min_find` call. ``index`` is an int for a 1-D
-    input and one index per row for a matrix; ``oracle_queries`` and
-    ``threshold_updates`` are totals over the call, ``target_queries`` holds
-    each row's queries summed over its repeats."""
+    """Outcome of one `grover_min_find` call: ``index`` holds one index per
+    row, ``oracle_queries`` and ``threshold_updates`` are totals over the
+    call, ``target_queries`` holds each row's queries summed over its
+    repeats."""
 
-    index: int | np.ndarray
+    index: np.ndarray
     oracle_queries: int
     threshold_updates: int
     target_queries: np.ndarray
@@ -183,22 +243,15 @@ def _durr_hoyer_rows(values: np.ndarray, repeats: int, rng: np.random.Generator)
     )
 
 
-def grover_min_find(
-    values,
-    plan: ShotPlan,
-    repeats: int = 1,
-    return_stats: bool = False,
-):
+def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
-    ``values`` is one list of N values, or a (T, N) matrix with one search
-    problem per row. A single search returns its row's argmin with
-    probability >= 1/2 within ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle
-    queries; each row is searched ``repeats`` times and keeps the best index
-    found (the lowest index among equal values). Returns an int for a 1-D
-    input and a (T,) index array for a matrix, or with ``return_stats`` a
-    `GroverStats`.
+    ``values`` is a (T, N) matrix with one search problem per row. A single
+    search returns its row's argmin with probability >= 1/2 within
+    ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle queries; each row is searched
+    ``repeats`` times and keeps the best index found (the lowest index among
+    equal values).
 
     All T * repeats searches run in lockstep on arrays, in blocks of whole
     rows holding at most BLOCK_ELEMENTS searches (one row when ``repeats``
@@ -207,24 +260,18 @@ def grover_min_find(
     from the plan's "min_find" stream, block after block.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2):
-        raise ConfigurationError("values must be a vector or a (T, N) matrix")
-    N = values.shape[-1]
+    if values.ndim != 2:
+        raise ConfigurationError("values must be a (T, N) matrix")
+    T, N = values.shape
     if N == 0:
         raise ConfigurationError("empty input")
     if N > MAX_GROVER_N:
         raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
-    matrix = values.reshape(-1, N)
     repeats = max(int(repeats), 1)
     rng = plan.rng("min_find")
-    T = len(matrix)
     index, queries, updates = (np.zeros(T, dtype=np.int64) for _ in range(3))
     rows = max(1, BLOCK_ELEMENTS // repeats)
     for lo in range(0, T, rows):
         block = slice(lo, lo + rows)
-        index[block], queries[block], updates[block] = _durr_hoyer_rows(matrix[block], repeats, rng)
-    if values.ndim == 1:
-        index = int(index[0])
-    if return_stats:
-        return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)
-    return index
+        index[block], queries[block], updates[block] = _durr_hoyer_rows(values[block], repeats, rng)
+    return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)

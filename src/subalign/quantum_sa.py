@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical_sa import SubspaceBasis, _as_matrix, _factor_pair, _fix_signs, ls_svm_system
 from .datasets import Domain
-from .errors import ConfigurationError, IllConditionedError, PostselectionError
+from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
 from .quantum_core import (
     ShotPlan,
     amplitude_estimation,
@@ -42,6 +42,8 @@ QPCA_MAX_DIM = 16
 QSVM_MAX_ROWS = 16
 QNN_MAX_DIM = 8
 QNN_MAX_SOURCES = 64
+# the inversion keeps eigenvalues down to lambda_max / QSVM_KAPPA_MAX
+QSVM_KAPPA_MAX = 1e4
 
 
 @dataclass
@@ -285,7 +287,7 @@ def q_nn_classify(
         )
     labels = np.asarray(labels)
     est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
-    stats = grover_min_find(est, plan, repeats=repeats, return_stats=True)
+    stats = grover_min_find(est, plan, repeats=repeats)
     at_min = est == est.min(axis=1, keepdims=True)
     first_label = labels[np.argmax(at_min, axis=1)]
     ambiguous = np.any(at_min & (labels != first_label[:, None]), axis=1)
@@ -311,7 +313,6 @@ def q_svm_train(
     A,
     gamma: float,
     precision_qubits: int = 10,
-    kappa_max: float = 1e4,
 ) -> QsvmState:
     """Matrix inversion of the (Hermitian-embedded) SVM system by spectral
     emulation of phase estimation plus the 1/lambda conditional rotation.
@@ -333,7 +334,7 @@ def q_svm_train(
     t0 = 2 * math.pi * 0.25 / lmax
     # each eigenvalue reads out at its most probable phase-estimation outcome
     lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
-    keep = np.abs(lam_rounded) >= lmax / kappa_max
+    keep = np.abs(lam_rounded) >= lmax / QSVM_KAPPA_MAX
     if not np.any(keep):
         raise IllConditionedError("every eigenvalue fell below the inversion cutoff")
     y_hat = rhs / np.linalg.norm(rhs)
@@ -368,15 +369,16 @@ def q_svm_classify(
     (1, A x, ..., A x); sign(0) -> +1. ``A`` is a D x D array or a factor
     pair (L, R) with A = L R^T.
 
-    ``X`` is one point or a D x m matrix of points (columns). A point gives
-    (label, info); a matrix gives (labels, info) with one entry per column in
-    each per-query field of info. In sampled mode each column gets its own
-    draw from the plan's "svm_decisions" stream.
+    ``X`` is a D x m matrix of points (columns). Returns (labels, info) with
+    one entry per column in each per-query field of info. In sampled mode
+    each column gets its own draw from the plan's "svm_decisions" stream.
     """
     b, alpha = model.readout()
     Xm = np.asarray(X, float)
+    if Xm.ndim != 2:
+        raise ShapeError("X must be a D x m matrix of points (columns)")
     L, R = _factor_pair(A)
-    AX = L @ (R.T @ Xm.reshape(Xm.shape[0], -1))
+    AX = L @ (R.T @ Xm)
     N_x = model.N_x
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
     re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)
@@ -388,7 +390,4 @@ def q_svm_classify(
         "N_x": N_x,
         "low_confidence": (not plan.exact) & (np.abs(decision) < 3.0 / math.sqrt(plan.shots)),
     }
-    if Xm.ndim == 1:
-        info = {key: val[0] if isinstance(val, np.ndarray) else val for key, val in info.items()}
-        return int(labels[0]), info
     return labels, info

@@ -197,16 +197,16 @@ def test_criterion_7_qsvm_parity():
             ok = False
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         for i, xt in enumerate(grid):
-            label, info = qsa.q_svm_classify(qmodel, dom, A, xt, EXACT)
-            if label != csa.svm_classify(model, xt):
+            labels, info = qsa.q_svm_classify(qmodel, dom, A, xt[:, None], EXACT)
+            if labels[0] != csa.svm_classify(model, xt):
                 ok = False
-            exact_val = info["decision_value"]
+            exact_val = info["decision_value"][0]
             _, s_info = qsa.q_svm_classify(
-                qmodel, dom, A, xt,
+                qmodel, dom, A, xt[:, None],
                 ShotPlan(shots=4096, seed=7000 + 100 * n_s + i, mode="sampled"),
             )
             sigma = math.sqrt(max(1.0 - exact_val**2, 1e-12) / 4096)
-            if abs(s_info["decision_value"] - exact_val) > 3 * sigma + 1e-9:
+            if abs(s_info["decision_value"][0] - exact_val) > 3 * sigma + 1e-9:
                 ok = False
     _report(7, "qSVM readout/label/shot parity (" + ", ".join(detail) + ")",
             ok, time.perf_counter() - start, 180.0)
@@ -242,7 +242,7 @@ def test_criterion_8_primitive_suites():
         ok = False
     # Durr-Hoyer single-run success on N=3, query budget on N=64
     wins = sum(
-        grover_min_find([3.0, 1.0, 2.0], ShotPlan(seed=i, mode="sampled")) == 1
+        grover_min_find([[3.0, 1.0, 2.0]], ShotPlan(seed=i, mode="sampled")).index[0] == 1
         for i in range(400)
     )
     if wins / 400 < 0.5:
@@ -250,9 +250,7 @@ def test_criterion_8_primitive_suites():
     budget64 = math.ceil(22.5 * math.sqrt(64) + 1.4 * math.log2(64) ** 2)
     for trial in range(50):
         vals = rng.standard_normal(64)
-        stats = grover_min_find(
-            vals, ShotPlan(seed=trial, mode="sampled"), return_stats=True
-        )
+        stats = grover_min_find(vals[None], ShotPlan(seed=trial, mode="sampled"))
         if stats.oracle_queries > budget64:
             ok = False
     # density-exponentiation 1/l decay

@@ -140,6 +140,15 @@ class TestCsv:
         assert dom.samples.shape == (3, 2)
         assert list(dom.labels) == [-1, 1]
 
+    @pytest.mark.parametrize("column", [0, -1, 4])
+    def test_label_column_outside_the_row_rejected(self, tmp_path, column):
+        """Column 0 used to drop the last feature and return no labels, and
+        a column past the width raised a bare IndexError."""
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,-1\n3.0,4.0,1\n")
+        with pytest.raises(ConfigurationError, match=f"label_column {column} outside 1..3"):
+            load_csv(str(p), label_column=column)
+
     def test_parse_error_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2\n3,abc\n")

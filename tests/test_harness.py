@@ -77,6 +77,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config_text("quantum.exact_theta = maybe")
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "abc"), ("seeds", "0,x"), ("gamma", "foo"), ("quantum.shots", "1.5"),
+        ("quantum.exact_theta", "maybe"),
+    ])
+    def test_malformed_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key}: malformed value '{value}'$"):
+            parse_config_text(f"{key} = {value}", environ={})
+
 
 class TestRun:
     def test_classical_only_two_seeds(self, tmp_path):
@@ -389,6 +397,11 @@ class TestCli:
         rc = cli.main(["run", "--set", "dataset.D=2", "--set", "d=3"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_value_exits_with_code_2(self, tmp_path, capsys):
+        rc = cli.main(["run", "--set", "d=abc", "--set", f"output_dir={tmp_path}"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: d: malformed value 'abc'\n"
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -29,14 +29,15 @@ from subalign.errors import (
     ValidationError,
 )
 from subalign.quantum_core import (
+    BLOCK_ELEMENTS,
     ShotPlan,
+    _ae_distribution,
     amplitude_estimation,
     grover_min_find,
     pe_outcome_kernel,
     pe_readout,
     signed_overlap,
 )
-from subalign.quantum_core.algorithms import BLOCK_ELEMENTS, _ae_distribution
 
 EXACT = ShotPlan()
 
@@ -338,13 +339,13 @@ class TestEngineAgainstGateOracle:
 
 class TestGroverMinFind:
     def test_singleton(self):
-        assert grover_min_find([5.0], EXACT) == 0
+        assert grover_min_find([[5.0]], EXACT).index[0] == 0
 
     def test_single_run_success_rate(self):
         hits = 0
         for seed in range(400):
             plan = ShotPlan(seed=seed, mode="sampled")
-            hits += grover_min_find([3.0, 1.0, 2.0], plan) == 1
+            hits += grover_min_find([[3.0, 1.0, 2.0]], plan).index[0] == 1
         assert hits / 400 >= 0.5
 
     def test_repeats_find_argmin_with_bounded_queries(self):
@@ -353,13 +354,17 @@ class TestGroverMinFind:
         for trial in range(100):
             values = rng.standard_normal(64)
             plan = ShotPlan(seed=trial, mode="sampled")
-            stats = grover_min_find(values, plan, repeats=20, return_stats=True)
-            assert stats.index == int(np.argmin(values))
+            stats = grover_min_find(values[None], plan, repeats=20)
+            assert stats.index[0] == int(np.argmin(values))
             assert stats.oracle_queries <= 20 * budget
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grover_min_find([], EXACT)
+        with pytest.raises(ConfigurationError, match="empty"):
+            grover_min_find([[]], EXACT)
+
+    def test_vector_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"\(T, N\) matrix"):
+            grover_min_find([3.0, 1.0, 2.0], EXACT)
 
 
 def _budget(N):
@@ -385,7 +390,7 @@ class TestLockstepMinFind:
         """
         n = 10_000
         rows = np.random.default_rng(N).standard_normal((n, N))
-        stats = grover_min_find(rows, ShotPlan(seed=1, mode="sampled"), return_stats=True)
+        stats = grover_min_find(rows, ShotPlan(seed=1, mode="sampled"))
         engine = stats.target_queries
         rng = np.random.default_rng(2)
         oracle = np.array([_durr_hoyer_once(row, rng)[1] for row in rows])
@@ -402,12 +407,11 @@ class TestLockstepMinFind:
         T = 3 * BLOCK_ELEMENTS // repeats + 5  # four blocks, the last one short
         rows = np.random.default_rng(12).standard_normal((T, 15))
         plan = ShotPlan(seed=3, mode="sampled")
-        stats = grover_min_find(rows, plan, repeats, return_stats=True)
+        stats = grover_min_find(rows, plan, repeats)
         assert T * repeats > BLOCK_ELEMENTS
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert isinstance(stats.oracle_queries, int)
         assert stats.oracle_queries == int(stats.target_queries.sum())
-        assert np.array_equal(grover_min_find(rows, plan, repeats), stats.index)
 
     def test_ties_go_to_lowest_index(self):
         rng = np.random.default_rng(13)
@@ -415,7 +419,7 @@ class TestLockstepMinFind:
         for row in rows:
             first, second = np.sort(rng.choice(15, size=2, replace=False))
             row[first] = row[second] = row.min() - 1.0
-        index = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats=15)
+        index = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats=15).index
         assert np.array_equal(index, np.argmin(rows, axis=1))
 
     def test_budget_holds_when_no_run_hits(self, monkeypatch):
@@ -436,7 +440,7 @@ class TestLockstepMinFind:
         monkeypatch.setattr(ShotPlan, "rng", lambda self, *key: NeverHits(real(self, *key)))
         N = 64
         rows = np.random.default_rng(14).standard_normal((300, N))
-        stats = grover_min_find(rows, ShotPlan(seed=5, mode="sampled"), return_stats=True)
+        stats = grover_min_find(rows, ShotPlan(seed=5, mode="sampled"))
         assert set(np.unique(stats.target_queries)) == {0, _budget(N)}
         assert stats.threshold_updates == 0
 

@@ -7,7 +7,7 @@ from gate_oracle import build_g_operator
 from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
-from subalign.errors import ConfigurationError, PostselectionError
+from subalign.errors import ConfigurationError, PostselectionError, ShapeError
 from subalign.quantum_core import ShotPlan
 
 EXACT = ShotPlan()
@@ -370,8 +370,8 @@ class TestQsvm:
         qmodel = qsa.q_svm_train(dom, A, 1.0, precision_qubits=10)
         b, _ = qmodel.readout()
         xt = np.array([0.0, 5.0])  # A xt = 0: kernel column vanishes
-        label, info = qsa.q_svm_classify(qmodel, dom, A, xt, EXACT)
-        assert label == (1 if b >= 0 else -1)
+        labels, info = qsa.q_svm_classify(qmodel, dom, A, xt[:, None], EXACT)
+        assert labels[0] == (1 if b >= 0 else -1)
 
     def test_batch_matches_single_points(self):
         dom = self._toy()
@@ -379,9 +379,15 @@ class TestQsvm:
         X = np.random.default_rng(10).standard_normal((2, 25))
         labels, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), X, EXACT)
         for j in range(X.shape[1]):
-            label, one = qsa.q_svm_classify(qmodel, dom, np.eye(2), X[:, j], EXACT)
-            assert label == labels[j]
-            assert one["decision_value"] == pytest.approx(info["decision_value"][j], abs=1e-14)
+            label, one = qsa.q_svm_classify(qmodel, dom, np.eye(2), X[:, [j]], EXACT)
+            assert label[0] == labels[j]
+            assert one["decision_value"][0] == pytest.approx(info["decision_value"][j], abs=1e-14)
+
+    def test_vector_rejected(self):
+        dom = self._toy()
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        with pytest.raises(ShapeError, match="D x m matrix"):
+            qsa.q_svm_classify(qmodel, dom, np.eye(2), np.array([0.3, -0.2]), EXACT)
 
     def test_sampled_columns_draw_independently(self):
         dom = self._toy()
@@ -399,9 +405,9 @@ class TestQsvm:
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         shots, draws = 4096, 1000
         for i, xt in enumerate(grid):
-            label, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), xt, EXACT)
-            assert label == csa.svm_classify(model, xt)
-            exact_val = info["decision_value"]
+            label, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), xt[:, None], EXACT)
+            assert label[0] == csa.svm_classify(model, xt)
+            exact_val = info["decision_value"][0]
             # `draws` independent sampled decisions of the same point, one
             # column each. One decision is 2 k/shots - 1 with k binomial, so
             # its standard deviation is sigma below. Three standard errors:
@@ -442,6 +448,6 @@ class TestEndToEndParity:
             for j in range(tc.n):
                 xt = tc.samples[:, j]
                 assert (
-                    qsa.q_svm_classify(qmodel, sc, art.A, xt, EXACT)[0]
+                    qsa.q_svm_classify(qmodel, sc, art.A, xt[:, None], EXACT)[0][0]
                     == csa.svm_classify(model, xt)
                 )
