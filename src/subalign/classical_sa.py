@@ -165,6 +165,8 @@ def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:
     """The closed-form minimizer of ||Ps M - Pt||_F, namely Ps^T Pt."""
     if Ps.d != Pt.d:
         raise ShapeError(f"subspace dimensions differ: {Ps.d} vs {Pt.d}")
+    if Ps.P.shape[0] != Pt.P.shape[0]:
+        raise ShapeError(f"feature dimensions differ: {Ps.P.shape[0]} vs {Pt.P.shape[0]}")
     return Ps.P.T @ Pt.P
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import classical_sa as csa
 from . import quantum_sa as qsa
 from .datasets import Domain, DomainShift, SynthSpec, center_columns_in_place, load_csv
-from .errors import ConfigurationError, SubalignError
+from .errors import ConfigurationError, ShapeError, SubalignError
 from .quantum_core import ShotPlan
 
 SCHEMA_VERSION = 1
@@ -228,7 +228,16 @@ def _load_pair(config: ExperimentConfig, seed: int) -> tuple[Domain, Domain]:
 
         return synth_shifted_gaussians(replace(config.dataset, seed=seed))
     source = load_csv(config.source_csv, config.label_column)
+    if source.labels is None:
+        raise ConfigurationError(
+            f"{config.source_csv}: the source needs labels; set dataset.label_column"
+        )
     target = load_csv(config.target_csv, config.label_column)
+    if target.dim != source.dim:
+        raise ShapeError(
+            f"source {config.source_csv} has {source.dim} feature columns but "
+            f"target {config.target_csv} has {target.dim}"
+        )
     target.labels_hidden = True
     return source, target
 

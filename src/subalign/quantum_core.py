@@ -80,12 +80,19 @@ class ShotPlan:
 
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
-# searches per block of a lockstep minimum search, and twice the entries per
-# block of an amplitude-estimation readout, however many a call has. The
-# exact AE readout evaluates two outcomes per entry (a few KiB per block); a
-# sampled one builds each entry's full 2^m-outcome distribution, a peak of
-# about 6 MiB per block at m = 10 (128 x 1024 floats are 1 MiB per array)
+# twice the entries per block of an amplitude-estimation readout, however
+# many a call has. The exact AE readout evaluates two outcomes per entry (a
+# few KiB per block); a sampled one builds each entry's full 2^m-outcome
+# distribution, a peak of about 6 MiB per block at m = 10 (128 x 1024 floats
+# are 1 MiB per array)
 BLOCK_ELEMENTS = 2**8
+# Durr-Hoyer searches in flight at once in a `grover_min_find` call, and the
+# entries per chunk of its sort tables. On the quantum-caps shape (T = 200,
+# N = 15, repeats = 15; 2 cores, OpenBLAS 1 thread; medians of 2 x 60
+# interleaved calls) 512 slots take 58 steps and 5.5 ms per call; 256 take
+# 97 steps and 8.5 ms; 1024 take 38 steps and 4.1 ms but raise the
+# tracemalloc peak of the quantum-caps harness.run from 0.240 to 0.282 MiB
+SEARCH_SLOTS = 2**9
 
 
 def _fejer(delta: np.ndarray, N: int) -> np.ndarray:
@@ -185,7 +192,7 @@ class GroverStats:
     """Outcome of one `grover_min_find` call: ``index`` holds one index per
     row, ``oracle_queries`` and ``threshold_updates`` are totals over the
     call, ``target_queries`` holds each row's queries summed over its
-    repeats."""
+    repeats (so ``oracle_queries == target_queries.sum()``)."""
 
     index: np.ndarray
     oracle_queries: int
@@ -193,54 +200,45 @@ class GroverStats:
     target_queries: np.ndarray
 
 
-def _durr_hoyer_rows(values: np.ndarray, repeats: int, rng: np.random.Generator):
-    """``repeats`` Durr-Hoyer searches on every row of ``values``, run in
-    lockstep: each step is one exponential-search Grover run of every live
-    search. Returns each row's best index, queries and threshold updates.
-
-    The marked set of a search (every entry strictly below its threshold) is
-    a prefix of its row's stable sort order, so a search is fully described
-    by its threshold's sorted position, its marked count, its growth factor
-    and its query count.
-    """
+def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stable sort order, and below[t, k], the entries of row t
+    strictly below its k-th smallest value (the first sorted position that
+    holds that value), both int16 (N <= MAX_GROVER_N). Built in chunks of
+    about SEARCH_SLOTS entries, so the int64 and float temporaries stay a
+    few KiB whatever T is."""
     T, N = values.shape
-    budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
-    order = np.argsort(values, axis=1, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=1)
-    # below[t, k]: entries of row t strictly below its k-th smallest value,
-    # i.e. the first sorted position that holds that value
-    first = np.ones((T, N), dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    below = np.maximum.accumulate(np.where(first, np.arange(N), 0), axis=1)
-    row = np.repeat(np.arange(T), repeats)
-    pos = rng.integers(N, size=row.size)  # a uniform index is a uniform sorted position
-    marked = below[row, pos]
-    growth = np.ones(row.size)
-    queries = np.zeros(row.size, dtype=np.int64)
-    updates = np.zeros(row.size, dtype=np.int64)
-    live = np.flatnonzero(marked > 0)
-    while live.size:
-        c = marked[live]
-        # a Grover run of j iterations on the marked set; a search's last run
-        # is cut short so that no search spends more than its budget
-        j = rng.integers(0, np.ceil(growth[live]).astype(np.int64))
-        j = np.minimum(j, budget - 1 - queries[live])
-        queries[live] += j + 1
-        hit = rng.random(live.size) < np.sin((2 * j + 1) * np.arcsin(np.sqrt(c / N))) ** 2
-        won, lost = live[hit], live[~hit]
-        pos[won] = (rng.random(won.size) * c[hit]).astype(np.int64)  # uniform over the marked set
-        marked[won] = below[row[won], pos[won]]
-        growth[won] = 1.0
-        updates[won] += 1
-        growth[lost] = np.minimum(1.2 * growth[lost], math.sqrt(N))
-        live = live[(marked[live] > 0) & (queries[live] < budget)]
-    # the lowest sorted position is the best value, and the lowest index on ties
-    best = pos.reshape(T, repeats).min(axis=1)
-    return (
-        order[np.arange(T), best],
-        queries.reshape(T, repeats).sum(axis=1),
-        updates.reshape(T, repeats).sum(axis=1),
-    )
+    order = np.empty((T, N), dtype=np.int16)
+    below = np.empty((T, N), dtype=np.int16)
+    rows = max(1, SEARCH_SLOTS // N)
+    for lo in range(0, T, rows):
+        block = slice(lo, lo + rows)
+        o = np.argsort(values[block], axis=1, kind="stable")
+        ranked = np.take_along_axis(values[block], o, axis=1)
+        first = np.ones(ranked.shape, dtype=bool)
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        order[block] = o
+        below[block] = np.maximum.accumulate(np.where(first, np.arange(N), 0), axis=1)
+    return order, below
+
+
+def _grover_runs(pool, below, span, angle, budget: int, rng: np.random.Generator) -> None:
+    """One exponential-search Grover run of every search in ``pool`` (see
+    `grover_min_find`), in place. A function of its own so that its
+    temporaries are freed before the pool is compacted and refilled."""
+    row, pos, marked, misses, spent, wins = pool
+    # a Grover run of j iterations on the marked set, j uniform below the
+    # span; a search's last run is cut short so that no search spends more
+    # than its budget
+    j = np.minimum((rng.random(row.size) * span[misses]).astype(np.int64), budget - 1 - spent)
+    spent += j + 1
+    hit = rng.random(j.size) < np.sin((2 * j + 1) * angle[marked]) ** 2
+    won = np.flatnonzero(hit)
+    pos[won] = rng.random(won.size) * marked[won]  # uniform over the marked set
+    marked[won] = below[row[won], pos[won]]
+    wins[won] += 1
+    misses += 1
+    misses[won] = 0
+    np.minimum(misses, span.size - 1, out=misses)
 
 
 def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
@@ -253,11 +251,19 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     ``repeats`` times and keeps the best index found (the lowest index among
     equal values).
 
-    All T * repeats searches run in lockstep on arrays, in blocks of whole
-    rows holding at most BLOCK_ELEMENTS searches (one row when ``repeats``
-    exceeds it); each block builds its own sort tables, so memory is
-    O(BLOCK_ELEMENTS * (1 + N / repeats)) whatever T is. Every draw comes
-    from the plan's "min_find" stream, block after block.
+    The T * repeats searches run from one pool of SEARCH_SLOTS slots,
+    entering it in row order whenever it is half empty; each step is one
+    Grover run of every search in the pool, and finished searches fold into
+    their rows' results at the next refill and at the end. The marked set of
+    a search (every entry strictly below its threshold) is a prefix of its
+    row's stable sort order, so a search is fully described by its row, its
+    threshold's sorted position, its marked count, its misses since the last
+    update and its query count. Beyond ``values``, a call holds each row's
+    int16 sort tables (4 bytes per entry), a few int64s per row of results,
+    and a pool-sized working set of a few tens of KiB whatever T and
+    ``repeats`` are: at N = 15 its tracemalloc peak stays below
+    values.nbytes + 128 KiB. Every draw comes from the plan's "min_find"
+    stream, in pool order, so a seed gives the same result every time.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -269,9 +275,43 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
         raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
     repeats = max(int(repeats), 1)
     rng = plan.rng("min_find")
-    index, queries, updates = (np.zeros(T, dtype=np.int64) for _ in range(3))
-    rows = max(1, BLOCK_ELEMENTS // repeats)
-    for lo in range(0, T, rows):
-        block = slice(lo, lo + rows)
-        index[block], queries[block], updates[block] = _durr_hoyer_rows(values[block], repeats, rng)
+    budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
+    order, below = _sort_tables(values)
+    # span[k]: the exclusive bound ceil(g) on a run's iterations after k
+    # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
+    growth = [1.0]
+    while growth[-1] < math.sqrt(N):
+        growth.append(min(1.2 * growth[-1], math.sqrt(N)))
+    span = np.ceil(growth).astype(np.int64)
+    angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))  # Grover angle of c marked entries
+    best = np.full(T, N, dtype=np.int64)
+    queries = np.zeros(T, dtype=np.int64)
+    updates = np.zeros(T, dtype=np.int64)
+    # the pool: row, sorted position, marked count, misses, queries, updates
+    pool = np.zeros((6, 0), dtype=np.int64)
+    finished = []  # done searches, folded into their rows at the next refill
+    fed, searches = 0, T * repeats
+    while True:
+        done = (pool[2] == 0) | (pool[4] >= budget)
+        finished.append(pool.compress(done, axis=1))
+        pool = pool.compress(~done, axis=1)
+        refill = fed < searches and 2 * pool.shape[1] <= SEARCH_SLOTS
+        if refill or not pool.shape[1]:
+            finished = np.concatenate(finished, axis=1)
+            np.minimum.at(best, finished[0], finished[1])  # the best value, lowest index on ties
+            np.add.at(queries, finished[0], finished[4])
+            np.add.at(updates, finished[0], finished[5])
+            finished = []
+            if not refill:
+                break
+            k = min(SEARCH_SLOTS - pool.shape[1], searches - fed)
+            new = np.zeros((6, k), dtype=np.int64)
+            new[0] = np.arange(fed, fed + k) // repeats
+            new[1] = rng.integers(N, size=k)  # a uniform index is a uniform sorted position
+            new[2] = below[new[0], new[1]]
+            fed += k
+            pool = np.concatenate([pool, new], axis=1)
+            continue  # a search that starts at its row's minimum is done at once
+        _grover_runs(pool, below, span, angle, budget, rng)
+    index = order[np.arange(T), best].astype(np.int64)
     return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)

@@ -275,7 +275,7 @@ def q_nn_classify(
 
     Every target-source distance is estimated by Hadamard tests and
     amplitude estimation (``_ae_distances``), and one Durr-Hoyer call finds
-    every target's minimum, all searches in lockstep. A target whose minimum
+    every target's minimum, all searches from one pool. A target whose minimum
     is shared by sources with more than one label gets a warning.
     """
     X_hat_a = np.asarray(X_hat_a, float)

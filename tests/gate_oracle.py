@@ -146,7 +146,7 @@ def swap_test(a: np.ndarray, b: np.ndarray, plan: ShotPlan) -> float:
 
 def _durr_hoyer_once(values: np.ndarray, rng: np.random.Generator):
     """One Durr-Hoyer search, one Grover run per loop step: the statistical
-    oracle of the lockstep engine in `grover_min_find`."""
+    oracle of the pooled engine in `grover_min_find`."""
     N = values.size
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
     y_idx = int(rng.integers(N))

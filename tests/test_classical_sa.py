@@ -113,6 +113,11 @@ class TestAlignmentMatrix:
         with pytest.raises(ShapeError):
             csa.alignment_matrix(_basis(rng, 4, 2), _basis(rng, 4, 3))
 
+    def test_mismatched_feature_dimension(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ShapeError, match="feature dimensions differ: 4 vs 3"):
+            csa.alignment_matrix(_basis(rng, 4, 2), _basis(rng, 3, 2))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
     def test_argmin_optimality(self, seed):

@@ -403,6 +403,40 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == "error: d: malformed value 'abc'\n"
 
+    @staticmethod
+    def _write_rows(path, rows):
+        path.write_text("".join(",".join(f"{v:g}" for v in row) + "\n" for row in rows))
+
+    def test_unlabeled_source_exits_with_code_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        self._write_rows(tmp_path / "s.csv", rng.standard_normal((12, 3)))
+        self._write_rows(tmp_path / "t.csv", rng.standard_normal((10, 3)))
+        rc = cli.main([
+            "run", "--set", f"dataset.source_csv={tmp_path / 's.csv'}",
+            "--set", f"dataset.target_csv={tmp_path / 't.csv'}", "--set", "d=2",
+            "--set", f"output_dir={tmp_path / 'o'}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dataset.label_column" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_feature_count_mismatch_exits_with_code_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        source = rng.standard_normal((12, 5))
+        source[:, 0] = np.arange(12) % 2  # labels in column 1, four features
+        self._write_rows(tmp_path / "s.csv", source)
+        self._write_rows(tmp_path / "t.csv", rng.standard_normal((10, 4)))
+        rc = cli.main([
+            "run", "--set", f"dataset.source_csv={tmp_path / 's.csv'}",
+            "--set", f"dataset.target_csv={tmp_path / 't.csv'}",
+            "--set", "dataset.label_column=1", "--set", "d=2",
+            "--set", f"output_dir={tmp_path / 'o'}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
+
     def test_config_file_plus_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(

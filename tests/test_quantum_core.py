@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from subalign.errors import (
 )
 from subalign.quantum_core import (
     BLOCK_ELEMENTS,
+    SEARCH_SLOTS,
     ShotPlan,
     _ae_distribution,
     amplitude_estimation,
@@ -402,16 +404,52 @@ class TestLockstepMinFind:
         assert np.mean(oracle < q) <= 0.95 + tol
         assert engine.max() <= _budget(N)
 
-    def test_blocks_find_every_argmin(self):
-        repeats = 15
-        T = 3 * BLOCK_ELEMENTS // repeats + 5  # four blocks, the last one short
-        rows = np.random.default_rng(12).standard_normal((T, 15))
-        plan = ShotPlan(seed=3, mode="sampled")
-        stats = grover_min_find(rows, plan, repeats)
-        assert T * repeats > BLOCK_ELEMENTS
+    def test_pool_refills_and_seeding(self):
+        """Eight pool loads and more: every search enters, finishes and is
+        folded into its own row, and the draws follow the seed alone."""
+        repeats, N = 15, 15
+        T = 8 * SEARCH_SLOTS // repeats + 7
+        assert T * repeats >= 8 * SEARCH_SLOTS
+        rows = np.random.default_rng(12).standard_normal((T, N))
+        stats = grover_min_find(rows, ShotPlan(seed=3, mode="sampled"), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert isinstance(stats.oracle_queries, int)
         assert stats.oracle_queries == int(stats.target_queries.sum())
+        assert stats.target_queries.shape == (T,)
+        assert stats.target_queries.max() <= repeats * _budget(N)
+        again = grover_min_find(rows, ShotPlan(seed=3, mode="sampled"), repeats)
+        for field in ("index", "oracle_queries", "threshold_updates", "target_queries"):
+            assert np.array_equal(getattr(again, field), getattr(stats, field))
+        other = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats)
+        assert not np.array_equal(other.target_queries, stats.target_queries)
+
+    @pytest.mark.parametrize("T", [200, 2_000, 10_000])
+    def test_memory_is_bounded_by_the_input(self, T):
+        """The tables take 4 bytes per entry (half of ``values``), the pool
+        a fixed few tens of KiB: holding all T * repeats searches at once
+        would need 48 bytes per search, 7 MiB at T = 10^4."""
+        values = np.random.default_rng(T).standard_normal((T, 15))
+        plan = ShotPlan(seed=0, mode="sampled")
+        tracemalloc.start()
+        try:
+            grover_min_find(values, plan, repeats=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 128 * 1024
+
+    def test_queries_grow_as_sqrt_n(self):
+        """Mean oracle queries of one search on uniform rows scale as
+        sqrt(N) (the Durr-Hoyer bound): the log-log slope over
+        N = 16..4096 lies within 0.5 +- 0.1."""
+        sizes = [16, 64, 256, 1024, 4096]
+        rng = np.random.default_rng(15)
+        means = []
+        for N in sizes:
+            stats = grover_min_find(rng.random((64, N)), ShotPlan(seed=N, mode="sampled"))
+            means.append(stats.target_queries.mean())
+        slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
+        assert abs(slope - 0.5) <= 0.1
 
     def test_ties_go_to_lowest_index(self):
         rng = np.random.default_rng(13)
