@@ -26,6 +26,7 @@ __all__ = [
     "SynthSpec",
     "synth_shifted_gaussians",
     "load_csv",
+    "split_label_row",
     "save_csv",
     "center_columns",
     "center_columns_in_place",
@@ -214,7 +215,7 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
         raise ConfigurationError(
             f"{path}: label_column {label_column} outside 1..{width} (the column count)"
         )
-    data, labels = [], []
+    data = []
     for ridx, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
             raise ParseError(f"{path}: ragged row {ridx} (expected {width} cells)")
@@ -223,12 +224,18 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
             if not _is_number(cell):
                 raise ParseError(f"{path}: non-numeric cell {cell!r} in row {ridx}")
             vals.append(float(cell))
-        if label_column is not None:
-            labels.append(int(vals[label_column - 1]))
-            del vals[label_column - 1]
         data.append(vals)
-    samples = np.array(data, dtype=float).T
-    return Domain(samples, np.array(labels, dtype=int) if label_column else None)
+    domain = Domain(np.array(data, dtype=float).T)
+    return domain if label_column is None else split_label_row(domain, label_column)
+
+
+def split_label_row(domain: Domain, label_column: int) -> Domain:
+    """``domain`` without its feature row ``label_column`` (1-based, a CSV
+    column), which becomes its integer labels. The samples keep the layout
+    `load_csv` gives them."""
+    row = label_column - 1
+    labels = [int(v) for v in domain.samples[row]]
+    return Domain(np.delete(domain.samples.T, row, axis=1).T, labels)
 
 
 def save_csv(domain: Domain, path: str, header: bool = False) -> None:

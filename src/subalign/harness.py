@@ -20,7 +20,14 @@ import numpy as np
 
 from . import classical_sa as csa
 from . import quantum_sa as qsa
-from .datasets import Domain, DomainShift, SynthSpec, center_columns_in_place, load_csv
+from .datasets import (
+    Domain,
+    DomainShift,
+    SynthSpec,
+    center_columns_in_place,
+    load_csv,
+    split_label_row,
+)
 from .errors import ConfigurationError, ShapeError, SubalignError
 from .quantum_core import ShotPlan
 
@@ -115,7 +122,9 @@ class RunReport:
     timings: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
+        # the fields hold plain dicts and lists already, so they are written
+        # as they are: dataclasses.asdict would deep-copy every row first
+        return json.dumps(vars(self), indent=2)
 
     @classmethod
     def from_json(cls, doc: str) -> "RunReport":
@@ -232,11 +241,16 @@ def _load_pair(config: ExperimentConfig, seed: int) -> tuple[Domain, Domain]:
         raise ConfigurationError(
             f"{config.source_csv}: the source needs labels; set dataset.label_column"
         )
-    target = load_csv(config.target_csv, config.label_column)
-    if target.dim != source.dim:
+    # the target holds the features alone (as `subalign synth` writes it,
+    # with the labels in a file of their own) or the label column as well
+    target = load_csv(config.target_csv)
+    if target.dim == source.dim + 1:
+        target = split_label_row(target, config.label_column)
+    elif target.dim != source.dim:
         raise ShapeError(
             f"source {config.source_csv} has {source.dim} feature columns but "
-            f"target {config.target_csv} has {target.dim}"
+            f"target {config.target_csv} has {target.dim} columns (expected "
+            f"{source.dim}, or {source.dim + 1} with the label column)"
         )
     target.labels_hidden = True
     return source, target

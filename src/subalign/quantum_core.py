@@ -12,6 +12,7 @@ in the test suite as their oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,11 +81,10 @@ class ShotPlan:
 
 MAX_AE_QUBITS = 10
 MAX_GROVER_N = 2**12
-# twice the entries per block of an amplitude-estimation readout, however
-# many a call has. The exact AE readout evaluates two outcomes per entry (a
-# few KiB per block); a sampled one builds each entry's full 2^m-outcome
+# twice the entries per block of a sampled amplitude-estimation readout,
+# however many a call has: it builds each entry's full 2^m-outcome
 # distribution, a peak of about 6 MiB per block at m = 10 (128 x 1024 floats
-# are 1 MiB per array)
+# are 1 MiB per array). The exact readout is a table lookup and has no blocks
 BLOCK_ELEMENTS = 2**8
 # Durr-Hoyer searches in flight at once in a `grover_min_find` call, and the
 # entries per chunk of its sort tables. On the quantum-caps shape (T = 200,
@@ -147,6 +147,38 @@ def _ae_outcomes(amps: np.ndarray, m: int, rng: np.random.Generator | None) -> n
     return np.sum(cdf <= rng.random(amps.size)[:, None], axis=-1)
 
 
+def _ae_lattice(m: int) -> np.ndarray:
+    """The amplitude sin^2(pi k / 2^m) read out at folded outcome k, for
+    k = 0..2^(m-1)."""
+    N = 2**m
+    return np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+
+
+@functools.cache
+def _ae_thresholds(m: int) -> np.ndarray:
+    """The exact AE readout as a step function: entry k - 1 is the smallest
+    amplitude whose most probable folded outcome (`_ae_outcomes`, the
+    definition) is at least k, for k = 1..2^(m-1).
+
+    The readout is nondecreasing in the amplitude, and lattice point k reads
+    out k, so each threshold is bisected between lattice points k - 1 and
+    k, all k at once, until the bracket holds two adjacent floats: about 54
+    evaluations of the definition on 2^(m-1) entries, once per m and
+    process. The result is read-only, as every caller shares it; the
+    tables of all ten m take 8 KiB.
+    """
+    k = np.arange(1, 2 ** (m - 1) + 1)
+    lattice = _ae_lattice(m)
+    lo, hi = lattice[:-1], lattice[1:]
+    mid = (lo + hi) / 2
+    while np.any((lo < mid) & (mid < hi)):
+        up = _ae_outcomes(mid, m, None) >= k
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        mid = (lo + hi) / 2
+    hi.flags.writeable = False
+    return hi
+
+
 def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Canonical amplitude estimation with an m-qubit phase register, for
     every good-state probability in ``amps``.
@@ -155,18 +187,25 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     ``rng`` for one sampled outcome per entry; error <= pi/2^m + pi^2/2^(2m)
     with probability >= 8/pi^2. Outcomes k and 2^m - k read out the same
     amplitude, so k is folded into [0, 2^(m-1)] before the readout: the
-    result takes one of exactly 2^(m-1) + 1 values. Entries are read out in
-    blocks of BLOCK_ELEMENTS // 2, so memory stays bounded whatever the size
+    result takes one of exactly 2^(m-1) + 1 values.
+
+    The exact readout is one table lookup: the number of `_ae_thresholds`
+    at or below an amplitude is its folded outcome, bit for bit what the
+    definition gives entry by entry. A sampled readout goes in blocks of
+    BLOCK_ELEMENTS // 2 entries, so memory stays bounded whatever the size
     of ``amps``; draws are taken in entry order, so the blocking does not
     change them.
     """
     if not 1 <= m <= MAX_AE_QUBITS:
         raise ConfigurationError(f"m must be in 1..{MAX_AE_QUBITS}")
     amps = np.asarray(amps, dtype=float)
-    if np.any((amps < -1e-12) | (amps > 1.0 + 1e-12)):
+    # written so that NaN fails it too
+    if not np.all((amps >= -1e-12) & (amps <= 1.0 + 1e-12)):
         raise RangeError("amplitudes must lie in [0, 1]")
+    lattice = _ae_lattice(m)
+    if rng is None:
+        return lattice[np.searchsorted(_ae_thresholds(m), np.clip(amps, 0.0, 1.0), side="right")]
     N = 2**m
-    lattice = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
     flat = amps.reshape(-1)
     out = np.empty(flat.size)
     rows = BLOCK_ELEMENTS // 2
@@ -221,7 +260,7 @@ def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, below
 
 
-def _grover_runs(pool, below, span, angle, budget: int, rng: np.random.Generator) -> None:
+def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) -> None:
     """One exponential-search Grover run of every search in ``pool`` (see
     `grover_min_find`), in place. A function of its own so that its
     temporaries are freed before the pool is compacted and refilled."""
@@ -231,8 +270,7 @@ def _grover_runs(pool, below, span, angle, budget: int, rng: np.random.Generator
     # than its budget
     j = np.minimum((rng.random(row.size) * span[misses]).astype(np.int64), budget - 1 - spent)
     spent += j + 1
-    hit = rng.random(j.size) < np.sin((2 * j + 1) * angle[marked]) ** 2
-    won = np.flatnonzero(hit)
+    won = np.flatnonzero(rng.random(j.size) < hit[marked, j])
     pos[won] = rng.random(won.size) * marked[won]  # uniform over the marked set
     marked[won] = below[row[won], pos[won]]
     wins[won] += 1
@@ -258,10 +296,13 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     a search (every entry strictly below its threshold) is a prefix of its
     row's stable sort order, so a search is fully described by its row, its
     threshold's sorted position, its marked count, its misses since the last
-    update and its query count. Beyond ``values``, a call holds each row's
-    int16 sort tables (4 bytes per entry), a few int64s per row of results,
-    and a pool-sized working set of a few tens of KiB whatever T and
-    ``repeats`` are: at N = 15 its tracemalloc peak stays below
+    update and its query count. A Grover run's success probability is read
+    from a table of every (marked count, iterations) pair, built once per
+    call: 8 (N + 1) (ceil(sqrt(N)) + 1) bytes, 640 bytes at N = 15 and
+    2 MiB at MAX_GROVER_N. Beyond ``values`` and that table, a call holds
+    each row's int16 sort tables (4 bytes per entry), a few int64s per row
+    of results, and a pool-sized working set of a few tens of KiB whatever
+    T and ``repeats`` are: at N = 15 its tracemalloc peak stays below
     values.nbytes + 128 KiB. Every draw comes from the plan's "min_find"
     stream, in pool order, so a seed gives the same result every time.
     """
@@ -283,7 +324,11 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     while growth[-1] < math.sqrt(N):
         growth.append(min(1.2 * growth[-1], math.sqrt(N)))
     span = np.ceil(growth).astype(np.int64)
-    angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))  # Grover angle of c marked entries
+    # hit[c, j]: the chance that j Grover iterations on c marked entries find
+    # one, sin^2((2j + 1) theta_c) with sin^2(theta_c) = c / N, for j =
+    # 0..ceil(sqrt(N)), the range of floor(u * span) over u in [0, 1]
+    angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
+    hit = np.sin((2 * np.arange(span[-1] + 1) + 1) * angle[:, None]) ** 2
     best = np.full(T, N, dtype=np.int64)
     queries = np.zeros(T, dtype=np.int64)
     updates = np.zeros(T, dtype=np.int64)
@@ -312,6 +357,6 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
             fed += k
             pool = np.concatenate([pool, new], axis=1)
             continue  # a search that starts at its row's minimum is done at once
-        _grover_runs(pool, below, span, angle, budget, rng)
+        _grover_runs(pool, below, span, hit, budget, rng)
     index = order[np.arange(T), best].astype(np.int64)
     return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)

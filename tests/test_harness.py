@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -319,6 +320,11 @@ class TestRun:
         doc["sweep"] = [{"seed": 0, "precision_qubits": 4, "projector_error": 0.0}]
         assert RunReport.from_json(json.dumps(doc)).parity == report.parity
 
+    def test_report_json_is_the_dataclass_dump(self, tmp_path):
+        report = run(_config(tmp_path, "track = both\nquantum.exact_theta = true\n"))
+        assert report.accuracy and report.parity and report.timings
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+
 
 class TestImport:
     def test_harness_import_loads_no_scipy(self):
@@ -426,7 +432,8 @@ class TestCli:
         source = rng.standard_normal((12, 5))
         source[:, 0] = np.arange(12) % 2  # labels in column 1, four features
         self._write_rows(tmp_path / "s.csv", source)
-        self._write_rows(tmp_path / "t.csv", rng.standard_normal((10, 4)))
+        # 4 columns would be the features alone, 5 the features and labels
+        self._write_rows(tmp_path / "t.csv", rng.standard_normal((10, 3)))
         rc = cli.main([
             "run", "--set", f"dataset.source_csv={tmp_path / 's.csv'}",
             "--set", f"dataset.target_csv={tmp_path / 't.csv'}",
@@ -436,6 +443,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
+
+    def test_synth_pair_runs(self, tmp_path):
+        """`synth` writes the target's features alone and its labels to a
+        file of their own; `run` takes that pair with the source's label
+        column, and reports the unknown target accuracy as NaN."""
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert cli.main(["synth", "--set", "dataset.D=4", "--output", str(data)]) == 0
+        rc = cli.main([
+            "run", "--set", f"dataset.source_csv={data / 'source.csv'}",
+            "--set", f"dataset.target_csv={data / 'target.csv'}",
+            "--set", "dataset.label_column=5", "--set", "d=2", "--set", "seeds=0",
+            "--set", f"output_dir={out}",
+        ])
+        assert rc == 0
+        rows = (out / "accuracy_v1.csv").read_text().splitlines()
+        assert rows[1:] and all(row.endswith(",nan") for row in rows[1:])
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

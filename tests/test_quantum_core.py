@@ -31,9 +31,12 @@ from subalign.errors import (
 )
 from subalign.quantum_core import (
     BLOCK_ELEMENTS,
+    MAX_AE_QUBITS,
     SEARCH_SLOTS,
     ShotPlan,
     _ae_distribution,
+    _ae_outcomes,
+    _ae_thresholds,
     amplitude_estimation,
     grover_min_find,
     pe_outcome_kernel,
@@ -186,6 +189,26 @@ class TestSwapTest:
             assert abs(swap_test(a, b, EXACT) - direct) <= 1e-12
 
 
+def _lattice_readout(k, m):
+    return np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2
+
+
+def _definition_readout(amps, m):
+    """The exact readout entry by entry: the two-neighbour comparison of
+    `_ae_outcomes`, in blocks, as amplitude_estimation computed it before
+    the threshold table."""
+    blocks = np.array_split(amps, max(1, amps.size // 4096))
+    return _lattice_readout(np.concatenate([_ae_outcomes(b, m, None) for b in blocks]), m)
+
+
+def _argmax_readout(amps, m):
+    """The most probable outcome of the full AE distribution, in blocks of
+    about 2^16 outcome probabilities."""
+    blocks = np.array_split(amps, max(1, amps.size * 2**m // 2**16))
+    k = np.concatenate([np.argmax(_ae_distribution(b, m), axis=-1) for b in blocks])
+    return _lattice_readout(k, m)
+
+
 class TestAmplitudeEstimation:
     def test_lattice_value_exact(self):
         m = 5
@@ -214,7 +237,13 @@ class TestAmplitudeEstimation:
         with pytest.raises(RangeError):
             amplitude_estimation([0.5, 1.5], 4)
 
-    @pytest.mark.parametrize("m", [3, 5, 7])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_nan_amplitude_rejected(self, sampled):
+        rng = np.random.default_rng(0) if sampled else None
+        with pytest.raises(RangeError):
+            amplitude_estimation([0.5, np.nan], 7, rng)
+
+    @pytest.mark.parametrize("m", range(1, MAX_AE_QUBITS + 1))
     def test_exact_readouts_are_lattice_points(self, m):
         # outcomes k and 2^m - k are one lattice point; round-off must not
         # split it into values an ulp apart
@@ -222,8 +251,7 @@ class TestAmplitudeEstimation:
         est = amplitude_estimation(grid, m)
         assert np.unique(est).size <= 2 ** (m - 1) + 1
         # and each is the most probable outcome of the full distribution
-        k = np.argmax(_ae_distribution(grid, m), axis=-1)
-        assert np.array_equal(est, np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2)
+        assert np.array_equal(est, _argmax_readout(grid, m))
 
     def test_sampled_draws_one_outcome_per_entry(self):
         amps = np.random.default_rng(5).uniform(0.0, 1.0, (20, 10))
@@ -243,6 +271,41 @@ class TestAmplitudeEstimation:
         rng = np.random.default_rng(1)
         one_by_one = [amplitude_estimation([a], 7, rng)[0] for a in amps]
         assert np.array_equal(est, one_by_one)
+
+
+class TestAeThresholdTable:
+    """The exact AE readout is a lookup in `_ae_thresholds`, checked against
+    the definition it replaced at every register size (and against the full
+    distribution by `test_exact_readouts_are_lattice_points`)."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_AE_QUBITS + 1))
+    def test_lookup_matches_the_definition(self, m):
+        thresholds = _ae_thresholds(m)
+        assert thresholds.shape == (2 ** (m - 1),)
+        assert np.all(np.diff(thresholds) > 0)
+        uniform = np.random.default_rng(m).random(10**5)
+        # every threshold and the floats 1 and 2 ulps to either side: a
+        # threshold one float off reads out one lattice point off there
+        ulps = thresholds.view(np.int64)[:, None] + np.arange(-2, 3)
+        near = ulps.ravel().view(np.float64)
+        for amps in (uniform, near):
+            assert np.array_equal(amplitude_estimation(amps, m), _definition_readout(amps, m))
+
+    def test_table_is_shared_read_only(self):
+        assert _ae_thresholds(7) is _ae_thresholds(7)
+        with pytest.raises(ValueError):
+            _ae_thresholds(7)[0] = 0.0
+
+    def test_exact_readout_memory(self):
+        amps = np.random.default_rng(3).random(10**5)
+        amplitude_estimation(amps[:1], 7)  # the table is built once per process
+        tracemalloc.start()
+        try:
+            amplitude_estimation(amps, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * amps.nbytes + 64 * 1024
 
 
 class TestSignedOverlap:
@@ -437,6 +500,22 @@ class TestLockstepMinFind:
         finally:
             tracemalloc.stop()
         assert peak <= values.nbytes + 128 * 1024
+
+    @pytest.mark.parametrize(
+        "N, seed, repeats, queries, updates, target_queries",
+        [
+            (15, 7, 3, 138, 40, [18, 19, 14, 19, 17, 17, 21, 13]),
+            (64, 8, 1, 181, 32, [7, 41, 8, 40, 46, 30, 3, 6]),
+        ],
+    )
+    def test_draws_are_pinned(self, N, seed, repeats, queries, updates, target_queries):
+        """Two fixed searches with their outcomes pinned: a change in the
+        number or order of the draws shows here."""
+        rows = np.random.default_rng(N).standard_normal((8, N))
+        stats = grover_min_find(rows, ShotPlan(seed=seed, mode="sampled"), repeats)
+        assert np.array_equal(stats.index, np.argmin(rows, axis=1))
+        assert (stats.oracle_queries, stats.threshold_updates) == (queries, updates)
+        assert stats.target_queries.tolist() == target_queries
 
     def test_queries_grow_as_sqrt_n(self):
         """Mean oracle queries of one search on uniform rows scale as
