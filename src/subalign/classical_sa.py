@@ -48,10 +48,19 @@ RANK_FLOOR = 1e-12
 # the 2^q-dim hard-kernel statevector, q = max(1, ceil(log2 D))
 FEATURE_KINDS = ("linear", "hard")
 # entries per block of the 1-NN distance matrix (step queries x n_s sources).
-# At d=8, n_s=n_t=10^4 (random data, 2 cores): 2^14 took 313 ms, 2^15 148 ms,
-# 2^16 102 ms, 2^17 139 ms; at d=2, n_s=1000, 2^15 takes 1.0 ms. 2^16 raised
-# the peak memory of the kernel-hard bench config from 0.84 to 1.04 MiB.
+# At d=8, n_s=n_t=10^4 (random data, 2 cores), before the row floor below:
+# 2^14 took 313 ms, 2^15 148 ms, 2^16 102 ms, 2^17 139 ms; at d=2, n_s=1000,
+# 2^15 takes 1.0 ms. 2^16 raised the peak memory of the kernel-hard bench
+# config from 0.84 to 1.04 MiB.
 NN_BLOCK_ELEMENTS = 2**15
+# fewest query rows per 1-NN block; it sets the block once n_s > 2^12, where
+# NN_BLOCK_ELEMENTS // n_s leaves a GEMM too few output rows to run at speed.
+# 1-NN at d=8, n_s=n_t=10^4 (random data, Xeon with 2 MiB L2 per core, 2
+# cores, OpenBLAS 1 thread; median of 12 interleaved rounds, identical
+# labels): 3 rows 114 ms, 4 88, 5 83, 6 82, 7 80, 8 76, 9 78, 10 79, 11 87,
+# 12 116, 13 121, 14-16 120. The distance block is then 8 * n_s * 8 bytes
+# (625 KiB at n_s = 10^4).
+NN_MIN_ROWS = 8
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -190,15 +199,17 @@ def build_alignment(Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt) -> AlignmentAr
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels (columns are points, ties to lowest index).
 
-    Exhaustive search over blocks of step = clamp(NN_BLOCK_ELEMENTS // n_s,
-    1, n_t) queries. The training side is built once as the (d+1) x n_s
-    array [-2 T; ||t||^2], and each block of queries is copied into one
-    reused step x (d+1) buffer whose last column is 1, so one GEMM gives
-    ||t||^2 - 2 t.q for the whole block, a query per row. ||q||^2 is left
-    out: it is the same along a row and cannot move that row's argmin.
-    `np.argmin` runs along the contiguous row and keeps the lowest index
-    among tied sources (duplicate sources give bit-identical entries).
-    Memory is O(n_s * step), never n_s x n_t.
+    Exhaustive search over blocks of step = clamp(max(NN_BLOCK_ELEMENTS //
+    n_s, NN_MIN_ROWS), 1, n_t) queries. The training side is built once as
+    the (d+1) x n_s array [-2 T; ||t||^2], and each block of queries is
+    copied into one reused step x (d+1) buffer whose last column is 1, so
+    one GEMM gives ||t||^2 - 2 t.q for the whole block, a query per row.
+    ||q||^2 is left out: it is the same along a row and cannot move that
+    row's argmin. The full blocks run on the whole buffers; only the short
+    last block, if any, runs on a slice of them. The argmin runs along the
+    contiguous row and keeps the lowest index among tied sources (duplicate
+    sources give bit-identical entries). Memory is O(n_s * step), never
+    n_s x n_t.
     """
     train, queries = np.asarray(train, float), np.asarray(queries, float)
     labels = np.asarray(train_labels)
@@ -212,15 +223,20 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray
     aug_train = np.empty((d + 1, n_s))
     np.multiply(train, -2.0, out=aug_train[:d])
     np.einsum("ij,ij->j", train, train, out=aug_train[d])
-    step = max(1, min(NN_BLOCK_ELEMENTS // n_s, n_t))
+    step = max(1, min(max(NN_BLOCK_ELEMENTS // n_s, NN_MIN_ROWS), n_t))
     block = np.ones((step, d + 1))
     d2 = np.empty((step, n_s))
     nearest = np.empty(n_t, dtype=np.intp)
-    for j in range(0, n_t, step):
-        m = min(step, n_t - j)
-        block[:m, :d] = queries[:, j:j + m].T
+    full = n_t - n_t % step
+    for j in range(0, full, step):
+        block[:, :d] = queries[:, j:j + step].T
+        np.matmul(block, aug_train, out=d2)
+        d2.argmin(axis=1, out=nearest[j:j + step])
+    if full < n_t:
+        m = n_t - full
+        block[:m, :d] = queries[:, full:].T
         np.matmul(block[:m], aug_train, out=d2[:m])
-        np.argmin(d2[:m], axis=1, out=nearest[j:j + m])
+        d2[:m].argmin(axis=1, out=nearest[full:])
     return labels[nearest]
 
 

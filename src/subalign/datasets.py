@@ -102,7 +102,9 @@ class DomainShift:
 
     def _apply_in_place(self, X: np.ndarray) -> None:
         """Shift the float array X in place: rotate rows 0 and 1, scale every
-        row, then translate."""
+        row, then translate. A step that is the identity (angle 0, scale 1,
+        an all-zero translation) makes no pass, so it also leaves a -0.0
+        entry as it is."""
         D = X.shape[0]
         t = np.asarray(self.translation, dtype=float)
         if t.ndim == 0:
@@ -113,8 +115,10 @@ class DomainShift:
             c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
             x0, x1 = c * X[0] - s * X[1], s * X[0] + c * X[1]
             X[0], X[1] = x0, x1
-        X *= self.scale
-        X += t[:, None]
+        if self.scale != 1:
+            X *= self.scale
+        if np.any(t):
+            X += t[:, None]
 
 
 @dataclass(frozen=True)
@@ -160,13 +164,15 @@ def _class_labels(spec: SynthSpec) -> np.ndarray:
 
 def _draw(spec: SynthSpec, rng: np.random.Generator, n: int):
     """n labelled points: class means plus sigma-scaled noise. The means are
-    nonzero only in row 0, so the noise is scaled in place and the means are
-    added to row 0 only; the samples equal means[:, classes] + sigma * Z."""
+    nonzero only in row 0, so the noise is scaled in place (not at all for
+    sigma = 1) and the means are added to row 0 only; the samples equal
+    means[:, classes] + sigma * Z."""
     means = _class_means(spec)
     label_values = _class_labels(spec)
     classes = rng.integers(0, spec.class_count, size=n)
     X = rng.standard_normal((spec.D, n))
-    X *= spec.noise_sigma
+    if spec.noise_sigma != 1:
+        X *= spec.noise_sigma
     if spec.noise_sigma == 0:
         X[1:] = 0.0  # 0 * z is -0.0 for z < 0; adding the zero mean gives +0.0
     X[0] += means[0, classes]

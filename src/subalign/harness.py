@@ -123,13 +123,21 @@ class RunReport:
 
     def to_json(self) -> str:
         # the fields hold plain dicts and lists already, so they are written
-        # as they are: dataclasses.asdict would deep-copy every row first
-        return json.dumps(vars(self), indent=2)
+        # as they are: dataclasses.asdict would deep-copy every row first.
+        # JSON has no NaN, so an unknown accuracy (unlabeled target) is null.
+        accuracy = [
+            row if math.isfinite(row["accuracy"]) else {**row, "accuracy": None}
+            for row in self.accuracy
+        ]
+        return json.dumps({**vars(self), "accuracy": accuracy}, indent=2)
 
     @classmethod
     def from_json(cls, doc: str) -> "RunReport":
         fields = json.loads(doc)
         fields.pop("sweep", None)  # older reports carry a qPCA precision-sweep section
+        for row in fields["accuracy"]:
+            if row["accuracy"] is None:
+                row["accuracy"] = math.nan
         return cls(**fields)
 
 

@@ -229,12 +229,17 @@ class TestNnClassify:
         )
         return np.argmin(d2, axis=0)
 
-    @pytest.mark.parametrize("n_s, n_t", [(csa.NN_BLOCK_ELEMENTS + 5, 7), (1000, 37)])
+    @pytest.mark.parametrize(
+        "n_s, n_t", [(csa.NN_BLOCK_ELEMENTS + 5, 11), (5000, 19), (1000, 37)]
+    )
     def test_blocks_match_dense_reference(self, n_s, n_t):
-        """One query per block when n_s exceeds the block size, and a short
-        last block when n_t is not a multiple of the step."""
-        step = max(1, csa.NN_BLOCK_ELEMENTS // n_s)
-        assert step == 1 or n_t % step
+        """Blocks of NN_MIN_ROWS queries where n_s leaves fewer rows to the
+        element budget (none at all past NN_BLOCK_ELEMENTS, 6 at 5000),
+        element-sized blocks of 32 rows at n_s = 1000, and a short last
+        block in each."""
+        step = max(csa.NN_BLOCK_ELEMENTS // n_s, csa.NN_MIN_ROWS)
+        assert step == (32 if n_s == 1000 else csa.NN_MIN_ROWS)
+        assert n_t > step and n_t % step
         rng = np.random.default_rng(21)
         train = rng.standard_normal((3, n_s))
         queries = rng.standard_normal((3, n_t))
@@ -252,6 +257,27 @@ class TestNnClassify:
         queries = np.repeat(train[:, [300, 5]], k, axis=1)
         pred = csa.nn_classify(train, np.arange(n_s), queries)
         assert np.array_equal(pred, np.repeat([300, 5], k))
+
+    def test_duplicate_sources_across_floor_sized_blocks(self):
+        # at n_s = 5000 the blocks hold NN_MIN_ROWS queries; 2k + 1 queries
+        # fill two full blocks and a short one, and both runs cross a boundary
+        rng = np.random.default_rng(27)
+        n_s = 5000
+        assert csa.NN_BLOCK_ELEMENTS // n_s < csa.NN_MIN_ROWS
+        train = rng.standard_normal((4, n_s))
+        train[:, 4900] = train[:, 300]
+        train[:, 2600] = train[:, 5]
+        train[:, 4999] = train[:, 5]
+        k = csa.NN_MIN_ROWS + 3
+        queries = np.repeat(train[:, [300, 5, 4900]], [k, k, 1], axis=1)
+        pred = csa.nn_classify(train, np.arange(n_s), queries)
+        assert np.array_equal(pred, np.repeat([300, 5, 300], [k, k, 1]))
+
+    @pytest.mark.parametrize("n_s", [15, 5000])
+    def test_no_queries_give_no_labels(self, n_s):
+        labels = np.arange(n_s) % 3
+        pred = csa.nn_classify(np.ones((2, n_s)), labels, np.ones((2, 0)))
+        assert pred.shape == (0,) and pred.dtype == labels.dtype
 
     def test_clamped_single_block_matches_dense_reference(self):
         # the quantum-caps shape: all 200 queries fit one block of 200 rows
@@ -300,6 +326,27 @@ class TestNnClassify:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+    def test_peak_memory_follows_block_layout(self):
+        """At the classical-nn bench shape (d = 8, n_s = n_t = 10^4) the peak
+        is the (d+1) x n_s operand [-2 T; ||t||^2] and the NN_MIN_ROWS x n_s
+        distance block, 8 * n_s * (d + 1 + NN_MIN_ROWS) bytes, plus the
+        n_t-entry index and label arrays (8 bytes each), plus 4 KiB for the
+        NN_MIN_ROWS x (d+1) query block (576 bytes) and the array objects."""
+        rng = np.random.default_rng(26)
+        d, n_s, n_t = 8, 10_000, 10_000
+        assert csa.NN_BLOCK_ELEMENTS // n_s < csa.NN_MIN_ROWS
+        train = rng.standard_normal((d, n_s))
+        labels = rng.integers(0, 2, n_s)
+        queries = rng.standard_normal((d, n_t))
+        bound = 8 * n_s * (d + 1 + csa.NN_MIN_ROWS) + 16 * n_t + 4096
+        tracemalloc.start()
+        try:
+            csa.nn_classify(train, labels, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestSvm:

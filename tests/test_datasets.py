@@ -91,6 +91,9 @@ class TestSynth:
         (DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3), 1.0, 3),
         (DomainShift(rotation_angle=0.7, translation=0.5, scale=0.8), 0.0, 3),
         (DomainShift(), 0.0, 2),
+        (DomainShift(), 2.5, 2),
+        (DomainShift(scale=1.3), 1.0, 2),
+        (DomainShift(translation=(0.0, 0.0, 0.0, 2.0)), 1.0, 3),
     ])
     def test_samples_match_reference_formula_bitwise(self, seed, shift, sigma, classes):
         spec = SynthSpec(D=4, n_s=50, n_t=60, class_count=classes, domain_shift=shift,
@@ -110,6 +113,8 @@ class TestSynth:
     @pytest.mark.parametrize("shift", [
         DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3),
         DomainShift(rotation_angle=4.2, translation=0.5, scale=0.8),
+        DomainShift(scale=0.8),
+        DomainShift(translation=(0.0, -1.0, 0.0, 0.0)),
     ])
     def test_in_place_target_shift_matches_apply_bitwise(self, shift):
         # the draws do not depend on the shift, so the unshifted target is the
@@ -118,6 +123,13 @@ class TestSynth:
         _, raw = synth_shifted_gaussians(spec)
         _, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=20, n_t=30, seed=6, domain_shift=shift))
         assert target.samples.tobytes() == shift.apply(raw.samples).tobytes()
+        assert not np.array_equal(target.samples, raw.samples)
+
+    def test_identity_shift_makes_no_pass(self):
+        # adding a zero translation would turn the -0.0 entry into +0.0
+        X = np.random.default_rng(10).standard_normal((3, 12))
+        X[1, 4] = -0.0
+        assert DomainShift().apply(X).tobytes() == X.tobytes()
 
     def test_target_labels_hidden(self):
         _, target = synth_shifted_gaussians(SynthSpec())

@@ -444,10 +444,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
 
-    def test_synth_pair_runs(self, tmp_path):
-        """`synth` writes the target's features alone and its labels to a
-        file of their own; `run` takes that pair with the source's label
-        column, and reports the unknown target accuracy as NaN."""
+    @staticmethod
+    def _run_synth_pair(tmp_path) -> Path:
+        """`run` on the pair `synth` writes; returns the output directory."""
         data, out = tmp_path / "data", tmp_path / "o"
         assert cli.main(["synth", "--set", "dataset.D=4", "--output", str(data)]) == 0
         rc = cli.main([
@@ -457,8 +456,30 @@ class TestCli:
             "--set", f"output_dir={out}",
         ])
         assert rc == 0
+        return out
+
+    def test_synth_pair_runs(self, tmp_path):
+        """`synth` writes the target's features alone and its labels to a
+        file of their own; `run` takes that pair with the source's label
+        column, and reports the unknown target accuracy as NaN."""
+        out = self._run_synth_pair(tmp_path)
         rows = (out / "accuracy_v1.csv").read_text().splitlines()
         assert rows[1:] and all(row.endswith(",nan") for row in rows[1:])
+
+    def test_unknown_accuracy_is_json_null(self, tmp_path):
+        """The report of an unlabeled target is strict JSON (no NaN token):
+        the unknown accuracy is null, and `from_json` reads it back as NaN."""
+        path = self._run_synth_pair(tmp_path) / "report_v1.json"
+        text = path.read_text()
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(text, parse_constant=refuse)
+        assert doc["accuracy"] and all(row["accuracy"] is None for row in doc["accuracy"])
+        back = RunReport.from_json(text)
+        assert all(np.isnan(row["accuracy"]) for row in back.accuracy)
+        assert cli.main(["report", "--report", str(path)]) == 0
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
