@@ -36,7 +36,6 @@ __all__ = [
     "svm_classify",
     "kernel_matrix",
     "kernel_pca",
-    "kernel_pca_weights",
     "kernel_alignment",
     "kernel_sa_fit",
 ]
@@ -448,13 +447,6 @@ def kernel_pca(K: np.ndarray, d: int) -> SubspaceBasis:
     if d > n or w[n - d] <= RANK_FLOOR:
         raise _rank_deficient(d)
     return _top_basis(w, V, d)
-
-
-def kernel_pca_weights(K: np.ndarray, d: int) -> np.ndarray:
-    """Kernel-PCA weight matrix W (n x d) with unit-norm feature components:
-    the `kernel_pca` eigenvectors v_k scaled by 1 / sqrt(lambda_k)."""
-    basis = kernel_pca(K, d)
-    return basis.P / np.sqrt(basis.eigenvalues)
 
 
 def kernel_alignment(Ws: np.ndarray, Kst: np.ndarray, Wt: np.ndarray) -> np.ndarray:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_sa import SubspaceBasis, _as_matrix, _factor_pair, _fix_signs, ls_svm_system
+from .classical_sa import (
+    SubspaceBasis,
+    _as_matrix,
+    _factor_pair,
+    _fix_signs,
+    _svm_core,
+    ls_svm_system,
+)
 from .datasets import Domain
 from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
 from .quantum_core import (
@@ -38,11 +45,12 @@ __all__ = [
     "overlap_angle",
 ]
 
-QPCA_MAX_DIM = 16
-QSVM_MAX_ROWS = 16
-QNN_MAX_DIM = 8
+# bounds the dense (n_t, n_s) estimate matrix of `_ae_distances` and the
+# int16 sort tables of the Durr-Hoyer search
 QNN_MAX_SOURCES = 64
-# the inversion keeps eigenvalues down to lambda_max / QSVM_KAPPA_MAX
+# postselection below this probability keeps only rounding noise
+POSTSELECTION_FLOOR = 1e-6
+# the inversion keeps singular values down to sigma_max / QSVM_KAPPA_MAX
 QSVM_KAPPA_MAX = 1e4
 
 
@@ -107,8 +115,6 @@ def qpca(
     """
     M = _as_matrix(X)
     D, n = M.shape
-    if D > QPCA_MAX_DIM:
-        raise ConfigurationError(f"qPCA capped at D <= {QPCA_MAX_DIM}")
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range")
     cov_trace = float(np.sum(M * M))
@@ -190,9 +196,9 @@ def matrix_product_state(
         rec = 2.0 * np.sin(theta) ** 2 - 1.0
     unnorm = norms * rec / (pnorm * qnorm)
     success = float(np.sum(unnorm**2))
-    if success < 1e-6:
+    if success < POSTSELECTION_FLOOR:
         raise PostselectionError(
-            f"postselection probability {success:.3e} below 1e-6; "
+            f"postselection probability {success:.3e} below {POSTSELECTION_FLOOR:g}; "
             "overlaps are degenerate"
         )
     return InnerProductState(unnorm / math.sqrt(success), pnorm * qnorm, success)
@@ -280,11 +286,9 @@ def q_nn_classify(
     """
     X_hat_a = np.asarray(X_hat_a, float)
     X_hat_t = np.asarray(X_hat_t, float)
-    d, n_s = X_hat_a.shape
-    if d > QNN_MAX_DIM or n_s > QNN_MAX_SOURCES:
-        raise ConfigurationError(
-            f"register budget: d <= {QNN_MAX_DIM} and n_s <= {QNN_MAX_SOURCES}"
-        )
+    n_s = X_hat_a.shape[1]
+    if n_s > QNN_MAX_SOURCES:
+        raise ConfigurationError(f"quantum NN capped at n_s <= {QNN_MAX_SOURCES}")
     labels = np.asarray(labels)
     est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
     stats = grover_min_find(est, plan, repeats=repeats)
@@ -314,44 +318,46 @@ def q_svm_train(
     gamma: float,
     precision_qubits: int = 10,
 ) -> QsvmState:
-    """Matrix inversion of the (Hermitian-embedded) SVM system by spectral
-    emulation of phase estimation plus the 1/lambda conditional rotation.
+    """Matrix inversion (HHL) of the SVM system F (b, alpha) = (0, y) by
+    spectral emulation of phase estimation plus the 1/sigma conditional
+    rotation. ``A`` is a D x D array or a factor pair (L, R) with A = L R^T.
 
-    ``A`` is a D x D array or a factor pair (L, R) with A = L R^T."""
-    n = Xs.n
-    rows = n + 1
-    if rows > QSVM_MAX_ROWS:
-        raise ConfigurationError(f"inversion register budget: n_s + 1 <= {QSVM_MAX_ROWS}")
+    HHL inverts the Hermitian embedding [[0, F], [F^T, 0]], whose
+    eigenvalues are +-sigma for the singular values sigma of F. Those come
+    from the low-rank core of `ls_svm_system` (`_svm_core`): the singular
+    values of F_Q = U diag(s) W^T, plus c = 1/gamma on the complement of
+    span(Q) when Q is not square. Each sigma reads out at its most probable
+    outcome, pe_readout(sigma 0.25 / sigma_max, n), and readouts below
+    sigma_max / QSVM_KAPPA_MAX are dropped, so with z = Q^T y_hat
+    x = Q W (U^T z / sigma~) + (y_hat - Q z) / c~.
+    """
     c, B, C, rhs = ls_svm_system(Xs, A, gamma)
-    F = c * np.eye(rows) + B @ C.T
-    trF = float(np.trace(F))
-    Fh = F / trF
-    H = np.zeros((2 * rows, 2 * rows))
-    H[:rows, rows:] = Fh
-    H[rows:, :rows] = Fh.T
-    lam, V = np.linalg.eigh(H)
-    lmax = float(np.max(np.abs(lam)))
-    t0 = 2 * math.pi * 0.25 / lmax
-    # each eigenvalue reads out at its most probable phase-estimation outcome
-    lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
-    keep = np.abs(lam_rounded) >= lmax / QSVM_KAPPA_MAX
+    Q, core, _ = _svm_core(c, B, C)
+    U, s, Wt = np.linalg.svd(core)
+    complement = Q.shape[1] < Q.shape[0]
+    sigma = np.append(s, c) if complement else s
+    smax = float(sigma.max())
+    read = pe_readout(sigma * 0.25 / smax, precision_qubits) * smax / 0.25
+    keep = read >= smax / QSVM_KAPPA_MAX
     if not np.any(keep):
         raise IllConditionedError("every eigenvalue fell below the inversion cutoff")
+    inv = np.divide(1.0, read, out=np.zeros_like(read), where=keep)
     y_hat = rhs / np.linalg.norm(rhs)
-    y_emb = np.concatenate([y_hat, np.zeros(rows)])
-    coef = V.T @ y_emb
-    C = float(np.min(np.abs(lam_rounded[keep])))
-    inv_coef = np.where(keep, coef / np.where(keep, lam_rounded, 1.0), 0.0)
-    success = float(np.sum((C * inv_coef) ** 2))
-    if success <= 0:
-        raise PostselectionError("zero postselection probability in inversion")
-    x_full = V @ inv_coef
-    x = x_full[rows:]
+    z = Q.T @ y_hat
+    x = Q @ (Wt.T @ (inv[: s.size] * (U.T @ z)))
+    if complement:
+        x += (y_hat - Q @ z) * inv[-1]
     mag = float(np.linalg.norm(x))
-    if mag == 0:
-        raise PostselectionError("inversion produced the zero solution")
+    # the conditional rotation writes C / sigma~ on the kept branch, with C
+    # the smallest kept readout, so postselection succeeds with (C ||x||)^2
+    success = float((read[keep].min() * mag) ** 2)
+    if success < POSTSELECTION_FLOOR:
+        raise PostselectionError(
+            f"postselection probability {success:.3e} below {POSTSELECTION_FLOOR:g} "
+            "in inversion"
+        )
     amplitudes = x / mag
-    scale = mag * math.sqrt(n) / trF  # ||(0, y)|| = sqrt(n) for +-1 labels
+    scale = mag * math.sqrt(Xs.n)  # ||(0, y)|| = sqrt(n) for +-1 labels
     b, alpha = amplitudes[0] * scale, amplitudes[1:] * scale
     N_x = float(b**2 + np.sum(alpha**2 * np.sum(Xs.samples**2, axis=0)))
     return QsvmState(amplitudes, scale, success, N_x)

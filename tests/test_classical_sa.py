@@ -561,24 +561,31 @@ class TestKernels:
                 assert Kp[i, j] == pytest.approx((X[:, i] @ Y[:, j]) ** 3, abs=1e-12)
 
 
+def _kpca_weights(K, d):
+    """Kernel-PCA weights W (n x d) with unit-norm feature components: the
+    `kernel_pca` eigenvectors v_k scaled by 1 / sqrt(lambda_k)."""
+    basis = csa.kernel_pca(K, d)
+    return basis.P / np.sqrt(basis.eigenvalues)
+
+
 class TestKernelPca:
     def test_weights_whiten_gram(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((4, 6))
         K = X.T @ X
-        W = csa.kernel_pca_weights(K, 2)
+        W = _kpca_weights(K, 2)
         Kc = K - K.mean(0) - K.mean(1)[:, None] + K.mean()
         assert np.allclose(W.T @ Kc @ W, np.eye(2), atol=1e-8)
 
     def test_identity_gram_degenerate(self):
         with pytest.raises((RankDeficiencyError, ConfigurationError)):
-            csa.kernel_pca_weights(np.eye(4), 4)
+            csa.kernel_pca(np.eye(4), 4)
 
     def test_linear_kernel_reduces_to_pca(self):
         rng = np.random.default_rng(18)
         X = rng.standard_normal((4, 10))
         X -= X.mean(axis=1, keepdims=True)
-        W = csa.kernel_pca_weights(X.T @ X, 2)
+        W = _kpca_weights(X.T @ X, 2)
         Z = W.T @ (X.T @ X)  # kernel projections, d x n
         P = csa.pca_subspace(X, 2).P
         Zp = P.T @ X
@@ -593,7 +600,7 @@ class TestKernelAlignment:
         rng = np.random.default_rng(19)
         X = rng.standard_normal((3, 8))
         K = X.T @ X
-        W = csa.kernel_pca_weights(K, 2)
+        W = _kpca_weights(K, 2)
         Kc = K - K.mean(0) - K.mean(1)[:, None] + K.mean()
         M = csa.kernel_alignment(W, Kc, W)
         assert np.allclose(M, np.eye(2), atol=1e-8)
@@ -629,12 +636,12 @@ class TestKernelAlignment:
     @staticmethod
     def _gram_reference(fit, Xs, Xt, d):
         """The fit of the centered domains Xs, Xt through three full Gram
-        matrices and `kernel_pca_weights`."""
+        matrices and `_kpca_weights`."""
         def gram(X, Y):
             return csa.kernel_matrix(X, Y, fit.spec, fit.feature_range)
 
         Kss, Ktt, Kst = gram(Xs, Xs), gram(Xt, Xt), gram(Xs, Xt)
-        Ws, Wt = csa.kernel_pca_weights(Kss, d), csa.kernel_pca_weights(Ktt, d)
+        Ws, Wt = _kpca_weights(Kss, d), _kpca_weights(Ktt, d)
         M = csa.kernel_alignment(Ws, csa._double_center(Kst), Wt)
         return {
             "M_star": M, "Ws": Ws, "Wt": Wt,
@@ -667,7 +674,7 @@ class TestKernelAlignment:
         def refuse(*args, **kwargs):
             raise AssertionError("the hard-kernel fit must not take the Gram path")
 
-        for name in ("kernel_matrix", "kernel_pca", "kernel_pca_weights"):
+        for name in ("kernel_matrix", "kernel_pca"):
             monkeypatch.setattr(csa, name, refuse)
         tracemalloc.start()
         try:

@@ -197,7 +197,8 @@ class TestRun:
         r = info["decision_value"]
         bound = np.mean(np.exp(-cfg.shots * r**2 / 2)) + np.sqrt(np.log(100) / (2 * r.size))
         assert row["tolerance"] == pytest.approx(0.02 + bound, rel=1e-12)
-        assert row["pass"] == (row["abs_err"] <= row["tolerance"])
+        flips = round(row["abs_err"] * r.size)
+        assert row["pass"] == (flips <= np.floor(row["tolerance"] * r.size + 1e-9))
 
     def test_finite_theta_m_star_tolerance_is_lattice_bound(self, tmp_path):
         """Rounding theta to the pi/2^n lattice can move an entry of M* by
@@ -215,8 +216,7 @@ class TestRun:
 
     def test_quantum_cap_error(self, tmp_path):
         cfg = _config(tmp_path, "track = both\n")
-        cfg.dataset = harness.SynthSpec(D=3, n_s=40, n_t=6)
-        cfg.classifier = "svm"
+        cfg.dataset = harness.SynthSpec(D=3, n_s=qsa.QNN_MAX_SOURCES + 1, n_t=6)
         with pytest.raises(ConfigurationError, match="caps exceeded"):
             run(cfg)
 
@@ -224,19 +224,70 @@ class TestRun:
         calls = []
         monkeypatch.setattr(harness.csa, "pca_subspace", lambda *args: calls.append(args))
         with pytest.raises(ConfigurationError, match="caps exceeded"):
-            run(_config(tmp_path, "track = both\ndataset.D = 32\n"))
+            run(_config(tmp_path, "track = both\ndataset.n_s = 65\n"))
         # CSV inputs are checked as soon as they are loaded
-        source, target = synth_shifted_gaussians(SynthSpec(D=32, n_s=8, n_t=6))
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=65, n_t=6))
         for name, dom in (("s.csv", source), ("t.csv", target)):
             save_csv(dom, str(tmp_path / name))
         cfg = _config(
             tmp_path,
             f"track = both\ndataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 33\n",
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
         )
         with pytest.raises(ConfigurationError, match="caps exceeded"):
             run(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("shape, classifier", [
+        ("dataset.D = 256\ndataset.n_s = 2000\ndataset.n_t = 300\nd = 8\n", "svm"),
+        ("dataset.D = 64\ndataset.n_s = 64\ndataset.n_t = 100\nd = 12\n", "nn"),
+    ], ids=["D256-svm", "D64-nn"])
+    def test_runs_above_the_old_register_caps(self, tmp_path, shape, classifier):
+        """The quantum track runs past the old qPCA (D <= 16), qSVM
+        (n_s <= 15) and quantum-NN (d <= 8) register caps; the alignment
+        rows pass. The label rows are data here."""
+        cfg = parse_config_text(
+            shape + f"seeds = 0,1,2\ntrack = both\nclassifier = {classifier}\n"
+            f"output_dir = {tmp_path}\n"
+        )
+        rows = {row["quantity"]: row for row in run(cfg).parity}
+        for seed in cfg.seeds:
+            assert rows[f"seed{seed}.M_star"]["pass"]
+            assert rows[f"seed{seed}.X_hat_a"]["pass"]
+            assert f"seed{seed}.{classifier}_labels" in rows
+
+    @pytest.mark.parametrize("classifier, n_t, flips, exact", [
+        ("nn", 200, 4, "true"), ("nn", 50, 1, "true"), ("nn", 20, 1, "false"),
+        ("svm", 50, 1, "true"),
+    ])
+    def test_label_row_counts_flips_as_integers(
+        self, tmp_path, monkeypatch, classifier, n_t, flips, exact
+    ):
+        """A label row passes at exactly floor(tol m) flipped labels and
+        fails at one more; in floats 1 - 0.98 = 0.020000000000000018 > 0.02
+        and 1 - 0.95 = 0.050000000000000044 > 0.05."""
+        classical = getattr(harness.csa, f"{classifier}_classify")
+        seen = []
+        monkeypatch.setattr(
+            harness.csa, f"{classifier}_classify", lambda *a: seen.append(classical(*a)) or seen[-1]
+        )
+        cfg = parse_config_text(
+            f"dataset.D = 3\ndataset.n_s = 12\ndataset.n_t = {n_t}\nd = 2\nseeds = 0\n"
+            f"track = both\nclassifier = {classifier}\nquantum.exact_theta = {exact}\n"
+            f"output_dir = {tmp_path}\n"
+        )
+        for k, passes in ((flips, True), (flips + 1, False)):
+            def quantum(*args, k=k, **kwargs):
+                pred = seen[-1].copy()
+                pred[:k] *= -1
+                if classifier == "nn":
+                    return pred, [{"oracle_queries": 0, "warning": None}] * pred.size
+                return pred, {"low_confidence": np.zeros(pred.size, bool)}
+
+            monkeypatch.setattr(harness.qsa, f"q_{classifier}_classify", quantum)
+            row = {r["quantity"]: r for r in run(cfg).parity}[f"seed0.{classifier}_labels"]
+            assert row["abs_err"] == pytest.approx(k / n_t, abs=1e-15)
+            assert row["pass"] is passes, (k, row)
 
     @pytest.mark.parametrize("classifier", ["nn", "svm"])
     def test_one_array_per_domain(self, tmp_path, classifier):

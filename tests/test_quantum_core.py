@@ -325,9 +325,11 @@ class TestSignedOverlap:
 class TestPeReadout:
     @staticmethod
     def _qsvm_phases():
-        """Eigenphases lambda t0 / 2 pi of the qSVM's Hermitian embedding
-        [[0, F], [F^T, 0]] / tr F, as `q_svm_train` forms them; half of them
-        are negative."""
+        """Eigenphases lambda t0 / 2 pi of the Hermitian embedding
+        [[0, F], [F^T, 0]] / tr F of an LS-SVM matrix F, the operator HHL
+        inverts: +-sigma 0.25 / sigma_max for the singular values sigma of
+        F, so half of them are negative. `q_svm_train` reads out the
+        positive half."""
         rng = np.random.default_rng(40)
         dom = Domain(rng.standard_normal((3, 9)), np.array([1, -1] * 4 + [1]))
         c, B, C, _ = csa.ls_svm_system(dom, np.eye(3), 1.0)

@@ -8,7 +8,7 @@ from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, PostselectionError, ShapeError
-from subalign.quantum_core import ShotPlan
+from subalign.quantum_core import ShotPlan, pe_readout
 
 EXACT = ShotPlan()
 
@@ -116,9 +116,15 @@ class TestQpca:
         assert res.basis.gap == pytest.approx(2 / 256 * 2 / 0.95 * np.sum(X * X), rel=1e-12)
         assert self._projector_distance(X, res) < 1e-10
 
-    def test_dimension_cap(self):
-        with pytest.raises(ConfigurationError):
-            qsa.qpca(np.ones((17, 20)), 2)
+    def test_runs_above_the_old_dimension_cap(self):
+        # D = 64: two strong directions at about 70 and 39 lattice steps, the
+        # other 62 eigenvalues below one step
+        rng = np.random.default_rng(21)
+        scales = np.concatenate(([4.0, 3.0], np.full(62, 0.3)))
+        X = scales[:, None] * rng.standard_normal((64, 100))
+        res = qsa.qpca(X, 2, precision_qubits=8)
+        assert res.basis.warnings == []
+        assert self._projector_distance(X, res) < 1e-10
 
     def test_all_zero_input_rejected(self):
         # rho = X X^T / tr(X X^T) does not exist for X = 0
@@ -298,8 +304,8 @@ class TestQuantumNn:
         assert np.array_equal(diag[0]["distances"], again[0]["distances"])
 
     def test_register_budget(self):
-        with pytest.raises(ConfigurationError):
-            qsa.q_nn_classify(np.ones((9, 4)), np.arange(4), np.ones((9, 2)), EXACT)
+        with pytest.raises(ConfigurationError, match="n_s <= 64"):
+            qsa.q_nn_classify(np.ones((2, 65)), np.arange(65), np.ones((2, 2)), EXACT)
 
     def test_agreement_with_classical(self):
         agree = total = 0
@@ -319,6 +325,32 @@ class TestQuantumNn:
             agree += int(np.sum(quantum == classical))
             total += classical.size
         assert agree / total >= 0.95
+
+
+def _dense_q_svm_train(Xs, A, gamma, precision_qubits):
+    """Reference inversion: HHL on the dense Hermitian embedding
+    [[0, F], [F^T, 0]] / tr F of the (n+1) x (n+1) LS-SVM matrix F, one
+    `eigh` of the 2(n+1)-row matrix. Returns (b, alpha), the postselection
+    probability and N_x."""
+    n = Xs.n
+    rows = n + 1
+    c, B, C, rhs = csa.ls_svm_system(Xs, A, gamma)
+    F = c * np.eye(rows) + B @ C.T
+    trF = float(np.trace(F))
+    H = np.zeros((2 * rows, 2 * rows))
+    H[:rows, rows:] = F / trF
+    H[rows:, :rows] = F.T / trF
+    lam, V = np.linalg.eigh(H)
+    lmax = float(np.max(np.abs(lam)))
+    t0 = 2 * math.pi * 0.25 / lmax
+    lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
+    keep = np.abs(lam_rounded) >= lmax / qsa.QSVM_KAPPA_MAX
+    coef = V.T @ np.concatenate([rhs / np.linalg.norm(rhs), np.zeros(rows)])
+    inv_coef = np.where(keep, coef / np.where(keep, lam_rounded, 1.0), 0.0)
+    success = float(np.sum((np.min(np.abs(lam_rounded[keep])) * inv_coef) ** 2))
+    x = (V @ inv_coef)[rows:] * math.sqrt(n) / trF
+    N_x = float(x[0] ** 2 + np.sum(x[1:] ** 2 * np.sum(Xs.samples**2, axis=0)))
+    return x, success, N_x
 
 
 class TestQsvm:
@@ -351,10 +383,38 @@ class TestQsvm:
         big = solve(K + np.eye(n) / 1e6)
         assert np.linalg.norm(inf - big) / np.linalg.norm(inf) <= 1e-3
 
-    def test_row_cap(self):
+    @staticmethod
+    def _assert_matches_dense_reference(dom, A, precision_qubits):
+        x, success, N_x = _dense_q_svm_train(dom, A, 1.0, precision_qubits)
+        model = qsa.q_svm_train(dom, A, 1.0, precision_qubits)
+        b, alpha = model.readout()
+        got = np.concatenate(([b], alpha))
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+        assert model.success_probability == pytest.approx(success, rel=1e-12)
+        assert model.N_x == pytest.approx(N_x, rel=1e-12)
+
+    @pytest.mark.parametrize("precision_qubits", [8, 10, 12])
+    def test_matches_dense_embedding_reference(self, precision_qubits):
+        """The low-rank inversion against the dense Hermitian embedding on
+        the quantum-caps shape (D=16, n_s=15, d=4), A = (P_a, P_t)."""
+        for seed in range(12):
+            source, target = synth_shifted_gaussians(SynthSpec(D=16, n_s=15, n_t=200, seed=seed))
+            sc, tc = center_columns(source)[0], center_columns(target)[0]
+            art = csa.build_alignment(csa.pca_subspace(sc, 4), csa.pca_subspace(tc, 4), sc, tc)
+            self._assert_matches_dense_reference(sc, (art.P_a, art.P_t), precision_qubits)
+
+    def test_trains_above_the_old_row_cap(self):
         rng = np.random.default_rng(9)
-        dom = Domain(rng.standard_normal((2, 16)), rng.choice([-1, 1], 16))
-        with pytest.raises(ConfigurationError):
+        dom = Domain(rng.standard_normal((2, 40)), rng.choice([-1, 1], 40))
+        self._assert_matches_dense_reference(dom, np.eye(2), 10)
+
+    def test_vanishing_postselection_rejected(self):
+        """The labels are orthogonal to the one singular vector the cutoff
+        keeps (F's border and c = 1 read out below sigma_max / 1e4), so the
+        solution is rounding noise: postselection about 1e-31."""
+        s = 100.0
+        dom = Domain(np.array([[s, s, -s, -s], [0.0, 0.0, 0.0, 0.0]]), np.array([1, -1, 1, -1]))
+        with pytest.raises(PostselectionError, match="below 1e-06"):
             qsa.q_svm_train(dom, np.eye(2), 1.0)
 
     def test_labels_outside_pm_one_rejected(self):
