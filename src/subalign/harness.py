@@ -66,6 +66,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigurationError("seeds: at least one seed required")
+        if min(self.seeds) < 0:
+            raise ConfigurationError("seeds: must be non-negative")
         if self.d < 1:
             raise ConfigurationError("d: must be >= 1")
         if self.track not in ("classical", "quantum", "both"):
@@ -348,15 +350,15 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         q_bases = []
         for domain, data in (("source", source), ("target", target)):
             res = qsa.qpca(data, config.d, config.precision_qubits)
-            # the outcome k each basis vector read out at, the readout gap at
-            # the cut (eigenvalue units) and the lattice-tie warnings
+            # the outcome k each basis vector read out at, its probability, the
+            # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
             trace.append({
                 "seed": seed, "stage": "qpca", "domain": domain,
                 "outcomes": res.outcomes.tolist(),
+                "readout_probabilities": res.readout_probabilities.tolist(),
                 "gap": res.basis.gap, "warnings": res.basis.warnings,
             })
             q_bases.append(res.basis)
-        del res  # its outcome distribution would stay alive through the classifiers
         q_Ps, q_Pt = q_bases
         chain = qsa.q_build_alignment(
             q_Ps, q_Pt, source, target,
@@ -371,7 +373,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "X_hat_t": art.X_hat_t,
         }
         for stage in ("M", "X_hat_s", "X_hat_a", "X_hat_t"):
-            ips = chain[f"{stage}_state"]
+            ips = chain.pop(f"{stage}_state")  # the classifiers need only the matrices
             trace.append({
                 "seed": seed,
                 "stage": stage,
@@ -435,6 +437,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             trace.append({
                 "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
                 "low_confidence": int(np.sum(info["low_confidence"])),
+                "success_probability": q_model.success_probability, "N_x": q_model.N_x,
             })
             svm_tol = 0.02
             if not plan.exact:
@@ -446,10 +449,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 # Hoeffding on their mean puts the flipped fraction above the
                 # mean bound by more than sqrt(ln(100) / (2m)) with
                 # probability below 1%. The exact-mode allowance stays on top.
-                _, exact_info = qsa.q_svm_classify(
-                    q_model, source, A_factors, target.samples, ShotPlan()
-                )
-                r = exact_info["decision_value"]
+                r = info["exact_overlap"]
                 svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
                 svm_tol += math.sqrt(math.log(100) / (2 * r.size))
             parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))

@@ -25,9 +25,9 @@ from .datasets import Domain
 from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
 from .quantum_core import (
     ShotPlan,
+    _fejer,
     amplitude_estimation,
     grover_min_find,
-    pe_outcome_kernel,
     pe_readout,
     signed_overlap,
 )
@@ -58,7 +58,7 @@ QSVM_KAPPA_MAX = 1e4
 class QpcaResult:
     basis: SubspaceBasis
     outcomes: np.ndarray  # the outcome k (ints) each basis vector read out at
-    outcome_probabilities: np.ndarray  # precision-register distribution, k = 0..2^n-1
+    readout_probabilities: np.ndarray  # P_j(k_j) of each basis vector's own readout
 
 
 @dataclass
@@ -122,18 +122,17 @@ def qpca(
         raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")
 
     lam, U = np.linalg.eigh(M @ M.T / cov_trace)
-    lam = np.maximum(lam, 0.0)
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
     N = 2**precision_qubits
-    rows = pe_outcome_kernel(lam * t0 / (2 * math.pi), precision_qubits)  # (eigvec, outcome)
+    phase = np.maximum(lam, 0.0) * t0 / (2 * math.pi)
     # Each eigenvector reads out at its own most probable outcome k. Inside a
     # lattice cell, (P(k+1) - P(k-1)) / P(k) rises with the eigenphase and
     # stays defined on the lattice, where P(k) = 1 and P(k+-1) = 0; it orders
     # eigenvectors that share an outcome. Two of them whose statistics differ
-    # by no more than float resolution cannot be told apart.
-    k = np.argmax(rows, axis=1)
-    idx = np.arange(len(k))
-    tilt = (rows[idx, (k + 1) % N] - rows[idx, (k - 1) % N]) / rows[idx, k]
+    # by no more than float resolution cannot be told apart; k +- 1 wrap mod N.
+    k = (pe_readout(phase, precision_qubits) * N).astype(int)
+    P = _fejer(phase[:, None] - ((k[:, None] + np.array([-1, 0, 1])) % N) / N, N)
+    tilt = (P[:, 2] - P[:, 0]) / P[:, 1]
     order = np.lexsort((-tilt, -k))
     top = order[: d + 1]
     warnings = []
@@ -142,14 +141,13 @@ def qpca(
             f"eigenvectors share an outcome at {precision_qubits} precision qubits "
             "and cannot be told apart; top subspace is only determined up to rotation"
         )
-    phases = k[order] / N
-    eigvals = phases * 2 * math.pi / t0 * cov_trace
+    eigvals = k[order] / N * 2 * math.pi / t0 * cov_trace
     gap = float(eigvals[d - 1] - (eigvals[d] if d < D else 0.0))
     basis = SubspaceBasis(_fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
     return QpcaResult(
         basis=basis,
         outcomes=k[order[:d]],
-        outcome_probabilities=lam @ rows,
+        readout_probabilities=P[order[:d], 1],
     )
 
 
@@ -392,6 +390,7 @@ def q_svm_classify(
     labels = np.where(decision >= 0, 1, -1)
     info = {
         "decision_value": decision,
+        "exact_overlap": re,  # what decision_value estimates
         "N_t": N_t,
         "N_x": N_x,
         "low_confidence": (not plan.exact) & (np.abs(decision) < 3.0 / math.sqrt(plan.shots)),

@@ -121,8 +121,8 @@ class TestRun:
         decided = []
 
         def spy(model, Xs, A, X, plan):
-            decided.append((plan, q_svm_classify(model, Xs, A, X, plan)))
-            return decided[-1][1]
+            decided.append((plan, model, q_svm_classify(model, Xs, A, X, plan)))
+            return decided[-1][2]
 
         monkeypatch.setattr(harness.qsa, "q_svm_classify", spy)
         return decided
@@ -134,10 +134,15 @@ class TestRun:
         rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
         by_stage = {row["stage"]: row for row in rows}
         # the row counts the sampled decisions below 3/sqrt(shots)
-        (_, info), = [out for plan, out in decided if not plan.exact]
+        (plan, model, (_, info)), = decided
+        assert not plan.exact
         low = np.abs(info["decision_value"]) < 3.0 / np.sqrt(cfg.shots)
-        assert by_stage["q_svm_classify"]["low_confidence"] == int(np.sum(low))
-        assert by_stage["q_svm_classify"]["m"] == 20
+        svm = by_stage["q_svm_classify"]
+        assert svm["low_confidence"] == int(np.sum(low))
+        assert svm["m"] == 20
+        # and the qSVM's postselection probability and N_x
+        assert 0 < svm["success_probability"] == model.success_probability <= 1
+        assert svm["N_x"] == model.N_x > 0
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
 
@@ -183,18 +188,22 @@ class TestRun:
             data = center_columns(pair[row["domain"] == "target"])[0]
             res = qsa.qpca(data, cfg.d, cfg.precision_qubits)
             assert row["outcomes"] == res.outcomes.tolist()
+            assert row["readout_probabilities"] == res.readout_probabilities.tolist()
+            assert all(0 < p <= 1 for p in row["readout_probabilities"])
             assert row["gap"] == res.basis.gap and np.isfinite(row["gap"])
             assert row["warnings"] == res.basis.warnings
 
     def test_sampled_svm_tolerance_is_shot_bound(self, tmp_path, monkeypatch):
         """The sampled svm_labels tolerance is 0.02 plus the mean Hoeffding
         flip bound exp(-shots r^2 / 2) over the exact overlaps r, plus
-        sqrt(ln(100) / 2m) for m targets."""
+        sqrt(ln(100) / 2m) for m targets. The exact overlaps r come from
+        the one sampled decision pass."""
         cfg = parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n")
         decided = self._spy_svm_decisions(monkeypatch)
         row = {r["quantity"]: r for r in run(cfg).parity}["seed0.svm_labels"]
-        (_, info), = [out for plan, out in decided if plan.exact]
-        r = info["decision_value"]
+        (plan, _, (_, info)), = decided
+        assert not plan.exact
+        r = info["exact_overlap"]
         bound = np.mean(np.exp(-cfg.shots * r**2 / 2)) + np.sqrt(np.log(100) / (2 * r.size))
         assert row["tolerance"] == pytest.approx(0.02 + bound, rel=1e-12)
         flips = round(row["abs_err"] * r.size)
@@ -494,6 +503,24 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
+
+    def test_negative_seed_exits_with_code_2(self, tmp_path, capsys):
+        """A negative seed is rejected for CSV inputs too (they have no
+        synth spec to check it), before any work."""
+        rng = np.random.default_rng(2)
+        source = rng.standard_normal((12, 4))
+        source[:, 0] = np.arange(12) % 2
+        self._write_rows(tmp_path / "s.csv", source)
+        self._write_rows(tmp_path / "t.csv", rng.standard_normal((10, 3)))
+        rc = cli.main([
+            "run", "--set", f"dataset.source_csv={tmp_path / 's.csv'}",
+            "--set", f"dataset.target_csv={tmp_path / 't.csv'}",
+            "--set", "dataset.label_column=1", "--set", "d=2", "--set", "track=quantum",
+            "--set", "seeds=-1", "--set", f"output_dir={tmp_path / 'o'}",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seeds: must be non-negative\n"
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _run_synth_pair(tmp_path) -> Path:

@@ -381,12 +381,15 @@ class TestEngineAgainstGateOracle:
         X = rng.standard_normal((3, 6))
         X -= X.mean(axis=1, keepdims=True)
         res = qsa.qpca(X, 2, precision_qubits=n)
-        psi = column_state(X)
-        rho = partial_trace(psi, X.shape[::-1], 0)
-        # exp(i rho t0) is what density-matrix exponentiation applies
-        U = np.kron(np.eye(X.shape[1]), scipy.linalg.expm(1j * rho * 0.95 * math.pi))
-        circuit = probabilities(phase_estimation(U, psi, n))
-        assert np.max(np.abs(circuit - res.outcome_probabilities)) <= 1e-12
+        rho = partial_trace(column_state(X), X.shape[::-1], 0)
+        # exp(i rho t0) is what density-matrix exponentiation applies; each
+        # basis vector is an eigenvector of rho, so its phase estimation
+        # peaks at the vector's outcome with the reported probability
+        U = scipy.linalg.expm(1j * rho * 0.95 * math.pi)
+        for u, k, p in zip(res.basis.P.T, res.outcomes, res.readout_probabilities):
+            circuit = probabilities(phase_estimation(U, u, n))
+            assert np.argmax(circuit) == k
+            assert abs(circuit[k] - p) <= 1e-12
 
     def test_g_operator_matches_two_peak_distribution(self):
         rng = np.random.default_rng(30)

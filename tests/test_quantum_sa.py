@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gate_oracle import build_g_operator
 from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, PostselectionError, ShapeError
-from subalign.quantum_core import ShotPlan, pe_readout
+from subalign.quantum_core import ShotPlan, pe_outcome_kernel, pe_readout
 
 EXACT = ShotPlan()
 
@@ -16,6 +19,36 @@ EXACT = ShotPlan()
 def _random_orthonormal(rng, D, d):
     Q, _ = np.linalg.qr(rng.standard_normal((D, d)))
     return Q
+
+
+def _dense_qpca(X, d, precision_qubits):
+    """Reference readout: every eigenvector's full phase-estimation
+    distribution over the 2^n outcomes, one (D, 2^n) table, read out at each
+    row's argmax and ordered by the tilt taken from the table. Returns the
+    basis, the outcomes and the table."""
+    M = np.asarray(X, float)
+    D = M.shape[0]
+    cov_trace = float(np.sum(M * M))
+    lam, U = np.linalg.eigh(M @ M.T / cov_trace)
+    lam = np.maximum(lam, 0.0)
+    t0 = 0.95 * math.pi
+    N = 2**precision_qubits
+    rows = pe_outcome_kernel(lam * t0 / (2 * math.pi), precision_qubits)
+    k = np.argmax(rows, axis=1)
+    idx = np.arange(len(k))
+    tilt = (rows[idx, (k + 1) % N] - rows[idx, (k - 1) % N]) / rows[idx, k]
+    order = np.lexsort((-tilt, -k))
+    top = order[: d + 1]
+    warnings = []
+    if np.any((np.diff(k[top]) == 0) & (np.diff(tilt[top]) >= -np.finfo(float).eps)):
+        warnings.append(
+            f"eigenvectors share an outcome at {precision_qubits} precision qubits "
+            "and cannot be told apart; top subspace is only determined up to rotation"
+        )
+    eigvals = k[order] / N * 2 * math.pi / t0 * cov_trace
+    gap = float(eigvals[d - 1] - (eigvals[d] if d < D else 0.0))
+    basis = csa.SubspaceBasis(csa._fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
+    return basis, k[order[:d]], rows[order[:d]]
 
 
 class TestQpca:
@@ -90,8 +123,10 @@ class TestQpca:
         assert res.outcomes.dtype.kind in "iu"
         k = res.outcomes.tolist()
         assert k == sorted(k, reverse=True) and 0 <= k[-1] and k[0] < 2**7
-        # each readout is an outcome the register actually shows
-        assert np.all(res.outcome_probabilities[res.outcomes] > 0)
+        # each readout is its vector's most probable outcome, which phase
+        # estimation shows with probability at least 4 / pi^2
+        assert np.all(res.readout_probabilities >= 4 / np.pi**2)
+        assert np.all(res.readout_probabilities <= 1)
 
     def test_shared_outcome_ordered_by_own_distribution(self):
         # three eigenvectors at 8.199, 7.916 and 7.742 lattice steps share
@@ -125,6 +160,49 @@ class TestQpca:
         res = qsa.qpca(X, 2, precision_qubits=8)
         assert res.basis.warnings == []
         assert self._projector_distance(X, res) < 1e-10
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 16), st.integers(1, 24), st.integers(1, 12),
+        st.sampled_from(["normal", "integer", "rank_deficient"]), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_outcome_table(self, D, n, precision, kind, seed):
+        """The three-point readout against the full (D, 2^n) table: integer
+        inputs give degenerate spectra, n < D zero eigenvalues on the
+        lattice. Everything but the readout probabilities is bitwise."""
+        rng = np.random.default_rng(seed)
+        if kind == "rank_deficient":
+            n = max(1, min(n, D - 1))
+        if kind == "integer":
+            X = rng.integers(-2, 3, (D, n)).astype(float)
+        else:
+            X = rng.standard_normal((D, n))
+        assume(np.any(X))
+        d = int(rng.integers(1, min(D, n) + 1))
+        basis, outcomes, rows = _dense_qpca(X, d, precision)
+        res = qsa.qpca(X, d, precision)
+        assert np.array_equal(res.outcomes, outcomes) and res.outcomes.dtype == outcomes.dtype
+        assert np.array_equal(res.basis.P, basis.P)
+        assert np.array_equal(res.basis.eigenvalues, basis.eigenvalues)
+        assert res.basis.gap == basis.gap
+        assert res.basis.warnings == basis.warnings
+        expect = rows[np.arange(d), outcomes]
+        assert np.max(np.abs(res.readout_probabilities - expect)) <= 1e-12
+
+    def test_memory_does_not_grow_with_precision(self):
+        """qPCA holds no array with a 2^n axis: its peak at 12 precision
+        qubits is within 64 KiB of its peak at 4."""
+        X = np.random.default_rng(22).standard_normal((64, 500))
+        qsa.qpca(X, 4, precision_qubits=4)  # first-call allocations out of the trace
+        peaks = []
+        for precision in (4, 12):
+            tracemalloc.start()
+            try:
+                qsa.qpca(X, 4, precision_qubits=precision)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     def test_all_zero_input_rejected(self):
         # rho = X X^T / tr(X X^T) does not exist for X = 0
@@ -457,6 +535,9 @@ class TestQsvm:
             qmodel, dom, np.eye(2), X, ShotPlan(shots=256, seed=4, mode="sampled")
         )
         assert np.unique(info["decision_value"]).size > 1
+        # every draw estimates the one exact overlap, which the pass reports
+        _, exact = qsa.q_svm_classify(qmodel, dom, np.eye(2), X, EXACT)
+        assert np.array_equal(info["exact_overlap"], exact["decision_value"])
 
     def test_grid_parity_exact_and_sampled(self):
         dom = self._toy()
