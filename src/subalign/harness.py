@@ -386,6 +386,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "scale": float(ips.scale),
                 "max_deviation": float(np.max(np.abs(ips.as_matrix() - classical_ref[stage]))),
             })
+        del ips, classical_ref  # the classifiers need neither
         # entrywise tolerances: exact-theta mode is limited by float error.
         # With finite precision, M*_ij = u.v for unit columns u of Ps and v
         # of Pt. Rounding theta to the pi/2^n lattice moves it by at most
@@ -421,6 +422,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "oracle_queries": int(sum(row["oracle_queries"] for row in diag)),
                 "ambiguous": sum(1 for row in diag if row["warning"]),
             })
+            del diag  # its rows keep the (n_t, n_s) estimates alive
             # exact mode can still disagree when the AE lattice ties two
             # distances, so allow a couple of flips; sampled mode gets more
             parity.append(_label_row(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_sa import (
+    NN_BLOCK_ELEMENTS,
     SubspaceBasis,
     _as_matrix,
     _factor_pair,
@@ -45,8 +46,10 @@ __all__ = [
     "overlap_angle",
 ]
 
-# bounds the dense (n_t, n_s) estimate matrix of `_ae_distances` and the
-# int16 sort tables of the Durr-Hoyer search
+# bounds what the quantum NN holds per target: 8 bytes per source in the
+# dense (n_t, n_s) estimate matrix of `_ae_distances` and 4 in the int16
+# sort tables of the Durr-Hoyer search. The readout's temporaries are
+# O(n_s * block) whatever n_t is
 QNN_MAX_SOURCES = 64
 # postselection below this probability keeps only rounding noise
 POSTSELECTION_FLOOR = 1e-6
@@ -241,10 +244,14 @@ def _ae_distances(
 
     Distances are built from Hadamard-test overlaps of the unit columns and
     the stored vector norms, then pushed through the amplitude-estimation
-    lattice, normalized by each target's largest distance. In exact mode
-    every pair is read out at once; in sampled mode target j draws its
-    overlaps and then its AE outcomes from its own stream,
-    ``plan.rng("nn_distances", j)``.
+    lattice, normalized by each target's largest distance. The estimates
+    are written in place, one block of targets at a time, through one
+    (block, n_s) scratch buffer: in exact mode a block holds
+    max(1, NN_BLOCK_ELEMENTS // n_s) targets, the budget of `nn_classify`;
+    in sampled mode it holds one target j, which draws its overlaps and
+    then its AE outcomes from its own stream, ``plan.rng("nn_distances",
+    j)``. Each entry goes through the same elementwise operations whatever
+    the block size, so the blocking changes no bit.
     """
     src_norms = np.linalg.norm(X_hat_a, axis=0)
     tgt_norms = np.linalg.norm(X_hat_t, axis=0)
@@ -252,18 +259,29 @@ def _ae_distances(
     # which leaves the distance at tn^2 + sn^2
     src_unit = X_hat_a / np.where(src_norms > 0, src_norms, 1.0)
     tgt_unit = X_hat_t / np.where(tgt_norms > 0, tgt_norms, 1.0)
-    re = tgt_unit.T @ src_unit
-    if plan.exact:
-        blocks = [(slice(None), None)]
-    else:
-        blocks = [(j, plan.rng("nn_distances", j)) for j in range(re.shape[0])]
-    est = np.empty_like(re)
-    for rows, rng in blocks:
-        ov = signed_overlap(re[rows], plan.shots, rng)
-        tn = tgt_norms[rows, None]
-        dists = np.sqrt(np.maximum(tn**2 + src_norms**2 - 2.0 * tn * src_norms * ov, 0.0))
-        dmax = np.maximum(dists.max(axis=-1, keepdims=True), 1e-12)
-        est[rows] = amplitude_estimation(dists / dmax, ae_bits, rng) * dmax
+    n_t, n_s = tgt_unit.shape[1], src_unit.shape[1]
+    # one GEMM for every pair: BLAS picks its kernel by the row count, so a
+    # product per block can differ from it in the last bit
+    est = np.matmul(tgt_unit.T, src_unit)
+    src_sq = src_norms**2
+    step = max(1, NN_BLOCK_ELEMENTS // max(n_s, 1)) if plan.exact else 1
+    scratch = np.empty((min(step, n_t), n_s))
+    for lo in range(0, n_t, step):
+        out = est[lo : lo + step]
+        buf = scratch[: out.shape[0]]
+        rng = None if plan.exact else plan.rng("nn_distances", lo)
+        ov = signed_overlap(out, plan.shots, rng)
+        tn = tgt_norms[lo : lo + step, None]
+        # (tn^2 + sn^2) - ((2 tn) sn) ov, clamped at 0, in that order
+        np.multiply(2.0 * tn, src_norms, out=buf)
+        buf *= ov
+        np.add(tn**2, src_sq, out=out)
+        np.subtract(out, buf, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.sqrt(buf, out=buf)
+        dmax = np.maximum(buf.max(axis=-1, keepdims=True), 1e-12)
+        buf /= dmax
+        np.multiply(amplitude_estimation(buf, ae_bits, rng), dmax, out=out)
     return est
 
 

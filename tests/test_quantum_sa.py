@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -384,6 +385,56 @@ class TestQuantumNn:
     def test_register_budget(self):
         with pytest.raises(ConfigurationError, match="n_s <= 64"):
             qsa.q_nn_classify(np.ones((2, 65)), np.arange(65), np.ones((2, 2)), EXACT)
+
+    @pytest.mark.parametrize("step, n_t", [(7, 22), (7, 26), (1, 22)])
+    @pytest.mark.parametrize("plan", [EXACT, ShotPlan(shots=64, seed=5, mode="sampled")])
+    def test_blocks_change_no_bit(self, monkeypatch, plan, step, n_t):
+        """Blocks of ``step`` targets (at 7, the last holds 1 or 5) give
+        exactly the estimates of one block. A 1-row block is where a
+        per-block GEMM would take another BLAS kernel."""
+        rng = np.random.default_rng(31)
+        X_hat_a = rng.standard_normal((8, 15))
+        X_hat_a[:, 3] = 0.0
+        X_hat_t = rng.standard_normal((8, n_t))
+        assert csa.NN_BLOCK_ELEMENTS // 15 >= n_t
+        whole = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", step * 15)
+        blocked = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        assert np.array_equal(blocked, whole)
+
+    def test_peak_memory_follows_block_layout(self):
+        """At n_s = 64, n_t = 4096, d = 8 (exact plan) the peak stays within
+        what the layout holds, summed as if every stage's data were alive at
+        once: the (n_t, n_s) estimates (8 bytes per pair) and the int16 sort
+        tables (4); the per-target diagnostics, as sized from the returned
+        objects; the unit copies and norms of both inputs, 8 (d + 1) bytes
+        per point; five 8-byte arrays of NN_BLOCK_ELEMENTS entries per block
+        (the scratch buffer and the AE readout's range masks, clip, indices
+        and result); eight int64 search results per target; and the 128 KiB
+        that `grover_min_find` allows its pool."""
+        rng = np.random.default_rng(27)
+        d, n_s, n_t = 8, 64, 4096
+        X_hat_a = rng.standard_normal((d, n_s))
+        labels = rng.integers(0, 2, n_s)
+        X_hat_t = rng.standard_normal((d, n_t))
+        tracemalloc.start()
+        try:
+            _, diag = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        diag_bytes = sys.getsizeof(diag) + sum(
+            sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row.values()) for row in diag
+        )
+        bound = (
+            12 * n_s * n_t
+            + diag_bytes
+            + 8 * (d + 1) * (n_s + n_t)
+            + 5 * 8 * csa.NN_BLOCK_ELEMENTS
+            + 8 * 8 * n_t
+            + 128 * 1024
+        )
+        assert peak <= bound
 
     def test_agreement_with_classical(self):
         agree = total = 0
