@@ -178,20 +178,30 @@ def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:
     return Ps.P.T @ Pt.P
 
 
-def build_alignment(Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt) -> AlignmentArtifacts:
+def build_alignment(
+    Ps: SubspaceBasis, Pt: SubspaceBasis, Xs, Xt, *, projected: bool = False
+) -> AlignmentArtifacts:
     """Assemble M*, P_a = Ps M*, the factors of A = P_a Pt^T and the
-    projected datasets."""
+    projected datasets X_hat_t = Pt^T Xt and X_hat_a = M*^T (Ps^T Xs).
+
+    ``Xs`` and ``Xt`` are each domain's samples (D x n), or with
+    ``projected`` their d x n projections Ps^T Xs and Pt^T Xt, so a caller
+    can drop a domain's samples as soon as it is projected. Either way the
+    aligned source is formed from the source projection, in the order the
+    quantum chain forms it."""
     Ms = alignment_matrix(Ps, Pt)
     Xs_m, Xt_m = _as_matrix(Xs), _as_matrix(Xt)
-    if Xs_m.shape[0] != Ps.P.shape[0] or Xt_m.shape[0] != Pt.P.shape[0]:
+    rows = (Ps.d, Pt.d) if projected else (Ps.P.shape[0], Pt.P.shape[0])
+    if (Xs_m.shape[0], Xt_m.shape[0]) != rows:
         raise ShapeError("data dimension does not match basis dimension")
-    P_a = Ps.P @ Ms
+    if not projected:
+        Xs_m, Xt_m = Ps.P.T @ Xs_m, Pt.P.T @ Xt_m
     return AlignmentArtifacts(
         M_star=Ms,
-        P_a=P_a,
+        P_a=Ps.P @ Ms,
         P_t=Pt.P,
-        X_hat_a=P_a.T @ Xs_m,
-        X_hat_t=Pt.P.T @ Xt_m,
+        X_hat_a=Ms.T @ Xs_m,
+        X_hat_t=Xt_m,
     )
 
 
@@ -287,7 +297,8 @@ def ls_svm_system(
     y = Xs.visible_labels
     if y is None:
         raise ConfigurationError("source domain must carry visible labels")
-    if not set(np.unique(y)) <= {-1, 1}:
+    # elementwise, not np.unique, which imports numpy.ma on its first call
+    if not np.all((y == 1) | (y == -1)):
         raise ConfigurationError("SVM labels must lie in {-1, +1}")
     L, R = _factor_pair(A)
     if L.shape[0] != Xs.dim:

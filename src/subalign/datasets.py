@@ -4,11 +4,14 @@ Internally samples are stored column-wise (a D x n matrix, one column per
 point). CSV files are row-wise (one row per sample), matching the common
 convention; `load_csv`/`save_csv` transpose accordingly.
 
-Ownership: `synth_shifted_gaussians` and `load_csv` return fresh arrays that
-belong to the caller. The harness centers the domains it loads in place
-(`center_columns_in_place`) and keeps no raw copy; `center_columns` leaves
-its input alone and returns a centered copy. Both run the same arithmetic,
-so their results are bitwise identical.
+Ownership: `synth_domains`, `synth_shifted_gaussians` and `load_csv` return
+fresh arrays that belong to the caller. `synth_domains` draws one domain at a
+time and keeps no reference to a domain it has yielded, so a caller that
+drops the source before asking for the target never holds both;
+`synth_shifted_gaussians` takes the pair from it. The harness centers the
+domains it loads in place (`center_columns_in_place`) and keeps no raw copy;
+`center_columns` leaves its input alone and returns a centered copy. Both
+run the same arithmetic, so their results are bitwise identical.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ __all__ = [
     "Domain",
     "DomainShift",
     "SynthSpec",
+    "synth_domains",
     "synth_shifted_gaussians",
     "load_csv",
     "split_label_row",
@@ -51,11 +55,15 @@ class Domain:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2:
             raise ConfigurationError("samples must be a 2-d matrix")
-        if not np.all(np.isfinite(self.samples)):
-            raise ConfigurationError("samples contain NaN/Inf entries")
         D, n = self.samples.shape
         if D < 1 or n < 2:
             raise ConfigurationError(f"need D >= 1 and n >= 2, got D={D}, n={n}")
+        # a NaN or +-inf entry makes the sum NaN or +-inf, so a finite sum
+        # clears every entry without the D x n temporary of isfinite; only a
+        # sum that is not finite (a bad entry, or an overflow) is checked
+        # entrywise
+        if not math.isfinite(self.samples.sum()) and not np.all(np.isfinite(self.samples)):
+            raise ConfigurationError("samples contain NaN/Inf entries")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (n,):
@@ -162,11 +170,12 @@ def _class_labels(spec: SynthSpec) -> np.ndarray:
     return np.arange(spec.class_count)
 
 
-def _draw(spec: SynthSpec, rng: np.random.Generator, n: int):
-    """n labelled points: class means plus sigma-scaled noise. The means are
-    nonzero only in row 0, so the noise is scaled in place (not at all for
-    sigma = 1) and the means are added to row 0 only; the samples equal
-    means[:, classes] + sigma * Z."""
+def _draw(spec: SynthSpec, rng: np.random.Generator, n: int, shift: DomainShift | None = None):
+    """n labelled points: class means plus sigma-scaled noise, then moved by
+    ``shift`` in place when one is given. The means are nonzero only in row
+    0, so the noise is scaled in place (not at all for sigma = 1) and the
+    means are added to row 0 only; the samples equal
+    means[:, classes] + sigma * Z before the shift."""
     means = _class_means(spec)
     label_values = _class_labels(spec)
     classes = rng.integers(0, spec.class_count, size=n)
@@ -176,23 +185,31 @@ def _draw(spec: SynthSpec, rng: np.random.Generator, n: int):
     if spec.noise_sigma == 0:
         X[1:] = 0.0  # 0 * z is -0.0 for z < 0; adding the zero mean gives +0.0
     X[0] += means[0, classes]
+    if shift is not None:
+        shift._apply_in_place(X)  # X is this call's own draw
     return X, label_values[classes]
 
 
-def synth_shifted_gaussians(spec: SynthSpec) -> tuple[Domain, Domain]:
-    """Draw a labelled source domain and a shifted target domain.
+def synth_domains(spec: SynthSpec):
+    """Yield a labelled source domain, then a shifted target domain.
 
-    Both domains come from the same Gaussian-cluster process; the target
-    draw is additionally transformed by ``spec.domain_shift``. Target labels
-    are retained but hidden. Deterministic under a fixed seed.
+    Both come from the same Gaussian-cluster process and one random stream;
+    the target draw is additionally transformed by ``spec.domain_shift``, and
+    its labels are retained but hidden. The target is drawn only when it is
+    asked for, and a yielded domain is held by the caller alone.
+    Deterministic under a fixed seed.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    Xs, ys = _draw(spec, rng, spec.n_s)
-    Xt, yt = _draw(spec, rng, spec.n_t)
-    spec.domain_shift._apply_in_place(Xt)  # Xt is this call's own draw
-    source = Domain(Xs, ys, name="source")
-    target = Domain(Xt, yt, name="target", labels_hidden=True)
+    # each domain is built in the yield expression, so this frame keeps no
+    # reference to it while it waits
+    yield Domain(*_draw(spec, rng, spec.n_s), name="source")
+    yield Domain(*_draw(spec, rng, spec.n_t, spec.domain_shift), name="target", labels_hidden=True)
+
+
+def synth_shifted_gaussians(spec: SynthSpec) -> tuple[Domain, Domain]:
+    """The source and target domains of `synth_domains`, drawn together."""
+    source, target = synth_domains(spec)
     return source, target
 
 

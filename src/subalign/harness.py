@@ -229,35 +229,50 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
 # execution
 
 
-def _load_pair(config: ExperimentConfig, seed: int) -> tuple[Domain, Domain]:
+def _load_domains(config: ExperimentConfig, seed: int):
+    """Yield this seed's source domain, then its target domain (labels
+    hidden). The target is loaded only when it is asked for, and by then no
+    reference to the source is left here, nor to the target once it is
+    yielded: a caller that drops the source before asking for the target
+    never holds both."""
     if config.dataset is not None:
-        from .datasets import synth_shifted_gaussians
+        from .datasets import synth_domains
 
-        return synth_shifted_gaussians(replace(config.dataset, seed=seed))
+        yield from synth_domains(replace(config.dataset, seed=seed))
+        return
     source = load_csv(config.source_csv, config.label_column)
     if source.labels is None:
         raise ConfigurationError(
             f"{config.source_csv}: the source needs labels; set dataset.label_column"
         )
+    config.check_quantum_caps(source.n)
+    dim = source.dim
+    yield source
+    del source
+    yield _load_csv_target(config, dim)
+
+
+def _load_csv_target(config: ExperimentConfig, dim: int) -> Domain:
+    """The target CSV as a domain with hidden labels, for a source with
+    ``dim`` feature columns."""
     # the target holds the features alone (as `subalign synth` writes it,
     # with the labels in a file of their own) or the label column as well
     target = load_csv(config.target_csv)
-    if target.dim == source.dim + 1:
+    if target.dim == dim + 1:
         target = split_label_row(target, config.label_column)
-    elif target.dim != source.dim:
+    elif target.dim != dim:
         raise ShapeError(
-            f"source {config.source_csv} has {source.dim} feature columns but "
+            f"source {config.source_csv} has {dim} feature columns but "
             f"target {config.target_csv} has {target.dim} columns (expected "
-            f"{source.dim}, or {source.dim + 1} with the label column)"
+            f"{dim}, or {dim + 1} with the label column)"
         )
     target.labels_hidden = True
-    return source, target
+    return target
 
 
-def _accuracy(pred: np.ndarray, target: Domain) -> float:
-    if target.labels is None:  # unlabeled CSV target: accuracy unknowable
+def _accuracy(pred: np.ndarray, truth: np.ndarray | None) -> float:
+    if truth is None:  # unlabeled CSV target: accuracy unknowable
         return float("nan")
-    truth = target.hidden_labels()
     return float(np.mean(pred == truth))
 
 
@@ -286,23 +301,42 @@ def _label_row(quantity, pred, ref, tol):
 
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
-    source, target = _load_pair(config, seed)
-    if config.dataset is None:
-        config.check_quantum_caps(source.n)
-    # the pair was loaded for this seed alone, so it is centered in place:
-    # every track works on the centered domains, and no raw copy is kept
-    center_columns_in_place(source)
-    center_columns_in_place(target)
+    # the classical NN track reads a domain's samples only through its d x n
+    # projection, so there each domain is dropped once it is projected and
+    # the two are never held together; every other stage reads the samples
+    # after both domains are loaded
+    keep_samples = (
+        config.track != "classical" or config.classifier != "nn" or config.kernel is not None
+    )
     accuracy, parity, timings, trace = [], [], [], []
-
+    domains = _load_domains(config, seed)
+    # each domain was loaded for this seed alone, so it is centered in place:
+    # every track works on the centered domains, and no raw copy is kept
+    source = next(domains)
+    center_columns_in_place(source)
     t0 = time.perf_counter()
     Ps = csa.pca_subspace(source, config.d)
-    Pt = csa.pca_subspace(target, config.d)
-    art = csa.build_alignment(Ps, Pt, source, target)
-    A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
-    timings.append({"seed": seed, "stage": "classical_align", "seconds": time.perf_counter() - t0})
-
+    X_hat_s = Ps.P.T @ source.samples
+    align_s = time.perf_counter() - t0
     ys = source.visible_labels
+    if not keep_samples:
+        del source
+    target = next(domains)
+    del domains  # and with it the loader's frames, which every later peak would carry
+    center_columns_in_place(target)
+    t0 = time.perf_counter()
+    Pt = csa.pca_subspace(target, config.d)
+    X_hat_t = Pt.P.T @ target.samples
+    truth = target.labels  # for evaluation only
+    if not keep_samples:
+        del target
+    art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
+    if config.track == "classical":
+        del X_hat_s  # only the quantum track's parity rows read it
+    A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
+    timings.append({"seed": seed, "stage": "classical_align",
+                    "seconds": align_s + time.perf_counter() - t0})
+
     want_nn = config.classifier in ("nn", "both")
     want_svm = config.classifier in ("svm", "both")
     # the classical labels are both the classical track's output and the
@@ -317,12 +351,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         if want_nn:
             accuracy.append(
                 {"seed": seed, "track": "classical", "classifier": "nn",
-                 "accuracy": _accuracy(nn_pred, target)}
+                 "accuracy": _accuracy(nn_pred, truth)}
             )
         if want_svm:
             accuracy.append(
                 {"seed": seed, "track": "classical", "classifier": "svm",
-                 "accuracy": _accuracy(svm_pred, target)}
+                 "accuracy": _accuracy(svm_pred, truth)}
             )
     timings.append({"seed": seed, "stage": "classical_classify", "seconds": time.perf_counter() - t0})
 
@@ -341,7 +375,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         })
         accuracy.append(
             {"seed": seed, "track": "kernel", "classifier": "nn",
-             "accuracy": _accuracy(pred, target)}
+             "accuracy": _accuracy(pred, truth)}
         )
         timings.append({"seed": seed, "stage": "kernel_track", "seconds": time.perf_counter() - t0})
 
@@ -368,7 +402,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         timings.append({"seed": seed, "stage": "quantum_align", "seconds": time.perf_counter() - t0})
         classical_ref = {
             "M": art.M_star,
-            "X_hat_s": Ps.P.T @ source.samples,
+            "X_hat_s": X_hat_s,
             "X_hat_a": art.X_hat_a,
             "X_hat_t": art.X_hat_t,
         }
@@ -386,7 +420,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "scale": float(ips.scale),
                 "max_deviation": float(np.max(np.abs(ips.as_matrix() - classical_ref[stage]))),
             })
-        del ips, classical_ref  # the classifiers need neither
+        del ips, classical_ref, X_hat_s  # the classifiers need none of them
         # entrywise tolerances: exact-theta mode is limited by float error.
         # With finite precision, M*_ij = u.v for unit columns u of Ps and v
         # of Pt. Rounding theta to the pi/2^n lattice moves it by at most
@@ -430,7 +464,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             ))
             accuracy.append(
                 {"seed": seed, "track": "quantum", "classifier": "nn",
-                 "accuracy": _accuracy(q_pred, target)}
+                 "accuracy": _accuracy(q_pred, truth)}
             )
         if want_svm:
             q_model = qsa.q_svm_train(source, A_factors, config.gamma,
@@ -457,7 +491,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))
             accuracy.append(
                 {"seed": seed, "track": "quantum", "classifier": "svm",
-                 "accuracy": _accuracy(q_pred, target)}
+                 "accuracy": _accuracy(q_pred, truth)}
             )
         timings.append({"seed": seed, "stage": "quantum_classify", "seconds": time.perf_counter() - t0})
 

@@ -179,6 +179,28 @@ class TestBuildAlignment:
         assert np.allclose(A @ A, A, atol=1e-10)
         assert np.allclose(A, A.T, atol=1e-10)
 
+    def test_aligned_source_from_the_source_projection(self):
+        rng = np.random.default_rng(10)
+        Ps, Pt = _basis(rng, 6, 3), _basis(rng, 6, 3)
+        Xs, Xt = rng.standard_normal((6, 40)), rng.standard_normal((6, 30))
+        art = csa.build_alignment(Ps, Pt, Xs, Xt)
+        assert art.X_hat_a.tobytes() == (art.M_star.T @ (Ps.P.T @ Xs)).tobytes()
+        through_P_a = (Ps.P @ art.M_star).T @ Xs
+        assert np.max(np.abs(art.X_hat_a - through_P_a)) <= 1e-12 * np.max(np.abs(through_P_a))
+        # the projections give the same artifacts bit for bit
+        proj = csa.build_alignment(Ps, Pt, Ps.P.T @ Xs, Pt.P.T @ Xt, projected=True)
+        for name in ("M_star", "P_a", "P_t", "X_hat_a", "X_hat_t"):
+            assert getattr(proj, name).tobytes() == getattr(art, name).tobytes(), name
+
+    def test_projections_must_have_d_rows(self):
+        rng = np.random.default_rng(11)
+        Ps, Pt = _basis(rng, 6, 3), _basis(rng, 6, 3)
+        X = rng.standard_normal((6, 10))
+        with pytest.raises(ShapeError):
+            csa.build_alignment(Ps, Pt, X, X, projected=True)
+        with pytest.raises(ShapeError):
+            csa.build_alignment(Ps, Pt, X[:3], X[:3])
+
 
 class TestSimilarity:
     def test_complement_annihilated(self):

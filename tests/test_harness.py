@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,15 @@ import pytest
 from subalign import classical_sa as csa
 from subalign import cli, harness
 from subalign import quantum_sa as qsa
-from subalign.datasets import DomainShift, SynthSpec, center_columns, save_csv, synth_shifted_gaussians
+from subalign.datasets import (
+    DomainShift,
+    SynthSpec,
+    center_columns,
+    load_csv,
+    save_csv,
+    split_label_row,
+    synth_shifted_gaussians,
+)
 from subalign.errors import ConfigurationError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
@@ -318,6 +327,42 @@ class TestRun:
             tracemalloc.stop()
         assert peak < 3 * 128 * 5000 * 8
 
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    def test_classical_nn_holds_one_domain(self, tmp_path, monkeypatch, data):
+        """On the classical NN track a domain's samples are dropped once it
+        is projected, so the run never holds the two domains together. The
+        CSV files are parsed before tracing starts: `load_csv` is replaced by
+        a copy of its result, so the trace shows what the harness holds, not
+        the parser's Python objects."""
+        D, n, d = 128, 5000, 4
+        text = f"d = {d}\ntrack = classical\nclassifier = nn\nseeds = 0\noutput_dir = {tmp_path}\n"
+        spec = SynthSpec(D=D, n_s=n, n_t=n)
+        if data == "synthetic":
+            text += f"dataset.D = {D}\ndataset.n_s = {n}\ndataset.n_t = {n}\n"
+        else:
+            source, target = synth_shifted_gaussians(spec)
+            parsed = {"s.csv": source, "t.csv": replace(target, labels=None, labels_hidden=False)}
+            monkeypatch.setattr(harness, "load_csv", lambda path, label_column=None: replace(
+                parsed[path], samples=parsed[path].samples.copy()))
+            text += f"dataset.source_csv = s.csv\ndataset.target_csv = t.csv\ndataset.label_column = {D + 1}\n"
+        cfg = parse_config_text(text, environ={})
+        synth_shifted_gaussians(spec)  # the first draw of a process imports numpy.random
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the peak comes while one domain is alive, at its draw or its PCA.
+        # Beside the domain: the source's d x n projection and labels, the
+        # target's labels, and the larger of the draw's three n-vectors
+        # (classes, their means, labels) and the PCA's three D x D arrays
+        # (scatter, eigenvectors, their reordered copy). The 1-NN stage holds
+        # no domain, and its d x n arrays and blocks come to far less.
+        domain = D * n * 8
+        beside = (d + 2) * n * 8 + 3 * max(n, D * D) * 8
+        assert peak < domain + beside + 64 * 1024
+
     def test_csv_seeds_center_their_own_load(self, tmp_path):
         """Every seed loads the CSV files afresh and centers that load in
         place, so two seeds give the same rows bit for bit; centering one
@@ -386,6 +431,74 @@ class TestRun:
         assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
 
+class TestLoadDomains:
+    @staticmethod
+    def _assert_same(got, want):
+        # tobytes also tells +0.0 from -0.0
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.name, got.labels_hidden) == (want.name, want.labels_hidden)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shift, sigma", [
+        (DomainShift(), 1.0),
+        (DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25), scale=1.3), 1.0),
+        (DomainShift(rotation_angle=0.7, translation=0.5, scale=0.8), 0.0),
+        (DomainShift(), 0.0),
+    ])
+    def test_synthetic_domains_are_the_pair_bit_for_bit(self, tmp_path, seed, shift, sigma):
+        cfg = _config(tmp_path)
+        cfg.dataset = SynthSpec(D=3, n_s=20, n_t=30, class_count=3, noise_sigma=sigma,
+                                domain_shift=shift, seed=99)
+        pair = synth_shifted_gaussians(replace(cfg.dataset, seed=seed))
+        for got, want in zip(harness._load_domains(cfg, seed), pair, strict=True):
+            self._assert_same(got, want)
+
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["features", "label-column"])
+    def test_csv_domains_are_the_loaded_files(self, tmp_path, with_labels):
+        """The target file holds the features alone or the label column as
+        well; either way the source keeps its labels and the target's are
+        hidden."""
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=12, n_t=10, seed=4))
+        save_csv(source, str(tmp_path / "s.csv"))
+        save_csv(target if with_labels else replace(target, labels=None), str(tmp_path / "t.csv"))
+        cfg = _config(
+            tmp_path,
+            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
+        )
+        want_source = load_csv(str(tmp_path / "s.csv"), 4)
+        want_target = load_csv(str(tmp_path / "t.csv"))
+        if with_labels:
+            want_target = split_label_row(want_target, 4)
+        want_target.labels_hidden = True
+        got_source, got_target = harness._load_domains(cfg, 0)
+        self._assert_same(got_source, want_source)
+        self._assert_same(got_target, want_target)
+
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    def test_keeps_no_domain_it_handed_over(self, tmp_path, data):
+        """A domain's samples die with the caller's last reference to it,
+        although the loader itself is still alive and unfinished."""
+        cfg = _config(tmp_path)
+        if data == "csv":
+            for name, dom in zip(("s.csv", "t.csv"), synth_shifted_gaussians(cfg.dataset)):
+                save_csv(dom, str(tmp_path / name))
+            cfg = _config(
+                tmp_path,
+                f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+                f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
+            )
+        domains = harness._load_domains(cfg, 0)
+        source = weakref.ref(next(domains).samples)
+        target = next(domains)
+        assert source() is None
+        target_ref = weakref.ref(target.samples)
+        del target
+        assert target_ref() is None
+        assert list(domains) == []
+
+
 class TestImport:
     def test_harness_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -397,6 +510,21 @@ class TestImport:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
         )
         assert out.stdout.strip() == "[]"
+
+    def test_svm_run_imports_no_numpy_ma(self, tmp_path):
+        """numpy.ma costs about 1 MiB and 13 ms when it is first imported,
+        and `np.unique` imports it; the LS-SVM label check does without."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); from subalign import harness; "
+            "harness.run(harness.ExperimentConfig(dataset=harness.SynthSpec(D=4), d=2, "
+            f"classifier='svm', output_dir={str(tmp_path)!r})); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDemo:
