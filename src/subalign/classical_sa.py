@@ -536,7 +536,9 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
       W = F_c^T V / lambda, in O(n r d) with no n x n matrix. V is signed so
       that u follows `kernel_pca`'s convention; both paths give one fit.
     - Polynomial (D^p features) and cosine (2^D) take the Gram path: three
-      Gram matrices and `kernel_pca` of K_ss and K_tt.
+      Gram matrices and `kernel_pca` of K_ss and K_tt, with W = U / sqrt(lambda).
+      The projections come from the spectrum, W^T K_c = Lambda^1/2 U^T, so
+      Z_a = M*^T Lambda_s^1/2 U_s^T and Z_t = Lambda_t^1/2 U_t^T.
     """
     # one feature map for every Gram matrix
     fitted = _feature_range(Xs.samples, Xt.samples)
@@ -546,13 +548,13 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
         art = build_alignment(Bs, Bt, Fs, Ft)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
     else:
-        Kss = kernel_matrix(Xs, Xs, spec, fitted)
-        Ktt = kernel_matrix(Xt, Xt, spec, fitted)
+        # only kernel_pca reads K_ss and K_tt, so neither outlives its spectrum
+        Bs = kernel_pca(kernel_matrix(Xs, Xs, spec, fitted), d)
+        Bt = kernel_pca(kernel_matrix(Xt, Xt, spec, fitted), d)
         Kst = kernel_matrix(Xs, Xt, spec, fitted)
-        Bs, Bt = kernel_pca(Kss, d), kernel_pca(Ktt, d)
         Ws, Wt = (B.P / np.sqrt(B.eigenvalues) for B in (Bs, Bt))
         # cross-Gram centered against both domain means
         M = kernel_alignment(Ws, _double_center(Kst), Wt)
-        Z_a = M.T @ (Ws.T @ _double_center(Kss))
-        Z_t = Wt.T @ _double_center(Ktt)
+        Z_a = M.T @ (np.sqrt(Bs.eigenvalues)[:, None] * Bs.P.T)
+        Z_t = np.sqrt(Bt.eigenvalues)[:, None] * Bt.P.T
     return KernelAlignment(spec, fitted, Ws, Wt, M, Z_a, Z_t, Bs, Bt)

@@ -65,7 +65,13 @@ class Domain:
         if not math.isfinite(self.samples.sum()) and not np.all(np.isfinite(self.samples)):
             raise ConfigurationError("samples contain NaN/Inf entries")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
+            # the int cast would truncate 0.5 to 0 and NaN to any integer
+            if labels.dtype.kind not in "biu":
+                whole = np.isfinite(labels) & (labels == np.trunc(labels))
+                if not whole.all():
+                    raise ConfigurationError(f"labels must be integers, got {labels[~whole][0]}")
+            self.labels = np.asarray(labels, dtype=int)
             if self.labels.shape != (n,):
                 raise ConfigurationError(
                     f"labels length {self.labels.shape} does not match n={n}"
@@ -249,16 +255,18 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
             vals.append(float(cell))
         data.append(vals)
     domain = Domain(np.array(data, dtype=float).T)
-    return domain if label_column is None else split_label_row(domain, label_column)
+    try:
+        return domain if label_column is None else split_label_row(domain, label_column)
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: label column {label_column}: {exc}") from None
 
 
 def split_label_row(domain: Domain, label_column: int) -> Domain:
     """``domain`` without its feature row ``label_column`` (1-based, a CSV
-    column), which becomes its integer labels. The samples keep the layout
-    `load_csv` gives them."""
+    column), which becomes its labels; they must be whole numbers. The
+    samples keep the layout `load_csv` gives them."""
     row = label_column - 1
-    labels = [int(v) for v in domain.samples[row]]
-    return Domain(np.delete(domain.samples.T, row, axis=1).T, labels)
+    return Domain(np.delete(domain.samples.T, row, axis=1).T, domain.samples[row])
 
 
 def save_csv(domain: Domain, path: str, header: bool = False) -> None:

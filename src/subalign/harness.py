@@ -28,7 +28,7 @@ from .datasets import (
     load_csv,
     split_label_row,
 )
-from .errors import ConfigurationError, ShapeError, SubalignError
+from .errors import ConfigurationError, ParseError, ShapeError, SubalignError
 from .quantum_core import ShotPlan
 
 SCHEMA_VERSION = 1
@@ -259,7 +259,12 @@ def _load_csv_target(config: ExperimentConfig, dim: int) -> Domain:
     # with the labels in a file of their own) or the label column as well
     target = load_csv(config.target_csv)
     if target.dim == dim + 1:
-        target = split_label_row(target, config.label_column)
+        try:
+            target = split_label_row(target, config.label_column)
+        except ConfigurationError as exc:
+            raise ParseError(
+                f"{config.target_csv}: label column {config.label_column}: {exc}"
+            ) from None
     elif target.dim != dim:
         raise ShapeError(
             f"source {config.source_csv} has {dim} feature columns but "
@@ -270,10 +275,10 @@ def _load_csv_target(config: ExperimentConfig, dim: int) -> Domain:
     return target
 
 
-def _accuracy(pred: np.ndarray, truth: np.ndarray | None) -> float:
-    if truth is None:  # unlabeled CSV target: accuracy unknowable
-        return float("nan")
-    return float(np.mean(pred == truth))
+def _accuracy_row(seed: int, track: str, classifier: str, pred, truth) -> dict:
+    # an unlabeled CSV target has no truth, so its accuracy is unknowable
+    acc = float("nan") if truth is None else float(np.mean(pred == truth))
+    return {"seed": seed, "track": track, "classifier": classifier, "accuracy": acc}
 
 
 def _parity_row(quantity, classical_val, quantum_val, abs_err, tol):
@@ -349,15 +354,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         svm_pred = csa.svm_classify(svm_model, target.samples)
     if config.track in ("classical", "both"):
         if want_nn:
-            accuracy.append(
-                {"seed": seed, "track": "classical", "classifier": "nn",
-                 "accuracy": _accuracy(nn_pred, truth)}
-            )
+            accuracy.append(_accuracy_row(seed, "classical", "nn", nn_pred, truth))
         if want_svm:
-            accuracy.append(
-                {"seed": seed, "track": "classical", "classifier": "svm",
-                 "accuracy": _accuracy(svm_pred, truth)}
-            )
+            accuracy.append(_accuracy_row(seed, "classical", "svm", svm_pred, truth))
     timings.append({"seed": seed, "stage": "classical_classify", "seconds": time.perf_counter() - t0})
 
     if config.kernel is not None:
@@ -373,10 +372,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "dim_t": Bt.P.shape[0], "lambda_d_t": float(Bt.eigenvalues[-1]), "gap_t": Bt.gap,
             "warnings": fit.warnings,
         })
-        accuracy.append(
-            {"seed": seed, "track": "kernel", "classifier": "nn",
-             "accuracy": _accuracy(pred, truth)}
-        )
+        accuracy.append(_accuracy_row(seed, "kernel", "nn", pred, truth))
         timings.append({"seed": seed, "stage": "kernel_track", "seconds": time.perf_counter() - t0})
 
     if config.track in ("quantum", "both"):
@@ -406,8 +402,10 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "X_hat_a": art.X_hat_a,
             "X_hat_t": art.X_hat_t,
         }
+        deviation = {}  # max |quantum - classical| entry of each stage
         for stage in ("M", "X_hat_s", "X_hat_a", "X_hat_t"):
             ips = chain.pop(f"{stage}_state")  # the classifiers need only the matrices
+            deviation[stage] = float(np.max(np.abs(ips.as_matrix() - classical_ref[stage])))
             trace.append({
                 "seed": seed,
                 "stage": stage,
@@ -418,7 +416,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 ],
                 "success_probability": float(ips.success_probability),
                 "scale": float(ips.scale),
-                "max_deviation": float(np.max(np.abs(ips.as_matrix() - classical_ref[stage]))),
+                "max_deviation": deviation[stage],
             })
         del ips, classical_ref, X_hat_s  # the classifiers need none of them
         # entrywise tolerances: exact-theta mode is limited by float error.
@@ -428,18 +426,16 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         # at most 2, so each entry is off by at most pi/2^n * ||u|| ||v||,
         # which is pi/2^n
         m_tol = 1e-6 if config.exact_theta else math.pi / 2**config.precision_qubits
-        m_err = np.max(np.abs(chain["M_star"] - art.M_star))
         parity.append(_parity_row(
             f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(chain["M_star"])),
-            m_err, m_tol,
+            deviation["M"], m_tol,
         ))
         # X_hat_a: the 2^(1-n) overlap lattice times the scales
         eps = 1e-6 if config.exact_theta else 2.0 ** (1 - config.precision_qubits)
         scale_a = max(1.0, float(np.max(np.abs(art.X_hat_a))))
-        a_err = np.max(np.abs(chain["X_hat_a"] - art.X_hat_a))
         parity.append(_parity_row(
             f"seed{seed}.X_hat_a", np.max(np.abs(art.X_hat_a)), np.max(np.abs(chain["X_hat_a"])),
-            a_err, eps * 3 * scale_a,
+            deviation["X_hat_a"], eps * 3 * scale_a,
         ))
         plan = ShotPlan(
             shots=config.shots, seed=seed,
@@ -447,25 +443,21 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         )
         t0 = time.perf_counter()
         if want_nn:
-            q_pred, diag = qsa.q_nn_classify(
+            q_pred, records = qsa.q_nn_classify(
                 chain["X_hat_a"], ys, chain["X_hat_t"], plan,
                 ae_bits=config.ae_bits, repeats=config.repeats,
             )
             trace.append({
-                "seed": seed, "stage": "q_nn_classify", "m": len(diag),
-                "oracle_queries": int(sum(row["oracle_queries"] for row in diag)),
-                "ambiguous": sum(1 for row in diag if row["warning"]),
+                "seed": seed, "stage": "q_nn_classify", "m": len(records),
+                "oracle_queries": int(records["oracle_queries"].sum()),
+                "ambiguous": int(records["warning"].sum()),
             })
-            del diag  # its rows keep the (n_t, n_s) estimates alive
             # exact mode can still disagree when the AE lattice ties two
             # distances, so allow a couple of flips; sampled mode gets more
             parity.append(_label_row(
                 f"seed{seed}.nn_labels", q_pred, nn_pred, 0.02 if config.exact_theta else 0.05,
             ))
-            accuracy.append(
-                {"seed": seed, "track": "quantum", "classifier": "nn",
-                 "accuracy": _accuracy(q_pred, truth)}
-            )
+            accuracy.append(_accuracy_row(seed, "quantum", "nn", q_pred, truth))
         if want_svm:
             q_model = qsa.q_svm_train(source, A_factors, config.gamma,
                                       precision_qubits=max(config.precision_qubits, 10))
@@ -489,10 +481,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
                 svm_tol += math.sqrt(math.log(100) / (2 * r.size))
             parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))
-            accuracy.append(
-                {"seed": seed, "track": "quantum", "classifier": "svm",
-                 "accuracy": _accuracy(q_pred, truth)}
-            )
+            accuracy.append(_accuracy_row(seed, "quantum", "svm", q_pred, truth))
         timings.append({"seed": seed, "stage": "quantum_classify", "seconds": time.perf_counter() - t0})
 
     timings.append({"seed": seed, "stage": "total", "seconds": time.perf_counter() - t_start})

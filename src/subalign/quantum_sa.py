@@ -292,13 +292,17 @@ def q_nn_classify(
     plan: ShotPlan,
     ae_bits: int = 7,
     repeats: int = 15,
-) -> tuple[np.ndarray, list[dict]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Label each target point by its nearest aligned source point.
 
     Every target-source distance is estimated by Hadamard tests and
     amplitude estimation (``_ae_distances``), and one Durr-Hoyer call finds
-    every target's minimum, all searches from one pool. A target whose minimum
-    is shared by sources with more than one label gets a warning.
+    every target's minimum, all searches from one pool. Returns the labels
+    and a structured array with one record per target: ``nearest``, the
+    source index the search kept; ``oracle_queries``, summed over its
+    searches; and ``warning``, set when the estimated minimum is shared by
+    sources of more than one label (ambiguous at AE resolution). No
+    reference to the (n_t, n_s) estimates outlives the call.
     """
     X_hat_a = np.asarray(X_hat_a, float)
     X_hat_t = np.asarray(X_hat_t, float)
@@ -310,18 +314,12 @@ def q_nn_classify(
     stats = grover_min_find(est, plan, repeats=repeats)
     at_min = est == est.min(axis=1, keepdims=True)
     first_label = labels[np.argmax(at_min, axis=1)]
-    ambiguous = np.any(at_min & (labels != first_label[:, None]), axis=1)
-    diagnostics = [
-        {
-            "target": j,
-            "distances": est[j],
-            "nearest": int(stats.index[j]),
-            "oracle_queries": int(stats.target_queries[j]),
-            "warning": "ambiguous nearest neighbor at AE resolution" if ambiguous[j] else None,
-        }
-        for j in range(est.shape[0])
-    ]
-    return labels[stats.index], diagnostics
+    fields = [("nearest", np.int64), ("oracle_queries", np.int64), ("warning", bool)]
+    records = np.empty(est.shape[0], fields)
+    records["nearest"] = stats.index
+    records["oracle_queries"] = stats.target_queries
+    records["warning"] = np.any(at_min & (labels != first_label[:, None]), axis=1)
+    return labels[stats.index], records
 
 
 # ---------------------------------------------------------------------------

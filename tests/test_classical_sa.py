@@ -688,6 +688,39 @@ class TestKernelAlignment:
                 csa.nn_classify(fit.Z_a, ys, fit.Z_t), csa.nn_classify(ref["Z_a"], ys, ref["Z_t"])
             )
 
+    @pytest.mark.parametrize("spec", [csa.KernelSpec("cosine"), csa.KernelSpec("polynomial", 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gram_projections_come_from_the_spectrum(self, spec, seed):
+        """On the Gram path Z_a and Z_t are read from the kernel-PCA spectrum,
+        W^T K_c = Lambda^1/2 U^T; they match the products with the
+        double-centered Gram matrices and give the same labels."""
+        source, target = _centered_pair(SynthSpec(D=5, n_s=300, n_t=250, seed=seed))
+        fit = csa.kernel_sa_fit(source, target, spec, 3)
+        assert fit.path == "gram"
+        ref = self._gram_reference(fit, source, target, 3)
+        for name in ("Z_a", "Z_t"):
+            err = np.max(np.abs(getattr(fit, name) - ref[name]))
+            assert err <= 1e-12 * np.max(np.abs(ref[name])), name
+        ys = source.visible_labels
+        assert np.array_equal(
+            csa.nn_classify(fit.Z_a, ys, fit.Z_t), csa.nn_classify(ref["Z_a"], ys, ref["Z_t"])
+        )
+
+    def test_gram_fit_holds_three_gram_sized_arrays(self):
+        """At D=5, n_s = n_t = 600 (cosine) the Gram path peaks while one
+        Gram matrix, its double-centered copy and the eigensolver's n x n
+        array are alive, plus 512 KiB; keeping K_ss and K_tt through the
+        fit peaked at about five of them."""
+        n = 600
+        source, target = _centered_pair(SynthSpec(D=5, n_s=n, n_t=n, seed=0))
+        tracemalloc.start()
+        try:
+            csa.kernel_sa_fit(source, target, csa.KernelSpec("cosine"), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n * n + 512 * 1024
+
     def test_hard_fit_memory_is_linear_in_n(self, monkeypatch):
         """At D=8, n_s = n_t = 3000 the fit builds no Gram matrix and runs no
         n x n eigensolver; one 3000 x 3000 Gram alone is 69 MiB."""

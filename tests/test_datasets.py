@@ -161,6 +161,19 @@ class TestCsv:
         with pytest.raises(ConfigurationError, match=f"label_column {column} outside 1..3"):
             load_csv(str(p), label_column=column)
 
+    def test_non_integer_label_column_rejected(self, tmp_path):
+        """The label column 0.5, 1.7, 1 loaded as [0, 1, 1]."""
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,0.5\n3.0,4.0,1.7\n5.0,6.0,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(str(p), label_column=3)
+        assert str(err.value) == f"{p}: label column 3: labels must be integers, got 0.5"
+
+    def test_whole_number_label_cells_load(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,1.0\n3.0,4.0,-1\n")
+        assert load_csv(str(p), label_column=3).labels.tolist() == [1, -1]
+
     def test_parse_error_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2\n3,abc\n")
@@ -236,6 +249,18 @@ class TestDomainValidation:
     def test_label_length_checked(self):
         with pytest.raises(ConfigurationError):
             Domain(np.ones((2, 3)), labels=[1, -1])
+
+    @pytest.mark.parametrize("labels, bad", [
+        ([0.5, 1.9, -0.7], "0.5"), ([0.0, np.nan, 1.0], "nan"), ([1.0, 0.0, -np.inf], "-inf"),
+    ])
+    def test_non_integer_labels_rejected(self, labels, bad):
+        """The int cast stored [0.5, 1.9, -0.7] as [0, 1, 0]."""
+        with pytest.raises(ConfigurationError, match=f"labels must be integers, got {bad}"):
+            Domain(np.ones((2, 3)), labels=labels)
+
+    def test_whole_float_labels_kept(self):
+        dom = Domain(np.ones((2, 3)), labels=np.array([1.0, -1.0, 2.0]))
+        assert dom.labels.dtype == int and dom.labels.tolist() == [1, -1, 2]
 
     def test_rotation_range(self):
         with pytest.raises(ConfigurationError):

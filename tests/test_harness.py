@@ -23,7 +23,7 @@ from subalign.datasets import (
     split_label_row,
     synth_shifted_gaussians,
 )
-from subalign.errors import ConfigurationError, SubalignError
+from subalign.errors import ConfigurationError, ParseError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
 
 
@@ -299,7 +299,7 @@ class TestRun:
                 pred = seen[-1].copy()
                 pred[:k] *= -1
                 if classifier == "nn":
-                    return pred, [{"oracle_queries": 0, "warning": None}] * pred.size
+                    return pred, np.zeros(pred.size, [("oracle_queries", int), ("warning", bool)])
                 return pred, {"low_confidence": np.zeros(pred.size, bool)}
 
             monkeypatch.setattr(harness.qsa, f"q_{classifier}_classify", quantum)
@@ -475,6 +475,23 @@ class TestLoadDomains:
         got_source, got_target = harness._load_domains(cfg, 0)
         self._assert_same(got_source, want_source)
         self._assert_same(got_target, want_target)
+
+    def test_non_integer_target_labels_name_the_file(self, tmp_path):
+        """A target label column that is not whole numbers is rejected with
+        the file's name; it used to be truncated to integers."""
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=12, n_t=10, seed=4))
+        save_csv(source, str(tmp_path / "s.csv"))
+        save_csv(replace(target, labels=None), str(tmp_path / "t.csv"))
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        labels = ["0.5"] + ["1"] * (len(rows) - 1)
+        (tmp_path / "t.csv").write_text("".join(f"{r},{v}\n" for r, v in zip(rows, labels)))
+        cfg = _config(
+            tmp_path,
+            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
+        )
+        with pytest.raises(ParseError, match="t.csv: label column 4: labels must be integers"):
+            list(harness._load_domains(cfg, 0))
 
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     def test_keeps_no_domain_it_handed_over(self, tmp_path, data):

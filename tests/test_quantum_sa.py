@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,7 @@ from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, PostselectionError, ShapeError
-from subalign.quantum_core import ShotPlan, pe_outcome_kernel, pe_readout
+from subalign.quantum_core import ShotPlan, grover_min_find, pe_outcome_kernel, pe_readout
 
 EXACT = ShotPlan()
 
@@ -360,16 +359,16 @@ class TestQuantumNn:
         X_hat_a = np.array([[-1.0, 1.0]])
         labels = np.array([0, 1])
         X_hat_t = np.array([[0.0]])
-        pred, diag = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
-        assert diag[0]["warning"] is not None
+        pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+        assert records[0]["warning"]
         assert pred[0] in (0, 1)
 
     def test_three_way_tie_warns(self):
         # three sources at one distance; the first two share a label
         X_hat_a = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         labels = np.array([0, 0, 1])
-        pred, diag = qsa.q_nn_classify(X_hat_a, labels, np.zeros((2, 1)), EXACT)
-        assert diag[0]["warning"] is not None
+        pred, records = qsa.q_nn_classify(X_hat_a, labels, np.zeros((2, 1)), EXACT)
+        assert records[0]["warning"]
 
     def test_sampled_pairs_draw_independently(self):
         # identical sources must not share one noise draw, and the draws
@@ -377,10 +376,9 @@ class TestQuantumNn:
         X_hat_a = np.tile([[1.0], [0.5]], (1, 40))
         X_hat_t = np.array([[0.3], [0.4]])
         plan = ShotPlan(shots=64, seed=3, mode="sampled")
-        _, diag = qsa.q_nn_classify(X_hat_a, np.arange(40), X_hat_t, plan)
-        assert np.unique(diag[0]["distances"]).size > 1
-        _, again = qsa.q_nn_classify(X_hat_a, np.arange(40), X_hat_t, plan)
-        assert np.array_equal(diag[0]["distances"], again[0]["distances"])
+        est = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        assert np.unique(est[0]).size > 1
+        assert np.array_equal(est, qsa._ae_distances(X_hat_a, X_hat_t, plan, 7))
 
     def test_register_budget(self):
         with pytest.raises(ConfigurationError, match="n_s <= 64"):
@@ -406,9 +404,9 @@ class TestQuantumNn:
         """At n_s = 64, n_t = 4096, d = 8 (exact plan) the peak stays within
         what the layout holds, summed as if every stage's data were alive at
         once: the (n_t, n_s) estimates (8 bytes per pair) and the int16 sort
-        tables (4); the per-target diagnostics, as sized from the returned
-        objects; the unit copies and norms of both inputs, 8 (d + 1) bytes
-        per point; five 8-byte arrays of NN_BLOCK_ELEMENTS entries per block
+        tables (4); the returned per-target records; the unit copies and
+        norms of both inputs, 8 (d + 1) bytes per point; five 8-byte arrays
+        of NN_BLOCK_ELEMENTS entries per block
         (the scratch buffer and the AE readout's range masks, clip, indices
         and result); eight int64 search results per target; and the 128 KiB
         that `grover_min_find` allows its pool."""
@@ -419,22 +417,58 @@ class TestQuantumNn:
         X_hat_t = rng.standard_normal((d, n_t))
         tracemalloc.start()
         try:
-            _, diag = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+            _, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        diag_bytes = sys.getsizeof(diag) + sum(
-            sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row.values()) for row in diag
-        )
         bound = (
             12 * n_s * n_t
-            + diag_bytes
+            + records.nbytes
             + 8 * (d + 1) * (n_s + n_t)
             + 5 * 8 * csa.NN_BLOCK_ELEMENTS
             + 8 * 8 * n_t
             + 128 * 1024
         )
         assert peak <= bound
+
+    def test_estimates_die_with_the_call(self):
+        """Same layout: while the caller holds the labels and the records,
+        the call leaves nothing else allocated beyond 64 KiB. No view of the
+        2 MiB (n_t, n_s) estimates outlives it; per-target dicts, each with
+        a row of the estimates, left 3.41 MiB."""
+        rng = np.random.default_rng(27)
+        d, n_s, n_t = 8, 64, 4096
+        X_hat_a = rng.standard_normal((d, n_s))
+        labels = rng.integers(0, 2, n_s)
+        X_hat_t = rng.standard_normal((d, n_t))
+        tracemalloc.start()
+        try:
+            pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= records.nbytes + pred.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("plan", [EXACT, ShotPlan(shots=64, seed=2, mode="sampled")])
+    def test_records_follow_the_search(self, plan):
+        """One record per target: the index and queries of the Durr-Hoyer
+        search over the AE estimates, and a warning exactly where the
+        estimated minimum is shared by sources of different labels."""
+        rng = np.random.default_rng(8)
+        # points on a small integer grid, so many distances tie
+        X_hat_a = rng.integers(-2, 3, (2, 12)).astype(float)
+        labels = rng.integers(0, 3, 12)
+        X_hat_t = rng.integers(-2, 3, (2, 40)).astype(float)
+        pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, plan)
+        est = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        stats = grover_min_find(est, plan, repeats=15)
+        assert records.dtype.names == ("nearest", "oracle_queries", "warning")
+        assert np.array_equal(records["nearest"], stats.index)
+        assert np.array_equal(records["oracle_queries"], stats.target_queries)
+        assert np.array_equal(pred, labels[stats.index])
+        tied = [np.unique(labels[row == row.min()]).size > 1 for row in est]
+        assert records["warning"].tolist() == tied
+        assert 0 < sum(tied) < len(tied)
 
     def test_agreement_with_classical(self):
         agree = total = 0
@@ -628,13 +662,13 @@ class TestEndToEndParity:
             art = csa.build_alignment(Ps, Pt, sc, tc)
             chain = qsa.q_build_alignment(Ps, Pt, sc, tc, exact_theta=True)
             c_nn = csa.nn_classify(art.X_hat_a, sc.visible_labels, art.X_hat_t)
-            q_nn, diag = qsa.q_nn_classify(
+            q_nn, records = qsa.q_nn_classify(
                 chain["X_hat_a"], sc.visible_labels, chain["X_hat_t"],
                 ShotPlan(seed=seed),
             )
             # any disagreement must be a declared AE-resolution ambiguity
             for j in np.flatnonzero(q_nn != c_nn):
-                assert diag[j]["warning"] is not None
+                assert records[j]["warning"]
             model = csa.svm_train(sc, art.A, 1.0)
             qmodel = qsa.q_svm_train(sc, art.A, 1.0, precision_qubits=10)
             for j in range(tc.n):
