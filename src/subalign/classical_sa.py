@@ -471,16 +471,15 @@ def kernel_alignment(Ws: np.ndarray, Kst: np.ndarray, Wt: np.ndarray) -> np.ndar
 
 @dataclass
 class KernelAlignment:
-    """Fitted kernel-SA pipeline (see `kernel_sa_fit` for its two paths).
+    """Fitted kernel-SA pipeline (see `kernel_sa_fit` for its two paths):
+    M*, the projections and the bases. The hard kernel's feature range and
+    the Gram path's weights W stay local to the fit.
 
     ``basis_s`` and ``basis_t`` are each domain's kernel-PCA basis: r-dim
     feature directions on the feature path, n-dim eigenvectors of the
     double-centered Gram matrix on the Gram path."""
 
     spec: KernelSpec
-    feature_range: tuple[np.ndarray, np.ndarray]  # (lo, span) of the centered domains
-    Ws: np.ndarray
-    Wt: np.ndarray
     M_star: np.ndarray
     Z_a: np.ndarray  # aligned source projections, d x n_s
     Z_t: np.ndarray  # target projections, d x n_t
@@ -503,19 +502,16 @@ class KernelAlignment:
 def _feature_kpca(F: np.ndarray, d: int):
     """Kernel PCA of one domain through its feature columns F (r x n).
 
-    Returns the centered features F_c, their `pca_subspace` basis V signed
-    so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
-    `_fix_signs`, and the weights W = F_c^T V / lambda."""
+    Returns the centered features F_c and their `pca_subspace` basis V,
+    signed so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
+    `_fix_signs`."""
     Fc = F - F.mean(axis=1)[:, None]
     if d > min(Fc.shape):
         raise _rank_deficient(d)
     basis = pca_subspace(Fc, d)
     if basis.eigenvalues[-1] <= RANK_FLOOR:
         raise _rank_deficient(d)
-    U = Fc.T @ basis.P
-    signs = _lead_signs(U)
-    basis = replace(basis, P=basis.P * signs)
-    return Fc, basis, U * (signs / basis.eigenvalues)
+    return Fc, replace(basis, P=basis.P * _lead_signs(Fc.T @ basis.P))
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
@@ -532,19 +528,20 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     - Linear and hard kernels (FEATURE_KINDS) have an explicit r-dim feature
       map (r = D, or 2^q for hard with q = max(1, ceil(log2 D))), so kernel
       PCA is `pca_subspace` of F_c and the fit is plain SA on the features:
-      M* = Vs^T Vt, Z_a = M*^T Vs^T F_sc, Z_t = Vt^T F_tc and
-      W = F_c^T V / lambda, in O(n r d) with no n x n matrix. V is signed so
-      that u follows `kernel_pca`'s convention; both paths give one fit.
+      M* = Vs^T Vt, Z_a = M*^T Vs^T F_sc and Z_t = Vt^T F_tc, in O(n r d)
+      with no n x n matrix. V is signed so that u follows `kernel_pca`'s
+      convention; both paths give one fit.
     - Polynomial (D^p features) and cosine (2^D) take the Gram path: three
-      Gram matrices and `kernel_pca` of K_ss and K_tt, with W = U / sqrt(lambda).
-      The projections come from the spectrum, W^T K_c = Lambda^1/2 U^T, so
+      Gram matrices, `kernel_pca` of K_ss and K_tt, and the weights
+      W = U / sqrt(lambda) that form M* = Ws^T K_st,c Wt. The projections
+      come from the spectrum, W^T K_c = Lambda^1/2 U^T, so
       Z_a = M*^T Lambda_s^1/2 U_s^T and Z_t = Lambda_t^1/2 U_t^T.
     """
-    # one feature map for every Gram matrix
-    fitted = _feature_range(Xs.samples, Xt.samples)
+    # one feature map for every Gram matrix; only the hard kernel's has a range
+    fitted = _feature_range(Xs.samples, Xt.samples) if spec.kind == "hard" else None
     if spec.kind in FEATURE_KINDS:
-        Fs, Bs, Ws = _feature_kpca(_feature_map(Xs.samples, spec, fitted), d)
-        Ft, Bt, Wt = _feature_kpca(_feature_map(Xt.samples, spec, fitted), d)
+        Fs, Bs = _feature_kpca(_feature_map(Xs.samples, spec, fitted), d)
+        Ft, Bt = _feature_kpca(_feature_map(Xt.samples, spec, fitted), d)
         art = build_alignment(Bs, Bt, Fs, Ft)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
     else:
@@ -557,4 +554,4 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
         M = kernel_alignment(Ws, _double_center(Kst), Wt)
         Z_a = M.T @ (np.sqrt(Bs.eigenvalues)[:, None] * Bs.P.T)
         Z_t = np.sqrt(Bt.eigenvalues)[:, None] * Bt.P.T
-    return KernelAlignment(spec, fitted, Ws, Wt, M, Z_a, Z_t, Bs, Bt)
+    return KernelAlignment(spec, M, Z_a, Z_t, Bs, Bt)

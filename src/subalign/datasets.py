@@ -16,6 +16,7 @@ run the same arithmetic, so their results are bitwise identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -230,31 +231,36 @@ def _is_number(token: str) -> bool:
 def load_csv(path: str, label_column: int | None = None) -> Domain:
     """Load a domain from CSV (rows = samples, optional header row).
 
-    ``label_column`` is a 1-based column index holding integer labels.
+    ``label_column`` is a 1-based column index holding integer labels. Each
+    row is parsed into one float array as it is read (the syntax `float`
+    accepts), so a load holds about twice the array, never every cell as a str.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    start = 0
-    if not all(_is_number(c) for c in rows[0]):
-        start = 1  # header row
-    width = len(rows[start]) if start < len(rows) else 0
-    if label_column is not None and not 1 <= label_column <= width:
-        raise ConfigurationError(
-            f"{path}: label_column {label_column} outside 1..{width} (the column count)"
-        )
-    data = []
-    for ridx, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise ParseError(f"{path}: ragged row {ridx} (expected {width} cells)")
-        vals = []
-        for cidx, cell in enumerate(row, start=1):
-            if not _is_number(cell):
-                raise ParseError(f"{path}: non-numeric cell {cell!r} in row {ridx}")
-            vals.append(float(cell))
-        data.append(vals)
-    domain = Domain(np.array(data, dtype=float).T)
+        rows = (row for row in csv.reader(fh) if row)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        start = 0 if all(_is_number(c) for c in first) else 1  # 1: a header row
+        if start:
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: no data rows")
+        width = len(first)
+        if label_column is not None and not 1 <= label_column <= width:
+            raise ConfigurationError(
+                f"{path}: label_column {label_column} outside 1..{width} (the column count)"
+            )
+        data = []
+        for ridx, row in enumerate(itertools.chain([first], rows), start=start + 1):
+            if len(row) != width:
+                raise ParseError(f"{path}: ragged row {ridx} (expected {width} cells)")
+            try:
+                data.append(np.array(row, dtype=float))
+            except ValueError:
+                cell = next(c for c in row if not _is_number(c))
+                raise ParseError(f"{path}: non-numeric cell {cell!r} in row {ridx}") from None
+    domain = Domain(np.array(data).T)
+    del data  # the stacked samples hold every row now
     try:
         return domain if label_column is None else split_label_row(domain, label_column)
     except ConfigurationError as exc:

@@ -17,10 +17,6 @@ class ParseError(SubalignError):
     """Malformed input file."""
 
 
-class ValidationError(SubalignError):
-    """An operator or state fails a structural check (unitarity, idempotence, ...)."""
-
-
 class RangeError(SubalignError):
     """A scalar map leaves its admissible range."""
 

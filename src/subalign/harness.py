@@ -403,9 +403,11 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "X_hat_t": art.X_hat_t,
         }
         deviation = {}  # max |quantum - classical| entry of each stage
+        quantum = {}  # each stage's matrix, read back from its state once
         for stage in ("M", "X_hat_s", "X_hat_a", "X_hat_t"):
-            ips = chain.pop(f"{stage}_state")  # the classifiers need only the matrices
-            deviation[stage] = float(np.max(np.abs(ips.as_matrix() - classical_ref[stage])))
+            ips = chain.pop(stage)  # the classifiers need only the matrices
+            quantum[stage] = ips.as_matrix()
+            deviation[stage] = float(np.max(np.abs(quantum[stage] - classical_ref[stage])))
             trace.append({
                 "seed": seed,
                 "stage": stage,
@@ -418,7 +420,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "scale": float(ips.scale),
                 "max_deviation": deviation[stage],
             })
-        del ips, classical_ref, X_hat_s  # the classifiers need none of them
+        del ips, classical_ref, X_hat_s, quantum["X_hat_s"]  # the classifiers need none of them
         # entrywise tolerances: exact-theta mode is limited by float error.
         # With finite precision, M*_ij = u.v for unit columns u of Ps and v
         # of Pt. Rounding theta to the pi/2^n lattice moves it by at most
@@ -427,14 +429,14 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         # which is pi/2^n
         m_tol = 1e-6 if config.exact_theta else math.pi / 2**config.precision_qubits
         parity.append(_parity_row(
-            f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(chain["M_star"])),
+            f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(quantum["M"])),
             deviation["M"], m_tol,
         ))
         # X_hat_a: the 2^(1-n) overlap lattice times the scales
         eps = 1e-6 if config.exact_theta else 2.0 ** (1 - config.precision_qubits)
         scale_a = max(1.0, float(np.max(np.abs(art.X_hat_a))))
         parity.append(_parity_row(
-            f"seed{seed}.X_hat_a", np.max(np.abs(art.X_hat_a)), np.max(np.abs(chain["X_hat_a"])),
+            f"seed{seed}.X_hat_a", np.max(np.abs(art.X_hat_a)), np.max(np.abs(quantum["X_hat_a"])),
             deviation["X_hat_a"], eps * 3 * scale_a,
         ))
         plan = ShotPlan(
@@ -444,7 +446,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         t0 = time.perf_counter()
         if want_nn:
             q_pred, records = qsa.q_nn_classify(
-                chain["X_hat_a"], ys, chain["X_hat_t"], plan,
+                quantum["X_hat_a"], ys, quantum["X_hat_t"], plan,
                 ae_bits=config.ae_bits, repeats=config.repeats,
             )
             trace.append({

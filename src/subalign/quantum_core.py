@@ -229,13 +229,12 @@ def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np
 @dataclass
 class GroverStats:
     """Outcome of one `grover_min_find` call: ``index`` holds one index per
-    row, ``oracle_queries`` and ``threshold_updates`` are totals over the
-    call, ``target_queries`` holds each row's queries summed over its
-    repeats (so ``oracle_queries == target_queries.sum()``)."""
+    row, ``oracle_queries`` is the total over the call, ``target_queries``
+    holds each row's queries summed over its repeats (so
+    ``oracle_queries == target_queries.sum()``)."""
 
     index: np.ndarray
     oracle_queries: int
-    threshold_updates: int
     target_queries: np.ndarray
 
 
@@ -261,10 +260,10 @@ def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) -> None:
-    """One exponential-search Grover run of every search in ``pool`` (see
-    `grover_min_find`), in place. A function of its own so that its
-    temporaries are freed before the pool is compacted and refilled."""
-    row, pos, marked, misses, spent, wins = pool
+    """One exponential-search Grover run of every search in ``pool`` (the
+    five rows of `grover_min_find`), in place. A function of its own so that
+    its temporaries are freed before the pool is compacted and refilled."""
+    row, pos, marked, misses, spent = pool
     # a Grover run of j iterations on the marked set, j uniform below the
     # span; a search's last run is cut short so that no search spends more
     # than its budget
@@ -273,7 +272,6 @@ def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) 
     won = np.flatnonzero(rng.random(j.size) < hit[marked, j])
     pos[won] = rng.random(won.size) * marked[won]  # uniform over the marked set
     marked[won] = below[row[won], pos[won]]
-    wins[won] += 1
     misses += 1
     misses[won] = 0
     np.minimum(misses, span.size - 1, out=misses)
@@ -294,17 +292,18 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     Grover run of every search in the pool, and finished searches fold into
     their rows' results at the next refill and at the end. The marked set of
     a search (every entry strictly below its threshold) is a prefix of its
-    row's stable sort order, so a search is fully described by its row, its
-    threshold's sorted position, its marked count, its misses since the last
-    update and its query count. A Grover run's success probability is read
-    from a table of every (marked count, iterations) pair, built once per
-    call: 8 (N + 1) (ceil(sqrt(N)) + 1) bytes, 640 bytes at N = 15 and
-    2 MiB at MAX_GROVER_N. Beyond ``values`` and that table, a call holds
-    each row's int16 sort tables (4 bytes per entry), a few int64s per row
-    of results, and a pool-sized working set of a few tens of KiB whatever
-    T and ``repeats`` are: at N = 15 its tracemalloc peak stays below
-    values.nbytes + 128 KiB. Every draw comes from the plan's "min_find"
-    stream, in pool order, so a seed gives the same result every time.
+    row's stable sort order, so a search is fully described by the pool's
+    five int64 rows: its row, its threshold's sorted position, its marked
+    count, its misses since the last update and its query count. A Grover
+    run's success probability is read from a table of every (marked count,
+    iterations) pair, built once per call: 8 (N + 1) (ceil(sqrt(N)) + 1)
+    bytes, 640 bytes at N = 15 and 2 MiB at MAX_GROVER_N. Beyond ``values``
+    and that table, a call holds each row's int16 sort tables (4 bytes per
+    entry), two int64s per row of results, and a pool-sized working set of
+    a few tens of KiB whatever T and ``repeats`` are: at N = 15 its
+    tracemalloc peak stays below values.nbytes + 128 KiB. Every draw comes
+    from the plan's "min_find" stream, in pool order, so a seed gives the
+    same result every time.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -331,9 +330,8 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     hit = np.sin((2 * np.arange(span[-1] + 1) + 1) * angle[:, None]) ** 2
     best = np.full(T, N, dtype=np.int64)
     queries = np.zeros(T, dtype=np.int64)
-    updates = np.zeros(T, dtype=np.int64)
-    # the pool: row, sorted position, marked count, misses, queries, updates
-    pool = np.zeros((6, 0), dtype=np.int64)
+    # the pool: row, sorted position, marked count, misses, queries
+    pool = np.zeros((5, 0), dtype=np.int64)
     finished = []  # done searches, folded into their rows at the next refill
     fed, searches = 0, T * repeats
     while True:
@@ -345,12 +343,11 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
             finished = np.concatenate(finished, axis=1)
             np.minimum.at(best, finished[0], finished[1])  # the best value, lowest index on ties
             np.add.at(queries, finished[0], finished[4])
-            np.add.at(updates, finished[0], finished[5])
             finished = []
             if not refill:
                 break
             k = min(SEARCH_SLOTS - pool.shape[1], searches - fed)
-            new = np.zeros((6, k), dtype=np.int64)
+            new = np.zeros((5, k), dtype=np.int64)
             new[0] = np.arange(fed, fed + k) // repeats
             new[1] = rng.integers(N, size=k)  # a uniform index is a uniform sorted position
             new[2] = below[new[0], new[1]]
@@ -359,4 +356,4 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
             continue  # a search that starts at its row's minimum is done at once
         _grover_runs(pool, below, span, hit, budget, rng)
     index = order[np.arange(T), best].astype(np.int64)
-    return GroverStats(index, int(queries.sum()), int(updates.sum()), queries)
+    return GroverStats(index, int(queries.sum()), queries)

@@ -144,6 +144,12 @@ def qpca(
             f"eigenvectors share an outcome at {precision_qubits} precision qubits "
             "and cannot be told apart; top subspace is only determined up to rotation"
         )
+    if d < D and k[order[d - 1]] == k[order[d]]:
+        warnings.append(
+            f"the cut at d={d} falls inside one lattice cell: eigenvectors {d} and {d + 1} "
+            f"both read out at outcome {k[order[d]]} at {precision_qubits} precision qubits, "
+            "so the readout alone does not determine the subspace"
+        )
     eigvals = k[order] / N * 2 * math.pi / t0 * cov_trace
     gap = float(eigvals[d - 1] - (eigvals[d] if d < D else 0.0))
     basis = SubspaceBasis(_fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
@@ -213,24 +219,17 @@ def q_build_alignment(
     precision_qubits: int = 8,
     exact_theta: bool = False,
 ) -> dict:
-    """Full quantum alignment chain: M* state, projected source, aligned
-    source, and projected target, with reconstructed matrices for parity."""
-    Xs_m, Xt_m = _as_matrix(Xs), _as_matrix(Xt)
-    ips_m = matrix_product_state(Ps.P, Pt.P, precision_qubits, exact_theta)
-    M = ips_m.as_matrix()
-    ips_xs = matrix_product_state(Ps.P, Xs_m, precision_qubits, exact_theta)
-    X_hat_s = ips_xs.as_matrix()
-    ips_xa = matrix_product_state(M, X_hat_s, precision_qubits, exact_theta)
-    ips_xt = matrix_product_state(Pt.P, Xt_m, precision_qubits, exact_theta)
-    return {
-        "M_state": ips_m,
-        "X_hat_s_state": ips_xs,
-        "X_hat_a_state": ips_xa,
-        "X_hat_t_state": ips_xt,
-        "M_star": M,
-        "X_hat_a": ips_xa.as_matrix(),
-        "X_hat_t": ips_xt.as_matrix(),
-    }
+    """Full quantum alignment chain: the `InnerProductState` of each stage,
+    keyed ``M`` (M* = Ps^T Pt), ``X_hat_s`` (Ps^T Xs), ``X_hat_a``
+    (M*^T X_hat_s, from the matrices the first two states read back to) and
+    ``X_hat_t`` (Pt^T Xt). `InnerProductState.as_matrix` reads a stage's
+    matrix."""
+    readout = (precision_qubits, exact_theta)
+    M = matrix_product_state(Ps.P, Pt.P, *readout)
+    X_hat_s = matrix_product_state(Ps.P, _as_matrix(Xs), *readout)
+    X_hat_a = matrix_product_state(M.as_matrix(), X_hat_s.as_matrix(), *readout)
+    X_hat_t = matrix_product_state(Pt.P, _as_matrix(Xt), *readout)
+    return {"M": M, "X_hat_s": X_hat_s, "X_hat_a": X_hat_a, "X_hat_t": X_hat_t}
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +398,13 @@ def q_svm_classify(
         raise ShapeError("X must be a D x m matrix of points (columns)")
     L, R = _factor_pair(A)
     AX = L @ (R.T @ Xm)
-    N_x = model.N_x
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
-    re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(N_x * N_t)
+    re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(model.N_x * N_t)
     decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))
     labels = np.where(decision >= 0, 1, -1)
     info = {
         "decision_value": decision,
         "exact_overlap": re,  # what decision_value estimates
-        "N_t": N_t,
-        "N_x": N_x,
         "low_confidence": (not plan.exact) & (np.abs(decision) < 3.0 / math.sqrt(plan.shots)),
     }
     return labels, info

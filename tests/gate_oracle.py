@@ -17,10 +17,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from subalign.errors import ConfigurationError, ShapeError, ValidationError
+from subalign.errors import ConfigurationError, ShapeError, SubalignError
 from subalign.quantum_core import ShotPlan
 
 MAX_PRECISION_QUBITS = 12
+
+
+class ValidationError(SubalignError):
+    """An operator or state fails a structural check (unitarity, idempotence, ...)."""
 
 
 def apply_unitary_vec(vec: np.ndarray, U: np.ndarray, qubits, n: int) -> np.ndarray:

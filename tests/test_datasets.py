@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,57 @@ class TestCsv:
         p.write_text("a,b\n1,2\n3,4\n")
         dom = load_csv(str(p))
         assert dom.samples.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "text, label_column, error, message",
+        [
+            ("", None, ParseError, "empty file"),
+            ("\n\n", 2, ParseError, "empty file"),
+            # a header alone read "label_column 3 outside 1..0 (the column
+            # count)" for 3 columns, or "samples must be a 2-d matrix" without
+            # a label column, naming no file
+            ("a,b,label\n\n", 3, ParseError, "no data rows"),
+            ("a,b,label\n", None, ParseError, "no data rows"),
+            ("a,b\n1,2\n3,4,5\n", None, ParseError, "ragged row 3 (expected 2 cells)"),
+            ("1,2\n\n3,x\n", None, ParseError, "non-numeric cell 'x' in row 2"),
+            ("h,h\n1,2\n 3 ,0x10\n", None, ParseError, "non-numeric cell '0x10' in row 3"),
+            ("1,2\n3,4,5\n", 3, ConfigurationError,
+             "label_column 3 outside 1..2 (the column count)"),
+            ("1,2\n3,4.5\n", 2, ParseError, "label column 2: labels must be integers, got 4.5"),
+        ],
+    )
+    def test_messages_name_the_file_and_row(self, tmp_path, text, label_column, error, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(error) as err:
+            load_csv(str(p), label_column=label_column)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = ["1_000", " 2 ", "1e-400", "-0", ".5", "1.", "4.9e-324", "\uff11", "+7"]
+        p = tmp_path / "d.csv"
+        p.write_text(",".join(cells) + "\n" + ",".join(reversed(cells)) + "\n", encoding="utf-8")
+        dom = load_csv(str(p))
+        expect = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]]).T
+        assert dom.samples.tobytes() == expect.tobytes()
+
+    def test_load_holds_rows_not_cells(self, tmp_path):
+        """Holding every cell as a str and then as a float peaked at about
+        16 times the array. The row arrays (8 D bytes each plus about 100
+        bytes of header) with the stacked samples, and then the samples with
+        the features cut from them, hold about twice the array at a time."""
+        D, n = 64, 2000
+        rng = np.random.default_rng(0)
+        p = tmp_path / "d.csv"
+        save_csv(Domain(rng.standard_normal((D, n)), rng.integers(0, 2, n)), str(p), header=True)
+        tracemalloc.start()
+        try:
+            dom = load_csv(str(p), label_column=D + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dom.samples.shape == (D, n)
+        assert peak <= 4 * 8 * (D + 1) * n
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -1,14 +1,33 @@
-"""Tooling guard on the public surface: every name a module exports is used
-by the program itself, not only by its own tests."""
+"""Tooling guard on the public surface: every name a module exports, and
+every field of every dataclass it defines, is used by the program itself,
+not only by its own tests."""
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
-from subalign import classical_sa, datasets, harness, quantum_core, quantum_sa
+from subalign import classical_sa, datasets, errors, harness, quantum_core, quantum_sa
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
-MODULES = (classical_sa, datasets, harness, quantum_sa, quantum_core)
+MODULES = (classical_sa, datasets, errors, harness, quantum_sa, quantum_core)
+
+
+def _program_files():
+    for folder in PROGRAM_DIRS:
+        yield from sorted((ROOT / folder).rglob("*.py"))
+
+
+def _public_names(module) -> set[str]:
+    """The module's ``__all__``, or without one every public name that the
+    module itself defines."""
+    if hasattr(module, "__all__"):
+        return set(module.__all__)
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+    }
 
 
 def _code_words(path: Path) -> set[str]:
@@ -41,12 +60,32 @@ def _code_words(path: Path) -> set[str]:
 
 def test_every_public_name_is_used_by_the_program():
     used = set()
-    for folder in PROGRAM_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            used |= _code_words(path)
+    for path in _program_files():
+        used |= _code_words(path)
     unused = {
-        module.__name__: sorted(set(module.__all__) - used)
+        module.__name__: sorted(_public_names(module) - used)
         for module in MODULES
-        if set(module.__all__) - used
+        if _public_names(module) - used
     }
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    """A field counts as read where the program loads it as an attribute
+    (``obj.field``); storing it, or naming it in a constructor call, does
+    not count."""
+    read = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(
+        f"{cls.__name__}.{f.name}"
+        for module in MODULES
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    )
+    assert not unread, f"dataclass fields that no program code reads: {unread}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_oracle import (
+    ValidationError,
     _durr_hoyer_once,
     ae_distribution,
     build_g_operator,
@@ -24,11 +25,7 @@ from subalign import classical_sa as csa
 from subalign import quantum_core
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain
-from subalign.errors import (
-    ConfigurationError,
-    RangeError,
-    ValidationError,
-)
+from subalign.errors import ConfigurationError, RangeError
 from subalign.quantum_core import (
     BLOCK_ELEMENTS,
     MAX_AE_QUBITS,
@@ -486,7 +483,7 @@ class TestLockstepMinFind:
         assert stats.target_queries.shape == (T,)
         assert stats.target_queries.max() <= repeats * _budget(N)
         again = grover_min_find(rows, ShotPlan(seed=3, mode="sampled"), repeats)
-        for field in ("index", "oracle_queries", "threshold_updates", "target_queries"):
+        for field in ("index", "oracle_queries", "target_queries"):
             assert np.array_equal(getattr(again, field), getattr(stats, field))
         other = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats)
         assert not np.array_equal(other.target_queries, stats.target_queries)
@@ -507,19 +504,19 @@ class TestLockstepMinFind:
         assert peak <= values.nbytes + 128 * 1024
 
     @pytest.mark.parametrize(
-        "N, seed, repeats, queries, updates, target_queries",
+        "N, seed, repeats, queries, target_queries",
         [
-            (15, 7, 3, 138, 40, [18, 19, 14, 19, 17, 17, 21, 13]),
-            (64, 8, 1, 181, 32, [7, 41, 8, 40, 46, 30, 3, 6]),
+            (15, 7, 3, 138, [18, 19, 14, 19, 17, 17, 21, 13]),
+            (64, 8, 1, 181, [7, 41, 8, 40, 46, 30, 3, 6]),
         ],
     )
-    def test_draws_are_pinned(self, N, seed, repeats, queries, updates, target_queries):
+    def test_draws_are_pinned(self, N, seed, repeats, queries, target_queries):
         """Two fixed searches with their outcomes pinned: a change in the
         number or order of the draws shows here."""
         rows = np.random.default_rng(N).standard_normal((8, N))
         stats = grover_min_find(rows, ShotPlan(seed=seed, mode="sampled"), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
-        assert (stats.oracle_queries, stats.threshold_updates) == (queries, updates)
+        assert stats.oracle_queries == queries
         assert stats.target_queries.tolist() == target_queries
 
     def test_queries_grow_as_sqrt_n(self):
@@ -564,7 +561,6 @@ class TestLockstepMinFind:
         rows = np.random.default_rng(14).standard_normal((300, N))
         stats = grover_min_find(rows, ShotPlan(seed=5, mode="sampled"))
         assert set(np.unique(stats.target_queries)) == {0, _budget(N)}
-        assert stats.threshold_updates == 0
 
 
 class TestShotPlanStreams:

@@ -45,6 +45,12 @@ def _dense_qpca(X, d, precision_qubits):
             f"eigenvectors share an outcome at {precision_qubits} precision qubits "
             "and cannot be told apart; top subspace is only determined up to rotation"
         )
+    if d < D and k[order[d - 1]] == k[order[d]]:
+        warnings.append(
+            f"the cut at d={d} falls inside one lattice cell: eigenvectors {d} and {d + 1} "
+            f"both read out at outcome {k[order[d]]} at {precision_qubits} precision qubits, "
+            "so the readout alone does not determine the subspace"
+        )
     eigvals = k[order] / N * 2 * math.pi / t0 * cov_trace
     gap = float(eigvals[d - 1] - (eigvals[d] if d < D else 0.0))
     basis = csa.SubspaceBasis(csa._fix_signs(U[:, order[:d]]), eigvals[:d], warnings, gap)
@@ -130,15 +136,37 @@ class TestQpca:
 
     def test_shared_outcome_ordered_by_own_distribution(self):
         # three eigenvectors at 8.199, 7.916 and 7.742 lattice steps share
-        # outcome 8; the top two of them belong to the basis
+        # outcome 8; the top two of them belong to the basis, so the cut
+        # falls inside that cell and says so
         X = self._caps_domain(9, 1)
         res = qsa.qpca(X, 4, precision_qubits=8)
         assert res.outcomes.tolist() == [32, 9, 8, 8]
-        assert res.basis.warnings == []
+        assert len(res.basis.warnings) == 1
+        assert res.basis.warnings[0].startswith("the cut at d=4 falls inside one lattice cell")
         _, U = np.linalg.eigh(X @ X.T)
         kept = np.linalg.norm(res.basis.P.T @ U[:, ::-1][:, 2:5], axis=0)
         assert np.allclose(kept, [1.0, 1.0, 0.0], atol=1e-10)
         assert self._projector_distance(X, res) < 1e-10
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_cut_inside_one_cell_warns(self, which):
+        """At the classical-svm shape (D=256, n_s=2000, n_t=300, d=8) and 8
+        precision qubits eigenvectors 8 and 9 of either domain read out at
+        one outcome; the basis kept the 8th by a statistic no readout gives,
+        without a word."""
+        pair = synth_shifted_gaussians(SynthSpec(D=256, n_s=2000, n_t=300, seed=0))
+        X = center_columns(pair[which])[0].samples
+        res = qsa.qpca(X, 8, precision_qubits=8)
+        assert any(w.startswith("the cut at d=8 falls inside one lattice cell")
+                   for w in res.basis.warnings)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cut_between_cells_is_silent(self, seed):
+        # quantum-caps shape at 10 precision qubits: the readouts at the cut
+        # differ on every domain of seeds 0-3
+        for which in (0, 1):
+            res = qsa.qpca(self._caps_domain(seed, which), 4, precision_qubits=10)
+            assert res.basis.warnings == []
 
     def test_rank_deficient_source_reads_out_cleanly(self):
         # n_s = 15 < D = 16: centered, rho has two zero eigenvalues, whose
@@ -338,7 +366,7 @@ class TestQProject:
         Ps, Pt = csa.pca_subspace(sc, 2), csa.pca_subspace(tc, 2)
         art = csa.build_alignment(Ps, Pt, sc, tc)
         chain = qsa.q_build_alignment(Ps, Pt, sc, tc, exact_theta=True)
-        a = chain["X_hat_a"].ravel()
+        a = chain["X_hat_a"].as_matrix().ravel()
         b = art.X_hat_a.ravel()
         cosine = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert cosine >= 0.999
@@ -663,7 +691,7 @@ class TestEndToEndParity:
             chain = qsa.q_build_alignment(Ps, Pt, sc, tc, exact_theta=True)
             c_nn = csa.nn_classify(art.X_hat_a, sc.visible_labels, art.X_hat_t)
             q_nn, records = qsa.q_nn_classify(
-                chain["X_hat_a"], sc.visible_labels, chain["X_hat_t"],
+                chain["X_hat_a"].as_matrix(), sc.visible_labels, chain["X_hat_t"].as_matrix(),
                 ShotPlan(seed=seed),
             )
             # any disagreement must be a declared AE-resolution ambiguity
