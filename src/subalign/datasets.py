@@ -109,12 +109,6 @@ class DomainShift:
     translation: tuple[float, ...] | float = 0.0
     scale: float = 1.0
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """The shifted copy of X (X is not modified)."""
-        out = np.array(X, dtype=float)
-        self._apply_in_place(out)
-        return out
-
     def _apply_in_place(self, X: np.ndarray) -> None:
         """Shift the float array X in place: rotate rows 0 and 1, scale every
         row, then translate. A step that is the identity (angle 0, scale 1,
@@ -259,8 +253,19 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
             except ValueError:
                 cell = next(c for c in row if not _is_number(c))
                 raise ParseError(f"{path}: non-numeric cell {cell!r} in row {ridx}") from None
-    domain = Domain(np.array(data).T)
+    if len(data) < 2:
+        raise ParseError(f"{path}: 1 data row (a domain needs at least 2)")
+    samples = np.array(data).T
     del data  # the stacked samples hold every row now
+    # the check `Domain` makes, located: a finite sum clears every cell
+    if not math.isfinite(samples.sum()):
+        bad = np.argwhere(~np.isfinite(samples.T))  # (sample, column), first row first
+        if bad.size:
+            j, col = bad[0]
+            raise ParseError(
+                f"{path}: non-finite cell {float(samples[col, j])} in row {j + start + 1}"
+            )
+    domain = Domain(samples)
     try:
         return domain if label_column is None else split_label_row(domain, label_column)
     except ConfigurationError as exc:

@@ -304,46 +304,67 @@ def _label_row(quantity, pred, ref, tol):
     return row
 
 
+def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain, trace: list):
+    """One domain's pass: center ``domain`` in place (it was loaded for this
+    seed alone), then its PCA basis and projection and, on the quantum
+    track, its qPCA basis (and trace row) and its projection's state.
+    Returns (basis, X_hat, q_basis, X_hat_state, seconds, quantum seconds)."""
+    center_columns_in_place(domain)
+    t0 = time.perf_counter()
+    basis = csa.pca_subspace(domain, config.d)
+    X_hat = basis.P.T @ domain.samples
+    t1 = time.perf_counter()
+    if config.track == "classical":
+        return basis, X_hat, None, None, t1 - t0, 0.0
+    res = qsa.qpca(domain, config.d, config.precision_qubits)
+    # the outcome k each basis vector read out at, its probability, the
+    # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
+    trace.append({
+        "seed": seed, "stage": "qpca", "domain": name,
+        "outcomes": res.outcomes.tolist(),
+        "readout_probabilities": res.readout_probabilities.tolist(),
+        "gap": res.basis.gap, "warnings": res.basis.warnings,
+    })
+    state = qsa.matrix_product_state(
+        res.basis.P, domain.samples, config.precision_qubits, config.exact_theta
+    )
+    return basis, X_hat, res.basis, state, t1 - t0, time.perf_counter() - t1
+
+
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
-    # the classical NN track reads a domain's samples only through its d x n
-    # projection, so there each domain is dropped once it is projected and
-    # the two are never held together; every other stage reads the samples
-    # after both domains are loaded
-    keep_samples = (
-        config.track != "classical" or config.classifier != "nn" or config.kernel is not None
-    )
+    want_nn = config.classifier in ("nn", "both")
+    want_svm = config.classifier in ("svm", "both")
+    # only the classical and quantum SVMs and the kernel fit (its hard-kernel
+    # range spans both domains) read samples after their domain's pass;
+    # without them each domain is dropped after its pass, so the two are
+    # never held together
+    keep_samples = want_svm or config.kernel is not None
     accuracy, parity, timings, trace = [], [], [], []
     domains = _load_domains(config, seed)
-    # each domain was loaded for this seed alone, so it is centered in place:
-    # every track works on the centered domains, and no raw copy is kept
     source = next(domains)
-    center_columns_in_place(source)
-    t0 = time.perf_counter()
-    Ps = csa.pca_subspace(source, config.d)
-    X_hat_s = Ps.P.T @ source.samples
-    align_s = time.perf_counter() - t0
+    Ps, X_hat_s, q_Ps, q_X_hat_s, align_s, q_align_s = _domain_pass(
+        config, seed, "source", source, trace
+    )
     ys = source.visible_labels
     if not keep_samples:
         del source
     target = next(domains)
     del domains  # and with it the loader's frames, which every later peak would carry
-    center_columns_in_place(target)
-    t0 = time.perf_counter()
-    Pt = csa.pca_subspace(target, config.d)
-    X_hat_t = Pt.P.T @ target.samples
+    Pt, X_hat_t, q_Pt, q_X_hat_t, align_t, q_align_t = _domain_pass(
+        config, seed, "target", target, trace
+    )
     truth = target.labels  # for evaluation only
     if not keep_samples:
         del target
+    t0 = time.perf_counter()
     art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
     if config.track == "classical":
         del X_hat_s  # only the quantum track's parity rows read it
     A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
     timings.append({"seed": seed, "stage": "classical_align",
-                    "seconds": align_s + time.perf_counter() - t0})
+                    "seconds": align_s + align_t + time.perf_counter() - t0})
 
-    want_nn = config.classifier in ("nn", "both")
-    want_svm = config.classifier in ("svm", "both")
     # the classical labels are both the classical track's output and the
     # reference the quantum track's label parity is measured against
     t0 = time.perf_counter()
@@ -377,37 +398,23 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
 
     if config.track in ("quantum", "both"):
         t0 = time.perf_counter()
-        q_bases = []
-        for domain, data in (("source", source), ("target", target)):
-            res = qsa.qpca(data, config.d, config.precision_qubits)
-            # the outcome k each basis vector read out at, its probability, the
-            # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
-            trace.append({
-                "seed": seed, "stage": "qpca", "domain": domain,
-                "outcomes": res.outcomes.tolist(),
-                "readout_probabilities": res.readout_probabilities.tolist(),
-                "gap": res.basis.gap, "warnings": res.basis.warnings,
-            })
-            q_bases.append(res.basis)
-        q_Ps, q_Pt = q_bases
-        chain = qsa.q_build_alignment(
-            q_Ps, q_Pt, source, target,
-            precision_qubits=config.precision_qubits,
-            exact_theta=config.exact_theta,
-        )
-        timings.append({"seed": seed, "stage": "quantum_align", "seconds": time.perf_counter() - t0})
-        classical_ref = {
-            "M": art.M_star,
-            "X_hat_s": X_hat_s,
-            "X_hat_a": art.X_hat_a,
-            "X_hat_t": art.X_hat_t,
-        }
+        readout = (config.precision_qubits, config.exact_theta)
+        M = qsa.matrix_product_state(q_Ps.P, q_Pt.P, *readout)
+        # X_hat_a = M*^T X_hat_s, from the matrices the M and X_hat_s states read back to
+        X_hat_a = qsa.matrix_product_state(M.as_matrix(), q_X_hat_s.as_matrix(), *readout)
+        timings.append({"seed": seed, "stage": "quantum_align",
+                        "seconds": q_align_s + q_align_t + time.perf_counter() - t0})
+        # each stage's state and its classical twin. The classifiers need
+        # neither, so the chain alone holds them until the stage is read back
+        chain = {"M": (M, art.M_star), "X_hat_s": (q_X_hat_s, X_hat_s),
+                 "X_hat_a": (X_hat_a, art.X_hat_a), "X_hat_t": (q_X_hat_t, art.X_hat_t)}
+        del M, q_X_hat_s, X_hat_s, X_hat_a, q_X_hat_t
         deviation = {}  # max |quantum - classical| entry of each stage
         quantum = {}  # each stage's matrix, read back from its state once
         for stage in ("M", "X_hat_s", "X_hat_a", "X_hat_t"):
-            ips = chain.pop(stage)  # the classifiers need only the matrices
+            ips, classical = chain.pop(stage)
             quantum[stage] = ips.as_matrix()
-            deviation[stage] = float(np.max(np.abs(quantum[stage] - classical_ref[stage])))
+            deviation[stage] = float(np.max(np.abs(quantum[stage] - classical)))
             trace.append({
                 "seed": seed,
                 "stage": stage,
@@ -420,7 +427,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "scale": float(ips.scale),
                 "max_deviation": deviation[stage],
             })
-        del ips, classical_ref, X_hat_s, quantum["X_hat_s"]  # the classifiers need none of them
+        del ips, classical, quantum["X_hat_s"]  # the classifiers need none of them
         # entrywise tolerances: exact-theta mode is limited by float error.
         # With finite precision, M*_ij = u.v for unit columns u of Ps and v
         # of Pt. Rounding theta to the pi/2^n lattice moves it by at most

@@ -2,6 +2,12 @@
 qPCA, the matrix-multiplication pipeline for M* and the projections,
 quantum nearest-neighbor classification, and the qSVM.
 
+There is no chain function: each stage is its own call. qPCA and the
+projection state Ps^T X of a domain need that domain's samples alone, so a
+caller can run them as the domain is loaded; M* = Ps^T Pt and the aligned
+source M*^T X_hat_s then take only the d-column bases and the matrices the
+states read back to.
+
 Each stage exposes enough bookkeeping (the norms its amplitudes drop,
 success probabilities) that its output can be compared entrywise against
 the classical track.
@@ -39,7 +45,6 @@ __all__ = [
     "QsvmState",
     "qpca",
     "matrix_product_state",
-    "q_build_alignment",
     "q_nn_classify",
     "q_svm_train",
     "q_svm_classify",
@@ -209,27 +214,6 @@ def matrix_product_state(
             "overlaps are degenerate"
         )
     return InnerProductState(unnorm / math.sqrt(success), pnorm * qnorm, success)
-
-
-def q_build_alignment(
-    Ps: SubspaceBasis,
-    Pt: SubspaceBasis,
-    Xs,
-    Xt,
-    precision_qubits: int = 8,
-    exact_theta: bool = False,
-) -> dict:
-    """Full quantum alignment chain: the `InnerProductState` of each stage,
-    keyed ``M`` (M* = Ps^T Pt), ``X_hat_s`` (Ps^T Xs), ``X_hat_a``
-    (M*^T X_hat_s, from the matrices the first two states read back to) and
-    ``X_hat_t`` (Pt^T Xt). `InnerProductState.as_matrix` reads a stage's
-    matrix."""
-    readout = (precision_qubits, exact_theta)
-    M = matrix_product_state(Ps.P, Pt.P, *readout)
-    X_hat_s = matrix_product_state(Ps.P, _as_matrix(Xs), *readout)
-    X_hat_a = matrix_product_state(M.as_matrix(), X_hat_s.as_matrix(), *readout)
-    X_hat_t = matrix_product_state(Pt.P, _as_matrix(Xt), *readout)
-    return {"M": M, "X_hat_s": X_hat_s, "X_hat_a": X_hat_a, "X_hat_t": X_hat_t}
 
 
 # ---------------------------------------------------------------------------

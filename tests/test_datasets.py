@@ -107,9 +107,11 @@ class TestSynth:
     def test_shift_leaves_its_input_unchanged(self):
         X = np.random.default_rng(8).standard_normal((3, 10))
         before = X.copy()
-        out = DomainShift(rotation_angle=0.4, translation=1.0, scale=2.0).apply(X)
+        out = X.copy()
+        DomainShift(rotation_angle=0.4, translation=1.0, scale=2.0)._apply_in_place(out)
         assert np.array_equal(X, before)
         assert not np.shares_memory(out, X)
+        assert not np.array_equal(out, X)
 
     @pytest.mark.parametrize("shift", [
         DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3),
@@ -123,14 +125,18 @@ class TestSynth:
         spec = SynthSpec(D=4, n_s=20, n_t=30, seed=6)
         _, raw = synth_shifted_gaussians(spec)
         _, target = synth_shifted_gaussians(SynthSpec(D=4, n_s=20, n_t=30, seed=6, domain_shift=shift))
-        assert target.samples.tobytes() == shift.apply(raw.samples).tobytes()
+        shifted = raw.samples.copy()
+        shift._apply_in_place(shifted)
+        assert target.samples.tobytes() == shifted.tobytes()
         assert not np.array_equal(target.samples, raw.samples)
 
     def test_identity_shift_makes_no_pass(self):
         # adding a zero translation would turn the -0.0 entry into +0.0
         X = np.random.default_rng(10).standard_normal((3, 12))
         X[1, 4] = -0.0
-        assert DomainShift().apply(X).tobytes() == X.tobytes()
+        out = X.copy()
+        DomainShift()._apply_in_place(out)
+        assert out.tobytes() == X.tobytes()
 
     def test_target_labels_hidden(self):
         _, target = synth_shifted_gaussians(SynthSpec())
@@ -209,6 +215,11 @@ class TestCsv:
             ("1,2\n3,4,5\n", 3, ConfigurationError,
              "label_column 3 outside 1..2 (the column count)"),
             ("1,2\n3,4.5\n", 2, ParseError, "label column 2: labels must be integers, got 4.5"),
+            # these three named neither file nor row: "need D >= 1 and n >= 2,
+            # got D=2, n=1" and "samples contain NaN/Inf entries"
+            ("a,b\n1,2\n", None, ParseError, "1 data row (a domain needs at least 2)"),
+            ("a,b\n1,2\n3,nan\n4,inf\n", None, ParseError, "non-finite cell nan in row 3"),
+            ("1,2\n3,4\n\n5,-inf\n", 2, ParseError, "non-finite cell -inf in row 3"),
         ],
     )
     def test_messages_name_the_file_and_row(self, tmp_path, text, label_column, error, message):

@@ -327,26 +327,31 @@ class TestRun:
             tracemalloc.stop()
         assert peak < 3 * 128 * 5000 * 8
 
-    @pytest.mark.parametrize("data", ["synthetic", "csv"])
-    def test_classical_nn_holds_one_domain(self, tmp_path, monkeypatch, data):
-        """On the classical NN track a domain's samples are dropped once it
-        is projected, so the run never holds the two domains together. The
-        CSV files are parsed before tracing starts: `load_csv` is replaced by
-        a copy of its result, so the trace shows what the harness holds, not
-        the parser's Python objects."""
-        D, n, d = 128, 5000, 4
-        text = f"d = {d}\ntrack = classical\nclassifier = nn\nseeds = 0\noutput_dir = {tmp_path}\n"
-        spec = SynthSpec(D=D, n_s=n, n_t=n)
+    @staticmethod
+    def _nn_config(tmp_path, monkeypatch, data, track, spec, d=4):
+        """A 1-NN run of the domains of ``spec``, drawn by the harness or
+        read from CSV files. The CSV files are parsed before tracing starts:
+        `load_csv` is replaced by a copy of its result, so a trace shows what
+        the harness holds, not the parser's Python objects."""
+        text = f"d = {d}\ntrack = {track}\nclassifier = nn\nseeds = 0\noutput_dir = {tmp_path}\n"
         if data == "synthetic":
-            text += f"dataset.D = {D}\ndataset.n_s = {n}\ndataset.n_t = {n}\n"
+            text += f"dataset.D = {spec.D}\ndataset.n_s = {spec.n_s}\ndataset.n_t = {spec.n_t}\n"
         else:
             source, target = synth_shifted_gaussians(spec)
             parsed = {"s.csv": source, "t.csv": replace(target, labels=None, labels_hidden=False)}
             monkeypatch.setattr(harness, "load_csv", lambda path, label_column=None: replace(
                 parsed[path], samples=parsed[path].samples.copy()))
-            text += f"dataset.source_csv = s.csv\ndataset.target_csv = t.csv\ndataset.label_column = {D + 1}\n"
-        cfg = parse_config_text(text, environ={})
+            text += (f"dataset.source_csv = s.csv\ndataset.target_csv = t.csv\n"
+                     f"dataset.label_column = {spec.D + 1}\n")
         synth_shifted_gaussians(spec)  # the first draw of a process imports numpy.random
+        return parse_config_text(text, environ={})
+
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    def test_classical_nn_holds_one_domain(self, tmp_path, monkeypatch, data):
+        """On the classical NN track a domain's samples are dropped once it
+        is projected, so the run never holds the two domains together."""
+        D, n, d = 128, 5000, 4
+        cfg = self._nn_config(tmp_path, monkeypatch, data, "classical", SynthSpec(D=D, n_s=n, n_t=n), d)
         tracemalloc.start()
         try:
             run(cfg)
@@ -362,6 +367,27 @@ class TestRun:
         domain = D * n * 8
         beside = (d + 2) * n * 8 + 3 * max(n, D * D) * 8
         assert peak < domain + beside + 64 * 1024
+
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    @pytest.mark.parametrize("track", ["quantum", "both"])
+    def test_quantum_nn_holds_no_domain(self, tmp_path, monkeypatch, track, data):
+        """The quantum stages read each domain in its own pass (qPCA and the
+        state of its projection), so no D x n domain is alive while the
+        quantum NN runs: what is held at its entry (the d x n projections,
+        their matrices and the labels) stays below one target's bytes."""
+        spec = SynthSpec(D=64, n_s=60, n_t=3000)
+        cfg = self._nn_config(tmp_path, monkeypatch, data, track, spec)
+        held = []
+        q_nn = harness.qsa.q_nn_classify
+        monkeypatch.setattr(harness.qsa, "q_nn_classify", lambda *a, **k: (
+            held.append(tracemalloc.get_traced_memory()[0]), q_nn(*a, **k))[1])
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] < spec.D * spec.n_t * 8
 
     def test_csv_seeds_center_their_own_load(self, tmp_path):
         """Every seed loads the CSV files afresh and centers that load in
@@ -492,6 +518,28 @@ class TestLoadDomains:
         )
         with pytest.raises(ParseError, match="t.csv: label column 4: labels must be integers"):
             list(harness._load_domains(cfg, 0))
+
+    @pytest.mark.parametrize("bad", ["s.csv", "t.csv"])
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2,1"], "1 data row (a domain needs at least 2)"),
+        (["1,2,1", "3,nan,1"], "non-finite cell nan in row 2"),
+    ], ids=["one-row", "nan-cell"])
+    def test_malformed_csv_names_the_file_and_row(self, tmp_path, bad, rows, message):
+        """A CSV with one data row, or with a NaN cell, is rejected with the
+        file's name and the row count or row; both used to raise the
+        domain's own errors, which name neither."""
+        source, target = synth_shifted_gaussians(SynthSpec(D=2, n_s=12, n_t=10, seed=4))
+        save_csv(source, str(tmp_path / "s.csv"))
+        save_csv(target, str(tmp_path / "t.csv"))
+        (tmp_path / bad).write_text("".join(f"{row}\n" for row in rows))
+        cfg = _config(
+            tmp_path,
+            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 3\nd = 1\n",
+        )
+        with pytest.raises(ParseError) as err:
+            list(harness._load_domains(cfg, 0))
+        assert str(err.value) == f"{tmp_path / bad}: {message}"
 
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     def test_keeps_no_domain_it_handed_over(self, tmp_path, data):

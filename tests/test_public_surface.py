@@ -1,9 +1,11 @@
-"""Tooling guard on the public surface: every name a module exports, and
-every field of every dataclass it defines, is used by the program itself,
-not only by its own tests."""
+"""Tooling guard on the public surface: every name a module exports, every
+field of every dataclass it defines, and every public method and property of
+its public classes, is used by the program itself, not only by its own
+tests."""
 import ast
 import dataclasses
 import re
+import types
 from pathlib import Path
 
 from subalign import classical_sa, datasets, errors, harness, quantum_core, quantum_sa
@@ -70,15 +72,19 @@ def test_every_public_name_is_used_by_the_program():
     assert not unused, f"public names that only tests use: {unused}"
 
 
-def test_every_dataclass_field_is_read_by_the_program():
-    """A field counts as read where the program loads it as an attribute
-    (``obj.field``); storing it, or naming it in a constructor call, does
-    not count."""
+def _attributes_read() -> set[str]:
+    """Every name the program loads as an attribute (``obj.name``); storing
+    it, or naming it in a constructor call, does not count."""
     read = set()
     for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    read = _attributes_read()
     unread = sorted(
         f"{cls.__name__}.{f.name}"
         for module in MODULES
@@ -89,3 +95,19 @@ def test_every_dataclass_field_is_read_by_the_program():
         if f.name not in read
     )
     assert not unread, f"dataclass fields that no program code reads: {unread}"
+
+
+def test_every_public_method_is_read_by_the_program():
+    """A public method or property of a public class counts as read where
+    the program loads it as an attribute (``obj.method``)."""
+    read = _attributes_read()
+    unread = sorted(
+        f"{name}.{attr}"
+        for module in MODULES
+        for name in _public_names(module)
+        if isinstance(cls := getattr(module, name), type) and cls.__module__ == module.__name__
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_") and attr not in read
+        and isinstance(member, (types.FunctionType, property, classmethod, staticmethod))
+    )
+    assert not unread, f"public methods that no program code reads: {unread}"

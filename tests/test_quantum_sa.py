@@ -365,8 +365,9 @@ class TestQProject:
         tc, _ = center_columns(target)
         Ps, Pt = csa.pca_subspace(sc, 2), csa.pca_subspace(tc, 2)
         art = csa.build_alignment(Ps, Pt, sc, tc)
-        chain = qsa.q_build_alignment(Ps, Pt, sc, tc, exact_theta=True)
-        a = chain["X_hat_a"].as_matrix().ravel()
+        M = qsa.matrix_product_state(Ps.P, Pt.P, exact_theta=True).as_matrix()
+        X_hat_s = qsa.matrix_product_state(Ps.P, sc.samples, exact_theta=True).as_matrix()
+        a = qsa.matrix_product_state(M, X_hat_s, exact_theta=True).as_matrix().ravel()
         b = art.X_hat_a.ravel()
         cosine = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert cosine >= 0.999
@@ -688,11 +689,13 @@ class TestEndToEndParity:
             tc, _ = center_columns(target)
             Ps, Pt = csa.pca_subspace(sc, 2), csa.pca_subspace(tc, 2)
             art = csa.build_alignment(Ps, Pt, sc, tc)
-            chain = qsa.q_build_alignment(Ps, Pt, sc, tc, exact_theta=True)
+            M = qsa.matrix_product_state(Ps.P, Pt.P, exact_theta=True).as_matrix()
+            X_hat_s = qsa.matrix_product_state(Ps.P, sc.samples, exact_theta=True).as_matrix()
+            X_hat_a = qsa.matrix_product_state(M, X_hat_s, exact_theta=True).as_matrix()
+            X_hat_t = qsa.matrix_product_state(Pt.P, tc.samples, exact_theta=True).as_matrix()
             c_nn = csa.nn_classify(art.X_hat_a, sc.visible_labels, art.X_hat_t)
             q_nn, records = qsa.q_nn_classify(
-                chain["X_hat_a"].as_matrix(), sc.visible_labels, chain["X_hat_t"].as_matrix(),
-                ShotPlan(seed=seed),
+                X_hat_a, sc.visible_labels, X_hat_t, ShotPlan(seed=seed),
             )
             # any disagreement must be a declared AE-resolution ambiguity
             for j in np.flatnonzero(q_nn != c_nn):
