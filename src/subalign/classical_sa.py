@@ -205,6 +205,20 @@ def build_alignment(
     )
 
 
+def _nn_inputs(train, train_labels, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1-NN inputs as arrays, checked: training points and queries are
+    matrices with one row count, and there is one label per training point."""
+    train, queries = np.asarray(train, float), np.asarray(queries, float)
+    labels = np.asarray(train_labels)
+    if train.ndim != 2 or queries.ndim != 2 or train.shape[0] != queries.shape[0]:
+        raise ShapeError("train and queries must be matrices with the same row count")
+    if train.shape[1] == 0:
+        raise ConfigurationError("empty training set")
+    if len(labels) != train.shape[1]:
+        raise ShapeError(f"{len(labels)} labels for {train.shape[1]} training points")
+    return train, labels, queries
+
+
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels (columns are points, ties to lowest index).
 
@@ -220,15 +234,8 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray
     sources give bit-identical entries). Memory is O(n_s * step), never
     n_s x n_t.
     """
-    train, queries = np.asarray(train, float), np.asarray(queries, float)
-    labels = np.asarray(train_labels)
-    if train.ndim != 2 or queries.ndim != 2 or train.shape[0] != queries.shape[0]:
-        raise ShapeError("train and queries must be matrices with the same row count")
+    train, labels, queries = _nn_inputs(train, train_labels, queries)
     (d, n_s), n_t = train.shape, queries.shape[1]
-    if n_s == 0:
-        raise ConfigurationError("empty training set")
-    if len(labels) != n_s:
-        raise ShapeError(f"{len(labels)} labels for {n_s} training points")
     aug_train = np.empty((d + 1, n_s))
     np.multiply(train, -2.0, out=aug_train[:d])
     np.einsum("ij,ij->j", train, train, out=aug_train[d])
@@ -266,8 +273,12 @@ def _factor_pair(A) -> tuple[np.ndarray, np.ndarray]:
 class SvmModel:
     """Least-squares SVM trained through the cross-domain similarity kernel.
 
-    ``w`` = R (L^T (X_s alpha)) folds the support set and A = L R^T into one
-    D-vector, so a decision value is w . x + b."""
+    ``w`` = L^T (X_s alpha) folds the support set and the left factor of
+    A = L R^T into one r-vector, so a point x is decided in the coordinates
+    of the right factor: x^T A X_s alpha + b = w . (R^T x) + b. For a
+    D x D ``A`` (R = I) that is the D-vector A^T X_s alpha and the raw
+    point; for the alignment pair (P_a, P_t) it is a d-vector and the
+    target projection P_t^T x."""
 
     b: float
     alpha: np.ndarray
@@ -339,6 +350,7 @@ def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
     The condition number of F is gated at 1e12. The solution is
     Q F_Q^-1 Q^T rhs plus the part of rhs outside span(Q) divided by c; that
     part is left out when Q is square, where it is rounding noise times gamma.
+    The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`).
     """
     c, B, C, rhs = ls_svm_system(Xs, A, gamma)
     Q, core, cond = _svm_core(c, B, C)
@@ -351,18 +363,27 @@ def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
     if Q.shape[1] < Q.shape[0]:
         sol += (rhs - Q @ z) / c
     alpha = sol[1:]
-    L, R = _factor_pair(A)
-    return SvmModel(float(sol[0]), alpha, R @ (L.T @ (Xs.samples @ alpha)))
+    L, _ = _factor_pair(A)
+    return SvmModel(float(sol[0]), alpha, L.T @ (Xs.samples @ alpha))
 
 
 def svm_decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Decision values w . x + b for every column x of X."""
-    return model.w @ np.asarray(X, float) + model.b
+    """Decision values w . x + b for every column x of X, a point (or an
+    r x m batch) in the coordinates of A's right factor: R^T x for A = L R^T,
+    so the target projection P_t^T x for the alignment pair and the raw
+    point for a D x D ``A``."""
+    X = np.asarray(X, float)
+    if X.ndim not in (1, 2) or X.shape[0] != model.w.size:
+        raise ShapeError(
+            f"points must have {model.w.size} rows (R^T x for A = L R^T), got shape {X.shape}"
+        )
+    return model.w @ X + model.b
 
 
 def svm_classify(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Predicted label of every column of X (columns are points, as in
-    `nn_classify`): the sign of its decision value, with sign(0) -> +1."""
+    `nn_classify`, each given as R^T x, see `svm_decision_values`): the sign
+    of its decision value, with sign(0) -> +1."""
     return np.where(svm_decision_values(model, X) >= 0, 1, -1)
 
 

@@ -335,11 +335,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
     want_nn = config.classifier in ("nn", "both")
     want_svm = config.classifier in ("svm", "both")
-    # only the classical and quantum SVMs and the kernel fit (its hard-kernel
-    # range spans both domains) read samples after their domain's pass;
-    # without them each domain is dropped after its pass, so the two are
-    # never held together
-    keep_samples = want_svm or config.kernel is not None
+    # after its domain's pass, SVM training (both tracks) reads the source's
+    # samples and only the kernel fit (its hard-kernel range spans both
+    # domains) reads the target's: the SVMs decide on X_hat_t. A domain that
+    # nothing reads later is dropped after its pass
+    keep_source = want_svm or config.kernel is not None
+    keep_target = config.kernel is not None
     accuracy, parity, timings, trace = [], [], [], []
     domains = _load_domains(config, seed)
     source = next(domains)
@@ -347,7 +348,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         config, seed, "source", source, trace
     )
     ys = source.visible_labels
-    if not keep_samples:
+    if not keep_source:
         del source
     target = next(domains)
     del domains  # and with it the loader's frames, which every later peak would carry
@@ -355,7 +356,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         config, seed, "target", target, trace
     )
     truth = target.labels  # for evaluation only
-    if not keep_samples:
+    if not keep_target:
         del target
     t0 = time.perf_counter()
     art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
@@ -372,7 +373,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
     if want_svm:
         svm_model = csa.svm_train(source, A_factors, config.gamma)
-        svm_pred = csa.svm_classify(svm_model, target.samples)
+        svm_pred = csa.svm_classify(svm_model, art.X_hat_t)
     if config.track in ("classical", "both"):
         if want_nn:
             accuracy.append(_accuracy_row(seed, "classical", "nn", nn_pred, truth))
@@ -470,7 +471,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         if want_svm:
             q_model = qsa.q_svm_train(source, A_factors, config.gamma,
                                       precision_qubits=max(config.precision_qubits, 10))
-            q_pred, info = qsa.q_svm_classify(q_model, source, A_factors, target.samples, plan)
+            q_pred, info = qsa.q_svm_classify(q_model, source, A_factors, art.X_hat_t, plan)
             trace.append({
                 "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
                 "low_confidence": int(np.sum(info["low_confidence"])),

@@ -25,6 +25,7 @@ from .classical_sa import (
     _as_matrix,
     _factor_pair,
     _fix_signs,
+    _nn_inputs,
     _svm_core,
     ls_svm_system,
 )
@@ -125,11 +126,14 @@ def qpca(
     D, n = M.shape
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range")
-    cov_trace = float(np.sum(M * M))
+    # the trace from the D x D scatter the eigensolver reads anyway, not from
+    # a D x n temporary of the samples
+    S = M @ M.T
+    cov_trace = float(np.trace(S))
     if cov_trace == 0:
         raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")
-
-    lam, U = np.linalg.eigh(M @ M.T / cov_trace)
+    S /= cov_trace
+    lam, U = np.linalg.eigh(S)
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
     N = 2**precision_qubits
     phase = np.maximum(lam, 0.0) * t0 / (2 * math.pi)
@@ -198,7 +202,10 @@ def matrix_product_state(
     pnorm, qnorm = np.linalg.norm(P), np.linalg.norm(Q)
     if pnorm == 0 or qnorm == 0:
         raise ConfigurationError("zero operand matrix")
-    norms = np.outer(np.linalg.norm(P, axis=0), np.linalg.norm(Q, axis=0))
+    # column norms without the full-size square that norm(axis=0) forms
+    pcol = np.sqrt(np.einsum("ij,ij->j", P, P))
+    qcol = np.sqrt(np.einsum("ij,ij->j", Q, Q))
+    norms = np.outer(pcol, qcol)
     cos = np.divide(P.T @ Q, norms, out=np.zeros((r, c)), where=norms > 0)
     if exact_theta:
         rec = cos
@@ -285,14 +292,12 @@ def q_nn_classify(
     source index the search kept; ``oracle_queries``, summed over its
     searches; and ``warning``, set when the estimated minimum is shared by
     sources of more than one label (ambiguous at AE resolution). No
-    reference to the (n_t, n_s) estimates outlives the call.
+    reference to the (n_t, n_s) estimates outlives the call. The inputs are
+    checked as `nn_classify` checks them.
     """
-    X_hat_a = np.asarray(X_hat_a, float)
-    X_hat_t = np.asarray(X_hat_t, float)
-    n_s = X_hat_a.shape[1]
-    if n_s > QNN_MAX_SOURCES:
+    X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
+    if X_hat_a.shape[1] > QNN_MAX_SOURCES:
         raise ConfigurationError(f"quantum NN capped at n_s <= {QNN_MAX_SOURCES}")
-    labels = np.asarray(labels)
     est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
     stats = grover_min_find(est, plan, repeats=repeats)
     at_min = est == est.min(axis=1, keepdims=True)
@@ -372,16 +377,22 @@ def q_svm_classify(
     (1, A x, ..., A x); sign(0) -> +1. ``A`` is a D x D array or a factor
     pair (L, R) with A = L R^T.
 
-    ``X`` is a D x m matrix of points (columns). Returns (labels, info) with
-    one entry per column in each per-query field of info. In sampled mode
-    each column gets its own draw from the plan's "svm_decisions" stream.
+    ``X`` is an r x m matrix of points (columns) in the coordinates of the
+    right factor, R^T x, as `svm_decision_values` takes them: the target
+    projection P_t^T x for the alignment pair, the raw D x m points for a
+    D x D ``A``; A x = L (R^T x). Returns (labels, info) with one entry per
+    column in each per-query field of info. In sampled mode each column
+    gets its own draw from the plan's "svm_decisions" stream.
     """
     b, alpha = model.readout()
+    L, _ = _factor_pair(A)
     Xm = np.asarray(X, float)
-    if Xm.ndim != 2:
-        raise ShapeError("X must be a D x m matrix of points (columns)")
-    L, R = _factor_pair(A)
-    AX = L @ (R.T @ Xm)
+    if Xm.ndim != 2 or Xm.shape[0] != L.shape[1]:
+        raise ShapeError(
+            f"X must be a D x m matrix of points (columns) with D = {L.shape[1]}, "
+            f"the inner dimension of A = L R^T (points as R^T x); got shape {Xm.shape}"
+        )
+    AX = L @ Xm
     N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
     re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(model.N_x * N_t)
     decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))

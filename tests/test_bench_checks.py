@@ -1,8 +1,9 @@
 """Tooling guard on the benchmark's own checks: every workload in
-perfbench/workloads.json, shrunk, must pass the output check that
-perfbench/run.py applies to each `harness.run` report, and the
-`run.py --scaling` table must run. A change that would make the benchmark
-count a failed call, or break its scaling table, fails here first.
+perfbench/workloads.json, shrunk, and quantum-caps in sampled mode must
+pass the output check that perfbench/run.py applies to each `harness.run`
+report, and the `run.py --scaling` table must run. A change that would
+make the benchmark count a failed call, or break its scaling table, fails
+here first.
 perfbench/ is only read, never changed."""
 import importlib.util
 import json
@@ -26,20 +27,34 @@ def _load(name):
     return module
 
 
+def _check_output(tmp_path, monkeypatch, workload, extra=""):
+    """Run ``workload`` with the config lines ``extra`` added, seeds 0-2,
+    and return the problems the benchmark's output check finds in the
+    report, against the reference that `run.py` builds for it."""
+    reference = _load("reference")
+    monkeypatch.setitem(sys.modules, "reference", reference)  # run.py imports it by name
+    run = _load("run")
+    text = run.config_text(workload, 0, str(tmp_path)) + extra
+    cfg = harness.parse_config_text(text + "seeds=0,1,2\n", environ={})
+    report = harness.run(cfg)
+    return reference.check_report(report, cfg, run.build_reference(MODS, cfg))
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_shrunk_workload_passes_the_output_check(tmp_path, monkeypatch, workload):
     """Each workload at D <= 16 and n_s = n_t = 300 (quantum-caps as it is),
     seeds 0-2, against the reference that `run.py` builds for it."""
-    reference = _load("reference")
-    monkeypatch.setitem(sys.modules, "reference", reference)  # run.py imports it by name
-    run = _load("run")
-    text = run.config_text(workload, 0, str(tmp_path))
     config = WORKLOADS[workload]["config"]
+    extra = ""
     if workload != "quantum-caps":
-        text += f"dataset.D={min(config['dataset.D'], 16)}\ndataset.n_s=300\ndataset.n_t=300\n"
-    cfg = harness.parse_config_text(text + "seeds=0,1,2\n", environ={})
-    report = harness.run(cfg)
-    assert reference.check_report(report, cfg, run.build_reference(MODS, cfg)) == []
+        extra = f"dataset.D={min(config['dataset.D'], 16)}\ndataset.n_s=300\ndataset.n_t=300\n"
+    assert _check_output(tmp_path, monkeypatch, workload, extra) == []
+
+
+def test_sampled_quantum_caps_passes_the_output_check(tmp_path, monkeypatch):
+    """quantum-caps with finite-precision theta, which also samples every
+    readout (1024 shots): the sampled qSVM and quantum NN paths, seeds 0-2."""
+    assert _check_output(tmp_path, monkeypatch, "quantum-caps", "quantum.exact_theta=false\n") == []
 
 
 def test_scaling_table_runs(capsys):

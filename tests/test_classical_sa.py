@@ -484,8 +484,10 @@ class TestSvm:
         A = L @ R.T
         Xq = rng.standard_normal((D, m))
         model = csa.svm_train(dom, A if form == "array" else (L, R), 1.5)
-        values = csa.svm_decision_values(model, Xq)
-        labels = csa.svm_classify(model, Xq)
+        # a pair-trained model decides points in the right factor's coordinates
+        points = Xq if form == "array" else R.T @ Xq
+        values = csa.svm_decision_values(model, points)
+        labels = csa.svm_classify(model, points)
         assert values.shape == labels.shape == (m,)
         # dense reference: the bordered system written out and solved directly
         K = dom.samples.T @ A @ dom.samples
@@ -496,10 +498,29 @@ class TestSvm:
         ref = np.array([sol[1:] @ (dom.samples.T @ A @ Xq[:, j]) + sol[0] for j in range(m)])
         scale = np.max(np.abs(ref))
         for j in range(m):
-            assert abs(values[j] - csa.svm_decision_values(model, Xq[:, j])) <= 1e-12 * scale
-            assert labels[j] == csa.svm_classify(model, Xq[:, j])
+            assert abs(values[j] - csa.svm_decision_values(model, points[:, j])) <= 1e-12 * scale
+            assert labels[j] == csa.svm_classify(model, points[:, j])
         assert np.max(np.abs(values - ref)) <= 1e-12 * scale
         assert np.array_equal(labels, np.where(ref >= 0, 1, -1))
+
+    def test_points_must_match_the_right_factor(self):
+        """A pair-trained model decides points as R^T x, so raw D-row points
+        are rejected with the row count it expects; a model trained on a
+        D x D array still takes the raw points."""
+        rng = np.random.default_rng(18)
+        D, n, r = 5, 12, 3
+        dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+        L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
+        Xq = rng.standard_normal((D, 7))
+        pair = csa.svm_train(dom, (L, R), 1.5)
+        assert pair.w.shape == (r,)
+        for points in (Xq, Xq[:, 0]):
+            with pytest.raises(ShapeError, match=f"must have {r} rows"):
+                csa.svm_classify(pair, points)
+        dense = csa.svm_train(dom, L @ R.T, 1.5)
+        assert dense.w.shape == (D,)
+        values = csa.svm_decision_values(dense, Xq)
+        assert np.max(np.abs(values - csa.svm_decision_values(pair, R.T @ Xq))) <= 1e-12 * np.max(np.abs(values))
 
     def test_zero_decision_is_positive(self):
         dom = self._toy()

@@ -328,12 +328,13 @@ class TestRun:
         assert peak < 3 * 128 * 5000 * 8
 
     @staticmethod
-    def _nn_config(tmp_path, monkeypatch, data, track, spec, d=4):
-        """A 1-NN run of the domains of ``spec``, drawn by the harness or
-        read from CSV files. The CSV files are parsed before tracing starts:
+    def _run_config(tmp_path, monkeypatch, data, track, spec, d=4, classifier="nn"):
+        """A run of the domains of ``spec``, drawn by the harness or read
+        from CSV files. The CSV files are parsed before tracing starts:
         `load_csv` is replaced by a copy of its result, so a trace shows what
         the harness holds, not the parser's Python objects."""
-        text = f"d = {d}\ntrack = {track}\nclassifier = nn\nseeds = 0\noutput_dir = {tmp_path}\n"
+        text = (f"d = {d}\ntrack = {track}\nclassifier = {classifier}\nseeds = 0\n"
+                f"output_dir = {tmp_path}\n")
         if data == "synthetic":
             text += f"dataset.D = {spec.D}\ndataset.n_s = {spec.n_s}\ndataset.n_t = {spec.n_t}\n"
         else:
@@ -351,7 +352,7 @@ class TestRun:
         """On the classical NN track a domain's samples are dropped once it
         is projected, so the run never holds the two domains together."""
         D, n, d = 128, 5000, 4
-        cfg = self._nn_config(tmp_path, monkeypatch, data, "classical", SynthSpec(D=D, n_s=n, n_t=n), d)
+        cfg = self._run_config(tmp_path, monkeypatch, data, "classical", SynthSpec(D=D, n_s=n, n_t=n), d)
         tracemalloc.start()
         try:
             run(cfg)
@@ -376,7 +377,7 @@ class TestRun:
         quantum NN runs: what is held at its entry (the d x n projections,
         their matrices and the labels) stays below one target's bytes."""
         spec = SynthSpec(D=64, n_s=60, n_t=3000)
-        cfg = self._nn_config(tmp_path, monkeypatch, data, track, spec)
+        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec)
         held = []
         q_nn = harness.qsa.q_nn_classify
         monkeypatch.setattr(harness.qsa, "q_nn_classify", lambda *a, **k: (
@@ -388,6 +389,27 @@ class TestRun:
             tracemalloc.stop()
         assert len(held) == 1
         assert held[0] < spec.D * spec.n_t * 8
+
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    @pytest.mark.parametrize("track", ["classical", "both"])
+    def test_svms_hold_no_target(self, tmp_path, monkeypatch, track, data):
+        """Both SVMs decide on the target projection X_hat_t, so without a
+        kernel fit the target's samples are dropped after its pass: what is
+        held when either SVM decides (the source it trained on, the d x n
+        projections and the labels) stays below one target's bytes."""
+        spec = SynthSpec(D=64, n_s=60, n_t=3000)
+        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec, classifier="svm")
+        held = []
+        for module, name in ((harness.csa, "svm_classify"), (harness.qsa, "q_svm_classify")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
+                held.append(tracemalloc.get_traced_memory()[0]), f(*a, **k))[1])
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == (1 if track == "classical" else 2)
+        assert max(held) < spec.D * spec.n_t * 8
 
     def test_csv_seeds_center_their_own_load(self, tmp_path):
         """Every seed loads the CSV files afresh and centers that load in

@@ -28,8 +28,9 @@ def _dense_qpca(X, d, precision_qubits):
     basis, the outcomes and the table."""
     M = np.asarray(X, float)
     D = M.shape[0]
-    cov_trace = float(np.sum(M * M))
-    lam, U = np.linalg.eigh(M @ M.T / cov_trace)
+    S = M @ M.T
+    cov_trace = float(np.trace(S))
+    lam, U = np.linalg.eigh(S / cov_trace)
     lam = np.maximum(lam, 0.0)
     t0 = 0.95 * math.pi
     N = 2**precision_qubits
@@ -232,6 +233,21 @@ class TestQpca:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
 
+    def test_makes_no_copy_of_its_input(self):
+        """qPCA reads the covariance trace off the D x D scatter it forms
+        for the eigensolver, so at D=128, n=5000 (4.9 MiB of samples) it
+        allocates less than half the input; a D x n temporary (M * M) would
+        allocate all of it."""
+        X = np.random.default_rng(23).standard_normal((128, 5000))
+        qsa.qpca(X, 4)  # first-call allocations out of the trace
+        tracemalloc.start()
+        try:
+            qsa.qpca(X, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
+
     def test_all_zero_input_rejected(self):
         # rho = X X^T / tr(X X^T) does not exist for X = 0
         with pytest.raises(ConfigurationError, match="nonzero"):
@@ -334,6 +350,23 @@ class TestMatrixProductState:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.all(got[1, :] == 0.0) and np.all(got[:, 2] == 0.0)
 
+    @pytest.mark.parametrize("exact_theta", [True, False])
+    def test_makes_no_copy_of_the_samples(self, exact_theta):
+        """The projection state of a domain, P^T Q with Q its D x n samples
+        (D=128, n=5000: 4.9 MiB), takes the column norms of Q without a
+        full-size square, so it allocates less than half of Q; its r x n
+        arrays are 1/32 of Q each at r=4."""
+        rng = np.random.default_rng(24)
+        P, Q = _random_orthonormal(rng, 128, 4), rng.standard_normal((128, 5000))
+        qsa.matrix_product_state(P, Q, exact_theta=exact_theta)
+        tracemalloc.start()
+        try:
+            qsa.matrix_product_state(P, Q, exact_theta=exact_theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Q.nbytes / 2
+
     def test_degenerate_overlap_error(self):
         P = np.array([[1.0], [0.0]])
         Q = np.array([[0.0], [1.0]])  # orthogonal: zero postselection mass
@@ -408,6 +441,20 @@ class TestQuantumNn:
         est = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
         assert np.unique(est[0]).size > 1
         assert np.array_equal(est, qsa._ae_distances(X_hat_a, X_hat_t, plan, 7))
+
+    @pytest.mark.parametrize("labels, targets, message", [
+        (np.arange(9), np.ones((3, 2)), "9 labels for 6 training points"),
+        (np.arange(2), np.ones((3, 2)), "2 labels for 6 training points"),
+        (np.arange(6), np.ones((2, 2)), "same row count"),
+        (np.arange(6), np.ones(3), "same row count"),
+    ], ids=["9-labels", "2-labels", "2-row-queries", "vector-query"])
+    def test_inputs_checked_as_in_classical_nn(self, labels, targets, message):
+        """Label counts and query rows are checked as `nn_classify` checks
+        them, with its messages, before any overlap is estimated."""
+        sources = np.random.default_rng(25).standard_normal((3, 6))
+        for classify in (csa.nn_classify, lambda *a: qsa.q_nn_classify(*a, EXACT)):
+            with pytest.raises(ShapeError, match=message):
+                classify(sources, labels, targets)
 
     def test_register_budget(self):
         with pytest.raises(ConfigurationError, match="n_s <= 64"):
@@ -640,6 +687,23 @@ class TestQsvm:
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         with pytest.raises(ShapeError, match="D x m matrix"):
             qsa.q_svm_classify(qmodel, dom, np.eye(2), np.array([0.3, -0.2]), EXACT)
+
+    def test_points_in_the_right_factor_coordinates(self):
+        """A model on the factors (L, R) of A decides points given as R^T x:
+        the same labels as the D x D A on the raw points, and D-row points
+        are rejected with the row count it expects."""
+        rng = np.random.default_rng(26)
+        D, n, r = 6, 10, 2
+        dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+        L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
+        X = rng.standard_normal((D, 15))
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        labels, info = qsa.q_svm_classify(qmodel, dom, (L, R), R.T @ X, EXACT)
+        dense, dense_info = qsa.q_svm_classify(qmodel, dom, L @ R.T, X, EXACT)
+        assert np.array_equal(labels, dense)
+        assert np.max(np.abs(info["exact_overlap"] - dense_info["exact_overlap"])) <= 1e-12
+        with pytest.raises(ShapeError, match=f"D = {r},"):
+            qsa.q_svm_classify(qmodel, dom, (L, R), X, EXACT)
 
     def test_sampled_columns_draw_independently(self):
         dom = self._toy()
