@@ -403,25 +403,47 @@ def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.n
     state of RY(theta_k)|0> with theta_k the sum of the angles on qubit k. The
     ring is a +-1 diagonal shared by every sample, so it cancels in every
     overlap and is left out.
+
+    The statevectors are built in one preallocated 2^q x n array. Beside it
+    only theta (q x n) and two n-vectors are alive: the D x n angle array
+    (D <= 2^q) is dropped before the output is made.
     """
     D, n = X.shape
     q = max(1, math.ceil(math.log2(D)))
-    angles = np.where(span[:, None] > 0, (X - lo[:, None]) / np.where(span[:, None] > 0, span[:, None], 1.0) * math.pi, 0.0)
+    live = span > 0
+    angles = X - lo[:, None]
+    angles /= np.where(live, span, 1.0)[:, None]
+    angles *= math.pi
+    angles[~live] = 0.0
     theta = np.zeros((q, n))
     np.add.at(theta, np.arange(D) % q, angles)
-    states = np.ones((1, n))
+    del angles
+    theta /= 2  # RY(theta)|0> = cos(theta / 2)|0> + sin(theta / 2)|1>
+    states = np.empty((2**q, n))
+    states[0] = 1.0
+    c, s = np.empty(n), np.empty(n)
     for k in range(q):  # qubit 0 is the most significant bit
-        qubit = np.stack([np.cos(theta[k] / 2), np.sin(theta[k] / 2)])
-        states = (states[:, None, :] * qubit[None, :, :]).reshape(-1, n)
+        np.cos(theta[k], out=c)
+        np.sin(theta[k], out=s)
+        # row i of the 2^k rows so far becomes rows 2i (qubit k in |0>) and
+        # 2i + 1 (|1>), from the top down: rows [h, 2h) fill rows [2h, 4h)
+        # for h = 2^(k-1), ..., 1, then row 0 fills rows 0 and 1, so no row
+        # is overwritten before it is read
+        h = 2**k // 2
+        while h:
+            np.multiply(states[h:2 * h], s, out=states[2 * h + 1:4 * h:2])
+            np.multiply(states[h:2 * h], c, out=states[2 * h:4 * h:2])
+            h //= 2
+        np.multiply(states[0], s, out=states[1])
+        states[0] *= c
     return states
 
 
 def _feature_range(*mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature minimum and span over the columns of all ``mats``: the
     min-max rescaling the hard kernel's feature map is fitted with."""
-    both = np.hstack(mats)
-    lo = both.min(axis=1)
-    return lo, both.max(axis=1) - lo
+    lo = np.min([M.min(axis=1) for M in mats], axis=0)
+    return lo, np.max([M.max(axis=1) for M in mats], axis=0) - lo
 
 
 def _feature_map(X: np.ndarray, spec: KernelSpec, feature_range) -> np.ndarray:
@@ -471,6 +493,9 @@ def kernel_pca(K: np.ndarray, d: int) -> SubspaceBasis:
     if K.shape != (n, n):
         raise ShapeError("Gram matrix must be square")
     scale = max(np.max(np.abs(K)), 1.0)
+    # NaN would pass every comparison below
+    if not math.isfinite(scale):
+        raise ConfigurationError(f"Gram matrix has non-finite entries (max |K| = {scale})")
     if np.max(np.abs(K - K.T)) > 1e-8 * scale:
         raise ConfigurationError("Gram matrix is not symmetric")
     w, V = np.linalg.eigh(_double_center(K))
@@ -520,19 +545,27 @@ class KernelAlignment:
         ]
 
 
-def _feature_kpca(F: np.ndarray, d: int):
-    """Kernel PCA of one domain through its feature columns F (r x n).
+def _feature_kpca(X: np.ndarray, spec: KernelSpec, feature_range, d: int):
+    """Kernel PCA of one domain X through its feature columns F = phi(X)
+    (r x n, `_feature_map`).
 
-    Returns the centered features F_c and their `pca_subspace` basis V,
-    signed so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
-    `_fix_signs`."""
-    Fc = F - F.mean(axis=1)[:, None]
-    if d > min(Fc.shape):
+    Returns the `pca_subspace` basis V of the centered features F_c, signed
+    so that the Gram-side eigenvectors F_c^T V / sqrt(lambda) follow
+    `_fix_signs`, and the projection V^T F_c. F_c is dropped on return, and
+    a hard-kernel F, which the fit alone holds, is centered in place."""
+    F = _feature_map(X, spec, feature_range)
+    mean = F.mean(axis=1)[:, None]
+    if F is X:
+        F = F - mean
+    else:
+        F -= mean
+    if d > min(F.shape):
         raise _rank_deficient(d)
-    basis = pca_subspace(Fc, d)
+    basis = pca_subspace(F, d)
     if basis.eigenvalues[-1] <= RANK_FLOOR:
         raise _rank_deficient(d)
-    return Fc, replace(basis, P=basis.P * _lead_signs(Fc.T @ basis.P))
+    basis = replace(basis, P=basis.P * _lead_signs(F.T @ basis.P))
+    return basis, basis.P.T @ F
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
@@ -561,14 +594,19 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
     # one feature map for every Gram matrix; only the hard kernel's has a range
     fitted = _feature_range(Xs.samples, Xt.samples) if spec.kind == "hard" else None
     if spec.kind in FEATURE_KINDS:
-        Fs, Bs = _feature_kpca(_feature_map(Xs.samples, spec, fitted), d)
-        Ft, Bt = _feature_kpca(_feature_map(Xt.samples, spec, fitted), d)
-        art = build_alignment(Bs, Bt, Fs, Ft)
+        # each domain's features are projected and dropped before the next
+        # domain's are built, so the fit holds one feature matrix at a time
+        Bs, Zs = _feature_kpca(Xs.samples, spec, fitted, d)
+        Bt, Zt = _feature_kpca(Xt.samples, spec, fitted, d)
+        art = build_alignment(Bs, Bt, Zs, Zt, projected=True)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
     else:
         # only kernel_pca reads K_ss and K_tt, so neither outlives its spectrum
-        Bs = kernel_pca(kernel_matrix(Xs, Xs, spec, fitted), d)
-        Bt = kernel_pca(kernel_matrix(Xt, Xt, spec, fitted), d)
+        try:
+            Bs = kernel_pca(kernel_matrix(Xs, Xs, spec, fitted), d)
+            Bt = kernel_pca(kernel_matrix(Xt, Xt, spec, fitted), d)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{spec}: {exc}") from None
         Kst = kernel_matrix(Xs, Xt, spec, fitted)
         Ws, Wt = (B.P / np.sqrt(B.eigenvalues) for B in (Bs, Bt))
         # cross-Gram centered against both domain means

@@ -1,7 +1,8 @@
 """Tooling guard on the benchmark's own checks: every workload in
-perfbench/workloads.json, shrunk, and quantum-caps in sampled mode must
-pass the output check that perfbench/run.py applies to each `harness.run`
-report, and the `run.py --scaling` table must run. A change that would
+perfbench/workloads.json, shrunk, quantum-caps in sampled mode and
+kernel-hard with both classifiers must pass the output check that
+perfbench/run.py applies to each `harness.run` report, and the
+`run.py --scaling` table must run. A change that would
 make the benchmark count a failed call, or break its scaling table, fails
 here first.
 perfbench/ is only read, never changed."""
@@ -55,6 +56,13 @@ def test_sampled_quantum_caps_passes_the_output_check(tmp_path, monkeypatch):
     """quantum-caps with finite-precision theta, which also samples every
     readout (1024 shots): the sampled qSVM and quantum NN paths, seeds 0-2."""
     assert _check_output(tmp_path, monkeypatch, "quantum-caps", "quantum.exact_theta=false\n") == []
+
+
+def test_kernel_hard_with_svm_passes_the_output_check(tmp_path, monkeypatch):
+    """kernel-hard shrunk to n_s = n_t = 300 with classifier=both: the
+    source outlives the kernel fit for SVM training, the target does not."""
+    extra = "dataset.n_s=300\ndataset.n_t=300\nclassifier=both\n"
+    assert _check_output(tmp_path, monkeypatch, "kernel-hard", extra) == []
 
 
 def test_scaling_table_runs(capsys):

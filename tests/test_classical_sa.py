@@ -611,6 +611,54 @@ def _kpca_weights(K, d):
     return basis.P / np.sqrt(basis.eigenvalues)
 
 
+def _broadcast_hard_states(X, lo, span):
+    """The hard-kernel statevectors built one qubit at a time as a
+    broadcast product of the states so far with the qubit's (cos, sin)
+    pair: the construction `_hard_kernel_states` replaced, kept as its
+    oracle."""
+    D, n = X.shape
+    q = max(1, math.ceil(math.log2(D)))
+    live = span[:, None] > 0
+    angles = np.where(live, (X - lo[:, None]) / np.where(live, span[:, None], 1.0) * math.pi, 0.0)
+    theta = np.zeros((q, n))
+    np.add.at(theta, np.arange(D) % q, angles)
+    states = np.ones((1, n))
+    for k in range(q):
+        qubit = np.stack([np.cos(theta[k] / 2), np.sin(theta[k] / 2)])
+        states = (states[:, None, :] * qubit[None, :, :]).reshape(-1, n)
+    return states
+
+
+class TestHardKernelStates:
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 16])
+    def test_matches_the_broadcast_construction(self, D):
+        rng = np.random.default_rng(D)
+        X, other = rng.standard_normal((D, 37)), rng.standard_normal((D, 5))
+        if D > 2:
+            X[1], other[1] = 0.25, 0.25  # a constant feature has span 0
+        lo, span = csa._feature_range(X, other)
+        states = csa._hard_kernel_states(X, lo, span)
+        assert states.tobytes() == _broadcast_hard_states(X, lo, span).tobytes()
+        assert np.allclose(np.sum(states**2, axis=0), 1.0)
+
+    @pytest.mark.parametrize("D", [3, 8, 9, 64])
+    def test_memory_is_output_plus_theta(self, D):
+        """Beside the 2^q x n output only theta (q x n) and the (cos, sin)
+        pair of n-vectors are alive; the D x n angle array is gone before
+        the output is made, and D <= 2^q. The broadcast construction held
+        two generations of states at once."""
+        n, q = 3000, max(1, math.ceil(math.log2(D)))
+        X = np.random.default_rng(0).standard_normal((D, n))
+        fitted = csa._feature_range(X)
+        tracemalloc.start()
+        try:
+            csa._hard_kernel_states(X, *fitted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2**q + q + 3) * n * 8
+
+
 class TestKernelPca:
     def test_weights_whiten_gram(self):
         rng = np.random.default_rng(17)
@@ -747,8 +795,14 @@ class TestKernelAlignment:
 
     def test_hard_fit_memory_is_linear_in_n(self, monkeypatch):
         """At D=8, n_s = n_t = 3000 the fit builds no Gram matrix and runs no
-        n x n eigensolver; one 3000 x 3000 Gram alone is 69 MiB."""
-        source, target = _centered_pair(SynthSpec(D=8, n_s=3000, n_t=3000, seed=0))
+        n x n eigensolver; one 3000 x 3000 Gram alone is 69 MiB. It holds
+        one r x n feature matrix at a time (r = 2^q = 8): beside it, theta
+        (q x n) while the features are built, or at most five d x n arrays
+        (the source's projection, the Gram-side eigenvectors F_c^T V, and
+        the sign fix's |.| and its copy). Holding the domains' features
+        together peaked at 4.4 feature matrices."""
+        n, d, r, q = 3000, 2, 8, 3
+        source, target = _centered_pair(SynthSpec(D=8, n_s=n, n_t=n, seed=0))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the hard-kernel fit must not take the Gram path")
@@ -757,12 +811,26 @@ class TestKernelAlignment:
             monkeypatch.setattr(csa, name, refuse)
         tracemalloc.start()
         try:
-            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("hard"), 2)
+            fit = csa.kernel_sa_fit(source, target, csa.KernelSpec("hard"), d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fit.Z_a.shape == (2, 3000)
-        assert peak < 8 * 2**20
+        assert fit.Z_a.shape == (d, n)
+        assert peak < (r + max(q + 2, 5 * d)) * n * 8 + 64 * 1024
+
+    def test_gram_overflow_is_rejected(self):
+        """(x^T y)^300 overflows to inf, and NaN passes every comparison
+        kernel_pca makes, so the fit must reject it by name instead of
+        returning a NaN spectrum."""
+        source, target = _centered_pair(SynthSpec(D=5, n_s=40, n_t=30, seed=0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="polynomial.*non-finite"):
+                csa.kernel_sa_fit(source, target, csa.KernelSpec("polynomial", 300), 2)
+        for bad in (np.inf, np.nan):
+            K = np.eye(4)
+            K[1, 2] = K[2, 1] = bad
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                csa.kernel_pca(K, 2)
 
     @pytest.mark.parametrize("kind", ["linear", "hard", "cosine"])
     def test_constant_source_is_rank_deficient(self, kind):

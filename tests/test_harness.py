@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -411,6 +412,43 @@ class TestRun:
         assert len(held) == (1 if track == "classical" else 2)
         assert max(held) < spec.D * spec.n_t * 8
 
+    @pytest.mark.parametrize("data", ["synthetic", "csv"])
+    @pytest.mark.parametrize("track", ["classical", "both"])
+    @pytest.mark.parametrize("classifier", ["nn", "svm"])
+    def test_no_domain_outlives_the_kernel_fit(self, tmp_path, monkeypatch, classifier, track, data):
+        """The kernel fit runs right after the target's pass and is the last
+        reader of the target's samples, so no classifier runs while the
+        target is alive: what is held at the entry of every 1-NN and SVM
+        call (the source only when SVM training reads it, the d x n
+        projections, the fit's bases and the labels) stays below one
+        target's bytes."""
+        spec = SynthSpec(D=64, n_s=60, n_t=3000)
+        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec, classifier=classifier)
+        cfg.kernel = csa.KernelSpec("hard")
+        held = []
+        for module, name in ((harness.csa, "nn_classify"), (harness.csa, "svm_classify"),
+                             (harness.qsa, "q_nn_classify"), (harness.qsa, "q_svm_classify")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
+                held.append(tracemalloc.get_traced_memory()[0]), f(*a, **k))[1])
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        # the kernel track's 1-NN, and each track's own classifier
+        assert len(held) == 1 + (1 if track == "classical" else 2)
+        assert max(held) < spec.D * spec.n_t * 8
+
+    def test_kernel_track_times_the_fit(self, tmp_path, monkeypatch):
+        """The fit runs before the classical alignment and classification
+        but its seconds count in the kernel_track row alone."""
+        fit = harness.csa.kernel_sa_fit
+        monkeypatch.setattr(harness.csa, "kernel_sa_fit", lambda *a, **k: (time.sleep(0.05), fit(*a, **k))[1])
+        report = run(_config(tmp_path, "kernel.kind = hard\nclassifier = both\nseeds = 0\n"))
+        seconds = {row["stage"]: row["seconds"] for row in report.timings}
+        assert seconds["kernel_track"] >= 0.05
+        assert seconds["classical_align"] < 0.05 and seconds["classical_classify"] < 0.05
+
     def test_csv_seeds_center_their_own_load(self, tmp_path):
         """Every seed loads the CSV files afresh and centers that load in
         place, so two seeds give the same rows bit for bit; centering one
@@ -718,6 +756,21 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
+
+    def test_gram_overflow_exits_with_code_2(self, tmp_path, capsys):
+        """A polynomial Gram matrix that overflows is rejected by name; it
+        once ran to exit 0 with kernel accuracy 0.5 and a bare NaN (not
+        JSON) in the kernel_fit trace row."""
+        with np.errstate(over="ignore"):
+            rc = cli.main([
+                "run", "--set", "dataset.D=5", "--set", "dataset.n_s=40", "--set", "dataset.n_t=30",
+                "--set", "d=2", "--set", "kernel.kind=polynomial", "--set", "kernel.degree=300",
+                "--set", f"output_dir={tmp_path / 'o'}",
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "polynomial" in err and "non-finite" in err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_with_code_2(self, tmp_path, capsys):
         """A negative seed is rejected for CSV inputs too (they have no
