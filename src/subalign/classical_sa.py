@@ -564,8 +564,9 @@ def _feature_kpca(X: np.ndarray, spec: KernelSpec, feature_range, d: int):
     basis = pca_subspace(F, d)
     if basis.eigenvalues[-1] <= RANK_FLOOR:
         raise _rank_deficient(d)
-    basis = replace(basis, P=basis.P * _lead_signs(F.T @ basis.P))
-    return basis, basis.P.T @ F
+    Z = basis.P.T @ F
+    signs = _lead_signs(Z.T)  # Z's rows are the Gram-side eigenvectors times sqrt(lambda)
+    return replace(basis, P=basis.P * signs), Z * signs[:, None]
 
 
 def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAlignment:
@@ -601,10 +602,12 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
         art = build_alignment(Bs, Bt, Zs, Zt, projected=True)
         M, Z_a, Z_t = art.M_star, art.X_hat_a, art.X_hat_t
     else:
-        # only kernel_pca reads K_ss and K_tt, so neither outlives its spectrum
+        # only kernel_pca reads K_ss and K_tt, so neither outlives its spectrum.
+        # It rejects an overflowed Gram by name, so numpy need not warn first
         try:
-            Bs = kernel_pca(kernel_matrix(Xs, Xs, spec, fitted), d)
-            Bt = kernel_pca(kernel_matrix(Xt, Xt, spec, fitted), d)
+            with np.errstate(over="ignore"):
+                Bs = kernel_pca(kernel_matrix(Xs, Xs, spec, fitted), d)
+                Bt = kernel_pca(kernel_matrix(Xt, Xt, spec, fitted), d)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{spec}: {exc}") from None
         Kst = kernel_matrix(Xs, Xt, spec, fitted)

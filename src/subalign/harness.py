@@ -13,6 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -304,90 +305,87 @@ def _label_row(quantity, pred, ref, tol):
     return row
 
 
-def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain, trace: list):
+@contextmanager
+def _stage(seconds: dict, name: str):
+    """Add the seconds the block takes to ``seconds[name]``: a stage's
+    timing row sums every block timed under its name."""
+    t0 = time.perf_counter()
+    yield
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _product_stage(trace: list, seed: int, stage: str, P, Q, config: ExperimentConfig, classical):
+    """One stage of the multiplication pipeline: the state of P^T Q, read
+    back to its matrix once, and the matrix's largest entrywise deviation
+    from its classical twin ``classical``. Both go into the stage's trace
+    row, and no reference to the state outlives the call."""
+    state = qsa.matrix_product_state(P, Q, config.precision_qubits, config.exact_theta)
+    matrix = state.as_matrix()
+    deviation = float(np.max(np.abs(matrix - classical)))
+    trace.append({
+        "seed": seed, "stage": stage,
+        # index registers |i>^I1 |j>^I2 wide enough for the r x c array
+        "registers": [[name, max(1, math.ceil(math.log2(size)))]
+                      for name, size in zip(("I1", "I2"), matrix.shape)],
+        "success_probability": float(state.success_probability),
+        "scale": float(state.scale), "max_deviation": deviation,
+    })
+    return matrix, deviation
+
+
+def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain, trace, seconds):
     """One domain's pass: center ``domain`` in place (it was loaded for this
     seed alone), then its PCA basis and projection and, on the quantum
-    track, its qPCA basis (and trace row) and its projection's state.
-    Returns (basis, X_hat, q_basis, X_hat_state, seconds, quantum seconds)."""
+    track, its qPCA basis (and trace row) and the matrix its projection's
+    state reads back to (and that stage's trace row, X_hat_s for the
+    source). Returns (basis, X_hat, q_basis, the read-back X_hat)."""
     center_columns_in_place(domain)
-    t0 = time.perf_counter()
-    basis = csa.pca_subspace(domain, config.d)
-    X_hat = basis.P.T @ domain.samples
-    t1 = time.perf_counter()
+    with _stage(seconds, "classical_align"):
+        basis = csa.pca_subspace(domain, config.d)
+        X_hat = basis.P.T @ domain.samples
     if config.track == "classical":
-        return basis, X_hat, None, None, t1 - t0, 0.0
-    res = qsa.qpca(domain, config.d, config.precision_qubits)
-    # the outcome k each basis vector read out at, its probability, the
-    # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
-    trace.append({
-        "seed": seed, "stage": "qpca", "domain": name,
-        "outcomes": res.outcomes.tolist(),
-        "readout_probabilities": res.readout_probabilities.tolist(),
-        "gap": res.basis.gap, "warnings": res.basis.warnings,
-    })
-    state = qsa.matrix_product_state(
-        res.basis.P, domain.samples, config.precision_qubits, config.exact_theta
-    )
-    return basis, X_hat, res.basis, state, t1 - t0, time.perf_counter() - t1
+        return basis, X_hat, None, None
+    with _stage(seconds, "quantum_align"):
+        res = qsa.qpca(domain, config.d, config.precision_qubits)
+        # the outcome k each basis vector read out at, its probability, the
+        # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
+        trace.append({
+            "seed": seed, "stage": "qpca", "domain": name,
+            "outcomes": res.outcomes.tolist(),
+            "readout_probabilities": res.readout_probabilities.tolist(),
+            "gap": res.basis.gap, "warnings": res.basis.warnings,
+        })
+        q_X_hat, _ = _product_stage(
+            trace, seed, f"X_hat_{name[0]}", res.basis.P, domain.samples, config, X_hat
+        )
+    return basis, X_hat, res.basis, q_X_hat
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
     want_nn = config.classifier in ("nn", "both")
     want_svm = config.classifier in ("svm", "both")
+    quantum = config.track in ("quantum", "both")
     # past its domain's pass, a domain's samples are read only by the kernel
     # fit (its hard-kernel range spans both domains), run right after the
     # target's pass, and by SVM training (both tracks), which reads the
-    # source alone: the SVMs decide on X_hat_t. Each domain is dropped as
-    # soon as nothing later reads it
-    accuracy, parity, timings, trace = [], [], [], []
+    # source alone and runs right after the alignment: the SVMs decide on
+    # X_hat_t. Each domain is dropped as soon as nothing later reads it, so
+    # none is alive at any classifier
+    accuracy, parity, trace, seconds = [], [], [], {}
     domains = _load_domains(config, seed)
     source = next(domains)
-    Ps, X_hat_s, q_Ps, q_X_hat_s, align_s, q_align_s = _domain_pass(
-        config, seed, "source", source, trace
-    )
+    Ps, X_hat_s, q_Ps, q_X_hat_s = _domain_pass(config, seed, "source", source, trace, seconds)
     ys = source.visible_labels
     if not want_svm and config.kernel is None:
         del source
     target = next(domains)
     del domains  # and with it the loader's frames, which every later peak would carry
-    Pt, X_hat_t, q_Pt, q_X_hat_t, align_t, q_align_t = _domain_pass(
-        config, seed, "target", target, trace
-    )
+    Pt, X_hat_t, q_Pt, q_X_hat_t = _domain_pass(config, seed, "target", target, trace, seconds)
     truth = target.labels  # for evaluation only
     if config.kernel is not None:
-        t0 = time.perf_counter()
-        fit = csa.kernel_sa_fit(source, target, config.kernel, config.d)
-        fit_s = time.perf_counter() - t0
-        if not want_svm:
-            del source
-    del target
-    t0 = time.perf_counter()
-    art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
-    if config.track == "classical":
-        del X_hat_s  # only the quantum track's parity rows read it
-    A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
-    timings.append({"seed": seed, "stage": "classical_align",
-                    "seconds": align_s + align_t + time.perf_counter() - t0})
-
-    # the classical labels are both the classical track's output and the
-    # reference the quantum track's label parity is measured against
-    t0 = time.perf_counter()
-    if want_nn:
-        nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
-    if want_svm:
-        svm_model = csa.svm_train(source, A_factors, config.gamma)
-        svm_pred = csa.svm_classify(svm_model, art.X_hat_t)
-    if config.track in ("classical", "both"):
-        if want_nn:
-            accuracy.append(_accuracy_row(seed, "classical", "nn", nn_pred, truth))
-        if want_svm:
-            accuracy.append(_accuracy_row(seed, "classical", "svm", svm_pred, truth))
-    timings.append({"seed": seed, "stage": "classical_classify", "seconds": time.perf_counter() - t0})
-
-    if config.kernel is not None:
-        t0 = time.perf_counter()
-        pred = csa.nn_classify(fit.Z_a, ys, fit.Z_t)
+        with _stage(seconds, "kernel_track"):
+            fit = csa.kernel_sa_fit(source, target, config.kernel, config.d)
         # the kernel-PCA spectrum at the cut: "features" bases live in the
         # r-dim feature space, "gram" bases in the n-dim index space
         Bs, Bt = fit.basis_s, fit.basis_t
@@ -397,42 +395,21 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "dim_t": Bt.P.shape[0], "lambda_d_t": float(Bt.eigenvalues[-1]), "gap_t": Bt.gap,
             "warnings": fit.warnings,
         })
-        accuracy.append(_accuracy_row(seed, "kernel", "nn", pred, truth))
-        timings.append({"seed": seed, "stage": "kernel_track",
-                        "seconds": fit_s + time.perf_counter() - t0})
+        if not want_svm:
+            del source
+    del target
+    with _stage(seconds, "classical_align"):
+        art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
+    del X_hat_s  # the aligned source replaces it
+    A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
 
-    if config.track in ("quantum", "both"):
-        t0 = time.perf_counter()
-        readout = (config.precision_qubits, config.exact_theta)
-        M = qsa.matrix_product_state(q_Ps.P, q_Pt.P, *readout)
-        # X_hat_a = M*^T X_hat_s, from the matrices the M and X_hat_s states read back to
-        X_hat_a = qsa.matrix_product_state(M.as_matrix(), q_X_hat_s.as_matrix(), *readout)
-        timings.append({"seed": seed, "stage": "quantum_align",
-                        "seconds": q_align_s + q_align_t + time.perf_counter() - t0})
-        # each stage's state and its classical twin. The classifiers need
-        # neither, so the chain alone holds them until the stage is read back
-        chain = {"M": (M, art.M_star), "X_hat_s": (q_X_hat_s, X_hat_s),
-                 "X_hat_a": (X_hat_a, art.X_hat_a), "X_hat_t": (q_X_hat_t, art.X_hat_t)}
-        del M, q_X_hat_s, X_hat_s, X_hat_a, q_X_hat_t
-        deviation = {}  # max |quantum - classical| entry of each stage
-        quantum = {}  # each stage's matrix, read back from its state once
-        for stage in ("M", "X_hat_s", "X_hat_a", "X_hat_t"):
-            ips, classical = chain.pop(stage)
-            quantum[stage] = ips.as_matrix()
-            deviation[stage] = float(np.max(np.abs(quantum[stage] - classical)))
-            trace.append({
-                "seed": seed,
-                "stage": stage,
-                # index registers |i>^I1 |j>^I2 wide enough for the r x c array
-                "registers": [
-                    [name, max(1, math.ceil(math.log2(size)))]
-                    for name, size in zip(("I1", "I2"), ips.amplitudes.shape)
-                ],
-                "success_probability": float(ips.success_probability),
-                "scale": float(ips.scale),
-                "max_deviation": deviation[stage],
-            })
-        del ips, classical, quantum["X_hat_s"]  # the classifiers need none of them
+    if quantum:
+        with _stage(seconds, "quantum_align"):
+            M, dev_M = _product_stage(trace, seed, "M", q_Ps.P, q_Pt.P, config, art.M_star)
+            # X_hat_a = M*^T X_hat_s, from the matrices the M and X_hat_s states read back to
+            X_hat_a, dev_a = _product_stage(trace, seed, "X_hat_a", M, q_X_hat_s, config,
+                                            art.X_hat_a)
+        del q_X_hat_s
         # entrywise tolerances: exact-theta mode is limited by float error.
         # With finite precision, M*_ij = u.v for unit columns u of Ps and v
         # of Pt. Rounding theta to the pi/2^n lattice moves it by at most
@@ -441,63 +418,89 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         # which is pi/2^n
         m_tol = 1e-6 if config.exact_theta else math.pi / 2**config.precision_qubits
         parity.append(_parity_row(
-            f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(quantum["M"])),
-            deviation["M"], m_tol,
+            f"seed{seed}.M_star", np.max(np.abs(art.M_star)), np.max(np.abs(M)), dev_M, m_tol,
         ))
         # X_hat_a: the 2^(1-n) overlap lattice times the scales
         eps = 1e-6 if config.exact_theta else 2.0 ** (1 - config.precision_qubits)
         scale_a = max(1.0, float(np.max(np.abs(art.X_hat_a))))
         parity.append(_parity_row(
-            f"seed{seed}.X_hat_a", np.max(np.abs(art.X_hat_a)), np.max(np.abs(quantum["X_hat_a"])),
-            deviation["X_hat_a"], eps * 3 * scale_a,
+            f"seed{seed}.X_hat_a", np.max(np.abs(art.X_hat_a)), np.max(np.abs(X_hat_a)),
+            dev_a, eps * 3 * scale_a,
         ))
+
+    # SVM training is the last reader of the source
+    if want_svm:
+        with _stage(seconds, "classical_classify"):
+            svm_model = csa.svm_train(source, A_factors, config.gamma)
+        if quantum:
+            with _stage(seconds, "quantum_classify"):
+                q_model = qsa.q_svm_train(source, A_factors, config.gamma,
+                                          precision_qubits=max(config.precision_qubits, 10))
+        del source
+
+    # the classical labels are both the classical track's output and the
+    # reference the quantum track's label parity is measured against
+    with _stage(seconds, "classical_classify"):
+        if want_nn:
+            nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
+        if want_svm:
+            svm_pred = csa.svm_classify(svm_model, art.X_hat_t)
+        if config.track in ("classical", "both"):
+            if want_nn:
+                accuracy.append(_accuracy_row(seed, "classical", "nn", nn_pred, truth))
+            if want_svm:
+                accuracy.append(_accuracy_row(seed, "classical", "svm", svm_pred, truth))
+
+    if config.kernel is not None:
+        with _stage(seconds, "kernel_track"):
+            pred = csa.nn_classify(fit.Z_a, ys, fit.Z_t)
+            accuracy.append(_accuracy_row(seed, "kernel", "nn", pred, truth))
+
+    if quantum:
         plan = ShotPlan(
             shots=config.shots, seed=seed,
             mode="exact_expectation" if config.exact_theta else "sampled",
         )
-        t0 = time.perf_counter()
-        if want_nn:
-            q_pred, records = qsa.q_nn_classify(
-                quantum["X_hat_a"], ys, quantum["X_hat_t"], plan,
-                ae_bits=config.ae_bits, repeats=config.repeats,
-            )
-            trace.append({
-                "seed": seed, "stage": "q_nn_classify", "m": len(records),
-                "oracle_queries": int(records["oracle_queries"].sum()),
-                "ambiguous": int(records["warning"].sum()),
-            })
-            # exact mode can still disagree when the AE lattice ties two
-            # distances, so allow a couple of flips; sampled mode gets more
-            parity.append(_label_row(
-                f"seed{seed}.nn_labels", q_pred, nn_pred, 0.02 if config.exact_theta else 0.05,
-            ))
-            accuracy.append(_accuracy_row(seed, "quantum", "nn", q_pred, truth))
-        if want_svm:
-            q_model = qsa.q_svm_train(source, A_factors, config.gamma,
-                                      precision_qubits=max(config.precision_qubits, 10))
-            q_pred, info = qsa.q_svm_classify(q_model, source, A_factors, art.X_hat_t, plan)
-            trace.append({
-                "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
-                "low_confidence": int(np.sum(info["low_confidence"])),
-                "success_probability": q_model.success_probability, "N_x": q_model.N_x,
-            })
-            svm_tol = 0.02
-            if not plan.exact:
-                # A sampled decision is 2k/shots - 1 with k ~ Binomial(shots,
-                # (1 + r)/2), r the exact overlap; sign(0) -> +1. It flips the
-                # exact label only if it moves by at least |r|, i.e. k/shots
-                # leaves its mean by |r|/2, which Hoeffding bounds by
-                # exp(-shots r^2 / 2). The m targets flip independently, so
-                # Hoeffding on their mean puts the flipped fraction above the
-                # mean bound by more than sqrt(ln(100) / (2m)) with
-                # probability below 1%. The exact-mode allowance stays on top.
-                r = info["exact_overlap"]
-                svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
-                svm_tol += math.sqrt(math.log(100) / (2 * r.size))
-            parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))
-            accuracy.append(_accuracy_row(seed, "quantum", "svm", q_pred, truth))
-        timings.append({"seed": seed, "stage": "quantum_classify", "seconds": time.perf_counter() - t0})
+        with _stage(seconds, "quantum_classify"):
+            if want_nn:
+                q_pred, records = qsa.q_nn_classify(
+                    X_hat_a, ys, q_X_hat_t, plan, ae_bits=config.ae_bits, repeats=config.repeats,
+                )
+                trace.append({
+                    "seed": seed, "stage": "q_nn_classify", "m": len(records),
+                    "oracle_queries": int(records["oracle_queries"].sum()),
+                    "ambiguous": int(records["warning"].sum()),
+                })
+                # exact mode can still disagree when the AE lattice ties two
+                # distances, so allow a couple of flips; sampled mode gets more
+                parity.append(_label_row(
+                    f"seed{seed}.nn_labels", q_pred, nn_pred, 0.02 if config.exact_theta else 0.05,
+                ))
+                accuracy.append(_accuracy_row(seed, "quantum", "nn", q_pred, truth))
+            if want_svm:
+                q_pred, info = qsa.q_svm_classify(q_model, A_factors, art.X_hat_t, plan)
+                trace.append({
+                    "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
+                    "low_confidence": int(np.sum(info["low_confidence"])),
+                    "success_probability": q_model.success_probability, "N_x": q_model.N_x,
+                })
+                svm_tol = 0.02
+                if not plan.exact:
+                    # A sampled decision is 2k/shots - 1 with k ~ Binomial(shots,
+                    # (1 + r)/2), r the exact overlap; sign(0) -> +1. It flips the
+                    # exact label only if it moves by at least |r|, i.e. k/shots
+                    # leaves its mean by |r|/2, which Hoeffding bounds by
+                    # exp(-shots r^2 / 2). The m targets flip independently, so
+                    # Hoeffding on their mean puts the flipped fraction above the
+                    # mean bound by more than sqrt(ln(100) / (2m)) with
+                    # probability below 1%. The exact-mode allowance stays on top.
+                    r = info["exact_overlap"]
+                    svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
+                    svm_tol += math.sqrt(math.log(100) / (2 * r.size))
+                parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))
+                accuracy.append(_accuracy_row(seed, "quantum", "svm", q_pred, truth))
 
+    timings = [{"seed": seed, "stage": name, "seconds": s} for name, s in seconds.items()]
     timings.append({"seed": seed, "stage": "total", "seconds": time.perf_counter() - t_start})
     return {"accuracy": accuracy, "parity": parity, "timings": timings, "trace": trace}
 

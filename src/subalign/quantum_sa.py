@@ -22,12 +22,14 @@ import numpy as np
 from .classical_sa import (
     NN_BLOCK_ELEMENTS,
     SubspaceBasis,
+    SvmModel,
     _as_matrix,
     _factor_pair,
     _fix_signs,
     _nn_inputs,
     _svm_core,
     ls_svm_system,
+    svm_decision_values,
 )
 from .datasets import Domain
 from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
@@ -88,19 +90,14 @@ class InnerProductState:
 
 @dataclass
 class QsvmState:
-    """The inverted SVM system: the unit state (b, alpha) / ||(b, alpha)||,
-    the ``scale`` that reads (b, alpha) back, the postselection probability,
-    and N_x, the squared norm of the training-parameter state."""
+    """The inverted SVM system: the `SvmModel` whose (b, alpha) the
+    postselected state encodes, read back exactly (simulation privilege),
+    the postselection probability, and N_x, the squared norm of the
+    training-parameter state."""
 
-    amplitudes: np.ndarray
-    scale: float
+    model: SvmModel
     success_probability: float
     N_x: float
-
-    def readout(self) -> tuple[float, np.ndarray]:
-        """Reconstruct (b, alpha) exactly (simulation privilege)."""
-        vec = self.amplitudes * self.scale
-        return float(vec[0]), vec[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,8 @@ def q_svm_train(
     span(Q) when Q is not square. Each sigma reads out at its most probable
     outcome, pe_readout(sigma 0.25 / sigma_max, n), and readouts below
     sigma_max / QSVM_KAPPA_MAX are dropped, so with z = Q^T y_hat
-    x = Q W (U^T z / sigma~) + (y_hat - Q z) / c~.
+    x = Q W (U^T z / sigma~) + (y_hat - Q z) / c~. The state's model is x
+    read back to (b, alpha), with w folded as `svm_train` folds it.
     """
     c, B, C, rhs = ls_svm_system(Xs, A, gamma)
     Q, core, _ = _svm_core(c, B, C)
@@ -358,33 +356,29 @@ def q_svm_train(
             f"postselection probability {success:.3e} below {POSTSELECTION_FLOOR:g} "
             "in inversion"
         )
-    amplitudes = x / mag
-    scale = mag * math.sqrt(Xs.n)  # ||(0, y)|| = sqrt(n) for +-1 labels
-    b, alpha = amplitudes[0] * scale, amplitudes[1:] * scale
-    N_x = float(b**2 + np.sum(alpha**2 * np.sum(Xs.samples**2, axis=0)))
-    return QsvmState(amplitudes, scale, success, N_x)
+    # the unit state x / ||x|| read back: ||(0, y)|| = sqrt(n) for +-1 labels
+    vec = x / mag * (mag * math.sqrt(Xs.n))
+    b, alpha = float(vec[0]), vec[1:]
+    N_x = float(b**2 + np.sum(alpha**2 * np.einsum("ij,ij->j", Xs.samples, Xs.samples)))
+    L, _ = _factor_pair(A)
+    return QsvmState(SvmModel(b, alpha, L.T @ (Xs.samples @ alpha)), success, N_x)
 
 
-def q_svm_classify(
-    model: QsvmState,
-    Xs: Domain,
-    A,
-    X: np.ndarray,
-    plan: ShotPlan,
-):
+def q_svm_classify(state: QsvmState, A, X: np.ndarray, plan: ShotPlan):
     """Signed decisions via Hadamard-test overlaps of the training-parameter
     state (b, alpha_1 x_1, ..., alpha_n x_n) and each query state
-    (1, A x, ..., A x); sign(0) -> +1. ``A`` is a D x D array or a factor
-    pair (L, R) with A = L R^T.
+    (1, A x, ..., A x); sign(0) -> +1. ``A`` is the D x D array or factor
+    pair (L, R), A = L R^T, that ``state`` was trained with.
 
-    ``X`` is an r x m matrix of points (columns) in the coordinates of the
-    right factor, R^T x, as `svm_decision_values` takes them: the target
-    projection P_t^T x for the alignment pair, the raw D x m points for a
-    D x D ``A``; A x = L (R^T x). Returns (labels, info) with one entry per
-    column in each per-query field of info. In sampled mode each column
-    gets its own draw from the plan's "svm_decisions" stream.
+    ``X`` is an r x m matrix of points (columns) as `svm_decision_values`
+    takes them, R^T x: the target projection P_t^T x for the alignment
+    pair, the raw points for a D x D ``A``. An overlap is the decision value
+    of ``state.model`` over sqrt(N_x N_t), with N_t = 1 + n ||A x||^2 taken
+    through the r x r Gram L^T L, so a factor pair forms no D x m array.
+    Returns (labels, info) with one entry per column in each per-query
+    field of info. In sampled mode each column gets its own draw from the
+    plan's "svm_decisions" stream.
     """
-    b, alpha = model.readout()
     L, _ = _factor_pair(A)
     Xm = np.asarray(X, float)
     if Xm.ndim != 2 or Xm.shape[0] != L.shape[1]:
@@ -392,9 +386,8 @@ def q_svm_classify(
             f"X must be a D x m matrix of points (columns) with D = {L.shape[1]}, "
             f"the inner dimension of A = L R^T (points as R^T x); got shape {Xm.shape}"
         )
-    AX = L @ Xm
-    N_t = 1.0 + Xs.n * np.sum(AX**2, axis=0)
-    re = (b + (Xs.samples @ alpha) @ AX) / np.sqrt(model.N_x * N_t)
+    N_t = 1.0 + state.model.alpha.size * np.einsum("ij,ij->j", Xm, (L.T @ L) @ Xm)
+    re = svm_decision_values(state.model, Xm) / np.sqrt(state.N_x * N_t)
     decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))
     labels = np.where(decision >= 0, 1, -1)
     info = {

@@ -1,8 +1,8 @@
 """Tooling guard on the benchmark's own checks: every workload in
-perfbench/workloads.json, shrunk, quantum-caps in sampled mode and
-kernel-hard with both classifiers must pass the output check that
-perfbench/run.py applies to each `harness.run` report, and the
-`run.py --scaling` table must run. A change that would
+perfbench/workloads.json, shrunk, quantum-caps in sampled mode and with
+the quantum SVM alone, and kernel-hard with both classifiers must pass the
+output check that perfbench/run.py applies to each `harness.run` report,
+and the `run.py --scaling` table must run. A change that would
 make the benchmark count a failed call, or break its scaling table, fails
 here first.
 perfbench/ is only read, never changed."""
@@ -41,12 +41,15 @@ def _check_output(tmp_path, monkeypatch, workload, extra=""):
     return reference.check_report(report, cfg, run.build_reference(MODS, cfg))
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_shrunk_workload_passes_the_output_check(tmp_path, monkeypatch, workload):
+@pytest.mark.parametrize("workload, extra", [
+    *(pytest.param(w, "", id=w) for w in sorted(WORKLOADS)),
+    pytest.param("quantum-caps", "track=quantum\nclassifier=svm\n", id="quantum-caps-quantum-svm"),
+])
+def test_shrunk_workload_passes_the_output_check(tmp_path, monkeypatch, workload, extra):
     """Each workload at D <= 16 and n_s = n_t = 300 (quantum-caps as it is),
-    seeds 0-2, against the reference that `run.py` builds for it."""
+    seeds 0-2, against the reference that `run.py` builds for it; and
+    quantum-caps with the quantum SVM alone, which has no classical rows."""
     config = WORKLOADS[workload]["config"]
-    extra = ""
     if workload != "quantum-caps":
         extra = f"dataset.D={min(config['dataset.D'], 16)}\ndataset.n_s=300\ndataset.n_t=300\n"
     assert _check_output(tmp_path, monkeypatch, workload, extra) == []

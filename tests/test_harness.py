@@ -130,8 +130,8 @@ class TestRun:
         q_svm_classify = harness.qsa.q_svm_classify
         decided = []
 
-        def spy(model, Xs, A, X, plan):
-            decided.append((plan, model, q_svm_classify(model, Xs, A, X, plan)))
+        def spy(model, A, X, plan):
+            decided.append((plan, model, q_svm_classify(model, A, X, plan)))
             return decided[-1][2]
 
         monkeypatch.setattr(harness.qsa, "q_svm_classify", spy)
@@ -370,74 +370,75 @@ class TestRun:
         beside = (d + 2) * n * 8 + 3 * max(n, D * D) * 8
         assert peak < domain + beside + 64 * 1024
 
+    @classmethod
+    def _held_at_classifiers(cls, tmp_path, monkeypatch, data, track, classifier, names,
+                             kernel=None):
+        """Run at a target-heavy and at a source-heavy shape (the quantum NN
+        caps n_s at 64) and record the traced memory held at the entry of
+        every call of ``names``, (module, function) pairs. At each shape it
+        stays below the larger domain's D x n bytes, so no classifier runs
+        while that domain is alive. Returns the calls per run."""
+        held = []
+        for module, name in names:
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
+                held.append(tracemalloc.get_traced_memory()[0]), f(*a, **k))[1])
+        calls = set()
+        for spec in (SynthSpec(D=64, n_s=60, n_t=3000), SynthSpec(D=512, n_s=60, n_t=30)):
+            cfg = cls._run_config(tmp_path, monkeypatch, data, track, spec, classifier=classifier)
+            cfg.kernel = kernel
+            held.clear()
+            tracemalloc.start()
+            try:
+                run(cfg)
+            finally:
+                tracemalloc.stop()
+            assert max(held) < spec.D * max(spec.n_s, spec.n_t) * 8, (spec, held)
+            calls.add(len(held))
+        (count,) = calls
+        return count
+
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     @pytest.mark.parametrize("track", ["quantum", "both"])
     def test_quantum_nn_holds_no_domain(self, tmp_path, monkeypatch, track, data):
         """The quantum stages read each domain in its own pass (qPCA and the
         state of its projection), so no D x n domain is alive while the
         quantum NN runs: what is held at its entry (the d x n projections,
-        their matrices and the labels) stays below one target's bytes."""
-        spec = SynthSpec(D=64, n_s=60, n_t=3000)
-        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec)
-        held = []
-        q_nn = harness.qsa.q_nn_classify
-        monkeypatch.setattr(harness.qsa, "q_nn_classify", lambda *a, **k: (
-            held.append(tracemalloc.get_traced_memory()[0]), q_nn(*a, **k))[1])
-        tracemalloc.start()
-        try:
-            run(cfg)
-        finally:
-            tracemalloc.stop()
-        assert len(held) == 1
-        assert held[0] < spec.D * spec.n_t * 8
+        their matrices, the bases and the labels) stays below either
+        domain's bytes."""
+        assert self._held_at_classifiers(
+            tmp_path, monkeypatch, data, track, "nn", [(harness.qsa, "q_nn_classify")]
+        ) == 1
 
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     @pytest.mark.parametrize("track", ["classical", "both"])
     def test_svms_hold_no_target(self, tmp_path, monkeypatch, track, data):
         """Both SVMs decide on the target projection X_hat_t, so without a
-        kernel fit the target's samples are dropped after its pass: what is
-        held when either SVM decides (the source it trained on, the d x n
-        projections and the labels) stays below one target's bytes."""
-        spec = SynthSpec(D=64, n_s=60, n_t=3000)
-        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec, classifier="svm")
-        held = []
-        for module, name in ((harness.csa, "svm_classify"), (harness.qsa, "q_svm_classify")):
-            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
-                held.append(tracemalloc.get_traced_memory()[0]), f(*a, **k))[1])
-        tracemalloc.start()
-        try:
-            run(cfg)
-        finally:
-            tracemalloc.stop()
-        assert len(held) == (1 if track == "classical" else 2)
-        assert max(held) < spec.D * spec.n_t * 8
+        kernel fit the target's samples are dropped after its pass, and both
+        train right after the alignment, which drops the source: what is
+        held when either SVM decides (the models, the d x n projections, the
+        bases and the labels) stays below either domain's bytes. The source
+        was held there until both SVMs trained at their own decision."""
+        names = [(harness.csa, "svm_classify"), (harness.qsa, "q_svm_classify")]
+        calls = self._held_at_classifiers(tmp_path, monkeypatch, data, track, "svm", names)
+        assert calls == (1 if track == "classical" else 2)
 
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     @pytest.mark.parametrize("track", ["classical", "both"])
     @pytest.mark.parametrize("classifier", ["nn", "svm"])
     def test_no_domain_outlives_the_kernel_fit(self, tmp_path, monkeypatch, classifier, track, data):
         """The kernel fit runs right after the target's pass and is the last
-        reader of the target's samples, so no classifier runs while the
-        target is alive: what is held at the entry of every 1-NN and SVM
-        call (the source only when SVM training reads it, the d x n
-        projections, the fit's bases and the labels) stays below one
-        target's bytes."""
-        spec = SynthSpec(D=64, n_s=60, n_t=3000)
-        cfg = self._run_config(tmp_path, monkeypatch, data, track, spec, classifier=classifier)
-        cfg.kernel = csa.KernelSpec("hard")
-        held = []
-        for module, name in ((harness.csa, "nn_classify"), (harness.csa, "svm_classify"),
-                             (harness.qsa, "q_nn_classify"), (harness.qsa, "q_svm_classify")):
-            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
-                held.append(tracemalloc.get_traced_memory()[0]), f(*a, **k))[1])
-        tracemalloc.start()
-        try:
-            run(cfg)
-        finally:
-            tracemalloc.stop()
+        reader of the target's samples, and of the source's unless SVM
+        training reads it right after the alignment, so no classifier runs
+        while a domain is alive: what is held at the entry of every 1-NN and
+        SVM call (the d x n projections, the fit's bases and the labels)
+        stays below either domain's bytes."""
+        names = [(harness.csa, "nn_classify"), (harness.csa, "svm_classify"),
+                 (harness.qsa, "q_nn_classify"), (harness.qsa, "q_svm_classify")]
+        calls = self._held_at_classifiers(
+            tmp_path, monkeypatch, data, track, classifier, names, csa.KernelSpec("hard")
+        )
         # the kernel track's 1-NN, and each track's own classifier
-        assert len(held) == 1 + (1 if track == "classical" else 2)
-        assert max(held) < spec.D * spec.n_t * 8
+        assert calls == 1 + (1 if track == "classical" else 2)
 
     def test_kernel_track_times_the_fit(self, tmp_path, monkeypatch):
         """The fit runs before the classical alignment and classification
@@ -448,6 +449,30 @@ class TestRun:
         seconds = {row["stage"]: row["seconds"] for row in report.timings}
         assert seconds["kernel_track"] >= 0.05
         assert seconds["classical_align"] < 0.05 and seconds["classical_classify"] < 0.05
+
+    def test_svm_training_counts_in_its_classify_row(self, tmp_path, monkeypatch):
+        """Both SVMs train right after the alignment, before any classifier
+        decides, but each training's seconds count in its own track's
+        classify row."""
+        for module, name in ((harness.csa, "svm_train"), (harness.qsa, "q_svm_train")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: (
+                time.sleep(0.05), f(*a, **k))[1])
+        report = run(_config(tmp_path, "track = both\nclassifier = svm\nseeds = 0\n"))
+        seconds = {row["stage"]: row["seconds"] for row in report.timings}
+        assert seconds["classical_classify"] >= 0.05 and seconds["quantum_classify"] >= 0.05
+        assert seconds["classical_align"] < 0.05 and seconds["quantum_align"] < 0.05
+
+    def test_each_state_is_read_back_once(self, tmp_path, monkeypatch):
+        """The M, X_hat_s, X_hat_a and X_hat_t states are each read back to
+        their matrix once per seed, where they are made; M and X_hat_s were
+        read back twice."""
+        as_matrix = qsa.InnerProductState.as_matrix
+        calls = []
+        monkeypatch.setattr(qsa.InnerProductState, "as_matrix",
+                            lambda state: (calls.append(state), as_matrix(state))[1])
+        cfg = _config(tmp_path, "track = both\nclassifier = both\n")
+        run(cfg)
+        assert len(calls) == 4 * len(cfg.seeds)
 
     def test_csv_seeds_center_their_own_load(self, tmp_path):
         """Every seed loads the CSV files afresh and centers that load in
@@ -757,19 +782,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4 feature columns" in err and "has 3" in err
 
-    def test_gram_overflow_exits_with_code_2(self, tmp_path, capsys):
-        """A polynomial Gram matrix that overflows is rejected by name; it
-        once ran to exit 0 with kernel accuracy 0.5 and a bare NaN (not
-        JSON) in the kernel_fit trace row."""
-        with np.errstate(over="ignore"):
-            rc = cli.main([
-                "run", "--set", "dataset.D=5", "--set", "dataset.n_s=40", "--set", "dataset.n_t=30",
-                "--set", "d=2", "--set", "kernel.kind=polynomial", "--set", "kernel.degree=300",
-                "--set", f"output_dir={tmp_path / 'o'}",
-            ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "polynomial" in err and "non-finite" in err
+    def test_gram_overflow_exits_with_code_2(self, tmp_path):
+        """A polynomial Gram matrix that overflows is rejected by name, and
+        the error line is all the command prints: numpy's overflow warning
+        came first. The run once went to exit 0 with kernel accuracy 0.5 and
+        a bare NaN (not JSON) in the kernel_fit trace row."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "subalign.cli", "run", "--set", "dataset.D=5",
+             "--set", "dataset.n_s=40", "--set", "dataset.n_t=30", "--set", "d=2",
+             "--set", "kernel.kind=polynomial", "--set", "kernel.degree=300",
+             "--set", f"output_dir={tmp_path / 'o'}"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("error:") and "polynomial" in line and "non-finite" in line
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_with_code_2(self, tmp_path, capsys):

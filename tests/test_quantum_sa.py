@@ -601,7 +601,7 @@ class TestQsvm:
         dom = self._toy()
         model = csa.svm_train(dom, np.eye(2), 1.0)
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
-        b, alpha = qmodel.readout()
+        b, alpha = qmodel.model.b, qmodel.model.alpha
         u = np.concatenate(([b], alpha))
         v = np.concatenate(([model.b], model.alpha))
         cosine = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
@@ -626,7 +626,7 @@ class TestQsvm:
     def _assert_matches_dense_reference(dom, A, precision_qubits):
         x, success, N_x = _dense_q_svm_train(dom, A, 1.0, precision_qubits)
         model = qsa.q_svm_train(dom, A, 1.0, precision_qubits)
-        b, alpha = model.readout()
+        b, alpha = model.model.b, model.model.alpha
         got = np.concatenate(([b], alpha))
         assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
         assert model.success_probability == pytest.approx(success, rel=1e-12)
@@ -667,18 +667,18 @@ class TestQsvm:
         dom = Domain(X, np.array([1, -1]))
         A = np.diag([1.0, 0.0])
         qmodel = qsa.q_svm_train(dom, A, 1.0, precision_qubits=10)
-        b, _ = qmodel.readout()
+        b = qmodel.model.b
         xt = np.array([0.0, 5.0])  # A xt = 0: kernel column vanishes
-        labels, info = qsa.q_svm_classify(qmodel, dom, A, xt[:, None], EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, A, xt[:, None], EXACT)
         assert labels[0] == (1 if b >= 0 else -1)
 
     def test_batch_matches_single_points(self):
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         X = np.random.default_rng(10).standard_normal((2, 25))
-        labels, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), X, EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, np.eye(2), X, EXACT)
         for j in range(X.shape[1]):
-            label, one = qsa.q_svm_classify(qmodel, dom, np.eye(2), X[:, [j]], EXACT)
+            label, one = qsa.q_svm_classify(qmodel, np.eye(2), X[:, [j]], EXACT)
             assert label[0] == labels[j]
             assert one["decision_value"][0] == pytest.approx(info["decision_value"][j], abs=1e-14)
 
@@ -686,7 +686,7 @@ class TestQsvm:
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         with pytest.raises(ShapeError, match="D x m matrix"):
-            qsa.q_svm_classify(qmodel, dom, np.eye(2), np.array([0.3, -0.2]), EXACT)
+            qsa.q_svm_classify(qmodel, np.eye(2), np.array([0.3, -0.2]), EXACT)
 
     def test_points_in_the_right_factor_coordinates(self):
         """A model on the factors (L, R) of A decides points given as R^T x:
@@ -698,23 +698,44 @@ class TestQsvm:
         L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
         X = rng.standard_normal((D, 15))
         qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
-        labels, info = qsa.q_svm_classify(qmodel, dom, (L, R), R.T @ X, EXACT)
-        dense, dense_info = qsa.q_svm_classify(qmodel, dom, L @ R.T, X, EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, (L, R), R.T @ X, EXACT)
+        dense_model = qsa.q_svm_train(dom, L @ R.T, 1.0, precision_qubits=10)
+        dense, dense_info = qsa.q_svm_classify(dense_model, L @ R.T, X, EXACT)
         assert np.array_equal(labels, dense)
         assert np.max(np.abs(info["exact_overlap"] - dense_info["exact_overlap"])) <= 1e-12
         with pytest.raises(ShapeError, match=f"D = {r},"):
-            qsa.q_svm_classify(qmodel, dom, (L, R), X, EXACT)
+            qsa.q_svm_classify(qmodel, (L, R), X, EXACT)
+
+    def test_decides_without_a_D_by_m_array(self):
+        """On a factor pair (L, R) the overlap's numerator is the model's
+        decision value and N_t comes from the r x r Gram L^T L, so deciding
+        m points peaks below one D x m array; reading the decision off the
+        source formed two (L X and its square)."""
+        rng = np.random.default_rng(31)
+        D, n, r, m = 64, 40, 4, 3000
+        dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+        L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        X = rng.standard_normal((r, m))
+        tracemalloc.start()
+        try:
+            labels, _ = qsa.q_svm_classify(qmodel, (L, R), X, EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (m,)
+        assert peak < D * m * 8
 
     def test_sampled_columns_draw_independently(self):
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         X = np.tile([[0.3], [-0.2]], (1, 50))
         _, info = qsa.q_svm_classify(
-            qmodel, dom, np.eye(2), X, ShotPlan(shots=256, seed=4, mode="sampled")
+            qmodel, np.eye(2), X, ShotPlan(shots=256, seed=4, mode="sampled")
         )
         assert np.unique(info["decision_value"]).size > 1
         # every draw estimates the one exact overlap, which the pass reports
-        _, exact = qsa.q_svm_classify(qmodel, dom, np.eye(2), X, EXACT)
+        _, exact = qsa.q_svm_classify(qmodel, np.eye(2), X, EXACT)
         assert np.array_equal(info["exact_overlap"], exact["decision_value"])
 
     def test_grid_parity_exact_and_sampled(self):
@@ -724,7 +745,7 @@ class TestQsvm:
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         shots, draws = 4096, 1000
         for i, xt in enumerate(grid):
-            label, info = qsa.q_svm_classify(qmodel, dom, np.eye(2), xt[:, None], EXACT)
+            label, info = qsa.q_svm_classify(qmodel, np.eye(2), xt[:, None], EXACT)
             assert label[0] == csa.svm_classify(model, xt)
             exact_val = info["decision_value"][0]
             # `draws` independent sampled decisions of the same point, one
@@ -733,7 +754,7 @@ class TestQsvm:
             # sigma/sqrt(draws) for the mean and, for a near-normal sample,
             # sigma/sqrt(2 draws) for the sample standard deviation.
             _, s_info = qsa.q_svm_classify(
-                qmodel, dom, np.eye(2), np.tile(xt[:, None], (1, draws)),
+                qmodel, np.eye(2), np.tile(xt[:, None], (1, draws)),
                 ShotPlan(shots=shots, seed=1000 + i, mode="sampled"),
             )
             sampled = s_info["decision_value"]
@@ -769,6 +790,6 @@ class TestEndToEndParity:
             for j in range(tc.n):
                 xt = tc.samples[:, j]
                 assert (
-                    qsa.q_svm_classify(qmodel, sc, art.A, xt[:, None], EXACT)[0][0]
+                    qsa.q_svm_classify(qmodel, art.A, xt[:, None], EXACT)[0][0]
                     == csa.svm_classify(model, xt)
                 )
