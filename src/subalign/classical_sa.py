@@ -324,22 +324,26 @@ def ls_svm_system(
     return c, B, C, np.concatenate(([0.0], y.astype(float)))
 
 
-def _svm_core(c: float, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal basis Q of the columns of [B C], the core
-    F_Q = c I + (Q^T B)(C^T Q), and the condition number of F = c I + B C^T.
+def _svm_core(c: float, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis Q of the columns of [B C] and the core
+    F_Q = c I + (Q^T B)(C^T Q) of F = c I + B C^T.
 
     F maps span(Q) onto itself and equals c I on its complement, so
     F = Q F_Q Q^T + c (I - Q Q^T): the singular values of F are those of F_Q,
     plus c when Q is not square.
     """
     Q = np.linalg.qr(np.hstack([B, C]))[0]
-    k = Q.shape[1]
-    core = c * np.eye(k) + (Q.T @ B) @ (C.T @ Q)
+    return Q, c * np.eye(Q.shape[1]) + (Q.T @ B) @ (C.T @ Q)
+
+
+def _svm_cond(c: float, Q: np.ndarray, core: np.ndarray) -> tuple[float, str]:
+    """F's condition number from its core (see `_svm_core`), and "smaller" or
+    "larger": the gamma = 1/c that moves c off the end of F's spectrum it is nearer."""
     sv = np.linalg.svd(core, compute_uv=False)
-    if k < Q.shape[0]:
+    if Q.shape[1] < Q.shape[0]:
         sv = np.append(sv, c)
-    with np.errstate(divide="ignore"):
-        return Q, core, float(sv.max() / sv.min())
+    smin, smax = float(sv.min()), float(sv.max())
+    return smax / smin if smin > 0 else math.inf, "smaller" if c * c <= smin * smax else "larger"
 
 
 def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
@@ -347,16 +351,18 @@ def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
     low-rank core (``_svm_core``), in O(n r^2) for A = L R^T with inner
     dimension r; ``A`` is a D x D array or the pair (L, R).
 
-    The condition number of F is gated at 1e12. The solution is
+    The condition number of F (`_svm_cond`) is gated at 1e12. The solution is
     Q F_Q^-1 Q^T rhs plus the part of rhs outside span(Q) divided by c; that
     part is left out when Q is square, where it is rounding noise times gamma.
     The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`).
     """
     c, B, C, rhs = ls_svm_system(Xs, A, gamma)
-    Q, core, cond = _svm_core(c, B, C)
+    Q, core = _svm_core(c, B, C)
+    cond, toward = _svm_cond(c, Q, core)
     if cond > 1e12:
         raise IllConditionedError(
-            "SVM system is numerically singular; try a larger gamma"
+            f"SVM system is numerically singular at gamma={gamma:g} (condition number "
+            f"{cond:.3g}); try a {toward} gamma"
         )
     z = Q.T @ rhs
     sol = Q @ np.linalg.solve(core, z)

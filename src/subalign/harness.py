@@ -30,7 +30,7 @@ from .datasets import (
     split_label_row,
 )
 from .errors import ConfigurationError, ParseError, ShapeError, SubalignError
-from .quantum_core import ShotPlan
+from .quantum_core import MAX_GROVER_N, ShotPlan
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "SUBALIGN_"
@@ -94,13 +94,11 @@ class ExperimentConfig:
             self.check_quantum_caps(self.dataset.n_s)
 
     def check_quantum_caps(self, n_s: int) -> None:
-        """Reject a quantum NN run over ``qsa.QNN_MAX_SOURCES`` sources; the
-        harness calls it before any work (for CSV inputs, once loaded)."""
-        if self.track not in ("quantum", "both") or self.classifier == "svm":
-            return
-        if n_s > qsa.QNN_MAX_SOURCES:
+        """Reject a quantum NN run over ``MAX_GROVER_N`` sources; the harness
+        calls it before any work (for CSV inputs, once loaded)."""
+        if self.track != "classical" and self.classifier != "svm" and n_s > MAX_GROVER_N:
             raise ConfigurationError(
-                f"quantum caps exceeded: the NN track needs n_s <= {qsa.QNN_MAX_SOURCES}"
+                f"quantum caps exceeded: the NN track needs n_s <= {MAX_GROVER_N}"
             )
 
 
@@ -466,10 +464,13 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 q_pred, records = qsa.q_nn_classify(
                     X_hat_a, ys, q_X_hat_t, plan, ae_bits=config.ae_bits, repeats=config.repeats,
                 )
+                flips = q_pred != nn_pred  # exact mode, unflagged: a search miss or a bug
                 trace.append({
                     "seed": seed, "stage": "q_nn_classify", "m": len(records),
                     "oracle_queries": int(records["oracle_queries"].sum()),
                     "ambiguous": int(records["warning"].sum()),
+                    "flips": int(flips.sum()),
+                    "unflagged_flips": int((flips & ~records["warning"]).sum()),
                 })
                 # exact mode can still disagree when the AE lattice ties two
                 # distances, so allow a couple of flips; sampled mode gets more

@@ -38,7 +38,7 @@ __all__ = [
 # one and the same generator.
 STAGE_KEYS = {
     "nn_distances": (0, 1),  # per target: Hadamard-test overlaps, then AE outcomes
-    "min_find": (1, 0),  # every Durr-Hoyer search of one call
+    "min_find": (1, 0),  # every Durr-Hoyer search of one `q_nn_classify` call
     "svm_decisions": (2, 0),  # the qSVM Hadamard tests of one call
     "swap_test": (3, 0),  # the swap test of the gate-level oracle
 }
@@ -229,9 +229,8 @@ def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np
 @dataclass
 class GroverStats:
     """Outcome of one `grover_min_find` call: ``index`` holds one index per
-    row, ``oracle_queries`` is the total over the call, ``target_queries``
-    holds each row's queries summed over its repeats (so
-    ``oracle_queries == target_queries.sum()``)."""
+    row, ``target_queries`` each row's queries summed over its repeats, and
+    ``oracle_queries`` the total over the call, ``target_queries.sum()``."""
 
     index: np.ndarray
     oracle_queries: int
@@ -277,46 +276,10 @@ def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) 
     np.minimum(misses, span.size - 1, out=misses)
 
 
-def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
-    """Durr-Hoyer quantum minimum finding (simulated with exact Grover
-    success probabilities and instrumented oracle-query counting).
-
-    ``values`` is a (T, N) matrix with one search problem per row. A single
-    search returns its row's argmin with probability >= 1/2 within
-    ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle queries; each row is searched
-    ``repeats`` times and keeps the best index found (the lowest index among
-    equal values).
-
-    The T * repeats searches run from one pool of SEARCH_SLOTS slots,
-    entering it in row order whenever it is half empty; each step is one
-    Grover run of every search in the pool, and finished searches fold into
-    their rows' results at the next refill and at the end. The marked set of
-    a search (every entry strictly below its threshold) is a prefix of its
-    row's stable sort order, so a search is fully described by the pool's
-    five int64 rows: its row, its threshold's sorted position, its marked
-    count, its misses since the last update and its query count. A Grover
-    run's success probability is read from a table of every (marked count,
-    iterations) pair, built once per call: 8 (N + 1) (ceil(sqrt(N)) + 1)
-    bytes, 640 bytes at N = 15 and 2 MiB at MAX_GROVER_N. Beyond ``values``
-    and that table, a call holds each row's int16 sort tables (4 bytes per
-    entry), two int64s per row of results, and a pool-sized working set of
-    a few tens of KiB whatever T and ``repeats`` are: at N = 15 its
-    tracemalloc peak stays below values.nbytes + 128 KiB. Every draw comes
-    from the plan's "min_find" stream, in pool order, so a seed gives the
-    same result every time.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ConfigurationError("values must be a (T, N) matrix")
-    T, N = values.shape
-    if N == 0:
-        raise ConfigurationError("empty input")
-    if N > MAX_GROVER_N:
-        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
-    repeats = max(int(repeats), 1)
-    rng = plan.rng("min_find")
-    budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
-    order, below = _sort_tables(values)
+@functools.lru_cache(maxsize=1)
+def _grover_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """`grover_min_find`'s run-length bounds and hit table for rows of N, 8 (N + 1)
+    (ceil(sqrt(N)) + 1) bytes (2 MiB at MAX_GROVER_N), kept for a blocked caller."""
     # span[k]: the exclusive bound ceil(g) on a run's iterations after k
     # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
     growth = [1.0]
@@ -328,6 +291,45 @@ def grover_min_find(values, plan: ShotPlan, repeats: int = 1) -> GroverStats:
     # 0..ceil(sqrt(N)), the range of floor(u * span) over u in [0, 1]
     angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
     hit = np.sin((2 * np.arange(span[-1] + 1) + 1) * angle[:, None]) ** 2
+    span.flags.writeable = hit.flags.writeable = False
+    return span, hit
+
+
+def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> GroverStats:
+    """Durr-Hoyer quantum minimum finding (simulated with exact Grover
+    success probabilities and instrumented oracle-query counting).
+
+    ``values`` is a (T, N) matrix with one search problem per row. A single
+    search returns its row's argmin with probability >= 1/2 within
+    ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle queries; each row is searched
+    ``repeats`` times and keeps the best index found (the lowest index among
+    equal values). Every draw comes from ``rng``, in pool order.
+
+    The T * repeats searches run from one pool of SEARCH_SLOTS slots,
+    entering it in row order whenever it is half empty; each step is one
+    Grover run of every search in the pool, and finished searches fold into
+    their rows' results at the next refill and at the end. The marked set of
+    a search (every entry strictly below its threshold) is a prefix of its
+    row's stable sort order, so a search is fully described by the pool's
+    five int64 rows: its row, its threshold's sorted position, its marked
+    count, its misses since the last update and its query count. Beyond
+    ``values`` and `_grover_tables`, a call holds each row's int16 sort
+    tables (4 bytes per entry), two int64s per row of results, and a
+    pool-sized working set of a few tens of KiB whatever T and ``repeats``
+    are: at N = 15 its tracemalloc peak stays below values.nbytes + 128 KiB.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ConfigurationError("values must be a (T, N) matrix")
+    T, N = values.shape
+    if N == 0:
+        raise ConfigurationError("empty input")
+    if N > MAX_GROVER_N:
+        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
+    repeats = max(int(repeats), 1)
+    budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
+    order, below = _sort_tables(values)
+    span, hit = _grover_tables(N)
     best = np.full(T, N, dtype=np.int64)
     queries = np.zeros(T, dtype=np.int64)
     # the pool: row, sorted position, marked count, misses, queries

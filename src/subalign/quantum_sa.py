@@ -34,6 +34,7 @@ from .classical_sa import (
 from .datasets import Domain
 from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
 from .quantum_core import (
+    SEARCH_SLOTS,
     ShotPlan,
     _fejer,
     amplitude_estimation,
@@ -54,11 +55,6 @@ __all__ = [
     "overlap_angle",
 ]
 
-# bounds what the quantum NN holds per target: 8 bytes per source in the
-# dense (n_t, n_s) estimate matrix of `_ae_distances` and 4 in the int16
-# sort tables of the Durr-Hoyer search. The readout's temporaries are
-# O(n_s * block) whatever n_t is
-QNN_MAX_SOURCES = 64
 # postselection below this probability keeps only rounding noise
 POSTSELECTION_FLOOR = 1e-6
 # the inversion keeps singular values down to sigma_max / QSVM_KAPPA_MAX
@@ -224,39 +220,34 @@ def matrix_product_state(
 # quantum nearest neighbor
 
 
-def _ae_distances(
-    X_hat_a: np.ndarray, X_hat_t: np.ndarray, plan: ShotPlan, ae_bits: int
-) -> np.ndarray:
-    """AE estimates of every target-source distance, (n_t, n_s).
+def _unit_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's unit columns and its column norms. A zero vector has no state; its
+    unit column of zeros gives overlap 0, leaving the distance at tn^2 + sn^2."""
+    norms = np.linalg.norm(X, axis=0)
+    return X / np.where(norms > 0, norms, 1.0), norms
 
-    Distances are built from Hadamard-test overlaps of the unit columns and
-    the stored vector norms, then pushed through the amplitude-estimation
-    lattice, normalized by each target's largest distance. The estimates
-    are written in place, one block of targets at a time, through one
-    (block, n_s) scratch buffer: in exact mode a block holds
-    max(1, NN_BLOCK_ELEMENTS // n_s) targets, the budget of `nn_classify`;
-    in sampled mode it holds one target j, which draws its overlaps and
-    then its AE outcomes from its own stream, ``plan.rng("nn_distances",
-    j)``. Each entry goes through the same elementwise operations whatever
-    the block size, so the blocking changes no bit.
-    """
-    src_norms = np.linalg.norm(X_hat_a, axis=0)
-    tgt_norms = np.linalg.norm(X_hat_t, axis=0)
-    # a zero vector has no state; its unit column of zeros gives overlap 0,
-    # which leaves the distance at tn^2 + sn^2
-    src_unit = X_hat_a / np.where(src_norms > 0, src_norms, 1.0)
-    tgt_unit = X_hat_t / np.where(tgt_norms > 0, tgt_norms, 1.0)
+
+def _ae_distances(
+    source: tuple, X_hat_t: np.ndarray, plan: ShotPlan, ae_bits: int, first: int = 0
+) -> np.ndarray:
+    """AE estimates of the distances from a block of m targets, the first
+    with global index ``first``, to the sources (``_unit_columns`` of X_hat_a),
+    (m, n_s): Hadamard-test overlaps and the norms give the distances, read
+    out on the AE lattice normalized by each target's largest. In sampled
+    mode target j draws its overlaps, then its AE outcomes, from its own
+    stream ``plan.rng("nn_distances", j)``. A target's estimates do not
+    depend on its block unless it is alone in it (BLAS takes another kernel
+    for one row)."""
+    (src_unit, src_norms), (tgt_unit, tgt_norms) = source, _unit_columns(X_hat_t)
     n_t, n_s = tgt_unit.shape[1], src_unit.shape[1]
-    # one GEMM for every pair: BLAS picks its kernel by the row count, so a
-    # product per block can differ from it in the last bit
     est = np.matmul(tgt_unit.T, src_unit)
     src_sq = src_norms**2
-    step = max(1, NN_BLOCK_ELEMENTS // max(n_s, 1)) if plan.exact else 1
+    step = max(n_t, 1) if plan.exact else 1
     scratch = np.empty((min(step, n_t), n_s))
     for lo in range(0, n_t, step):
         out = est[lo : lo + step]
         buf = scratch[: out.shape[0]]
-        rng = None if plan.exact else plan.rng("nn_distances", lo)
+        rng = None if plan.exact else plan.rng("nn_distances", first + lo)
         ov = signed_overlap(out, plan.shots, rng)
         tn = tgt_norms[lo : lo + step, None]
         # (tn^2 + sn^2) - ((2 tn) sn) ov, clamped at 0, in that order
@@ -273,38 +264,37 @@ def _ae_distances(
 
 
 def q_nn_classify(
-    X_hat_a: np.ndarray,
-    labels: np.ndarray,
-    X_hat_t: np.ndarray,
-    plan: ShotPlan,
-    ae_bits: int = 7,
-    repeats: int = 15,
+    X_hat_a: np.ndarray, labels: np.ndarray, X_hat_t: np.ndarray, plan: ShotPlan,
+    ae_bits: int = 7, repeats: int = 15,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label each target point by its nearest aligned source point.
 
-    Every target-source distance is estimated by Hadamard tests and
-    amplitude estimation (``_ae_distances``), and one Durr-Hoyer call finds
-    every target's minimum, all searches from one pool. Returns the labels
-    and a structured array with one record per target: ``nearest``, the
-    source index the search kept; ``oracle_queries``, summed over its
-    searches; and ``warning``, set when the estimated minimum is shared by
-    sources of more than one label (ambiguous at AE resolution). No
-    reference to the (n_t, n_s) estimates outlives the call. The inputs are
-    checked as `nn_classify` checks them.
-    """
+    The targets go in blocks of B = max(NN_BLOCK_ELEMENTS // n_s, ceil(SEARCH_SLOTS /
+    repeats)), a last block of one joining the one before; each block gets its AE
+    distance estimates (``_ae_distances``) and one Durr-Hoyer call, all drawing from
+    one "min_find" stream. Returns the labels and one record per target: ``nearest``,
+    the source index the search kept; ``oracle_queries``, summed over its searches;
+    and ``warning``, set when sources of more than one label share the estimated
+    minimum. Inputs are checked as in `nn_classify`."""
     X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
-    if X_hat_a.shape[1] > QNN_MAX_SOURCES:
-        raise ConfigurationError(f"quantum NN capped at n_s <= {QNN_MAX_SOURCES}")
-    est = _ae_distances(X_hat_a, X_hat_t, plan, ae_bits)
-    stats = grover_min_find(est, plan, repeats=repeats)
-    at_min = est == est.min(axis=1, keepdims=True)
-    first_label = labels[np.argmax(at_min, axis=1)]
+    n_s, n_t = X_hat_a.shape[1], X_hat_t.shape[1]
+    step = max(NN_BLOCK_ELEMENTS // n_s, -(-SEARCH_SLOTS // max(repeats, 1)))
+    edges = list(range(0, n_t - (n_t > 1 and n_t % step == 1), step))
+    rng, source = plan.rng("min_find"), _unit_columns(X_hat_a)
+    columns = []  # per block: nearest, oracle queries, warning
+    for lo, hi in zip(edges, edges[1:] + [n_t]):
+        est = _ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo)
+        stats = grover_min_find(est, rng, repeats)
+        at_min = est == est.min(axis=1, keepdims=True)
+        first_label = labels[np.argmax(at_min, axis=1)]
+        warning = np.any(at_min & (labels != first_label[:, None]), axis=1)
+        columns.append((stats.index, stats.target_queries, warning))
+        del est, at_min  # before the next block's are made
     fields = [("nearest", np.int64), ("oracle_queries", np.int64), ("warning", bool)]
-    records = np.empty(est.shape[0], fields)
-    records["nearest"] = stats.index
-    records["oracle_queries"] = stats.target_queries
-    records["warning"] = np.any(at_min & (labels != first_label[:, None]), axis=1)
-    return labels[stats.index], records
+    records = np.empty(n_t, fields)
+    for (name, _), column in zip(fields, zip(*columns)):
+        records[name] = np.concatenate(column)
+    return labels[records["nearest"]], records
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ def q_svm_train(
     read back to (b, alpha), with w folded as `svm_train` folds it.
     """
     c, B, C, rhs = ls_svm_system(Xs, A, gamma)
-    Q, core, _ = _svm_core(c, B, C)
+    Q, core = _svm_core(c, B, C)
     U, s, Wt = np.linalg.svd(core)
     complement = Q.shape[1] < Q.shape[0]
     sigma = np.append(s, c) if complement else s

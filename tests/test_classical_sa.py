@@ -413,9 +413,10 @@ class TestSvm:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(F))
 
     def test_core_matches_dense_system(self):
-        """The condition number from the core equals that of the dense F and
-        the factored solve leaves a backward-stable residual, over random
-        systems with Q both square (n + 1 <= 2 (D + 3)) and not."""
+        """`_svm_cond`, the core's singular values with c added off span(Q),
+        gives the condition number of the dense F, on which `svm_train`
+        gates, and the factored solve leaves a backward-stable residual,
+        over random systems with Q both square (n + 1 <= 2 (D + 3)) and not."""
         rng = np.random.default_rng(21)
         eps = np.finfo(float).eps
         square = raised = 0
@@ -426,7 +427,8 @@ class TestSvm:
             A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
             c, B, C, rhs = csa.ls_svm_system(dom, A, gamma)
             F = c * np.eye(n + 1) + B @ C.T
-            Q, _, cond = csa._svm_core(c, B, C)
+            Q, core = csa._svm_core(c, B, C)
+            cond, _ = csa._svm_cond(c, Q, core)
             square += Q.shape[1] == n + 1
             dense = np.linalg.cond(F)
             # the dense SVD itself finds sigma_min of F only to about

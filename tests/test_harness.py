@@ -26,6 +26,7 @@ from subalign.datasets import (
 )
 from subalign.errors import ConfigurationError, ParseError, SubalignError
 from subalign.harness import RunReport, compare_tracks, parse_config_text, run
+from subalign.quantum_core import MAX_GROVER_N
 
 
 # the small sampled-mode config the trace and svm_labels tests run
@@ -155,6 +156,33 @@ class TestRun:
         assert svm["N_x"] == model.N_x > 0
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
+        assert 0 <= nn["unflagged_flips"] <= nn["flips"] <= 20
+
+    @pytest.mark.parametrize("shape, seeds", [
+        ("dataset.D = 16\ndataset.n_s = 15\ndataset.n_t = 200\nd = 4\n", range(12)),
+        ("dataset.D = 64\ndataset.n_s = 60\ndataset.n_t = 3000\nd = 4\n", range(3)),
+    ], ids=["quantum-caps", "D64-blocks"])
+    def test_every_exact_flip_is_flagged(self, tmp_path, shape, seeds):
+        """In exact mode a quantum NN label differs from the classical one
+        where the AE lattice tied sources of different labels, which flags
+        it, or where a Durr-Hoyer search missed the minimum (at most
+        2^-repeats per target), which does not. These seeds are pinned ones
+        on which no search misses, so an unflagged flip here is a bug. The
+        flips match the nn_labels parity row. At D=64 the 3000 targets go in
+        6 blocks of 546."""
+        cfg = parse_config_text(
+            shape + f"seeds = {','.join(map(str, seeds))}\ntrack = both\nclassifier = nn\n"
+            f"output_dir = {tmp_path}\n"
+        )
+        parity = {row["quantity"]: row for row in run(cfg).parity}
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        rows = [row for row in rows if row["stage"] == "q_nn_classify"]
+        assert [row["seed"] for row in rows] == list(seeds)
+        for row in rows:
+            agree = parity[f"seed{row['seed']}.nn_labels"]["quantum"]
+            assert row["flips"] == round((1 - agree) * row["m"])
+            assert row["unflagged_flips"] == 0
+        assert sum(row["flips"] for row in rows) > 0
 
     def test_trace_registers_follow_array_shapes(self, tmp_path):
         run(parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n"))
@@ -234,18 +262,19 @@ class TestRun:
         assert a_row["tolerance"] == 2.0**-7 * 3 * max(1.0, a_row["classical"])
 
     def test_quantum_cap_error(self, tmp_path):
+        """The one limit left on the quantum NN is the search's own."""
         cfg = _config(tmp_path, "track = both\n")
-        cfg.dataset = harness.SynthSpec(D=3, n_s=qsa.QNN_MAX_SOURCES + 1, n_t=6)
-        with pytest.raises(ConfigurationError, match="caps exceeded"):
+        cfg.dataset = harness.SynthSpec(D=3, n_s=MAX_GROVER_N + 1, n_t=6)
+        with pytest.raises(ConfigurationError, match=f"caps exceeded.*n_s <= {MAX_GROVER_N}"):
             run(cfg)
 
     def test_quantum_caps_checked_before_any_work(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(harness.csa, "pca_subspace", lambda *args: calls.append(args))
         with pytest.raises(ConfigurationError, match="caps exceeded"):
-            run(_config(tmp_path, "track = both\ndataset.n_s = 65\n"))
+            run(_config(tmp_path, f"track = both\ndataset.n_s = {MAX_GROVER_N + 1}\n"))
         # CSV inputs are checked as soon as they are loaded
-        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=65, n_t=6))
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=MAX_GROVER_N + 1, n_t=6))
         for name, dom in (("s.csv", source), ("t.csv", target)):
             save_csv(dom, str(tmp_path / name))
         cfg = _config(
@@ -260,11 +289,12 @@ class TestRun:
     @pytest.mark.parametrize("shape, classifier", [
         ("dataset.D = 256\ndataset.n_s = 2000\ndataset.n_t = 300\nd = 8\n", "svm"),
         ("dataset.D = 64\ndataset.n_s = 64\ndataset.n_t = 100\nd = 12\n", "nn"),
-    ], ids=["D256-svm", "D64-nn"])
+        ("dataset.D = 16\ndataset.n_s = 300\ndataset.n_t = 400\nd = 4\n", "nn"),
+    ], ids=["D256-svm", "D64-nn", "ns300-nn"])
     def test_runs_above_the_old_register_caps(self, tmp_path, shape, classifier):
         """The quantum track runs past the old qPCA (D <= 16), qSVM
-        (n_s <= 15) and quantum-NN (d <= 8) register caps; the alignment
-        rows pass. The label rows are data here."""
+        (n_s <= 15) and quantum-NN (d <= 8, n_s <= 64) register caps; the
+        alignment rows pass. The label rows are data here."""
         cfg = parse_config_text(
             shape + f"seeds = 0,1,2\ntrack = both\nclassifier = {classifier}\n"
             f"output_dir = {tmp_path}\n"
@@ -746,6 +776,19 @@ class TestCli:
         rc = cli.main(["run", "--set", "d=abc", "--set", f"output_dir={tmp_path}"])
         assert rc == 2
         assert capsys.readouterr().err == "error: d: malformed value 'abc'\n"
+
+    @pytest.mark.parametrize("gamma, advice", [("1e20", "smaller"), ("1e-20", "larger")])
+    def test_singular_svm_advice_points_the_right_way(self, tmp_path, capsys, gamma, advice):
+        """A huge gamma makes c = 1/gamma vanish next to the kernel block,
+        a tiny one makes the bordered corner's 1/c vanish: the error names
+        gamma and the condition number, and points away from the end that
+        made the system singular. Both once read "try a larger gamma"."""
+        rc = cli.main(["run", "--set", "classifier=svm", "--set", f"gamma={gamma}",
+                       "--set", f"output_dir={tmp_path}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"gamma={float(gamma):g}" in err and "condition number" in err
+        assert err.rstrip().endswith(f"try a {advice} gamma")
 
     @staticmethod
     def _write_rows(path, rows):

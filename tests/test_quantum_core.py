@@ -406,13 +406,13 @@ class TestEngineAgainstGateOracle:
 
 class TestGroverMinFind:
     def test_singleton(self):
-        assert grover_min_find([[5.0]], EXACT).index[0] == 0
+        assert grover_min_find([[5.0]], EXACT.rng("min_find")).index[0] == 0
 
     def test_single_run_success_rate(self):
         hits = 0
         for seed in range(400):
             plan = ShotPlan(seed=seed, mode="sampled")
-            hits += grover_min_find([[3.0, 1.0, 2.0]], plan).index[0] == 1
+            hits += grover_min_find([[3.0, 1.0, 2.0]], plan.rng("min_find")).index[0] == 1
         assert hits / 400 >= 0.5
 
     def test_repeats_find_argmin_with_bounded_queries(self):
@@ -421,17 +421,23 @@ class TestGroverMinFind:
         for trial in range(100):
             values = rng.standard_normal(64)
             plan = ShotPlan(seed=trial, mode="sampled")
-            stats = grover_min_find(values[None], plan, repeats=20)
+            stats = grover_min_find(values[None], plan.rng("min_find"), repeats=20)
             assert stats.index[0] == int(np.argmin(values))
             assert stats.oracle_queries <= 20 * budget
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
-            grover_min_find([[]], EXACT)
+            grover_min_find([[]], EXACT.rng("min_find"))
 
     def test_vector_rejected(self):
         with pytest.raises(ConfigurationError, match=r"\(T, N\) matrix"):
-            grover_min_find([3.0, 1.0, 2.0], EXACT)
+            grover_min_find([3.0, 1.0, 2.0], EXACT.rng("min_find"))
+
+
+def _min_find_rng(seed):
+    """The generator `q_nn_classify` hands its searches under a plan of
+    this seed."""
+    return ShotPlan(seed=seed).rng("min_find")
 
 
 def _budget(N):
@@ -457,7 +463,7 @@ class TestLockstepMinFind:
         """
         n = 10_000
         rows = np.random.default_rng(N).standard_normal((n, N))
-        stats = grover_min_find(rows, ShotPlan(seed=1, mode="sampled"))
+        stats = grover_min_find(rows, _min_find_rng(1))
         engine = stats.target_queries
         rng = np.random.default_rng(2)
         oracle = np.array([_durr_hoyer_once(row, rng)[1] for row in rows])
@@ -476,16 +482,16 @@ class TestLockstepMinFind:
         T = 8 * SEARCH_SLOTS // repeats + 7
         assert T * repeats >= 8 * SEARCH_SLOTS
         rows = np.random.default_rng(12).standard_normal((T, N))
-        stats = grover_min_find(rows, ShotPlan(seed=3, mode="sampled"), repeats)
+        stats = grover_min_find(rows, _min_find_rng(3), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert isinstance(stats.oracle_queries, int)
         assert stats.oracle_queries == int(stats.target_queries.sum())
         assert stats.target_queries.shape == (T,)
         assert stats.target_queries.max() <= repeats * _budget(N)
-        again = grover_min_find(rows, ShotPlan(seed=3, mode="sampled"), repeats)
+        again = grover_min_find(rows, _min_find_rng(3), repeats)
         for field in ("index", "oracle_queries", "target_queries"):
             assert np.array_equal(getattr(again, field), getattr(stats, field))
-        other = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats)
+        other = grover_min_find(rows, _min_find_rng(4), repeats)
         assert not np.array_equal(other.target_queries, stats.target_queries)
 
     @pytest.mark.parametrize("T", [200, 2_000, 10_000])
@@ -494,10 +500,10 @@ class TestLockstepMinFind:
         a fixed few tens of KiB: holding all T * repeats searches at once
         would need 48 bytes per search, 7 MiB at T = 10^4."""
         values = np.random.default_rng(T).standard_normal((T, 15))
-        plan = ShotPlan(seed=0, mode="sampled")
+        rng = _min_find_rng(0)
         tracemalloc.start()
         try:
-            grover_min_find(values, plan, repeats=15)
+            grover_min_find(values, rng, repeats=15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -514,7 +520,7 @@ class TestLockstepMinFind:
         """Two fixed searches with their outcomes pinned: a change in the
         number or order of the draws shows here."""
         rows = np.random.default_rng(N).standard_normal((8, N))
-        stats = grover_min_find(rows, ShotPlan(seed=seed, mode="sampled"), repeats)
+        stats = grover_min_find(rows, _min_find_rng(seed), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert stats.oracle_queries == queries
         assert stats.target_queries.tolist() == target_queries
@@ -527,7 +533,7 @@ class TestLockstepMinFind:
         rng = np.random.default_rng(15)
         means = []
         for N in sizes:
-            stats = grover_min_find(rng.random((64, N)), ShotPlan(seed=N, mode="sampled"))
+            stats = grover_min_find(rng.random((64, N)), _min_find_rng(N))
             means.append(stats.target_queries.mean())
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
         assert abs(slope - 0.5) <= 0.1
@@ -538,10 +544,18 @@ class TestLockstepMinFind:
         for row in rows:
             first, second = np.sort(rng.choice(15, size=2, replace=False))
             row[first] = row[second] = row.min() - 1.0
-        index = grover_min_find(rows, ShotPlan(seed=4, mode="sampled"), repeats=15).index
+        index = grover_min_find(rows, _min_find_rng(4), repeats=15).index
         assert np.array_equal(index, np.argmin(rows, axis=1))
 
-    def test_budget_holds_when_no_run_hits(self, monkeypatch):
+    def test_hit_table_is_shared_and_read_only(self):
+        """The blocks of one quantum NN call share one hit table per N (2 MiB
+        of sines at MAX_GROVER_N), so no caller may write to it."""
+        span, hit = quantum_core._grover_tables(15)
+        assert quantum_core._grover_tables(15)[1] is hit and hit.shape == (16, span[-1] + 1)
+        with pytest.raises(ValueError):
+            hit[0, 0] = 1.0
+
+    def test_budget_holds_when_no_run_hits(self):
         """With every hit test failing, each search runs until its budget is
         spent; its last Grover run is cut so it never exceeds the budget."""
 
@@ -555,11 +569,9 @@ class TestLockstepMinFind:
             def random(self, size=None):
                 return np.ones(size)
 
-        real = ShotPlan.rng
-        monkeypatch.setattr(ShotPlan, "rng", lambda self, *key: NeverHits(real(self, *key)))
         N = 64
         rows = np.random.default_rng(14).standard_normal((300, N))
-        stats = grover_min_find(rows, ShotPlan(seed=5, mode="sampled"))
+        stats = grover_min_find(rows, NeverHits(_min_find_rng(5)))
         assert set(np.unique(stats.target_queries)) == {0, _budget(N)}
 
 

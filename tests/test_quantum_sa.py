@@ -438,9 +438,10 @@ class TestQuantumNn:
         X_hat_a = np.tile([[1.0], [0.5]], (1, 40))
         X_hat_t = np.array([[0.3], [0.4]])
         plan = ShotPlan(shots=64, seed=3, mode="sampled")
-        est = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        source = qsa._unit_columns(X_hat_a)
+        est = qsa._ae_distances(source, X_hat_t, plan, 7)
         assert np.unique(est[0]).size > 1
-        assert np.array_equal(est, qsa._ae_distances(X_hat_a, X_hat_t, plan, 7))
+        assert np.array_equal(est, qsa._ae_distances(source, X_hat_t, plan, 7))
 
     @pytest.mark.parametrize("labels, targets, message", [
         (np.arange(9), np.ones((3, 2)), "9 labels for 6 training points"),
@@ -456,36 +457,61 @@ class TestQuantumNn:
             with pytest.raises(ShapeError, match=message):
                 classify(sources, labels, targets)
 
-    def test_register_budget(self):
-        with pytest.raises(ConfigurationError, match="n_s <= 64"):
-            qsa.q_nn_classify(np.ones((2, 65)), np.arange(65), np.ones((2, 2)), EXACT)
+    def test_runs_above_the_old_source_cap(self):
+        """n_s = 65 classifies: there is no register cap below the search's
+        own MAX_GROVER_N. In exact mode a label differs from the classical
+        NN only where the AE lattice tied sources of different labels."""
+        rng = np.random.default_rng(26)
+        X_hat_a = rng.standard_normal((3, 65))
+        labels = rng.integers(0, 2, 65)
+        X_hat_t = rng.standard_normal((3, 40))
+        pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+        assert len(records) == 40 and np.all(records["nearest"] < 65)
+        classical = csa.nn_classify(X_hat_a, labels, X_hat_t)
+        assert np.all((pred == classical) | records["warning"])
 
-    @pytest.mark.parametrize("step, n_t", [(7, 22), (7, 26), (1, 22)])
+    @pytest.mark.parametrize("step, n_t, sizes", [
+        (7, 22, [7, 7, 8]), (7, 26, [7, 7, 7, 5]), (35, 71, [35, 36]),
+    ], ids=["7-22", "7-26", "35-71"])
     @pytest.mark.parametrize("plan", [EXACT, ShotPlan(shots=64, seed=5, mode="sampled")])
-    def test_blocks_change_no_bit(self, monkeypatch, plan, step, n_t):
-        """Blocks of ``step`` targets (at 7, the last holds 1 or 5) give
-        exactly the estimates of one block. A 1-row block is where a
-        per-block GEMM would take another BLAS kernel."""
+    def test_blocks_change_no_bit(self, monkeypatch, plan, step, n_t, sizes):
+        """`q_nn_classify` searches blocks of ``step`` targets, and a last
+        block of one target joins the one before it (22 = 7 + 7 + 8). Each
+        block's estimates are bit for bit the rows that one `_ae_distances`
+        call over every target gives. A 1-row block is where a per-block
+        GEMM would take another BLAS kernel."""
         rng = np.random.default_rng(31)
         X_hat_a = rng.standard_normal((8, 15))
         X_hat_a[:, 3] = 0.0
         X_hat_t = rng.standard_normal((8, n_t))
-        assert csa.NN_BLOCK_ELEMENTS // 15 >= n_t
-        whole = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
+        whole = qsa._ae_distances(qsa._unit_columns(X_hat_a), X_hat_t, plan, 7)
+        # B = max(NN_BLOCK_ELEMENTS // n_s, ceil(SEARCH_SLOTS / repeats)) = step
         monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", step * 15)
-        blocked = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
-        assert np.array_equal(blocked, whole)
+        monkeypatch.setattr(qsa, "SEARCH_SLOTS", step * 15)
+        blocks = []
+
+        def search(values, rng, repeats):
+            blocks.append(values.copy())
+            return grover_min_find(values, rng, repeats)
+
+        monkeypatch.setattr(qsa, "grover_min_find", search)
+        qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, plan, repeats=15)
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.vstack(blocks), whole)
 
     def test_peak_memory_follows_block_layout(self):
-        """At n_s = 64, n_t = 4096, d = 8 (exact plan) the peak stays within
-        what the layout holds, summed as if every stage's data were alive at
-        once: the (n_t, n_s) estimates (8 bytes per pair) and the int16 sort
-        tables (4); the returned per-target records; the unit copies and
-        norms of both inputs, 8 (d + 1) bytes per point; five 8-byte arrays
-        of NN_BLOCK_ELEMENTS entries per block
-        (the scratch buffer and the AE readout's range masks, clip, indices
-        and result); eight int64 search results per target; and the 128 KiB
-        that `grover_min_find` allows its pool."""
+        """At n_s = 64, n_t = 4096, d = 8 (exact plan) the targets go in 8
+        blocks of B = NN_BLOCK_ELEMENTS // n_s = 512, and the peak stays
+        within what one block's layout holds, summed as if every stage's
+        data were alive at once: the block's (B, n_s) estimates (8 bytes per
+        pair), int16 sort tables (4) and tie mask (1); five 8-byte arrays of
+        the block (the scratch buffer and the AE readout's range masks,
+        clip, indices and result); the unit copies and norms of the sources
+        and of the block's targets, 8 (d + 1) bytes per point; eight int64
+        search results per block target; the 128 KiB that `grover_min_find`
+        allows its pool; and per target, the returned records and the block
+        columns they are built from, 17 bytes each, twice. Holding every
+        target's estimates and sort tables, 12 n_s n_t bytes, exceeds it."""
         rng = np.random.default_rng(27)
         d, n_s, n_t = 8, 64, 4096
         X_hat_a = rng.standard_normal((d, n_s))
@@ -497,15 +523,16 @@ class TestQuantumNn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        B = csa.NN_BLOCK_ELEMENTS // n_s
         bound = (
-            12 * n_s * n_t
-            + records.nbytes
-            + 8 * (d + 1) * (n_s + n_t)
-            + 5 * 8 * csa.NN_BLOCK_ELEMENTS
-            + 8 * 8 * n_t
+            13 * n_s * B
+            + 5 * 8 * n_s * B
+            + 8 * (d + 1) * (n_s + B)
+            + 8 * 8 * B
             + 128 * 1024
+            + 2 * 2 * records.nbytes
         )
-        assert peak <= bound
+        assert peak <= bound < 12 * n_s * n_t
 
     def test_estimates_die_with_the_call(self):
         """Same layout: while the caller holds the labels and the records,
@@ -536,8 +563,8 @@ class TestQuantumNn:
         labels = rng.integers(0, 3, 12)
         X_hat_t = rng.integers(-2, 3, (2, 40)).astype(float)
         pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, plan)
-        est = qsa._ae_distances(X_hat_a, X_hat_t, plan, 7)
-        stats = grover_min_find(est, plan, repeats=15)
+        est = qsa._ae_distances(qsa._unit_columns(X_hat_a), X_hat_t, plan, 7)
+        stats = grover_min_find(est, plan.rng("min_find"), repeats=15)
         assert records.dtype.names == ("nearest", "oracle_queries", "warning")
         assert np.array_equal(records["nearest"], stats.index)
         assert np.array_equal(records["oracle_queries"], stats.target_queries)
