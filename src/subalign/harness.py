@@ -86,12 +86,16 @@ class ExperimentConfig:
         if self.dataset is None and (self.source_csv is None or self.target_csv is None):
             raise ConfigurationError("dataset: need a synth spec or both CSV paths")
         if self.dataset is not None:
-            self.dataset.validate()
-            if self.d > self.dataset.D:
+            ds = self.dataset
+            ds.validate()
+            if self.d > min(ds.D, ds.n_s, ds.n_t):
                 raise ConfigurationError(
-                    f"d: {self.d} exceeds the feature dimension D={self.dataset.D}"
+                    f"d: {self.d} exceeds the feature dimension D={ds.D} or a sample "
+                    f"count (n_s={ds.n_s}, n_t={ds.n_t})"
                 )
-            self.check_quantum_caps(self.dataset.n_s)
+            if self.classifier != "nn" and ds.class_count != 2:
+                raise ConfigurationError("classifier: the SVM needs dataset.classes = 2")
+            self.check_quantum_caps(ds.n_s)
 
     def check_quantum_caps(self, n_s: int) -> None:
         """Reject a quantum NN run over ``MAX_GROVER_N`` sources; the harness
@@ -245,6 +249,8 @@ def _load_domains(config: ExperimentConfig, seed: int):
             f"{config.source_csv}: the source needs labels; set dataset.label_column"
         )
     config.check_quantum_caps(source.n)
+    if config.classifier != "nn" and not np.all(np.abs(source.labels) == 1):
+        raise ConfigurationError(f"{config.source_csv}: the SVM needs labels in {{-1, +1}}")
     dim = source.dim
     yield source
     del source

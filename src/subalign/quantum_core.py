@@ -80,7 +80,10 @@ class ShotPlan:
 # spectral engine
 
 MAX_AE_QUBITS = 10
-MAX_GROVER_N = 2**12
+# entries per Durr-Hoyer row: the int16 range of `_sort_tables`. The Grover hit
+# table, built per call, takes 8 (N + 1)(ceil(sqrt(N)) + 1) bytes: 2.03 MiB at
+# N = 4096, 5.75 MiB at 8192 and 45.75 MiB at this limit
+MAX_GROVER_N = np.iinfo(np.int16).max
 # twice the entries per block of a sampled amplitude-estimation readout,
 # however many a call has: it builds each entry's full 2^m-outcome
 # distribution, a peak of about 6 MiB per block at m = 10 (128 x 1024 floats
@@ -276,10 +279,11 @@ def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) 
     np.minimum(misses, span.size - 1, out=misses)
 
 
-@functools.lru_cache(maxsize=1)
 def _grover_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     """`grover_min_find`'s run-length bounds and hit table for rows of N, 8 (N + 1)
-    (ceil(sqrt(N)) + 1) bytes (2 MiB at MAX_GROVER_N), kept for a blocked caller."""
+    (ceil(sqrt(N)) + 1) bytes; a blocked caller builds them once per call."""
+    if N > MAX_GROVER_N:  # every search builds these tables before its sort tables
+        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
     # span[k]: the exclusive bound ceil(g) on a run's iterations after k
     # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
     growth = [1.0]
@@ -290,12 +294,14 @@ def _grover_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     # one, sin^2((2j + 1) theta_c) with sin^2(theta_c) = c / N, for j =
     # 0..ceil(sqrt(N)), the range of floor(u * span) over u in [0, 1]
     angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
-    hit = np.sin((2 * np.arange(span[-1] + 1) + 1) * angle[:, None]) ** 2
-    span.flags.writeable = hit.flags.writeable = False
+    hit = (2 * np.arange(span[-1] + 1) + 1) * angle[:, None]
+    np.square(np.sin(hit, out=hit), out=hit)  # in place: one table alive, not two
     return span, hit
 
 
-def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> GroverStats:
+def grover_min_find(
+    values, rng: np.random.Generator, repeats: int = 1, *, tables=None
+) -> GroverStats:
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
@@ -313,10 +319,11 @@ def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> Grove
     row's stable sort order, so a search is fully described by the pool's
     five int64 rows: its row, its threshold's sorted position, its marked
     count, its misses since the last update and its query count. Beyond
-    ``values`` and `_grover_tables`, a call holds each row's int16 sort
-    tables (4 bytes per entry), two int64s per row of results, and a
-    pool-sized working set of a few tens of KiB whatever T and ``repeats``
-    are: at N = 15 its tracemalloc peak stays below values.nbytes + 128 KiB.
+    ``values`` and ``tables`` (`_grover_tables(N)`, passed by a blocked
+    caller or built here), a call holds each row's int16 sort tables (4
+    bytes per entry), two int64s per row of results, and a pool-sized
+    working set of a few tens of KiB whatever T and ``repeats`` are: at
+    N = 15 its tracemalloc peak stays below values.nbytes + 128 KiB.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -324,12 +331,10 @@ def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> Grove
     T, N = values.shape
     if N == 0:
         raise ConfigurationError("empty input")
-    if N > MAX_GROVER_N:
-        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
+    span, hit = _grover_tables(N) if tables is None else tables
     repeats = max(int(repeats), 1)
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
     order, below = _sort_tables(values)
-    span, hit = _grover_tables(N)
     best = np.full(T, N, dtype=np.int64)
     queries = np.zeros(T, dtype=np.int64)
     # the pool: row, sorted position, marked count, misses, queries

@@ -37,6 +37,7 @@ from .quantum_core import (
     SEARCH_SLOTS,
     ShotPlan,
     _fejer,
+    _grover_tables,
     amplitude_estimation,
     grover_min_find,
     pe_readout,
@@ -272,19 +273,20 @@ def q_nn_classify(
     The targets go in blocks of B = max(NN_BLOCK_ELEMENTS // n_s, ceil(SEARCH_SLOTS /
     repeats)), a last block of one joining the one before; each block gets its AE
     distance estimates (``_ae_distances``) and one Durr-Hoyer call, all drawing from
-    one "min_find" stream. Returns the labels and one record per target: ``nearest``,
-    the source index the search kept; ``oracle_queries``, summed over its searches;
-    and ``warning``, set when sources of more than one label share the estimated
-    minimum. Inputs are checked as in `nn_classify`."""
+    one "min_find" stream and one `_grover_tables` per call. Returns the labels and one
+    record per target: ``nearest``, the source index the search kept; ``oracle_queries``,
+    summed over its searches; and ``warning``, set when sources of more than one label
+    share the estimated minimum. Inputs are checked as in `nn_classify`."""
     X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
     n_s, n_t = X_hat_a.shape[1], X_hat_t.shape[1]
     step = max(NN_BLOCK_ELEMENTS // n_s, -(-SEARCH_SLOTS // max(repeats, 1)))
     edges = list(range(0, n_t - (n_t > 1 and n_t % step == 1), step))
     rng, source = plan.rng("min_find"), _unit_columns(X_hat_a)
+    tables = _grover_tables(n_s)  # shared by every block, freed with the call
     columns = []  # per block: nearest, oracle queries, warning
     for lo, hi in zip(edges, edges[1:] + [n_t]):
         est = _ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo)
-        stats = grover_min_find(est, rng, repeats)
+        stats = grover_min_find(est, rng, repeats, tables=tables)
         at_min = est == est.min(axis=1, keepdims=True)
         first_label = labels[np.argmax(at_min, axis=1)]
         warning = np.any(at_min & (labels != first_label[:, None]), axis=1)

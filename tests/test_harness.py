@@ -83,6 +83,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="d:"):
             parse_config_text("dataset.D = 2\nd = 3")
 
+    @pytest.mark.parametrize("counts", ["dataset.n_s = 3", "dataset.n_t = 3"])
+    def test_d_exceeding_a_sample_count(self, counts):
+        """PCA keeps at most min(D, n) directions, so d = 4 with three
+        samples of a domain is rejected here, not after that domain's pass."""
+        with pytest.raises(ConfigurationError, match="^d: 4 exceeds"):
+            parse_config_text(f"dataset.D = 8\n{counts}\nd = 4", environ={})
+
+    @pytest.mark.parametrize("classifier", ["svm", "both"])
+    def test_svm_needs_two_classes(self, classifier):
+        """The LS-SVM takes labels in {-1, +1}, which only the two-class draw
+        gives; the NN takes any class count."""
+        text = "dataset.classes = 3\n"
+        with pytest.raises(ConfigurationError, match="needs dataset.classes = 2"):
+            parse_config_text(text + f"classifier = {classifier}\n", environ={})
+        assert parse_config_text(text + "classifier = nn\n", environ={}).dataset.class_count == 3
+
     def test_bool_values(self):
         cfg = parse_config_text("quantum.exact_theta = false")
         assert cfg.exact_theta is False
@@ -161,7 +177,8 @@ class TestRun:
     @pytest.mark.parametrize("shape, seeds", [
         ("dataset.D = 16\ndataset.n_s = 15\ndataset.n_t = 200\nd = 4\n", range(12)),
         ("dataset.D = 64\ndataset.n_s = 60\ndataset.n_t = 3000\nd = 4\n", range(3)),
-    ], ids=["quantum-caps", "D64-blocks"])
+        ("dataset.D = 4\ndataset.n_s = 4097\ndataset.n_t = 40\nd = 2\n", range(2)),
+    ], ids=["quantum-caps", "D64-blocks", "ns4097-blocks"])
     def test_every_exact_flip_is_flagged(self, tmp_path, shape, seeds):
         """In exact mode a quantum NN label differs from the classical one
         where the AE lattice tied sources of different labels, which flags
@@ -169,7 +186,8 @@ class TestRun:
         2^-repeats per target), which does not. These seeds are pinned ones
         on which no search misses, so an unflagged flip here is a bug. The
         flips match the nn_labels parity row. At D=64 the 3000 targets go in
-        6 blocks of 546."""
+        6 blocks of 546; at n_s = 4097, above the old limit of 4096 sources,
+        the 40 targets go in blocks of 35 and 5."""
         cfg = parse_config_text(
             shape + f"seeds = {','.join(map(str, seeds))}\ntrack = both\nclassifier = nn\n"
             f"output_dir = {tmp_path}\n"
@@ -262,7 +280,9 @@ class TestRun:
         assert a_row["tolerance"] == 2.0**-7 * 3 * max(1.0, a_row["classical"])
 
     def test_quantum_cap_error(self, tmp_path):
-        """The one limit left on the quantum NN is the search's own."""
+        """The one limit left on the quantum NN is the search's own: the int16
+        range of its sort tables."""
+        assert MAX_GROVER_N + 1 == 32_768
         cfg = _config(tmp_path, "track = both\n")
         cfg.dataset = harness.SynthSpec(D=3, n_s=MAX_GROVER_N + 1, n_t=6)
         with pytest.raises(ConfigurationError, match=f"caps exceeded.*n_s <= {MAX_GROVER_N}"):
@@ -283,6 +303,24 @@ class TestRun:
             f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
         )
         with pytest.raises(ConfigurationError, match="caps exceeded"):
+            run(cfg)
+        assert calls == []
+
+    def test_csv_svm_labels_checked_before_any_work(self, tmp_path, monkeypatch):
+        """A CSV source with labels outside {-1, +1} fails as soon as it is
+        loaded when an SVM is configured, not in `ls_svm_system` after both
+        domain passes."""
+        calls = []
+        monkeypatch.setattr(harness.csa, "pca_subspace", lambda *args: calls.append(args))
+        source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=12, n_t=10, class_count=3))
+        for name, dom in (("s.csv", source), ("t.csv", target)):
+            save_csv(dom, str(tmp_path / name))
+        cfg = _config(
+            tmp_path,
+            f"classifier = svm\ndataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
+        )
+        with pytest.raises(ConfigurationError, match=r"s\.csv: the SVM needs labels in \{-1, \+1\}"):
             run(cfg)
         assert calls == []
 

@@ -29,6 +29,7 @@ from subalign.errors import ConfigurationError, RangeError
 from subalign.quantum_core import (
     BLOCK_ELEMENTS,
     MAX_AE_QUBITS,
+    MAX_GROVER_N,
     SEARCH_SLOTS,
     ShotPlan,
     _ae_distribution,
@@ -239,6 +240,20 @@ class TestAmplitudeEstimation:
         rng = np.random.default_rng(0) if sampled else None
         with pytest.raises(RangeError):
             amplitude_estimation([0.5, np.nan], 7, rng)
+
+    def test_exact_error_follows_pi_over_2_to_the_m(self):
+        """The exact readout sits at most half a lattice step, pi/2^(m+1),
+        from theta, and d(sin^2 theta)/d theta = sin(2 theta) <= 1, so the
+        worst error e_m over amplitudes has 2^m e_m <= pi/2. Near amplitude
+        1/2 the slope is 1, so from m = 4 on 2^m e_m stays within 0.07 of
+        pi/2 (1.525, 1.560, then 1.568 and up on a 20 001-point grid): the
+        error halves with each added qubit."""
+        grid = np.linspace(0.0, 1.0, 20_001)
+        for m in range(1, MAX_AE_QUBITS + 1):
+            scaled = 2**m * np.max(np.abs(amplitude_estimation(grid, m) - grid))
+            assert scaled <= math.pi / 2
+            if m >= 4:
+                assert scaled >= 1.5
 
     @pytest.mark.parametrize("m", range(1, MAX_AE_QUBITS + 1))
     def test_exact_readouts_are_lattice_points(self, m):
@@ -528,8 +543,8 @@ class TestLockstepMinFind:
     def test_queries_grow_as_sqrt_n(self):
         """Mean oracle queries of one search on uniform rows scale as
         sqrt(N) (the Durr-Hoyer bound): the log-log slope over
-        N = 16..4096 lies within 0.5 +- 0.1."""
-        sizes = [16, 64, 256, 1024, 4096]
+        N = 16..16384 lies within 0.5 +- 0.1."""
+        sizes = [16, 64, 256, 1024, 4096, 16384]
         rng = np.random.default_rng(15)
         means = []
         for N in sizes:
@@ -547,13 +562,23 @@ class TestLockstepMinFind:
         index = grover_min_find(rows, _min_find_rng(4), repeats=15).index
         assert np.array_equal(index, np.argmin(rows, axis=1))
 
-    def test_hit_table_is_shared_and_read_only(self):
-        """The blocks of one quantum NN call share one hit table per N (2 MiB
-        of sines at MAX_GROVER_N), so no caller may write to it."""
-        span, hit = quantum_core._grover_tables(15)
-        assert quantum_core._grover_tables(15)[1] is hit and hit.shape == (16, span[-1] + 1)
-        with pytest.raises(ValueError):
-            hit[0, 0] = 1.0
+    def test_sort_tables_hold_the_int16_limit(self):
+        """At N = MAX_GROVER_N, the int16 maximum, a row with ties still
+        sorts: ``order`` is a permutation of its entries, and ``below``
+        counts the entries strictly below each sorted one."""
+        N = MAX_GROVER_N
+        assert N == np.iinfo(np.int16).max
+        row = np.random.default_rng(16).integers(0, 1000, N).astype(float)
+        order, below = quantum_core._sort_tables(row[None])
+        assert order.dtype == below.dtype == np.int16
+        assert np.array_equal(np.sort(order[0]), np.arange(N))
+        ranked = row[order[0]]
+        assert np.all(np.diff(ranked) >= 0)
+        assert np.array_equal(below[0], np.searchsorted(np.sort(row), ranked, side="left"))
+
+    def test_rows_past_the_limit_are_rejected(self):
+        with pytest.raises(ConfigurationError, match=f"N capped at {MAX_GROVER_N}"):
+            grover_min_find(np.zeros((1, MAX_GROVER_N + 1)), _min_find_rng(0))
 
     def test_budget_holds_when_no_run_hits(self):
         """With every hit test failing, each search runs until its budget is

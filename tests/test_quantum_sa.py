@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gate_oracle import build_g_operator
 from subalign import classical_sa as csa
+from subalign import quantum_core
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, PostselectionError, ShapeError
@@ -490,14 +491,40 @@ class TestQuantumNn:
         monkeypatch.setattr(qsa, "SEARCH_SLOTS", step * 15)
         blocks = []
 
-        def search(values, rng, repeats):
+        def search(values, rng, repeats, tables):
             blocks.append(values.copy())
-            return grover_min_find(values, rng, repeats)
+            return grover_min_find(values, rng, repeats, tables=tables)
 
         monkeypatch.setattr(qsa, "grover_min_find", search)
         qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, plan, repeats=15)
         assert [len(block) for block in blocks] == sizes
         assert np.array_equal(np.vstack(blocks), whole)
+
+    def test_grover_tables_live_for_one_call(self, monkeypatch):
+        """`q_nn_classify` builds the Grover tables once, before its blocks
+        (here 35 + 36 targets), and hands the same tables to every block's
+        search; the next call builds its own, so no table outlives a call."""
+        built, searched, build = [], [], quantum_core._grover_tables
+
+        def tables(N):
+            built.append(build(N))
+            return built[-1]
+
+        def search(values, rng, repeats, tables):
+            searched.append(tables)
+            return grover_min_find(values, rng, repeats, tables=tables)
+
+        monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", 35 * 15)  # B = 35, as in the test above
+        monkeypatch.setattr(qsa, "_grover_tables", tables)
+        monkeypatch.setattr(quantum_core, "_grover_tables", tables)  # a search's own build
+        monkeypatch.setattr(qsa, "grover_min_find", search)
+        rng = np.random.default_rng(32)
+        X_hat_a, X_hat_t = rng.standard_normal((4, 15)), rng.standard_normal((4, 71))
+        for call in range(2):
+            qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, EXACT, repeats=15)
+            assert len(built) == call + 1 and len(searched) == 2 * (call + 1)
+            assert all(t is built[-1] for t in searched[-2:])
+        assert built[0] is not built[1] and built[0][1].shape == (16, 5)
 
     def test_peak_memory_follows_block_layout(self):
         """At n_s = 64, n_t = 4096, d = 8 (exact plan) the targets go in 8
