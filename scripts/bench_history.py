@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark one commit and write its record, bench/BENCH_<pr>.json.
+"""Benchmark commits and write one record per commit, bench/BENCH_<pr>.json.
 
-    python3 scripts/bench_history.py <commit> <pr>
+    python3 scripts/bench_history.py <commit> <pr> [<commit> <pr> ...]
 
-The commit is extracted with `git archive` into a temporary directory, so the
+Each commit is extracted with `git archive` into a temporary directory, so the
 checkout is neither read for the program nor written to. Its own, unchanged
 `perfbench/run.py --workload <w> --seed 0 --seconds 16 --trace 0` then runs
 3 times per workload, one process per run; both numbers are fixed so that
@@ -11,7 +11,9 @@ every record of the trajectory is comparable. The file holds the
 commit, the tree ids of its src/ and perfbench/, the machine facts that
 run.py prints, and per workload the median and quartiles of run_rel, setup_s
 and peak_mb over the runs, with every run's value of those and of the
-recorded rows (acc.*, parity_pass_frac, failed_frac).
+recorded rows (acc.*, parity_pass_frac, failed_frac) and its exit code. A
+run that exits nonzero also keeps the last line of its stderr under "errors".
+The pairs run in the order given, one commit at a time.
 """
 import argparse
 import json
@@ -49,15 +51,17 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("commit")
-    ap.add_argument("pr", type=int)
-    ap.add_argument("--out-dir", default=str(ROOT / "bench"))
-    args = ap.parse_args(argv)
-    sha = git("rev-parse", "--verify", f"{args.commit}^{{commit}}")
+def parse_pairs(tokens: list[str]) -> list[tuple[str, int]]:
+    """The ``<commit> <pr>`` pairs of the command line."""
+    if not tokens or len(tokens) % 2:
+        raise ValueError("expected one or more <commit> <pr> pairs")
+    return [(commit, int(pr)) for commit, pr in zip(tokens[::2], tokens[1::2])]
+
+
+def bench_commit(commit: str, pr: int, out_dir: Path) -> None:
+    sha = git("rev-parse", "--verify", f"{commit}^{{commit}}")
     record = {
-        "pr": args.pr, "commit": sha,
+        "pr": pr, "commit": sha,
         "src_tree": git("rev-parse", f"{sha}:src"),
         "perfbench_tree": git("rev-parse", f"{sha}:perfbench"),
         "command": f"perfbench/run.py --workload <w> --seed 0 --seconds {SECONDS} --trace 0",
@@ -70,7 +74,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         workloads = json.loads((tree / "perfbench/workloads.json").read_text())
         for workload in workloads["workloads"]:
-            runs = []
+            runs, errors = [], []
             for k in range(RUNS):
                 proc = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
@@ -79,20 +83,37 @@ def main(argv=None) -> int:
                 )
                 machine, metrics = parse_run(proc.stdout)
                 metrics["exit_code"] = proc.returncode
+                if proc.returncode:
+                    lines = proc.stderr.strip().splitlines()
+                    errors.append({"run": k, "stderr": lines[-1] if lines else ""})
                 record["machine"] = record["machine"] or machine
                 runs.append(metrics)
-                print(f"{workload} run {k}: " + ", ".join(
+                print(f"PR {pr} {workload} run {k}: " + ", ".join(
                     f"{name} {metrics.get(name)}" for name in END_TO_END), flush=True)
             names = sorted({name for run in runs for name in run})
             record["workloads"][workload] = {
                 **{name: summary([run[name] for run in runs])
                    for name in END_TO_END if all(name in run for run in runs)},
                 "per_run": {name: [run.get(name) for run in runs] for name in names},
+                **({"errors": errors} if errors else {}),
             }
-    out = Path(args.out_dir) / f"BENCH_{args.pr}.json"
+    out = out_dir / f"BENCH_{pr}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    print(f"wrote {out}", flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("pairs", nargs="+", metavar="<commit> <pr>")
+    ap.add_argument("--out-dir", default=str(ROOT / "bench"))
+    args = ap.parse_args(argv)
+    try:
+        pairs = parse_pairs(args.pairs)
+    except ValueError as exc:
+        ap.error(str(exc))
+    for commit, pr in pairs:
+        bench_commit(commit, pr, Path(args.out_dir))
     return 0
 
 

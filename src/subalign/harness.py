@@ -249,6 +249,11 @@ def _load_domains(config: ExperimentConfig, seed: int):
             f"{config.source_csv}: the source needs labels; set dataset.label_column"
         )
     config.check_quantum_caps(source.n)
+    if config.d > min(source.dim, source.n):
+        raise ConfigurationError(
+            f"d: {config.d} exceeds the feature dimension D={source.dim} or the sample "
+            f"count n_s={source.n} of {config.source_csv}"
+        )
     if config.classifier != "nn" and not np.all(np.abs(source.labels) == 1):
         raise ConfigurationError(f"{config.source_csv}: the SVM needs labels in {{-1, +1}}")
     dim = source.dim
@@ -275,6 +280,10 @@ def _load_csv_target(config: ExperimentConfig, dim: int) -> Domain:
             f"source {config.source_csv} has {dim} feature columns but "
             f"target {config.target_csv} has {target.dim} columns (expected "
             f"{dim}, or {dim + 1} with the label column)"
+        )
+    if config.d > target.n:
+        raise ConfigurationError(
+            f"d: {config.d} exceeds the sample count n_t={target.n} of {config.target_csv}"
         )
     target.labels_hidden = True
     return target
@@ -485,7 +494,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 ))
                 accuracy.append(_accuracy_row(seed, "quantum", "nn", q_pred, truth))
             if want_svm:
-                q_pred, info = qsa.q_svm_classify(q_model, A_factors, art.X_hat_t, plan)
+                q_pred, info = qsa.q_svm_classify(q_model, art.X_hat_t, plan)
                 trace.append({
                     "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
                     "low_confidence": int(np.sum(info["low_confidence"])),

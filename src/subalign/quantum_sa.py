@@ -89,12 +89,13 @@ class InnerProductState:
 class QsvmState:
     """The inverted SVM system: the `SvmModel` whose (b, alpha) the
     postselected state encodes, read back exactly (simulation privilege),
-    the postselection probability, and N_x, the squared norm of the
-    training-parameter state."""
+    the postselection probability, N_x, the squared norm of the
+    training-parameter state, and the Gram L^T L of A = L R^T's left factor."""
 
     model: SvmModel
     success_probability: float
     N_x: float
+    gram: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -353,32 +354,30 @@ def q_svm_train(
     b, alpha = float(vec[0]), vec[1:]
     N_x = float(b**2 + np.sum(alpha**2 * np.einsum("ij,ij->j", Xs.samples, Xs.samples)))
     L, _ = _factor_pair(A)
-    return QsvmState(SvmModel(b, alpha, L.T @ (Xs.samples @ alpha)), success, N_x)
+    return QsvmState(SvmModel(b, alpha, L.T @ (Xs.samples @ alpha)), success, N_x, L.T @ L)
 
 
-def q_svm_classify(state: QsvmState, A, X: np.ndarray, plan: ShotPlan):
+def q_svm_classify(state: QsvmState, X: np.ndarray, plan: ShotPlan):
     """Signed decisions via Hadamard-test overlaps of the training-parameter
     state (b, alpha_1 x_1, ..., alpha_n x_n) and each query state
-    (1, A x, ..., A x); sign(0) -> +1. ``A`` is the D x D array or factor
-    pair (L, R), A = L R^T, that ``state`` was trained with.
+    (1, A x, ..., A x) for the A = L R^T ``state`` was trained with; sign(0) -> +1.
 
     ``X`` is an r x m matrix of points (columns) as `svm_decision_values`
     takes them, R^T x: the target projection P_t^T x for the alignment
     pair, the raw points for a D x D ``A``. An overlap is the decision value
     of ``state.model`` over sqrt(N_x N_t), with N_t = 1 + n ||A x||^2 taken
-    through the r x r Gram L^T L, so a factor pair forms no D x m array.
+    through the state's r x r Gram L^T L, so no D x m array is formed.
     Returns (labels, info) with one entry per column in each per-query
     field of info. In sampled mode each column gets its own draw from the
     plan's "svm_decisions" stream.
     """
-    L, _ = _factor_pair(A)
     Xm = np.asarray(X, float)
-    if Xm.ndim != 2 or Xm.shape[0] != L.shape[1]:
+    if Xm.ndim != 2 or Xm.shape[0] != state.gram.shape[0]:
         raise ShapeError(
-            f"X must be a D x m matrix of points (columns) with D = {L.shape[1]}, "
+            f"X must be a D x m matrix of points (columns) with D = {state.gram.shape[0]}, "
             f"the inner dimension of A = L R^T (points as R^T x); got shape {Xm.shape}"
         )
-    N_t = 1.0 + state.model.alpha.size * np.einsum("ij,ij->j", Xm, (L.T @ L) @ Xm)
+    N_t = 1.0 + state.model.alpha.size * np.einsum("ij,ij->j", Xm, state.gram @ Xm)
     re = svm_decision_values(state.model, Xm) / np.sqrt(state.N_x * N_t)
     decision = signed_overlap(re, plan.shots, None if plan.exact else plan.rng("svm_decisions"))
     labels = np.where(decision >= 0, 1, -1)

@@ -197,12 +197,12 @@ def test_criterion_7_qsvm_parity():
             ok = False
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         for i, xt in enumerate(grid):
-            labels, info = qsa.q_svm_classify(qmodel, A, xt[:, None], EXACT)
+            labels, info = qsa.q_svm_classify(qmodel, xt[:, None], EXACT)
             if labels[0] != csa.svm_classify(model, xt):
                 ok = False
             exact_val = info["decision_value"][0]
             _, s_info = qsa.q_svm_classify(
-                qmodel, A, xt[:, None],
+                qmodel, xt[:, None],
                 ShotPlan(shots=4096, seed=7000 + 100 * n_s + i, mode="sampled"),
             )
             sigma = math.sqrt(max(1.0 - exact_val**2, 1e-12) / 4096)

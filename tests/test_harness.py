@@ -147,8 +147,8 @@ class TestRun:
         q_svm_classify = harness.qsa.q_svm_classify
         decided = []
 
-        def spy(model, A, X, plan):
-            decided.append((plan, model, q_svm_classify(model, A, X, plan)))
+        def spy(model, X, plan):
+            decided.append((plan, model, q_svm_classify(model, X, plan)))
             return decided[-1][2]
 
         monkeypatch.setattr(harness.qsa, "q_svm_classify", spy)
@@ -323,6 +323,34 @@ class TestRun:
         with pytest.raises(ConfigurationError, match=r"s\.csv: the SVM needs labels in \{-1, \+1\}"):
             run(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("n_s, n_t, message", [
+        (3, 10, r"d: 4 exceeds the feature dimension D=8 or the sample count n_s=3 of .*s\.csv"),
+        (12, 3, r"d: 4 exceeds the sample count n_t=3 of .*t\.csv"),
+    ], ids=["source", "target"])
+    def test_csv_d_checked_before_its_domain_is_centered(self, tmp_path, monkeypatch, n_s, n_t,
+                                                         message):
+        """A `d` above a CSV domain's feature or sample count fails as soon as
+        that domain is loaded, before it is centered, not in `pca_subspace`
+        after its pass: a 3-row, 8-feature source, or a 3-row target under a
+        larger source."""
+        center = harness.center_columns_in_place
+
+        def spy(domain):
+            assert domain.n != 3, "a domain with fewer samples than d was centered"
+            return center(domain)
+
+        monkeypatch.setattr(harness, "center_columns_in_place", spy)
+        source, target = synth_shifted_gaussians(SynthSpec(D=8, n_s=n_s, n_t=n_t))
+        for name, dom in (("s.csv", source), ("t.csv", target)):
+            save_csv(dom, str(tmp_path / name))
+        cfg = _config(
+            tmp_path,
+            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
+            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 9\nd = 4\n",
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            run(cfg)
 
     @pytest.mark.parametrize("shape, classifier", [
         ("dataset.D = 256\ndataset.n_s = 2000\ndataset.n_t = 300\nd = 8\n", "svm"),

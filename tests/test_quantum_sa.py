@@ -723,16 +723,16 @@ class TestQsvm:
         qmodel = qsa.q_svm_train(dom, A, 1.0, precision_qubits=10)
         b = qmodel.model.b
         xt = np.array([0.0, 5.0])  # A xt = 0: kernel column vanishes
-        labels, info = qsa.q_svm_classify(qmodel, A, xt[:, None], EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, xt[:, None], EXACT)
         assert labels[0] == (1 if b >= 0 else -1)
 
     def test_batch_matches_single_points(self):
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         X = np.random.default_rng(10).standard_normal((2, 25))
-        labels, info = qsa.q_svm_classify(qmodel, np.eye(2), X, EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, X, EXACT)
         for j in range(X.shape[1]):
-            label, one = qsa.q_svm_classify(qmodel, np.eye(2), X[:, [j]], EXACT)
+            label, one = qsa.q_svm_classify(qmodel, X[:, [j]], EXACT)
             assert label[0] == labels[j]
             assert one["decision_value"][0] == pytest.approx(info["decision_value"][j], abs=1e-14)
 
@@ -740,7 +740,7 @@ class TestQsvm:
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         with pytest.raises(ShapeError, match="D x m matrix"):
-            qsa.q_svm_classify(qmodel, np.eye(2), np.array([0.3, -0.2]), EXACT)
+            qsa.q_svm_classify(qmodel, np.array([0.3, -0.2]), EXACT)
 
     def test_points_in_the_right_factor_coordinates(self):
         """A model on the factors (L, R) of A decides points given as R^T x:
@@ -752,13 +752,13 @@ class TestQsvm:
         L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
         X = rng.standard_normal((D, 15))
         qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
-        labels, info = qsa.q_svm_classify(qmodel, (L, R), R.T @ X, EXACT)
+        labels, info = qsa.q_svm_classify(qmodel, R.T @ X, EXACT)
         dense_model = qsa.q_svm_train(dom, L @ R.T, 1.0, precision_qubits=10)
-        dense, dense_info = qsa.q_svm_classify(dense_model, L @ R.T, X, EXACT)
+        dense, dense_info = qsa.q_svm_classify(dense_model, X, EXACT)
         assert np.array_equal(labels, dense)
         assert np.max(np.abs(info["exact_overlap"] - dense_info["exact_overlap"])) <= 1e-12
         with pytest.raises(ShapeError, match=f"D = {r},"):
-            qsa.q_svm_classify(qmodel, (L, R), X, EXACT)
+            qsa.q_svm_classify(qmodel, X, EXACT)
 
     def test_decides_without_a_D_by_m_array(self):
         """On a factor pair (L, R) the overlap's numerator is the model's
@@ -773,7 +773,7 @@ class TestQsvm:
         X = rng.standard_normal((r, m))
         tracemalloc.start()
         try:
-            labels, _ = qsa.q_svm_classify(qmodel, (L, R), X, EXACT)
+            labels, _ = qsa.q_svm_classify(qmodel, X, EXACT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -784,12 +784,10 @@ class TestQsvm:
         dom = self._toy()
         qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
         X = np.tile([[0.3], [-0.2]], (1, 50))
-        _, info = qsa.q_svm_classify(
-            qmodel, np.eye(2), X, ShotPlan(shots=256, seed=4, mode="sampled")
-        )
+        _, info = qsa.q_svm_classify(qmodel, X, ShotPlan(shots=256, seed=4, mode="sampled"))
         assert np.unique(info["decision_value"]).size > 1
         # every draw estimates the one exact overlap, which the pass reports
-        _, exact = qsa.q_svm_classify(qmodel, np.eye(2), X, EXACT)
+        _, exact = qsa.q_svm_classify(qmodel, X, EXACT)
         assert np.array_equal(info["exact_overlap"], exact["decision_value"])
 
     def test_grid_parity_exact_and_sampled(self):
@@ -799,7 +797,7 @@ class TestQsvm:
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         shots, draws = 4096, 1000
         for i, xt in enumerate(grid):
-            label, info = qsa.q_svm_classify(qmodel, np.eye(2), xt[:, None], EXACT)
+            label, info = qsa.q_svm_classify(qmodel, xt[:, None], EXACT)
             assert label[0] == csa.svm_classify(model, xt)
             exact_val = info["decision_value"][0]
             # `draws` independent sampled decisions of the same point, one
@@ -808,7 +806,7 @@ class TestQsvm:
             # sigma/sqrt(draws) for the mean and, for a near-normal sample,
             # sigma/sqrt(2 draws) for the sample standard deviation.
             _, s_info = qsa.q_svm_classify(
-                qmodel, np.eye(2), np.tile(xt[:, None], (1, draws)),
+                qmodel, np.tile(xt[:, None], (1, draws)),
                 ShotPlan(shots=shots, seed=1000 + i, mode="sampled"),
             )
             sampled = s_info["decision_value"]
@@ -844,6 +842,6 @@ class TestEndToEndParity:
             for j in range(tc.n):
                 xt = tc.samples[:, j]
                 assert (
-                    qsa.q_svm_classify(qmodel, art.A, xt[:, None], EXACT)[0][0]
+                    qsa.q_svm_classify(qmodel, xt[:, None], EXACT)[0][0]
                     == csa.svm_classify(model, xt)
                 )
