@@ -544,8 +544,16 @@ def run(config: ExperimentConfig) -> RunReport:
     return report
 
 
+def _new_file(path: Path):
+    """``path`` opened for writing as a new file. An old file is unlinked,
+    not truncated: on ext4 with auto_da_alloc, closing a file that was
+    truncated and rewritten starts writing it out to disk at once."""
+    path.unlink(missing_ok=True)
+    return open(path, "w", encoding="utf-8")
+
+
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _new_file(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
@@ -556,9 +564,10 @@ def _write_outputs(
 ) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"report_v{SCHEMA_VERSION}.json").write_text(report.to_json(), encoding="utf-8")
+    with _new_file(out / f"report_v{SCHEMA_VERSION}.json") as fh:
+        fh.write(report.to_json())
     if trace_rows:
-        with open(out / f"trace_v{SCHEMA_VERSION}.jsonl", "w", encoding="utf-8") as fh:
+        with _new_file(out / f"trace_v{SCHEMA_VERSION}.jsonl") as fh:
             for row in trace_rows:
                 fh.write(json.dumps(row) + "\n")
     _write_csv(

@@ -90,11 +90,12 @@ MAX_GROVER_N = np.iinfo(np.int16).max
 # are 1 MiB per array). The exact readout is a table lookup and has no blocks
 BLOCK_ELEMENTS = 2**8
 # Durr-Hoyer searches in flight at once in a `grover_min_find` call, and the
-# entries per chunk of its sort tables. On the quantum-caps shape (T = 200,
-# N = 15, repeats = 15; 2 cores, OpenBLAS 1 thread; medians of 2 x 60
-# interleaved calls) 512 slots take 58 steps and 5.5 ms per call; 256 take
-# 97 steps and 8.5 ms; 1024 take 38 steps and 4.1 ms but raise the
-# tracemalloc peak of the quantum-caps harness.run from 0.240 to 0.282 MiB
+# entries per chunk of its sort tables and per piece of an exact AE distance
+# readout. On the quantum-caps shape (T = 200, N = 15, repeats = 15; 2 cores,
+# OpenBLAS 1 thread; medians of 2 x 60 interleaved calls) 512 slots take 62
+# steps and 4.7 ms per call; 256 take 99 steps and 6.8 ms; 1024 take 36 steps
+# and 3.2 ms but raise the quantum-caps peak_mb (the tracemalloc peak of its
+# first harness.run) from 0.149 to 0.192 MiB
 SEARCH_SLOTS = 2**9
 
 
@@ -263,17 +264,17 @@ def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) -> None:
     """One exponential-search Grover run of every search in ``pool`` (the
-    five rows of `grover_min_find`), in place. A function of its own so that
+    four rows of `grover_min_find`), in place. A function of its own so that
     its temporaries are freed before the pool is compacted and refilled."""
-    row, pos, marked, misses, spent = pool
+    row, marked, misses, spent = pool
     # a Grover run of j iterations on the marked set, j uniform below the
     # span; a search's last run is cut short so that no search spends more
     # than its budget
     j = np.minimum((rng.random(row.size) * span[misses]).astype(np.int64), budget - 1 - spent)
     spent += j + 1
     won = np.flatnonzero(rng.random(j.size) < hit[marked, j])
-    pos[won] = rng.random(won.size) * marked[won]  # uniform over the marked set
-    marked[won] = below[row[won], pos[won]]
+    pos = (rng.random(won.size) * marked[won]).astype(np.int64)  # uniform over the marked set
+    marked[won] = below[row[won], pos]
     misses += 1
     misses[won] = 0
     np.minimum(misses, span.size - 1, out=misses)
@@ -305,7 +306,9 @@ def grover_min_find(
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
-    ``values`` is a (T, N) matrix with one search problem per row. A single
+    ``values`` is a (T, N) matrix with one search problem per row, or the
+    (order, below) pair that `_sort_tables` makes of it: the search reads
+    only those, so a caller can free the values before it searches. A single
     search returns its row's argmin with probability >= 1/2 within
     ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle queries; each row is searched
     ``repeats`` times and keeps the best index found (the lowest index among
@@ -317,47 +320,51 @@ def grover_min_find(
     their rows' results at the next refill and at the end. The marked set of
     a search (every entry strictly below its threshold) is a prefix of its
     row's stable sort order, so a search is fully described by the pool's
-    five int64 rows: its row, its threshold's sorted position, its marked
-    count, its misses since the last update and its query count. Beyond
-    ``values`` and ``tables`` (`_grover_tables(N)`, passed by a blocked
-    caller or built here), a call holds each row's int16 sort tables (4
-    bytes per entry), two int64s per row of results, and a pool-sized
-    working set of a few tens of KiB whatever T and ``repeats`` are: at
-    N = 15 its tracemalloc peak stays below values.nbytes + 128 KiB.
+    four int64 rows: its row, its marked count, its misses since the last
+    update and its query count. The marked count is the first sorted
+    position of the threshold's tie group, so folding the least one keeps
+    the best value at its lowest index. Beyond its input and ``tables``
+    (`_grover_tables(N)`, passed by a blocked caller or built here), a call
+    holds the int16 sort tables (4 bytes per entry; made here from a value
+    matrix), two int64s per row of results, and a pool-sized working set of
+    a few tens of KiB whatever T and ``repeats`` are: at N = 15 a call on a
+    value matrix peaks below values.nbytes + 128 KiB.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ConfigurationError("values must be a (T, N) matrix")
-    T, N = values.shape
+    ranks = values if isinstance(values, tuple) else None
+    if ranks is None:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            raise ConfigurationError("values must be a (T, N) matrix")
+    T, N = (values if ranks is None else ranks[0]).shape
     if N == 0:
         raise ConfigurationError("empty input")
     span, hit = _grover_tables(N) if tables is None else tables
+    order, below = _sort_tables(values) if ranks is None else ranks
     repeats = max(int(repeats), 1)
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
-    order, below = _sort_tables(values)
     best = np.full(T, N, dtype=np.int64)
     queries = np.zeros(T, dtype=np.int64)
-    # the pool: row, sorted position, marked count, misses, queries
-    pool = np.zeros((5, 0), dtype=np.int64)
+    # the pool: row, marked count, misses, queries
+    pool = np.zeros((4, 0), dtype=np.int64)
     finished = []  # done searches, folded into their rows at the next refill
     fed, searches = 0, T * repeats
     while True:
-        done = (pool[2] == 0) | (pool[4] >= budget)
+        done = (pool[1] == 0) | (pool[3] >= budget)
         finished.append(pool.compress(done, axis=1))
         pool = pool.compress(~done, axis=1)
         refill = fed < searches and 2 * pool.shape[1] <= SEARCH_SLOTS
         if refill or not pool.shape[1]:
             finished = np.concatenate(finished, axis=1)
             np.minimum.at(best, finished[0], finished[1])  # the best value, lowest index on ties
-            np.add.at(queries, finished[0], finished[4])
+            np.add.at(queries, finished[0], finished[3])
             finished = []
             if not refill:
                 break
             k = min(SEARCH_SLOTS - pool.shape[1], searches - fed)
-            new = np.zeros((5, k), dtype=np.int64)
+            new = np.zeros((4, k), dtype=np.int64)
             new[0] = np.arange(fed, fed + k) // repeats
-            new[1] = rng.integers(N, size=k)  # a uniform index is a uniform sorted position
-            new[2] = below[new[0], new[1]]
+            # a uniform index is a uniform sorted position
+            new[1] = below[new[0], rng.integers(N, size=k)]
             fed += k
             pool = np.concatenate([pool, new], axis=1)
             continue  # a search that starts at its row's minimum is done at once

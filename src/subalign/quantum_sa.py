@@ -38,6 +38,7 @@ from .quantum_core import (
     ShotPlan,
     _fejer,
     _grover_tables,
+    _sort_tables,
     amplitude_estimation,
     grover_min_find,
     pe_readout,
@@ -235,16 +236,19 @@ def _ae_distances(
     """AE estimates of the distances from a block of m targets, the first
     with global index ``first``, to the sources (``_unit_columns`` of X_hat_a),
     (m, n_s): Hadamard-test overlaps and the norms give the distances, read
-    out on the AE lattice normalized by each target's largest. In sampled
-    mode target j draws its overlaps, then its AE outcomes, from its own
-    stream ``plan.rng("nn_distances", j)``. A target's estimates do not
-    depend on its block unless it is alone in it (BLAS takes another kernel
-    for one row)."""
+    out on the AE lattice normalized by each target's largest. One GEMM
+    writes every overlap into the result, which is then read out in place,
+    piece by piece: in exact mode max(1, SEARCH_SLOTS // n_s) targets at a
+    time, so the scratch and the readout's temporaries stay a few KiB; in
+    sampled mode one target at a time, as target j draws its overlaps, then
+    its AE outcomes, from its own stream ``plan.rng("nn_distances", j)``. A
+    target's estimates do not depend on its block unless it is alone in it
+    (BLAS takes another kernel for one row)."""
     (src_unit, src_norms), (tgt_unit, tgt_norms) = source, _unit_columns(X_hat_t)
     n_t, n_s = tgt_unit.shape[1], src_unit.shape[1]
     est = np.matmul(tgt_unit.T, src_unit)
     src_sq = src_norms**2
-    step = max(n_t, 1) if plan.exact else 1
+    step = max(1, SEARCH_SLOTS // n_s) if plan.exact else 1
     scratch = np.empty((min(step, n_t), n_s))
     for lo in range(0, n_t, step):
         out = est[lo : lo + step]
@@ -273,11 +277,13 @@ def q_nn_classify(
 
     The targets go in blocks of B = max(NN_BLOCK_ELEMENTS // n_s, ceil(SEARCH_SLOTS /
     repeats)), a last block of one joining the one before; each block gets its AE
-    distance estimates (``_ae_distances``) and one Durr-Hoyer call, all drawing from
-    one "min_find" stream and one `_grover_tables` per call. Returns the labels and one
-    record per target: ``nearest``, the source index the search kept; ``oracle_queries``,
-    summed over its searches; and ``warning``, set when sources of more than one label
-    share the estimated minimum. Inputs are checked as in `nn_classify`."""
+    distance estimates (``_ae_distances``), whose int16 sort tables (`_sort_tables`)
+    replace them before its one Durr-Hoyer call, so no block's estimates are alive
+    during a search. Every search draws from one "min_find" stream and reads one
+    `_grover_tables` per call. Returns the labels and one record per target:
+    ``nearest``, the source index the search kept; ``oracle_queries``, summed over its
+    searches; and ``warning``, set when sources of more than one label share the
+    estimated minimum. Inputs are checked as in `nn_classify`."""
     X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
     n_s, n_t = X_hat_a.shape[1], X_hat_t.shape[1]
     step = max(NN_BLOCK_ELEMENTS // n_s, -(-SEARCH_SLOTS // max(repeats, 1)))
@@ -287,12 +293,15 @@ def q_nn_classify(
     columns = []  # per block: nearest, oracle queries, warning
     for lo, hi in zip(edges, edges[1:] + [n_t]):
         est = _ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo)
-        stats = grover_min_find(est, rng, repeats, tables=tables)
         at_min = est == est.min(axis=1, keepdims=True)
         first_label = labels[np.argmax(at_min, axis=1)]
         warning = np.any(at_min & (labels != first_label[:, None]), axis=1)
+        del at_min
+        ranks = _sort_tables(est)
+        del est  # the search reads only the sort tables
+        stats = grover_min_find(ranks, rng, repeats, tables=tables)
         columns.append((stats.index, stats.target_queries, warning))
-        del est, at_min  # before the next block's are made
+        del ranks  # before the next block's are made
     fields = [("nearest", np.int64), ("oracle_queries", np.int64), ("warning", bool)]
     records = np.empty(n_t, fields)
     for (name, _), column in zip(fields, zip(*columns)):

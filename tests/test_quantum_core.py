@@ -513,7 +513,8 @@ class TestLockstepMinFind:
     def test_memory_is_bounded_by_the_input(self, T):
         """The tables take 4 bytes per entry (half of ``values``), the pool
         a fixed few tens of KiB: holding all T * repeats searches at once
-        would need 48 bytes per search, 7 MiB at T = 10^4."""
+        would need 32 bytes per search (four int64 fields), 4.6 MiB at
+        T = 10^4."""
         values = np.random.default_rng(T).standard_normal((T, 15))
         rng = _min_find_rng(0)
         tracemalloc.start()
@@ -561,6 +562,18 @@ class TestLockstepMinFind:
             row[first] = row[second] = row.min() - 1.0
         index = grover_min_find(rows, _min_find_rng(4), repeats=15).index
         assert np.array_equal(index, np.argmin(rows, axis=1))
+
+    def test_a_single_search_keeps_the_lowest_tied_index(self):
+        """With one search per row (repeats=1) the index kept is the lowest
+        one holding its value, wherever in the tie group the search's last
+        threshold fell: [1, 1, 2] gives 0 under every seed, and rows of
+        small integers, most with a tied minimum, keep their first."""
+        for seed in range(200):
+            assert grover_min_find([[1.0, 1.0, 2.0]], _min_find_rng(seed)).index[0] == 0
+        rows = np.random.default_rng(17).integers(0, 4, (2_000, 15)).astype(float)
+        index = grover_min_find(rows, _min_find_rng(6)).index
+        kept = rows[np.arange(len(rows)), index]
+        assert np.array_equal(index, np.argmax(rows == kept[:, None], axis=1))
 
     def test_sort_tables_hold_the_int16_limit(self):
         """At N = MAX_GROVER_N, the int16 maximum, a row with ties still

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -478,9 +479,10 @@ class TestQuantumNn:
     def test_blocks_change_no_bit(self, monkeypatch, plan, step, n_t, sizes):
         """`q_nn_classify` searches blocks of ``step`` targets, and a last
         block of one target joins the one before it (22 = 7 + 7 + 8). Each
-        block's estimates are bit for bit the rows that one `_ae_distances`
-        call over every target gives. A 1-row block is where a per-block
-        GEMM would take another BLAS kernel."""
+        block's estimates, as its sort tables are made from them, are bit for
+        bit the rows that one `_ae_distances` call over every target gives,
+        and each block's tables go to one search. A 1-row block is where a
+        per-block GEMM would take another BLAS kernel."""
         rng = np.random.default_rng(31)
         X_hat_a = rng.standard_normal((8, 15))
         X_hat_a[:, 3] = 0.0
@@ -489,15 +491,20 @@ class TestQuantumNn:
         # B = max(NN_BLOCK_ELEMENTS // n_s, ceil(SEARCH_SLOTS / repeats)) = step
         monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", step * 15)
         monkeypatch.setattr(qsa, "SEARCH_SLOTS", step * 15)
-        blocks = []
+        blocks, searched = [], []
 
-        def search(values, rng, repeats, tables):
+        def sort(values):
             blocks.append(values.copy())
-            return grover_min_find(values, rng, repeats, tables=tables)
+            return quantum_core._sort_tables(values)
 
+        def search(ranks, rng, repeats, tables):
+            searched.append(len(ranks[0]))
+            return grover_min_find(ranks, rng, repeats, tables=tables)
+
+        monkeypatch.setattr(qsa, "_sort_tables", sort)
         monkeypatch.setattr(qsa, "grover_min_find", search)
         qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, plan, repeats=15)
-        assert [len(block) for block in blocks] == sizes
+        assert [len(block) for block in blocks] == searched == sizes
         assert np.array_equal(np.vstack(blocks), whole)
 
     def test_grover_tables_live_for_one_call(self, monkeypatch):
@@ -510,9 +517,9 @@ class TestQuantumNn:
             built.append(build(N))
             return built[-1]
 
-        def search(values, rng, repeats, tables):
+        def search(ranks, rng, repeats, tables):
             searched.append(tables)
-            return grover_min_find(values, rng, repeats, tables=tables)
+            return grover_min_find(ranks, rng, repeats, tables=tables)
 
         monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", 35 * 15)  # B = 35, as in the test above
         monkeypatch.setattr(qsa, "_grover_tables", tables)
@@ -525,6 +532,31 @@ class TestQuantumNn:
             assert len(built) == call + 1 and len(searched) == 2 * (call + 1)
             assert all(t is built[-1] for t in searched[-2:])
         assert built[0] is not built[1] and built[0][1].shape == (16, 5)
+
+    @pytest.mark.parametrize("plan", [EXACT, ShotPlan(shots=64, seed=6, mode="sampled")])
+    def test_no_estimates_alive_during_a_search(self, monkeypatch, plan):
+        """A block's search reads only its sort tables: by the time it
+        starts, the block's `_ae_distances` estimates (and every earlier
+        block's) have been freed (here 35 + 36 targets)."""
+        made, freed = [], []
+        estimate = qsa._ae_distances
+
+        def estimates(*args):
+            est = estimate(*args)
+            made.append(weakref.ref(est))
+            return est
+
+        def search(ranks, rng, repeats, tables):
+            freed.append([ref() is None for ref in made])
+            return grover_min_find(ranks, rng, repeats, tables=tables)
+
+        monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", 35 * 15)
+        monkeypatch.setattr(qsa, "_ae_distances", estimates)
+        monkeypatch.setattr(qsa, "grover_min_find", search)
+        rng = np.random.default_rng(33)
+        X_hat_a, X_hat_t = rng.standard_normal((4, 15)), rng.standard_normal((4, 71))
+        qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, plan, repeats=15)
+        assert freed == [[True], [True, True]]
 
     def test_peak_memory_follows_block_layout(self):
         """At n_s = 64, n_t = 4096, d = 8 (exact plan) the targets go in 8
@@ -560,6 +592,47 @@ class TestQuantumNn:
             + 2 * 2 * records.nbytes
         )
         assert peak <= bound < 12 * n_s * n_t
+
+    def test_peak_memory_at_the_caps_shape(self):
+        """At n_s = 15, n_t = 200, d = 4 (exact plan; one block, B = n_t) the
+        peak over entry stays within the call's layout, summed as if every
+        stage's data were alive at once: the (B, n_s) estimates (8 bytes per
+        pair), their int16 sort tables (4) and tie masks (3 x 1); per readout
+        piece of at most SEARCH_SLOTS entries, the scratch buffer and the AE
+        readout's clip, indices and result (4 x 8 bytes per entry) and range
+        masks (3 x 1); per SEARCH_SLOTS entries of a sort-table chunk, its
+        order, ranked values, first-of-group flags, positions and running
+        maxima (4 x 8 + 1); three 4 x 8-byte pools of SEARCH_SLOTS searches
+        (the pool, the searches entering it or folding out, and the pool
+        they are concatenated into); the unit copies and norms of both
+        domains, 8 (d + 1) bytes per point; the Grover tables; and per
+        target, the returned records and the block columns they are built
+        from, 17 bytes each, twice."""
+        rng = np.random.default_rng(34)
+        d, n_s, n_t = 4, 15, 200
+        X_hat_a = rng.standard_normal((d, n_s))
+        labels = rng.integers(0, 2, n_s)
+        X_hat_t = rng.standard_normal((d, n_t))
+        qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)  # first-run allocations
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, EXACT)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        span, hit = quantum_core._grover_tables(n_s)
+        piece = qsa.SEARCH_SLOTS // n_s * n_s
+        bound = (
+            (8 + 4 + 3) * n_s * n_t
+            + (4 * 8 + 3) * piece
+            + (4 * 8 + 1) * qsa.SEARCH_SLOTS
+            + 3 * 4 * 8 * qsa.SEARCH_SLOTS
+            + 8 * (d + 1) * (n_s + n_t)
+            + span.nbytes + hit.nbytes
+            + 2 * 2 * records.nbytes
+        )
+        assert peak <= bound
 
     def test_estimates_die_with_the_call(self):
         """Same layout: while the caller holds the labels and the records,
