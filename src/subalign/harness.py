@@ -523,7 +523,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
 
 def run(config: ExperimentConfig) -> RunReport:
     """Execute the configured tracks over every seed and write the report
-    files (JSON report plus accuracy/parity CSV tables) to output_dir."""
+    files (JSON report, accuracy/parity CSV tables and the JSONL trace) to
+    output_dir."""
     config.validate()
     seeds = list(config.seeds)
     if config.workers > 1:
@@ -559,17 +560,16 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
 
 
-def _write_outputs(
-    config: ExperimentConfig, report: RunReport, trace_rows: list[dict] | None = None
-) -> None:
+def _write_outputs(config: ExperimentConfig, report: RunReport, trace_rows: list[dict]) -> None:
+    """Write every report file, the trace too when it has no rows, so no
+    file of an earlier run into ``output_dir`` is left beside this one's."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _new_file(out / f"report_v{SCHEMA_VERSION}.json") as fh:
         fh.write(report.to_json())
-    if trace_rows:
-        with _new_file(out / f"trace_v{SCHEMA_VERSION}.jsonl") as fh:
-            for row in trace_rows:
-                fh.write(json.dumps(row) + "\n")
+    with _new_file(out / f"trace_v{SCHEMA_VERSION}.jsonl") as fh:
+        for row in trace_rows:
+            fh.write(json.dumps(row) + "\n")
     _write_csv(
         out / f"accuracy_v{SCHEMA_VERSION}.csv",
         report.accuracy,

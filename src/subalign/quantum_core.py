@@ -80,9 +80,9 @@ class ShotPlan:
 # spectral engine
 
 MAX_AE_QUBITS = 10
-# entries per Durr-Hoyer row: the int16 range of `_sort_tables`. The Grover hit
-# table, built per call, takes 8 (N + 1)(ceil(sqrt(N)) + 1) bytes: 2.03 MiB at
-# N = 4096, 5.75 MiB at 8192 and 45.75 MiB at this limit
+# entries per Durr-Hoyer row: the int16 range of `_sort_tables`, which take 4
+# bytes per entry; the rest of a search's state is 8 (N + 1) bytes of Grover
+# angles, 256 KiB at this limit, and its pool
 MAX_GROVER_N = np.iinfo(np.int16).max
 # twice the entries per block of a sampled amplitude-estimation readout,
 # however many a call has: it builds each entry's full 2^m-outcome
@@ -262,7 +262,7 @@ def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, below
 
 
-def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) -> None:
+def _grover_runs(pool, below, span, angle, budget: int, rng: np.random.Generator) -> None:
     """One exponential-search Grover run of every search in ``pool`` (the
     four rows of `grover_min_find`), in place. A function of its own so that
     its temporaries are freed before the pool is compacted and refilled."""
@@ -272,7 +272,9 @@ def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) 
     # than its budget
     j = np.minimum((rng.random(row.size) * span[misses]).astype(np.int64), budget - 1 - spent)
     spent += j + 1
-    won = np.flatnonzero(rng.random(j.size) < hit[marked, j])
+    # j iterations on c marked entries find one with chance sin^2((2j + 1) theta_c)
+    h = np.sin((2 * j + 1) * angle[marked])
+    won = np.flatnonzero(rng.random(j.size) < h * h)
     pos = (rng.random(won.size) * marked[won]).astype(np.int64)  # uniform over the marked set
     marked[won] = below[row[won], pos]
     misses += 1
@@ -280,29 +282,7 @@ def _grover_runs(pool, below, span, hit, budget: int, rng: np.random.Generator) 
     np.minimum(misses, span.size - 1, out=misses)
 
 
-def _grover_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """`grover_min_find`'s run-length bounds and hit table for rows of N, 8 (N + 1)
-    (ceil(sqrt(N)) + 1) bytes; a blocked caller builds them once per call."""
-    if N > MAX_GROVER_N:  # every search builds these tables before its sort tables
-        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
-    # span[k]: the exclusive bound ceil(g) on a run's iterations after k
-    # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
-    growth = [1.0]
-    while growth[-1] < math.sqrt(N):
-        growth.append(min(1.2 * growth[-1], math.sqrt(N)))
-    span = np.ceil(growth).astype(np.int64)
-    # hit[c, j]: the chance that j Grover iterations on c marked entries find
-    # one, sin^2((2j + 1) theta_c) with sin^2(theta_c) = c / N, for j =
-    # 0..ceil(sqrt(N)), the range of floor(u * span) over u in [0, 1]
-    angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
-    hit = (2 * np.arange(span[-1] + 1) + 1) * angle[:, None]
-    np.square(np.sin(hit, out=hit), out=hit)  # in place: one table alive, not two
-    return span, hit
-
-
-def grover_min_find(
-    values, rng: np.random.Generator, repeats: int = 1, *, tables=None
-) -> GroverStats:
+def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> GroverStats:
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
@@ -323,12 +303,14 @@ def grover_min_find(
     four int64 rows: its row, its marked count, its misses since the last
     update and its query count. The marked count is the first sorted
     position of the threshold's tie group, so folding the least one keeps
-    the best value at its lowest index. Beyond its input and ``tables``
-    (`_grover_tables(N)`, passed by a blocked caller or built here), a call
-    holds the int16 sort tables (4 bytes per entry; made here from a value
-    matrix), two int64s per row of results, and a pool-sized working set of
-    a few tens of KiB whatever T and ``repeats`` are: at N = 15 a call on a
-    value matrix peaks below values.nbytes + 128 KiB.
+    the best value at its lowest index. A run of j iterations on c marked
+    entries finds one with chance sin^2((2j + 1) theta_c), sin^2(theta_c) =
+    c / N, from the N + 1 angles theta_c that the call computes once. Beyond
+    its input, a call holds the int16 sort tables (4 bytes per entry; made
+    here from a value matrix), the angles, two int64s per row of results,
+    and a pool-sized working set of a few tens of KiB whatever T and
+    ``repeats`` are: a call on a value matrix peaks below values.nbytes +
+    128 KiB, up to N = MAX_GROVER_N.
     """
     ranks = values if isinstance(values, tuple) else None
     if ranks is None:
@@ -338,7 +320,16 @@ def grover_min_find(
     T, N = (values if ranks is None else ranks[0]).shape
     if N == 0:
         raise ConfigurationError("empty input")
-    span, hit = _grover_tables(N) if tables is None else tables
+    if N > MAX_GROVER_N:
+        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
+    # span[k]: the exclusive bound ceil(g) on a run's iterations after k
+    # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
+    growth = [1.0]
+    while growth[-1] < math.sqrt(N):
+        growth.append(min(1.2 * growth[-1], math.sqrt(N)))
+    span = np.ceil(growth).astype(np.int64)
+    # angle[c] = theta_c, with sin^2(theta_c) = c / N for c marked entries
+    angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
     order, below = _sort_tables(values) if ranks is None else ranks
     repeats = max(int(repeats), 1)
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
@@ -368,6 +359,6 @@ def grover_min_find(
             fed += k
             pool = np.concatenate([pool, new], axis=1)
             continue  # a search that starts at its row's minimum is done at once
-        _grover_runs(pool, below, span, hit, budget, rng)
+        _grover_runs(pool, below, span, angle, budget, rng)
     index = order[np.arange(T), best].astype(np.int64)
     return GroverStats(index, int(queries.sum()), queries)

@@ -37,7 +37,6 @@ from .quantum_core import (
     SEARCH_SLOTS,
     ShotPlan,
     _fejer,
-    _grover_tables,
     _sort_tables,
     amplitude_estimation,
     grover_min_find,
@@ -279,17 +278,16 @@ def q_nn_classify(
     repeats)), a last block of one joining the one before; each block gets its AE
     distance estimates (``_ae_distances``), whose int16 sort tables (`_sort_tables`)
     replace them before its one Durr-Hoyer call, so no block's estimates are alive
-    during a search. Every search draws from one "min_find" stream and reads one
-    `_grover_tables` per call. Returns the labels and one record per target:
-    ``nearest``, the source index the search kept; ``oracle_queries``, summed over its
-    searches; and ``warning``, set when sources of more than one label share the
-    estimated minimum. Inputs are checked as in `nn_classify`."""
+    during a search. Every search draws from one "min_find" stream. Returns the
+    labels and one record per target: ``nearest``, the source index the search kept;
+    ``oracle_queries``, summed over its searches; and ``warning``, set when sources of
+    more than one label share the estimated minimum. Inputs are checked as in
+    `nn_classify`."""
     X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
     n_s, n_t = X_hat_a.shape[1], X_hat_t.shape[1]
     step = max(NN_BLOCK_ELEMENTS // n_s, -(-SEARCH_SLOTS // max(repeats, 1)))
     edges = list(range(0, n_t - (n_t > 1 and n_t % step == 1), step))
     rng, source = plan.rng("min_find"), _unit_columns(X_hat_a)
-    tables = _grover_tables(n_s)  # shared by every block, freed with the call
     columns = []  # per block: nearest, oracle queries, warning
     for lo, hi in zip(edges, edges[1:] + [n_t]):
         est = _ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo)
@@ -299,7 +297,7 @@ def q_nn_classify(
         del at_min
         ranks = _sort_tables(est)
         del est  # the search reads only the sort tables
-        stats = grover_min_find(ranks, rng, repeats, tables=tables)
+        stats = grover_min_find(ranks, rng, repeats)
         columns.append((stats.index, stats.target_queries, warning))
         del ranks  # before the next block's are made
     fields = [("nearest", np.int64), ("oracle_queries", np.int64), ("warning", bool)]

@@ -609,6 +609,20 @@ class TestRun:
         for name in ("accuracy_v1.csv", "parity_v1.csv", "trace_v1.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_a_run_without_trace_rows_replaces_the_trace(self, tmp_path):
+        """A classical run writes no trace rows, so its trace file is empty:
+        the quantum rows of an earlier run into the same directory are not
+        left beside its report."""
+        text = (
+            "dataset.D = 8\ndataset.n_s = 15\ndataset.n_t = 40\nd = 2\nseeds = 0\n"
+            f"classifier = nn\noutput_dir = {tmp_path}\n"
+        )
+        trace = tmp_path / "trace_v1.jsonl"
+        run(parse_config_text(text + "track = both\n"))
+        assert len(trace.read_text().splitlines()) == 7
+        run(parse_config_text(text + "track = classical\n"))
+        assert trace.read_text() == ""
+
     def test_reproducible_accuracy_csv(self, tmp_path):
         run(_config(tmp_path / "a"))
         run(_config(tmp_path / "b"))

@@ -509,13 +509,19 @@ class TestLockstepMinFind:
         other = grover_min_find(rows, _min_find_rng(4), repeats)
         assert not np.array_equal(other.target_queries, stats.target_queries)
 
-    @pytest.mark.parametrize("T", [200, 2_000, 10_000])
-    def test_memory_is_bounded_by_the_input(self, T):
+    @pytest.mark.parametrize(
+        "T, N",
+        [(200, 15), (2_000, 15), (10_000, 15), (16, MAX_GROVER_N)],
+        ids=["200", "2000", "10000", f"16-{MAX_GROVER_N}"],
+    )
+    def test_memory_is_bounded_by_the_input(self, T, N):
         """The tables take 4 bytes per entry (half of ``values``), the pool
         a fixed few tens of KiB: holding all T * repeats searches at once
         would need 32 bytes per search (four int64 fields), 4.6 MiB at
-        T = 10^4."""
-        values = np.random.default_rng(T).standard_normal((T, 15))
+        T = 10^4. At N = MAX_GROVER_N the Grover angles take 256 KiB; a
+        table of the hit chance of every (marked count, iterations) pair
+        would take 45.75 MiB."""
+        values = np.random.default_rng(T).standard_normal((T, N))
         rng = _min_find_rng(0)
         tracemalloc.start()
         try:
@@ -530,11 +536,14 @@ class TestLockstepMinFind:
         [
             (15, 7, 3, 138, [18, 19, 14, 19, 17, 17, 21, 13]),
             (64, 8, 1, 181, [7, 41, 8, 40, 46, 30, 3, 6]),
+            (4096, 9, 1, 1378, [137, 378, 179, 87, 115, 226, 116, 140]),
+            (32767, 10, 1, 4588, [888, 267, 528, 306, 733, 975, 355, 536]),
         ],
     )
     def test_draws_are_pinned(self, N, seed, repeats, queries, target_queries):
-        """Two fixed searches with their outcomes pinned: a change in the
-        number or order of the draws shows here."""
+        """Fixed searches with their outcomes pinned: a change in the number
+        or order of the draws, or in a hit chance, shows here, up to N =
+        MAX_GROVER_N."""
         rows = np.random.default_rng(N).standard_normal((8, N))
         stats = grover_min_find(rows, _min_find_rng(seed), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))

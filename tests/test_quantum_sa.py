@@ -497,41 +497,15 @@ class TestQuantumNn:
             blocks.append(values.copy())
             return quantum_core._sort_tables(values)
 
-        def search(ranks, rng, repeats, tables):
+        def search(ranks, rng, repeats):
             searched.append(len(ranks[0]))
-            return grover_min_find(ranks, rng, repeats, tables=tables)
+            return grover_min_find(ranks, rng, repeats)
 
         monkeypatch.setattr(qsa, "_sort_tables", sort)
         monkeypatch.setattr(qsa, "grover_min_find", search)
         qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, plan, repeats=15)
         assert [len(block) for block in blocks] == searched == sizes
         assert np.array_equal(np.vstack(blocks), whole)
-
-    def test_grover_tables_live_for_one_call(self, monkeypatch):
-        """`q_nn_classify` builds the Grover tables once, before its blocks
-        (here 35 + 36 targets), and hands the same tables to every block's
-        search; the next call builds its own, so no table outlives a call."""
-        built, searched, build = [], [], quantum_core._grover_tables
-
-        def tables(N):
-            built.append(build(N))
-            return built[-1]
-
-        def search(ranks, rng, repeats, tables):
-            searched.append(tables)
-            return grover_min_find(ranks, rng, repeats, tables=tables)
-
-        monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", 35 * 15)  # B = 35, as in the test above
-        monkeypatch.setattr(qsa, "_grover_tables", tables)
-        monkeypatch.setattr(quantum_core, "_grover_tables", tables)  # a search's own build
-        monkeypatch.setattr(qsa, "grover_min_find", search)
-        rng = np.random.default_rng(32)
-        X_hat_a, X_hat_t = rng.standard_normal((4, 15)), rng.standard_normal((4, 71))
-        for call in range(2):
-            qsa.q_nn_classify(X_hat_a, np.arange(15), X_hat_t, EXACT, repeats=15)
-            assert len(built) == call + 1 and len(searched) == 2 * (call + 1)
-            assert all(t is built[-1] for t in searched[-2:])
-        assert built[0] is not built[1] and built[0][1].shape == (16, 5)
 
     @pytest.mark.parametrize("plan", [EXACT, ShotPlan(shots=64, seed=6, mode="sampled")])
     def test_no_estimates_alive_during_a_search(self, monkeypatch, plan):
@@ -546,9 +520,9 @@ class TestQuantumNn:
             made.append(weakref.ref(est))
             return est
 
-        def search(ranks, rng, repeats, tables):
+        def search(ranks, rng, repeats):
             freed.append([ref() is None for ref in made])
-            return grover_min_find(ranks, rng, repeats, tables=tables)
+            return grover_min_find(ranks, rng, repeats)
 
         monkeypatch.setattr(qsa, "NN_BLOCK_ELEMENTS", 35 * 15)
         monkeypatch.setattr(qsa, "_ae_distances", estimates)
@@ -605,9 +579,9 @@ class TestQuantumNn:
         maxima (4 x 8 + 1); three 4 x 8-byte pools of SEARCH_SLOTS searches
         (the pool, the searches entering it or folding out, and the pool
         they are concatenated into); the unit copies and norms of both
-        domains, 8 (d + 1) bytes per point; the Grover tables; and per
-        target, the returned records and the block columns they are built
-        from, 17 bytes each, twice."""
+        domains, 8 (d + 1) bytes per point; the search's run-length bounds
+        and its n_s + 1 Grover angles; and per target, the returned records
+        and the block columns they are built from, 17 bytes each, twice."""
         rng = np.random.default_rng(34)
         d, n_s, n_t = 4, 15, 200
         X_hat_a = rng.standard_normal((d, n_s))
@@ -621,7 +595,8 @@ class TestQuantumNn:
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        span, hit = quantum_core._grover_tables(n_s)
+        # the run-length bounds: one int64 per step of g -> min(1.2 g, sqrt(n_s)) from 1
+        span = 8 * (math.ceil(math.log(math.sqrt(n_s), 1.2)) + 1)
         piece = qsa.SEARCH_SLOTS // n_s * n_s
         bound = (
             (8 + 4 + 3) * n_s * n_t
@@ -629,7 +604,7 @@ class TestQuantumNn:
             + (4 * 8 + 1) * qsa.SEARCH_SLOTS
             + 3 * 4 * 8 * qsa.SEARCH_SLOTS
             + 8 * (d + 1) * (n_s + n_t)
-            + span.nbytes + hit.nbytes
+            + span + 8 * (n_s + 1)
             + 2 * 2 * records.nbytes
         )
         assert peak <= bound
