@@ -36,7 +36,6 @@ __all__ = [
     "svm_classify",
     "kernel_matrix",
     "kernel_pca",
-    "kernel_alignment",
     "kernel_sa_fit",
 ]
 
@@ -228,11 +227,11 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray
     copied into one reused step x (d+1) buffer whose last column is 1, so
     one GEMM gives ||t||^2 - 2 t.q for the whole block, a query per row.
     ||q||^2 is left out: it is the same along a row and cannot move that
-    row's argmin. The full blocks run on the whole buffers; only the short
-    last block, if any, runs on a slice of them. The argmin runs along the
-    contiguous row and keeps the lowest index among tied sources (duplicate
-    sources give bit-identical entries). Memory is O(n_s * step), never
-    n_s x n_t.
+    row's argmin. A full block runs on the whole buffers, which is faster
+    than a slice of them; only a short last block runs on their first rows.
+    The argmin runs along the contiguous row and keeps the lowest index
+    among tied sources (duplicate sources give bit-identical entries).
+    Memory is O(n_s * step), never n_s x n_t.
     """
     train, labels, queries = _nn_inputs(train, train_labels, queries)
     (d, n_s), n_t = train.shape, queries.shape[1]
@@ -243,16 +242,12 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, queries: np.ndarray
     block = np.ones((step, d + 1))
     d2 = np.empty((step, n_s))
     nearest = np.empty(n_t, dtype=np.intp)
-    full = n_t - n_t % step
-    for j in range(0, full, step):
-        block[:, :d] = queries[:, j:j + step].T
-        np.matmul(block, aug_train, out=d2)
-        d2.argmin(axis=1, out=nearest[j:j + step])
-    if full < n_t:
-        m = n_t - full
-        block[:m, :d] = queries[:, full:].T
-        np.matmul(block[:m], aug_train, out=d2[:m])
-        d2[:m].argmin(axis=1, out=nearest[full:])
+    for j in range(0, n_t, step):
+        m = min(step, n_t - j)
+        q, out = (block, d2) if m == step else (block[:m], d2[:m])
+        q[:, :d] = queries[:, j:j + m].T
+        np.matmul(q, aug_train, out=out)
+        out.argmin(axis=1, out=nearest[j:j + m])
     return labels[nearest]
 
 
@@ -512,15 +507,6 @@ def kernel_pca(K: np.ndarray, d: int) -> SubspaceBasis:
     return _top_basis(w, V, d)
 
 
-def kernel_alignment(Ws: np.ndarray, Kst: np.ndarray, Wt: np.ndarray) -> np.ndarray:
-    """Feature-space alignment matrix Ws^T K_st Wt."""
-    if Ws.shape[0] != Kst.shape[0] or Wt.shape[0] != Kst.shape[1]:
-        raise ShapeError("weight/cross-Gram shapes are inconsistent")
-    if Ws.shape[1] != Wt.shape[1]:
-        raise ShapeError("weight matrices must share the component count")
-    return Ws.T @ Kst @ Wt
-
-
 @dataclass
 class KernelAlignment:
     """Fitted kernel-SA pipeline (see `kernel_sa_fit` for its two paths):
@@ -619,7 +605,7 @@ def kernel_sa_fit(Xs: Domain, Xt: Domain, spec: KernelSpec, d: int) -> KernelAli
         Kst = kernel_matrix(Xs, Xt, spec, fitted)
         Ws, Wt = (B.P / np.sqrt(B.eigenvalues) for B in (Bs, Bt))
         # cross-Gram centered against both domain means
-        M = kernel_alignment(Ws, _double_center(Kst), Wt)
+        M = Ws.T @ _double_center(Kst) @ Wt
         Z_a = M.T @ (np.sqrt(Bs.eigenvalues)[:, None] * Bs.P.T)
         Z_t = np.sqrt(Bt.eigenvalues)[:, None] * Bt.P.T
     return KernelAlignment(spec, M, Z_a, Z_t, Bs, Bt)

@@ -43,11 +43,11 @@ def _cmd_synth(args) -> int:
     source, target = synth_shifted_gaussians(spec)
     out = Path(args.output or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_csv(source, out / "source.csv", header=True)
+    save_csv(source, out / "source.csv")
     # target features only; the held-out labels go to a separate file so
     # adaptation runs cannot read them by accident
     features_only = replace(target, labels=None, labels_hidden=False)
-    save_csv(features_only, out / "target.csv", header=True)
+    save_csv(features_only, out / "target.csv")
     with open(out / "target_labels.csv", "w", encoding="utf-8") as fh:
         fh.write("label\n")
         for y in target.hidden_labels():

@@ -106,28 +106,22 @@ class DomainShift:
     coordinates, then scale, then translate."""
 
     rotation_angle: float = 0.0
-    translation: tuple[float, ...] | float = 0.0
+    translation: float = 0.0
     scale: float = 1.0
 
     def _apply_in_place(self, X: np.ndarray) -> None:
         """Shift the float array X in place: rotate rows 0 and 1, scale every
-        row, then translate. A step that is the identity (angle 0, scale 1,
-        an all-zero translation) makes no pass, so it also leaves a -0.0
-        entry as it is."""
-        D = X.shape[0]
-        t = np.asarray(self.translation, dtype=float)
-        if t.ndim == 0:
-            t = np.full(D, float(t))
-        if t.shape != (D,):
-            raise ConfigurationError(f"translation length {t.shape} != D={D}")
-        if D >= 2 and self.rotation_angle != 0.0:
+        row, then add ``translation`` to every entry. A step that is the
+        identity (angle 0, scale 1, translation 0) makes no pass, so it also
+        leaves a -0.0 entry as it is."""
+        if X.shape[0] >= 2 and self.rotation_angle != 0.0:
             c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
             x0, x1 = c * X[0] - s * X[1], s * X[0] + c * X[1]
             X[0], X[1] = x0, x1
         if self.scale != 1:
             X *= self.scale
-        if np.any(t):
-            X += t[:, None]
+        if self.translation != 0.0:
+            X += self.translation
 
 
 @dataclass(frozen=True)
@@ -280,16 +274,17 @@ def split_label_row(domain: Domain, label_column: int) -> Domain:
     return Domain(np.delete(domain.samples.T, row, axis=1).T, domain.samples[row])
 
 
-def save_csv(domain: Domain, path: str, header: bool = False) -> None:
-    """Write a domain to CSV, mirroring the `load_csv` layout."""
+def save_csv(domain: Domain, path: str) -> None:
+    """Write a domain to CSV, mirroring the `load_csv` layout: a header row
+    (f0, f1, ..., then label when the domain has labels), then one row per
+    sample."""
     X = domain.samples
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            cols = [f"f{m}" for m in range(X.shape[0])]
-            if domain.labels is not None:
-                cols.append("label")
-            writer.writerow(cols)
+        cols = [f"f{m}" for m in range(X.shape[0])]
+        if domain.labels is not None:
+            cols.append("label")
+        writer.writerow(cols)
         for j in range(X.shape[1]):
             row = [repr(float(v)) for v in X[:, j]]
             if domain.labels is not None:

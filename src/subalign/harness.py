@@ -30,7 +30,7 @@ from .datasets import (
     split_label_row,
 )
 from .errors import ConfigurationError, ParseError, ShapeError, SubalignError
-from .quantum_core import MAX_GROVER_N, ShotPlan
+from .quantum_core import MAX_AE_QUBITS, MAX_GROVER_N, ShotPlan
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "SUBALIGN_"
@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"classifier: unknown value {self.classifier!r}")
         if not 1 <= self.precision_qubits <= 12:
             raise ConfigurationError("quantum.precision_qubits: must be in 1..12")
-        if not 1 <= self.ae_bits <= 10:
-            raise ConfigurationError("quantum.ae_bits: must be in 1..10")
+        if not 1 <= self.ae_bits <= MAX_AE_QUBITS:
+            raise ConfigurationError(f"quantum.ae_bits: must be in 1..{MAX_AE_QUBITS}")
         if self.shots < 1 or self.repeats < 1 or self.workers < 1:
             raise ConfigurationError("shots, repeats, workers must be >= 1")
         if self.gamma <= 0:
@@ -182,7 +182,8 @@ _KEY_MAP = {
 
 def parse_config_text(text: str, environ: dict | None = None) -> ExperimentConfig:
     """Parse the flat dotted-key config format, then apply SUBALIGN_*
-    environment overrides (dots become underscores, case-insensitive)."""
+    environment overrides: the key upper-cased, its dots as underscores
+    (quantum.shots -> SUBALIGN_QUANTUM_SHOTS); no other spelling is read."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,7 +215,17 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
             groups[group][name] = conv(value)
         except ValueError:
             raise ConfigurationError(f"{key}: malformed value {value!r}") from None
-    if cfg_kwargs.get("source_csv"):
+    # a key that the chosen input ignores is rejected, not dropped
+    csv_input = bool(cfg_kwargs.get("source_csv"))
+    for key in pairs:
+        group = _KEY_MAP[key][0]
+        if csv_input and group in ("dataset", "shift"):
+            raise ConfigurationError(f"{key}: a synthetic-data key, unused with dataset.source_csv")
+        if key == "dataset.label_column" and not csv_input:
+            raise ConfigurationError(f"{key}: read only with dataset.source_csv")
+        if key == "kernel.degree" and kernel_kwargs.get("kind") != "polynomial":
+            raise ConfigurationError(f"{key}: read only with kernel.kind = polynomial")
+    if csv_input:
         cfg_kwargs["dataset"] = None
     else:
         spec = SynthSpec(**ds_kwargs)
@@ -348,14 +359,17 @@ def _product_stage(trace: list, seed: int, stage: str, P, Q, config: ExperimentC
 
 def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain, trace, seconds):
     """One domain's pass: center ``domain`` in place (it was loaded for this
-    seed alone), then its PCA basis and projection and, on the quantum
-    track, its qPCA basis (and trace row) and the matrix its projection's
-    state reads back to (and that stage's trace row, X_hat_s for the
-    source). Returns (basis, X_hat, q_basis, the read-back X_hat)."""
+    seed alone), then its PCA basis (and trace row) and projection and, on
+    the quantum track, its qPCA basis (and trace row) and the matrix its
+    projection's state reads back to (and that stage's trace row, X_hat_s
+    for the source). Returns (basis, X_hat, q_basis, the read-back X_hat)."""
     center_columns_in_place(domain)
     with _stage(seconds, "classical_align"):
         basis = csa.pca_subspace(domain, config.d)
         X_hat = basis.P.T @ domain.samples
+    # the eigenvalue gap at the cut and the degeneracy warning
+    trace.append({"seed": seed, "stage": "pca", "domain": name,
+                  "gap": basis.gap, "warnings": basis.warnings})
     if config.track == "classical":
         return basis, X_hat, None, None
     with _stage(seconds, "quantum_align"):

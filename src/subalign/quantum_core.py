@@ -242,12 +242,18 @@ class GroverStats:
 
 
 def _sort_tables(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's stable sort order, and below[t, k], the entries of row t
-    strictly below its k-th smallest value (the first sorted position that
-    holds that value), both int16 (N <= MAX_GROVER_N). Built in chunks of
-    about SEARCH_SLOTS entries, so the int64 and float temporaries stay a
-    few KiB whatever T is."""
+    """The tables `grover_min_find` searches, one row per row of the (T, N)
+    matrix ``values``: each row's stable sort order, and below[t, k], the
+    entries of row t strictly below its k-th smallest value (the first
+    sorted position that holds that value), both int16. A row of no entries
+    or of more than MAX_GROVER_N is rejected before any table is written.
+    Built in chunks of about SEARCH_SLOTS entries, so the int64 and float
+    temporaries stay a few KiB whatever T is."""
     T, N = values.shape
+    if N == 0:
+        raise ConfigurationError("empty input")
+    if N > MAX_GROVER_N:
+        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
     order = np.empty((T, N), dtype=np.int16)
     below = np.empty((T, N), dtype=np.int16)
     rows = max(1, SEARCH_SLOTS // N)
@@ -282,13 +288,13 @@ def _grover_runs(pool, below, span, angle, budget: int, rng: np.random.Generator
     np.minimum(misses, span.size - 1, out=misses)
 
 
-def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> GroverStats:
+def grover_min_find(tables, rng: np.random.Generator, repeats: int = 1) -> GroverStats:
     """Durr-Hoyer quantum minimum finding (simulated with exact Grover
     success probabilities and instrumented oracle-query counting).
 
-    ``values`` is a (T, N) matrix with one search problem per row, or the
-    (order, below) pair that `_sort_tables` makes of it: the search reads
-    only those, so a caller can free the values before it searches. A single
+    ``tables`` is the (order, below) pair that `_sort_tables` makes of a
+    (T, N) matrix with one search problem per row: the search reads only
+    those, so a caller can free the values before it searches. A single
     search returns its row's argmin with probability >= 1/2 within
     ceil(22.5 sqrt(N) + 1.4 log2(N)^2) oracle queries; each row is searched
     ``repeats`` times and keeps the best index found (the lowest index among
@@ -306,22 +312,13 @@ def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> Grove
     the best value at its lowest index. A run of j iterations on c marked
     entries finds one with chance sin^2((2j + 1) theta_c), sin^2(theta_c) =
     c / N, from the N + 1 angles theta_c that the call computes once. Beyond
-    its input, a call holds the int16 sort tables (4 bytes per entry; made
-    here from a value matrix), the angles, two int64s per row of results,
-    and a pool-sized working set of a few tens of KiB whatever T and
-    ``repeats`` are: a call on a value matrix peaks below values.nbytes +
-    128 KiB, up to N = MAX_GROVER_N.
+    the tables, a call holds the angles, two int64s per row of results, and
+    a pool-sized working set of a few tens of KiB whatever T and
+    ``repeats`` are: the tables and the search of a value matrix together
+    peak below values.nbytes + 128 KiB, up to N = MAX_GROVER_N.
     """
-    ranks = values if isinstance(values, tuple) else None
-    if ranks is None:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ConfigurationError("values must be a (T, N) matrix")
-    T, N = (values if ranks is None else ranks[0]).shape
-    if N == 0:
-        raise ConfigurationError("empty input")
-    if N > MAX_GROVER_N:
-        raise ConfigurationError(f"N capped at {MAX_GROVER_N}")
+    order, below = tables
+    T, N = order.shape
     # span[k]: the exclusive bound ceil(g) on a run's iterations after k
     # straight misses, where g grows as min(1.2 g, sqrt(N)) from 1
     growth = [1.0]
@@ -330,7 +327,6 @@ def grover_min_find(values, rng: np.random.Generator, repeats: int = 1) -> Grove
     span = np.ceil(growth).astype(np.int64)
     # angle[c] = theta_c, with sin^2(theta_c) = c / N for c marked entries
     angle = np.arcsin(np.sqrt(np.arange(N + 1) / N))
-    order, below = _sort_tables(values) if ranks is None else ranks
     repeats = max(int(repeats), 1)
     budget = math.ceil(22.5 * math.sqrt(N) + 1.4 * math.log2(max(N, 2)) ** 2)
     best = np.full(T, N, dtype=np.int64)

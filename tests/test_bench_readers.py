@@ -10,7 +10,7 @@ import numpy as np
 from subalign import classical_sa as csa
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain
-from subalign.quantum_core import ShotPlan, grover_min_find
+from subalign.quantum_core import ShotPlan, _sort_tables, grover_min_find
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,7 +34,8 @@ def test_count_readers_read_real_return_values():
     args = (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), np.zeros((2, 5)))
     assert readers["nn_classify"](args, csa.nn_classify(*args)) == {"pairs": 10}
 
-    args = (np.array([[3.0, 1.0, 2.0], [2.0, 2.0, 0.5]]), ShotPlan().rng("min_find"), 4)
+    tables = _sort_tables(np.array([[3.0, 1.0, 2.0], [2.0, 2.0, 0.5]]))
+    args = (tables, ShotPlan().rng("min_find"), 4)
     stats = grover_min_find(*args)
     queries = readers["grover_min_find"](args, stats)["oracle_queries"]
     assert queries == int(stats.target_queries.sum()) > 0

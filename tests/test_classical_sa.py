@@ -690,17 +690,14 @@ class TestKernelPca:
 
 class TestKernelAlignment:
     def test_self_alignment_is_identity(self):
+        """On the Gram path a domain aligned with itself gives M* = Ws^T K_c Ws
+        = I: the weights whiten the centered Gram."""
         rng = np.random.default_rng(19)
-        X = rng.standard_normal((3, 8))
-        K = X.T @ X
-        W = _kpca_weights(K, 2)
-        Kc = K - K.mean(0) - K.mean(1)[:, None] + K.mean()
-        M = csa.kernel_alignment(W, Kc, W)
-        assert np.allclose(M, np.eye(2), atol=1e-8)
-
-    def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            csa.kernel_alignment(np.ones((4, 2)), np.ones((5, 4)), np.ones((4, 2)))
+        X = center_columns(Domain(rng.standard_normal((3, 8))))[0]
+        for spec in (csa.KernelSpec("polynomial", 2), csa.KernelSpec("cosine")):
+            fit = csa.kernel_sa_fit(X, X, spec, 2)
+            assert fit.path == "gram"
+            assert np.allclose(fit.M_star, np.eye(2), atol=1e-8)
 
     def test_objective_minimized(self):
         rng = np.random.default_rng(20)
@@ -738,7 +735,7 @@ class TestKernelAlignment:
 
         Kss, Ktt, Kst = gram(Xs, Xs), gram(Xt, Xt), gram(Xs, Xt)
         Ws, Wt = _kpca_weights(Kss, d), _kpca_weights(Ktt, d)
-        M = csa.kernel_alignment(Ws, csa._double_center(Kst), Wt)
+        M = Ws.T @ csa._double_center(Kst) @ Wt
         return {
             "M_star": M,
             "Z_a": M.T @ (Ws.T @ csa._double_center(Kss)),

@@ -82,19 +82,19 @@ class TestSynth:
             X[0] = c * top[0] - s * top[1]
             X[1] = s * top[0] + c * top[1]
         X *= shift.scale
-        t = np.broadcast_to(np.asarray(shift.translation, dtype=float), (spec.D,))
+        t = np.full(spec.D, shift.translation)
         draws[1] = (X + t[:, None], draws[1][1])
         return draws
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("shift, sigma, classes", [
         (DomainShift(), 1.0, 2),
-        (DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3), 1.0, 3),
+        (DomainShift(rotation_angle=0.7, translation=-2.25, scale=1.3), 1.0, 3),
         (DomainShift(rotation_angle=0.7, translation=0.5, scale=0.8), 0.0, 3),
         (DomainShift(), 0.0, 2),
         (DomainShift(), 2.5, 2),
         (DomainShift(scale=1.3), 1.0, 2),
-        (DomainShift(translation=(0.0, 0.0, 0.0, 2.0)), 1.0, 3),
+        (DomainShift(translation=2.0), 1.0, 3),
     ])
     def test_samples_match_reference_formula_bitwise(self, seed, shift, sigma, classes):
         spec = SynthSpec(D=4, n_s=50, n_t=60, class_count=classes, domain_shift=shift,
@@ -114,10 +114,10 @@ class TestSynth:
         assert not np.array_equal(out, X)
 
     @pytest.mark.parametrize("shift", [
-        DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25, 3.0), scale=1.3),
+        DomainShift(rotation_angle=0.7, translation=-2.25, scale=1.3),
         DomainShift(rotation_angle=4.2, translation=0.5, scale=0.8),
         DomainShift(scale=0.8),
-        DomainShift(translation=(0.0, -1.0, 0.0, 0.0)),
+        DomainShift(translation=-1.0),
     ])
     def test_in_place_target_shift_matches_apply_bitwise(self, shift):
         # the draws do not depend on the shift, so the unshifted target is the
@@ -245,7 +245,7 @@ class TestCsv:
         D, n = 64, 2000
         rng = np.random.default_rng(0)
         p = tmp_path / "d.csv"
-        save_csv(Domain(rng.standard_normal((D, n)), rng.integers(0, 2, n)), str(p), header=True)
+        save_csv(Domain(rng.standard_normal((D, n)), rng.integers(0, 2, n)), str(p))
         tracemalloc.start()
         try:
             dom = load_csv(str(p), label_column=D + 1)

@@ -51,6 +51,20 @@ output_dir = {tmp_path}
     )
 
 
+# CSV inputs that parsing alone does not open
+_CSV_PAIR = "dataset.source_csv = s.csv\ndataset.target_csv = t.csv\ndataset.label_column = 3\n"
+
+
+def _csv_config(tmp_path, label_column, extra=""):
+    """`_config` on the CSV pair s.csv, t.csv in ``tmp_path`` instead of a
+    synthetic draw; the source's labels are its column ``label_column``."""
+    return parse_config_text(
+        f"dataset.source_csv = {tmp_path / 's.csv'}\ndataset.target_csv = {tmp_path / 't.csv'}\n"
+        f"dataset.label_column = {label_column}\nd = 2\nseeds = 0,1\noutput_dir = {tmp_path}\n"
+        + extra
+    )
+
+
 class TestConfigParsing:
     def test_basic_keys(self, tmp_path):
         cfg = _config(tmp_path, "quantum.precision_qubits = 6\ntrack = both\n")
@@ -72,12 +86,15 @@ class TestConfigParsing:
             parse_config_text("not a pair")
 
     def test_env_override(self):
+        """Only the upper-case names are read: subalign_d is not SUBALIGN_D."""
         cfg = parse_config_text(
             "d = 1\nseeds = 0",
-            environ={"SUBALIGN_QUANTUM_PRECISION_QUBITS": "5", "SUBALIGN_GAMMA": "3.0"},
+            environ={"SUBALIGN_QUANTUM_PRECISION_QUBITS": "5", "SUBALIGN_GAMMA": "3.0",
+                     "subalign_d": "2"},
         )
         assert cfg.precision_qubits == 5
         assert cfg.gamma == 3.0
+        assert cfg.d == 1
 
     def test_d_exceeding_dimension(self):
         with pytest.raises(ConfigurationError, match="d:"):
@@ -98,6 +115,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="needs dataset.classes = 2"):
             parse_config_text(text + f"classifier = {classifier}\n", environ={})
         assert parse_config_text(text + "classifier = nn\n", environ={}).dataset.class_count == 3
+
+    SYNTH_KEYS = (
+        "dataset.D", "dataset.n_s", "dataset.n_t", "dataset.classes", "dataset.separation",
+        "dataset.noise_sigma", "dataset.rotation", "dataset.translation", "dataset.scale",
+    )
+
+    @pytest.mark.parametrize("text, key", [
+        ("dataset.D = 4\nkernel.degree = 3\n", "kernel.degree"),
+        ("kernel.kind = cosine\nkernel.degree = 2\n", "kernel.degree"),
+        ("dataset.label_column = 3\n", "dataset.label_column"),
+        *((_CSV_PAIR + f"{key} = 1\n", key) for key in SYNTH_KEYS),
+    ], ids=["degree-linear", "degree-cosine", "label_column-synth",
+            *(f"{key}-csv" for key in SYNTH_KEYS)])
+    def test_keys_the_run_would_ignore_are_rejected(self, text, key):
+        """kernel.degree without kernel.kind = polynomial, a synthetic-data
+        key beside CSV inputs and dataset.label_column without them were
+        dropped, and kernel.degree alone turned on a linear-kernel track.
+        Each is rejected by name while the config is parsed, before any file
+        is read; without the key, the same text parses."""
+        with pytest.raises(ConfigurationError, match=f"^{key}: "):
+            parse_config_text(text, environ={})
+        parse_config_text(text.replace(f"{key} = ", "# "), environ={})
 
     def test_bool_values(self):
         cfg = parse_config_text("quantum.exact_theta = false")
@@ -231,6 +270,24 @@ class TestRun:
                 assert row[f"gap_{dom}"] == basis.gap
             assert row["warnings"] == fit.warnings
 
+    @pytest.mark.parametrize("sigma, warned", [(1.0, False), (0.0, True)])
+    def test_pca_trace_row_per_domain_and_seed(self, tmp_path, sigma, warned):
+        """A classical run keeps each PCA basis's gap at the cut and its
+        degeneracy warning. Without noise every domain has rank 1, so the
+        cut at d = 2 falls in a zero eigenvalue pair and warns."""
+        cfg = _config(tmp_path, f"dataset.noise_sigma = {sigma}\n")
+        run(cfg)
+        rows = [json.loads(line) for line in (tmp_path / "trace_v1.jsonl").read_text().splitlines()]
+        assert [(row["seed"], row["stage"], row["domain"]) for row in rows] == [
+            (0, "pca", "source"), (0, "pca", "target"), (1, "pca", "source"), (1, "pca", "target")
+        ]
+        for row in rows:
+            pair = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
+            basis = csa.pca_subspace(center_columns(pair[row["domain"] == "target"])[0], cfg.d)
+            assert row["gap"] == basis.gap and np.isfinite(row["gap"])
+            assert row["warnings"] == basis.warnings
+            assert bool(row["warnings"]) is warned
+
     def test_qpca_trace_row_per_domain_and_seed(self, tmp_path):
         cfg = _config(tmp_path, "track = both\nquantum.exact_theta = true\n")
         run(cfg)
@@ -297,11 +354,7 @@ class TestRun:
         source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=MAX_GROVER_N + 1, n_t=6))
         for name, dom in (("s.csv", source), ("t.csv", target)):
             save_csv(dom, str(tmp_path / name))
-        cfg = _config(
-            tmp_path,
-            f"track = both\ndataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
-        )
+        cfg = _csv_config(tmp_path, 4, "track = both\n")
         with pytest.raises(ConfigurationError, match="caps exceeded"):
             run(cfg)
         assert calls == []
@@ -315,11 +368,7 @@ class TestRun:
         source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=12, n_t=10, class_count=3))
         for name, dom in (("s.csv", source), ("t.csv", target)):
             save_csv(dom, str(tmp_path / name))
-        cfg = _config(
-            tmp_path,
-            f"classifier = svm\ndataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
-        )
+        cfg = _csv_config(tmp_path, 4, "classifier = svm\n")
         with pytest.raises(ConfigurationError, match=r"s\.csv: the SVM needs labels in \{-1, \+1\}"):
             run(cfg)
         assert calls == []
@@ -344,11 +393,7 @@ class TestRun:
         source, target = synth_shifted_gaussians(SynthSpec(D=8, n_s=n_s, n_t=n_t))
         for name, dom in (("s.csv", source), ("t.csv", target)):
             save_csv(dom, str(tmp_path / name))
-        cfg = _config(
-            tmp_path,
-            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 9\nd = 4\n",
-        )
+        cfg = _csv_config(tmp_path, 9, "d = 4\n")
         with pytest.raises(ConfigurationError, match=message):
             run(cfg)
 
@@ -610,18 +655,19 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_a_run_without_trace_rows_replaces_the_trace(self, tmp_path):
-        """A classical run writes no trace rows, so its trace file is empty:
-        the quantum rows of an earlier run into the same directory are not
-        left beside its report."""
+        """A classical run writes no quantum trace rows, so its trace file
+        holds its two PCA rows alone: the quantum rows of an earlier run
+        into the same directory are not left beside its report."""
         text = (
             "dataset.D = 8\ndataset.n_s = 15\ndataset.n_t = 40\nd = 2\nseeds = 0\n"
             f"classifier = nn\noutput_dir = {tmp_path}\n"
         )
         trace = tmp_path / "trace_v1.jsonl"
         run(parse_config_text(text + "track = both\n"))
-        assert len(trace.read_text().splitlines()) == 7
+        assert len(trace.read_text().splitlines()) == 9
         run(parse_config_text(text + "track = classical\n"))
-        assert trace.read_text() == ""
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [(row["stage"], row["domain"]) for row in rows] == [("pca", "source"), ("pca", "target")]
 
     def test_reproducible_accuracy_csv(self, tmp_path):
         run(_config(tmp_path / "a"))
@@ -663,7 +709,7 @@ class TestLoadDomains:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("shift, sigma", [
         (DomainShift(), 1.0),
-        (DomainShift(rotation_angle=0.7, translation=(1.5, -2.0, 0.25), scale=1.3), 1.0),
+        (DomainShift(rotation_angle=0.7, translation=-2.25, scale=1.3), 1.0),
         (DomainShift(rotation_angle=0.7, translation=0.5, scale=0.8), 0.0),
         (DomainShift(), 0.0),
     ])
@@ -683,11 +729,7 @@ class TestLoadDomains:
         source, target = synth_shifted_gaussians(SynthSpec(D=3, n_s=12, n_t=10, seed=4))
         save_csv(source, str(tmp_path / "s.csv"))
         save_csv(target if with_labels else replace(target, labels=None), str(tmp_path / "t.csv"))
-        cfg = _config(
-            tmp_path,
-            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
-        )
+        cfg = _csv_config(tmp_path, 4)
         want_source = load_csv(str(tmp_path / "s.csv"), 4)
         want_target = load_csv(str(tmp_path / "t.csv"))
         if with_labels:
@@ -704,13 +746,9 @@ class TestLoadDomains:
         save_csv(source, str(tmp_path / "s.csv"))
         save_csv(replace(target, labels=None), str(tmp_path / "t.csv"))
         rows = (tmp_path / "t.csv").read_text().splitlines()
-        labels = ["0.5"] + ["1"] * (len(rows) - 1)
+        labels = ["label", "0.5"] + ["1"] * (len(rows) - 2)  # the first row is the header
         (tmp_path / "t.csv").write_text("".join(f"{r},{v}\n" for r, v in zip(rows, labels)))
-        cfg = _config(
-            tmp_path,
-            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
-        )
+        cfg = _csv_config(tmp_path, 4)
         with pytest.raises(ParseError, match="t.csv: label column 4: labels must be integers"):
             list(harness._load_domains(cfg, 0))
 
@@ -727,11 +765,7 @@ class TestLoadDomains:
         save_csv(source, str(tmp_path / "s.csv"))
         save_csv(target, str(tmp_path / "t.csv"))
         (tmp_path / bad).write_text("".join(f"{row}\n" for row in rows))
-        cfg = _config(
-            tmp_path,
-            f"dataset.source_csv = {tmp_path / 's.csv'}\n"
-            f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 3\nd = 1\n",
-        )
+        cfg = _csv_config(tmp_path, 3, "d = 1\n")
         with pytest.raises(ParseError) as err:
             list(harness._load_domains(cfg, 0))
         assert str(err.value) == f"{tmp_path / bad}: {message}"
@@ -744,11 +778,7 @@ class TestLoadDomains:
         if data == "csv":
             for name, dom in zip(("s.csv", "t.csv"), synth_shifted_gaussians(cfg.dataset)):
                 save_csv(dom, str(tmp_path / name))
-            cfg = _config(
-                tmp_path,
-                f"dataset.source_csv = {tmp_path / 's.csv'}\n"
-                f"dataset.target_csv = {tmp_path / 't.csv'}\ndataset.label_column = 4\n",
-            )
+            cfg = _csv_config(tmp_path, 4)
         domains = harness._load_domains(cfg, 0)
         source = weakref.ref(next(domains).samples)
         target = next(domains)

@@ -35,6 +35,7 @@ from subalign.quantum_core import (
     _ae_distribution,
     _ae_outcomes,
     _ae_thresholds,
+    _sort_tables,
     amplitude_estimation,
     grover_min_find,
     pe_outcome_kernel,
@@ -419,15 +420,21 @@ class TestEngineAgainstGateOracle:
                 assert np.max(np.abs(circuit - peaks)) <= 1e-12
 
 
+def _search(values, rng, repeats=1):
+    """`grover_min_find` on the sort tables of a value matrix, as
+    `q_nn_classify` calls it."""
+    return grover_min_find(_sort_tables(np.asarray(values, dtype=float)), rng, repeats)
+
+
 class TestGroverMinFind:
     def test_singleton(self):
-        assert grover_min_find([[5.0]], EXACT.rng("min_find")).index[0] == 0
+        assert _search([[5.0]], EXACT.rng("min_find")).index[0] == 0
 
     def test_single_run_success_rate(self):
         hits = 0
         for seed in range(400):
             plan = ShotPlan(seed=seed, mode="sampled")
-            hits += grover_min_find([[3.0, 1.0, 2.0]], plan.rng("min_find")).index[0] == 1
+            hits += _search([[3.0, 1.0, 2.0]], plan.rng("min_find")).index[0] == 1
         assert hits / 400 >= 0.5
 
     def test_repeats_find_argmin_with_bounded_queries(self):
@@ -436,17 +443,13 @@ class TestGroverMinFind:
         for trial in range(100):
             values = rng.standard_normal(64)
             plan = ShotPlan(seed=trial, mode="sampled")
-            stats = grover_min_find(values[None], plan.rng("min_find"), repeats=20)
+            stats = _search(values[None], plan.rng("min_find"), repeats=20)
             assert stats.index[0] == int(np.argmin(values))
             assert stats.oracle_queries <= 20 * budget
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
-            grover_min_find([[]], EXACT.rng("min_find"))
-
-    def test_vector_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"\(T, N\) matrix"):
-            grover_min_find([3.0, 1.0, 2.0], EXACT.rng("min_find"))
+            _sort_tables(np.empty((1, 0)))
 
 
 def _min_find_rng(seed):
@@ -478,7 +481,7 @@ class TestLockstepMinFind:
         """
         n = 10_000
         rows = np.random.default_rng(N).standard_normal((n, N))
-        stats = grover_min_find(rows, _min_find_rng(1))
+        stats = _search(rows, _min_find_rng(1))
         engine = stats.target_queries
         rng = np.random.default_rng(2)
         oracle = np.array([_durr_hoyer_once(row, rng)[1] for row in rows])
@@ -497,16 +500,16 @@ class TestLockstepMinFind:
         T = 8 * SEARCH_SLOTS // repeats + 7
         assert T * repeats >= 8 * SEARCH_SLOTS
         rows = np.random.default_rng(12).standard_normal((T, N))
-        stats = grover_min_find(rows, _min_find_rng(3), repeats)
+        stats = _search(rows, _min_find_rng(3), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert isinstance(stats.oracle_queries, int)
         assert stats.oracle_queries == int(stats.target_queries.sum())
         assert stats.target_queries.shape == (T,)
         assert stats.target_queries.max() <= repeats * _budget(N)
-        again = grover_min_find(rows, _min_find_rng(3), repeats)
+        again = _search(rows, _min_find_rng(3), repeats)
         for field in ("index", "oracle_queries", "target_queries"):
             assert np.array_equal(getattr(again, field), getattr(stats, field))
-        other = grover_min_find(rows, _min_find_rng(4), repeats)
+        other = _search(rows, _min_find_rng(4), repeats)
         assert not np.array_equal(other.target_queries, stats.target_queries)
 
     @pytest.mark.parametrize(
@@ -515,17 +518,17 @@ class TestLockstepMinFind:
         ids=["200", "2000", "10000", f"16-{MAX_GROVER_N}"],
     )
     def test_memory_is_bounded_by_the_input(self, T, N):
-        """The tables take 4 bytes per entry (half of ``values``), the pool
-        a fixed few tens of KiB: holding all T * repeats searches at once
-        would need 32 bytes per search (four int64 fields), 4.6 MiB at
-        T = 10^4. At N = MAX_GROVER_N the Grover angles take 256 KiB; a
-        table of the hit chance of every (marked count, iterations) pair
-        would take 45.75 MiB."""
+        """The sort tables and the search together: the tables take 4 bytes
+        per entry (half of ``values``), the pool a fixed few tens of KiB:
+        holding all T * repeats searches at once would need 32 bytes per
+        search (four int64 fields), 4.6 MiB at T = 10^4. At N = MAX_GROVER_N
+        the Grover angles take 256 KiB; a table of the hit chance of every
+        (marked count, iterations) pair would take 45.75 MiB."""
         values = np.random.default_rng(T).standard_normal((T, N))
         rng = _min_find_rng(0)
         tracemalloc.start()
         try:
-            grover_min_find(values, rng, repeats=15)
+            _search(values, rng, repeats=15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -545,7 +548,7 @@ class TestLockstepMinFind:
         or order of the draws, or in a hit chance, shows here, up to N =
         MAX_GROVER_N."""
         rows = np.random.default_rng(N).standard_normal((8, N))
-        stats = grover_min_find(rows, _min_find_rng(seed), repeats)
+        stats = _search(rows, _min_find_rng(seed), repeats)
         assert np.array_equal(stats.index, np.argmin(rows, axis=1))
         assert stats.oracle_queries == queries
         assert stats.target_queries.tolist() == target_queries
@@ -558,7 +561,7 @@ class TestLockstepMinFind:
         rng = np.random.default_rng(15)
         means = []
         for N in sizes:
-            stats = grover_min_find(rng.random((64, N)), _min_find_rng(N))
+            stats = _search(rng.random((64, N)), _min_find_rng(N))
             means.append(stats.target_queries.mean())
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
         assert abs(slope - 0.5) <= 0.1
@@ -569,7 +572,7 @@ class TestLockstepMinFind:
         for row in rows:
             first, second = np.sort(rng.choice(15, size=2, replace=False))
             row[first] = row[second] = row.min() - 1.0
-        index = grover_min_find(rows, _min_find_rng(4), repeats=15).index
+        index = _search(rows, _min_find_rng(4), repeats=15).index
         assert np.array_equal(index, np.argmin(rows, axis=1))
 
     def test_a_single_search_keeps_the_lowest_tied_index(self):
@@ -578,9 +581,9 @@ class TestLockstepMinFind:
         threshold fell: [1, 1, 2] gives 0 under every seed, and rows of
         small integers, most with a tied minimum, keep their first."""
         for seed in range(200):
-            assert grover_min_find([[1.0, 1.0, 2.0]], _min_find_rng(seed)).index[0] == 0
+            assert _search([[1.0, 1.0, 2.0]], _min_find_rng(seed)).index[0] == 0
         rows = np.random.default_rng(17).integers(0, 4, (2_000, 15)).astype(float)
-        index = grover_min_find(rows, _min_find_rng(6)).index
+        index = _search(rows, _min_find_rng(6)).index
         kept = rows[np.arange(len(rows)), index]
         assert np.array_equal(index, np.argmax(rows == kept[:, None], axis=1))
 
@@ -591,7 +594,7 @@ class TestLockstepMinFind:
         N = MAX_GROVER_N
         assert N == np.iinfo(np.int16).max
         row = np.random.default_rng(16).integers(0, 1000, N).astype(float)
-        order, below = quantum_core._sort_tables(row[None])
+        order, below = _sort_tables(row[None])
         assert order.dtype == below.dtype == np.int16
         assert np.array_equal(np.sort(order[0]), np.arange(N))
         ranked = row[order[0]]
@@ -600,7 +603,7 @@ class TestLockstepMinFind:
 
     def test_rows_past_the_limit_are_rejected(self):
         with pytest.raises(ConfigurationError, match=f"N capped at {MAX_GROVER_N}"):
-            grover_min_find(np.zeros((1, MAX_GROVER_N + 1)), _min_find_rng(0))
+            _sort_tables(np.zeros((1, MAX_GROVER_N + 1)))
 
     def test_budget_holds_when_no_run_hits(self):
         """With every hit test failing, each search runs until its budget is
@@ -618,7 +621,7 @@ class TestLockstepMinFind:
 
         N = 64
         rows = np.random.default_rng(14).standard_normal((300, N))
-        stats = grover_min_find(rows, NeverHits(_min_find_rng(5)))
+        stats = _search(rows, NeverHits(_min_find_rng(5)))
         assert set(np.unique(stats.target_queries)) == {0, _budget(N)}
 
 

@@ -13,7 +13,13 @@ from subalign import quantum_core
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
 from subalign.errors import ConfigurationError, PostselectionError, ShapeError
-from subalign.quantum_core import ShotPlan, grover_min_find, pe_outcome_kernel, pe_readout
+from subalign.quantum_core import (
+    ShotPlan,
+    _sort_tables,
+    grover_min_find,
+    pe_outcome_kernel,
+    pe_readout,
+)
 
 EXACT = ShotPlan()
 
@@ -639,7 +645,7 @@ class TestQuantumNn:
         X_hat_t = rng.integers(-2, 3, (2, 40)).astype(float)
         pred, records = qsa.q_nn_classify(X_hat_a, labels, X_hat_t, plan)
         est = qsa._ae_distances(qsa._unit_columns(X_hat_a), X_hat_t, plan, 7)
-        stats = grover_min_find(est, plan.rng("min_find"), repeats=15)
+        stats = grover_min_find(_sort_tables(est), plan.rng("min_find"), repeats=15)
         assert records.dtype.names == ("nearest", "oracle_queries", "warning")
         assert np.array_equal(records["nearest"], stats.index)
         assert np.array_equal(records["oracle_queries"], stats.target_queries)
