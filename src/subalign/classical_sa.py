@@ -298,7 +298,7 @@ def ls_svm_system(
     This is the one place that validates the LS-SVM inputs (gamma > 0,
     visible labels in {-1, +1}) and builds F; returns (c, B, C, (0, y)).
     """
-    if gamma <= 0:
+    if not gamma > 0:  # written so that NaN fails it too
         raise ConfigurationError("gamma must be > 0")
     y = Xs.visible_labels
     if y is None:
@@ -319,50 +319,55 @@ def ls_svm_system(
     return c, B, C, np.concatenate(([0.0], y.astype(float)))
 
 
-def _svm_core(c: float, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis Q of the columns of [B C] and the core
-    F_Q = c I + (Q^T B)(C^T Q) of F = c I + B C^T.
+def _svm_factor(
+    Xs: Domain, A, gamma: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F of `ls_svm_system`, factored for a spectral solve: (c, Q, U, sigma,
+    W^T, rhs).
 
-    F maps span(Q) onto itself and equals c I on its complement, so
-    F = Q F_Q Q^T + c (I - Q Q^T): the singular values of F are those of F_Q,
-    plus c when Q is not square.
+    Q is an orthonormal basis of the columns of [B C], and the core
+    F_Q = c I + (Q^T B)(C^T Q) = U diag(s) W^T is F on span(Q). F maps span(Q)
+    onto itself and equals c I on its complement, so
+    F = Q F_Q Q^T + c (I - Q Q^T): its singular values ``sigma`` are s, plus c
+    when Q is not square. Both trainers invert F through `_svm_solve`, in
+    O(n r^2) for A = L R^T with inner dimension r.
     """
+    c, B, C, rhs = ls_svm_system(Xs, A, gamma)
     Q = np.linalg.qr(np.hstack([B, C]))[0]
-    return Q, c * np.eye(Q.shape[1]) + (Q.T @ B) @ (C.T @ Q)
+    U, s, Wt = np.linalg.svd(c * np.eye(Q.shape[1]) + (Q.T @ B) @ (C.T @ Q))
+    sigma = np.append(s, c) if Q.shape[1] < Q.shape[0] else s
+    return c, Q, U, sigma, Wt, rhs
 
 
-def _svm_cond(c: float, Q: np.ndarray, core: np.ndarray) -> tuple[float, str]:
-    """F's condition number from its core (see `_svm_core`), and "smaller" or
-    "larger": the gamma = 1/c that moves c off the end of F's spectrum it is nearer."""
-    sv = np.linalg.svd(core, compute_uv=False)
-    if Q.shape[1] < Q.shape[0]:
-        sv = np.append(sv, c)
-    smin, smax = float(sv.min()), float(sv.max())
-    return smax / smin if smin > 0 else math.inf, "smaller" if c * c <= smin * smax else "larger"
+def _svm_solve(
+    Q: np.ndarray, U: np.ndarray, Wt: np.ndarray, inv: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """F^-1 y from `_svm_factor`'s factors with ``inv`` in place of 1/sigma:
+    Q W (inv * U^T Q^T y), plus inv_c (y - Q Q^T y) off span(Q) when Q is not
+    square (when it is square, that part is rounding noise)."""
+    z = Q.T @ y
+    x = Q @ (Wt.T @ (inv[: U.shape[1]] * (U.T @ z)))
+    if inv.size > U.shape[1]:
+        x += (y - Q @ z) * inv[-1]
+    return x
 
 
 def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
-    """Solve the least-squares SVM system F (b, alpha) = (0, y) through its
-    low-rank core (``_svm_core``), in O(n r^2) for A = L R^T with inner
-    dimension r; ``A`` is a D x D array or the pair (L, R).
-
-    The condition number of F (`_svm_cond`) is gated at 1e12. The solution is
-    Q F_Q^-1 Q^T rhs plus the part of rhs outside span(Q) divided by c; that
-    part is left out when Q is square, where it is rounding noise times gamma.
-    The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`).
-    """
-    c, B, C, rhs = ls_svm_system(Xs, A, gamma)
-    Q, core = _svm_core(c, B, C)
-    cond, toward = _svm_cond(c, Q, core)
+    """Solve the least-squares SVM system F (b, alpha) = (0, y) with 1/sigma
+    (`_svm_factor`, `_svm_solve`), gating F's condition number
+    max sigma / min sigma at 1e12; ``A`` is a D x D array or the pair (L, R).
+    The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`)."""
+    c, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
+    smin, smax = float(sigma.min()), float(sigma.max())
+    cond = smax / smin if smin > 0 else math.inf
     if cond > 1e12:
+        # the gamma = 1/c that moves c off the end of F's spectrum it is nearer
+        toward = "smaller" if c * c <= smin * smax else "larger"
         raise IllConditionedError(
             f"SVM system is numerically singular at gamma={gamma:g} (condition number "
             f"{cond:.3g}); try a {toward} gamma"
         )
-    z = Q.T @ rhs
-    sol = Q @ np.linalg.solve(core, z)
-    if Q.shape[1] < Q.shape[0]:
-        sol += (rhs - Q @ z) / c
+    sol = _svm_solve(Q, U, Wt, 1.0 / sigma, rhs)
     alpha = sol[1:]
     L, _ = _factor_pair(A)
     return SvmModel(float(sol[0]), alpha, L.T @ (Xs.samples @ alpha))

@@ -217,7 +217,8 @@ def _is_number(token: str) -> bool:
 
 
 def load_csv(path: str, label_column: int | None = None) -> Domain:
-    """Load a domain from CSV (rows = samples, optional header row).
+    """Load a domain from CSV (rows = samples, optionally after a header: a
+    first row with no numeric cell).
 
     ``label_column`` is a 1-based column index holding integer labels. Each
     row is parsed into one float array as it is read (the syntax `float`
@@ -228,7 +229,7 @@ def load_csv(path: str, label_column: int | None = None) -> Domain:
         first = next(rows, None)
         if first is None:
             raise ParseError(f"{path}: empty file")
-        start = 0 if all(_is_number(c) for c in first) else 1  # 1: a header row
+        start = 0 if any(_is_number(c) for c in first) else 1  # 1: a header row
         if start:
             first = next(rows, None)
             if first is None:

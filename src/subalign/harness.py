@@ -81,7 +81,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"quantum.ae_bits: must be in 1..{MAX_AE_QUBITS}")
         if self.shots < 1 or self.repeats < 1 or self.workers < 1:
             raise ConfigurationError("shots, repeats, workers must be >= 1")
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # written so that NaN fails it too
             raise ConfigurationError("gamma: must be > 0")
         if self.dataset is None and (self.source_csv is None or self.target_csv is None):
             raise ConfigurationError("dataset: need a synth spec or both CSV paths")
@@ -215,6 +215,8 @@ def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
             groups[group][name] = conv(value)
         except ValueError:
             raise ConfigurationError(f"{key}: malformed value {value!r}") from None
+        if conv is float and not math.isfinite(groups[group][name]):
+            raise ConfigurationError(f"{key}: must be finite, got {value!r}")
     # a key that the chosen input ignores is rejected, not dropped
     csv_input = bool(cfg_kwargs.get("source_csv"))
     for key in pairs:

@@ -27,8 +27,8 @@ from .classical_sa import (
     _factor_pair,
     _fix_signs,
     _nn_inputs,
-    _svm_core,
-    ls_svm_system,
+    _svm_factor,
+    _svm_solve,
     svm_decision_values,
 )
 from .datasets import Domain
@@ -58,8 +58,6 @@ __all__ = [
 
 # postselection below this probability keeps only rounding noise
 POSTSELECTION_FLOOR = 1e-6
-# the inversion keeps singular values down to sigma_max / QSVM_KAPPA_MAX
-QSVM_KAPPA_MAX = 1e4
 
 
 @dataclass
@@ -281,8 +279,8 @@ def q_nn_classify(
     during a search. Every search draws from one "min_find" stream. Returns the
     labels and one record per target: ``nearest``, the source index the search kept;
     ``oracle_queries``, summed over its searches; and ``warning``, set when sources of
-    more than one label share the estimated minimum. Inputs are checked as in
-    `nn_classify`."""
+    more than one label share the estimated minimum, as read off the sort tables.
+    Inputs are checked as in `nn_classify`."""
     X_hat_a, labels, X_hat_t = _nn_inputs(X_hat_a, labels, X_hat_t)
     n_s, n_t = X_hat_a.shape[1], X_hat_t.shape[1]
     step = max(NN_BLOCK_ELEMENTS // n_s, -(-SEARCH_SLOTS // max(repeats, 1)))
@@ -290,16 +288,16 @@ def q_nn_classify(
     rng, source = plan.rng("min_find"), _unit_columns(X_hat_a)
     columns = []  # per block: nearest, oracle queries, warning
     for lo, hi in zip(edges, edges[1:] + [n_t]):
-        est = _ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo)
-        at_min = est == est.min(axis=1, keepdims=True)
-        first_label = labels[np.argmax(at_min, axis=1)]
-        warning = np.any(at_min & (labels != first_label[:, None]), axis=1)
-        del at_min
-        ranks = _sort_tables(est)
-        del est  # the search reads only the sort tables
-        stats = grover_min_find(ranks, rng, repeats)
+        # the estimates are freed once their sort tables are made
+        order, below = _sort_tables(_ae_distances(source, X_hat_t[:, lo:hi], plan, ae_bits, lo))
+        stats = grover_min_find((order, below), rng, repeats)
+        # a tied minimum has below[:, 1] = 0; its group (below = 0) starts at its lowest index
+        tied = np.flatnonzero(below[:, 1:2] == 0)
+        ranked = labels[order[tied]]
+        warning = np.zeros(hi - lo, dtype=bool)
+        warning[tied] = np.any((below[tied] == 0) & (ranked != ranked[:, :1]), axis=1)
         columns.append((stats.index, stats.target_queries, warning))
-        del ranks  # before the next block's are made
+        del order, below, ranked  # before the next block's are made
     fields = [("nearest", np.int64), ("oracle_queries", np.int64), ("warning", bool)]
     records = np.empty(n_t, fields)
     for (name, _), column in zip(fields, zip(*columns)):
@@ -322,31 +320,23 @@ def q_svm_train(
     rotation. ``A`` is a D x D array or a factor pair (L, R) with A = L R^T.
 
     HHL inverts the Hermitian embedding [[0, F], [F^T, 0]], whose
-    eigenvalues are +-sigma for the singular values sigma of F. Those come
-    from the low-rank core of `ls_svm_system` (`_svm_core`): the singular
-    values of F_Q = U diag(s) W^T, plus c = 1/gamma on the complement of
-    span(Q) when Q is not square. Each sigma reads out at its most probable
-    outcome, pe_readout(sigma 0.25 / sigma_max, n), and readouts below
-    sigma_max / QSVM_KAPPA_MAX are dropped, so with z = Q^T y_hat
-    x = Q W (U^T z / sigma~) + (y_hat - Q z) / c~. The state's model is x
+    eigenvalues are +-sigma for the singular values sigma of F, from
+    `_svm_factor`. Each sigma reads out at its most probable outcome,
+    read = pe_readout(sigma 0.25 / sigma_max, n) sigma_max / 0.25, and a
+    sigma that reads out 0 is dropped: that is every sigma at or below
+    sigma_max / 2^(n-1), and a kept one reads at least sigma_max / 2^(n-2),
+    so the effective condition number is 2^(n-1). The solution is
+    `_svm_solve` of the unit (0, y) with 1/read, and the state's model is it
     read back to (b, alpha), with w folded as `svm_train` folds it.
     """
-    c, B, C, rhs = ls_svm_system(Xs, A, gamma)
-    Q, core = _svm_core(c, B, C)
-    U, s, Wt = np.linalg.svd(core)
-    complement = Q.shape[1] < Q.shape[0]
-    sigma = np.append(s, c) if complement else s
+    _, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
     smax = float(sigma.max())
     read = pe_readout(sigma * 0.25 / smax, precision_qubits) * smax / 0.25
-    keep = read >= smax / QSVM_KAPPA_MAX
+    keep = read > 0
     if not np.any(keep):
-        raise IllConditionedError("every eigenvalue fell below the inversion cutoff")
+        raise IllConditionedError(f"every singular value reads out 0 at n={precision_qubits}")
     inv = np.divide(1.0, read, out=np.zeros_like(read), where=keep)
-    y_hat = rhs / np.linalg.norm(rhs)
-    z = Q.T @ y_hat
-    x = Q @ (Wt.T @ (inv[: s.size] * (U.T @ z)))
-    if complement:
-        x += (y_hat - Q @ z) * inv[-1]
+    x = _svm_solve(Q, U, Wt, inv, rhs / np.linalg.norm(rhs))
     mag = float(np.linalg.norm(x))
     # the conditional rotation writes C / sigma~ on the kept branch, with C
     # the smallest kept readout, so postselection succeeds with (C ||x||)^2

@@ -395,6 +395,9 @@ class TestSvm:
     def test_gamma_zero_rejected(self):
         with pytest.raises(ConfigurationError):
             csa.svm_train(self._toy(), np.eye(2), 0.0)
+        # NaN passed `gamma <= 0` and reached the SVD
+        with pytest.raises(ConfigurationError, match="gamma must be > 0"):
+            csa.svm_train(self._toy(), np.eye(2), math.nan)
 
     def test_system_residual(self):
         rng = np.random.default_rng(12)
@@ -413,10 +416,11 @@ class TestSvm:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(F))
 
     def test_core_matches_dense_system(self):
-        """`_svm_cond`, the core's singular values with c added off span(Q),
-        gives the condition number of the dense F, on which `svm_train`
-        gates, and the factored solve leaves a backward-stable residual,
-        over random systems with Q both square (n + 1 <= 2 (D + 3)) and not."""
+        """`_svm_factor`'s sigma, the core's singular values with c added off
+        span(Q), gives the condition number of the dense F, on which
+        `svm_train` gates, and the factored solve leaves a backward-stable
+        residual, over random systems with Q both square (n + 1 <= 2 (D + 3))
+        and not."""
         rng = np.random.default_rng(21)
         eps = np.finfo(float).eps
         square = raised = 0
@@ -427,8 +431,8 @@ class TestSvm:
             A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
             c, B, C, rhs = csa.ls_svm_system(dom, A, gamma)
             F = c * np.eye(n + 1) + B @ C.T
-            Q, core = csa._svm_core(c, B, C)
-            cond, _ = csa._svm_cond(c, Q, core)
+            _, Q, _, sigma, _, _ = csa._svm_factor(dom, A, gamma)
+            cond = sigma.max() / sigma.min() if sigma.min() > 0 else math.inf
             square += Q.shape[1] == n + 1
             dense = np.linalg.cond(F)
             # the dense SVD itself finds sigma_min of F only to about

@@ -211,6 +211,8 @@ class TestCsv:
             ("a,b,label\n", None, ParseError, "no data rows"),
             ("a,b\n1,2\n3,4,5\n", None, ParseError, "ragged row 3 (expected 2 cells)"),
             ("1,2\n\n3,x\n", None, ParseError, "non-numeric cell 'x' in row 2"),
+            # a first row with a number is data, not a header: it was dropped
+            ("1,x\n2,3\n4,5\n", None, ParseError, "non-numeric cell 'x' in row 1"),
             ("h,h\n1,2\n 3 ,0x10\n", None, ParseError, "non-numeric cell '0x10' in row 3"),
             ("1,2\n3,4,5\n", 3, ConfigurationError,
              "label_column 3 outside 1..2 (the column count)"),

@@ -153,6 +153,23 @@ class TestConfigParsing:
             parse_config_text(f"{key} = {value}", environ={})
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "nan"), ("gamma", "inf"), ("dataset.separation", "inf"),
+        ("dataset.noise_sigma", "nan"), ("dataset.rotation", "nan"),
+        ("dataset.translation", "inf"), ("dataset.translation", "-inf"), ("dataset.scale", "nan"),
+    ])
+    def test_non_finite_value_names_its_key(self, key, value):
+        """A NaN gamma passed `gamma > 0` and ended in an SVD that did not
+        converge; the other keys failed mid-run as non-finite samples, naming
+        no key. Each is now rejected by name while the config is parsed."""
+        with pytest.raises(ConfigurationError, match=f"^{key}: must be finite, got '{value}'$"):
+            parse_config_text(f"classifier = svm\n{key} = {value}", environ={})
+
+    def test_nan_gamma_fails_validation(self):
+        with pytest.raises(ConfigurationError, match="^gamma: must be > 0$"):
+            harness.ExperimentConfig(gamma=float("nan")).validate()
+
+
 class TestRun:
     def test_classical_only_two_seeds(self, tmp_path):
         report = run(_config(tmp_path))

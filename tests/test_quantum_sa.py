@@ -12,7 +12,7 @@ from subalign import classical_sa as csa
 from subalign import quantum_core
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
-from subalign.errors import ConfigurationError, PostselectionError, ShapeError
+from subalign.errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
 from subalign.quantum_core import (
     ShotPlan,
     _sort_tables,
@@ -440,6 +440,21 @@ class TestQuantumNn:
         pred, records = qsa.q_nn_classify(X_hat_a, labels, np.zeros((2, 1)), EXACT)
         assert records[0]["warning"]
 
+    @pytest.mark.parametrize("X_hat_a, labels", [
+        ([[-1.0, 1.0]], [1, 1]),
+        ([[-1.0, 1.0, 0.0, 3.0], [0.0, 0.0, 1.0, 0.0]], [2, 2, 2, 0]),
+        ([[1.0]], [1]),
+    ], ids=["same-label-pair", "same-label-three-way", "one-source"])
+    def test_same_label_tie_does_not_warn(self, X_hat_a, labels):
+        """Sources that share the estimated minimum and one label, or a lone
+        source, leave the target unflagged; a source of another label farther
+        away does not count."""
+        pred, records = qsa.q_nn_classify(
+            np.array(X_hat_a), np.array(labels), np.zeros((len(X_hat_a), 1)), EXACT
+        )
+        assert not records[0]["warning"]
+        assert pred[0] == labels[0]
+
     def test_sampled_pairs_draw_independently(self):
         # identical sources must not share one noise draw, and the draws
         # are fixed by the plan's seed
@@ -577,17 +592,20 @@ class TestQuantumNn:
         """At n_s = 15, n_t = 200, d = 4 (exact plan; one block, B = n_t) the
         peak over entry stays within the call's layout, summed as if every
         stage's data were alive at once: the (B, n_s) estimates (8 bytes per
-        pair), their int16 sort tables (4) and tie masks (3 x 1); per readout
-        piece of at most SEARCH_SLOTS entries, the scratch buffer and the AE
-        readout's clip, indices and result (4 x 8 bytes per entry) and range
-        masks (3 x 1); per SEARCH_SLOTS entries of a sort-table chunk, its
+        pair) and their int16 sort tables (4); per readout piece of at most
+        SEARCH_SLOTS entries, the scratch buffer and the AE readout's clip,
+        indices and result (4 x 8 bytes per entry) and range masks (3 x 1);
+        per SEARCH_SLOTS entries of a sort-table chunk, its
         order, ranked values, first-of-group flags, positions and running
         maxima (4 x 8 + 1); three 4 x 8-byte pools of SEARCH_SLOTS searches
         (the pool, the searches entering it or folding out, and the pool
         they are concatenated into); the unit copies and norms of both
         domains, 8 (d + 1) bytes per point; the search's run-length bounds
         and its n_s + 1 Grover angles; and per target, the returned records
-        and the block columns they are built from, 17 bytes each, twice."""
+        and the block columns they are built from, 17 bytes each, twice. The
+        tie flags are read off the sort tables after the estimates are freed,
+        so they need no term of their own (a broadcast compare of the
+        estimates against their row minima allocated 28 KiB here)."""
         rng = np.random.default_rng(34)
         d, n_s, n_t = 4, 15, 200
         X_hat_a = rng.standard_normal((d, n_s))
@@ -605,7 +623,7 @@ class TestQuantumNn:
         span = 8 * (math.ceil(math.log(math.sqrt(n_s), 1.2)) + 1)
         piece = qsa.SEARCH_SLOTS // n_s * n_s
         bound = (
-            (8 + 4 + 3) * n_s * n_t
+            (8 + 4) * n_s * n_t
             + (4 * 8 + 3) * piece
             + (4 * 8 + 1) * qsa.SEARCH_SLOTS
             + 3 * 4 * 8 * qsa.SEARCH_SLOTS
@@ -677,8 +695,8 @@ class TestQuantumNn:
 def _dense_q_svm_train(Xs, A, gamma, precision_qubits):
     """Reference inversion: HHL on the dense Hermitian embedding
     [[0, F], [F^T, 0]] / tr F of the (n+1) x (n+1) LS-SVM matrix F, one
-    `eigh` of the 2(n+1)-row matrix. Returns (b, alpha), the postselection
-    probability and N_x."""
+    `eigh` of the 2(n+1)-row matrix, dropping every eigenvalue that reads
+    out 0. Returns (b, alpha), the postselection probability and N_x."""
     n = Xs.n
     rows = n + 1
     c, B, C, rhs = csa.ls_svm_system(Xs, A, gamma)
@@ -691,7 +709,7 @@ def _dense_q_svm_train(Xs, A, gamma, precision_qubits):
     lmax = float(np.max(np.abs(lam)))
     t0 = 2 * math.pi * 0.25 / lmax
     lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
-    keep = np.abs(lam_rounded) >= lmax / qsa.QSVM_KAPPA_MAX
+    keep = lam_rounded != 0
     coef = V.T @ np.concatenate([rhs / np.linalg.norm(rhs), np.zeros(rows)])
     inv_coef = np.where(keep, coef / np.where(keep, lam_rounded, 1.0), 0.0)
     success = float(np.sum((np.min(np.abs(lam_rounded[keep])) * inv_coef) ** 2))
@@ -757,12 +775,58 @@ class TestQsvm:
 
     def test_vanishing_postselection_rejected(self):
         """The labels are orthogonal to the one singular vector the cutoff
-        keeps (F's border and c = 1 read out below sigma_max / 1e4), so the
-        solution is rounding noise: postselection about 1e-31."""
+        keeps (F's border and c = 1 read out 0, below sigma_max / 2^(n-1)), so
+        the solution is rounding noise: postselection about 1e-31."""
         s = 100.0
         dom = Domain(np.array([[s, s, -s, -s], [0.0, 0.0, 0.0, 0.0]]), np.array([1, -1, 1, -1]))
         with pytest.raises(PostselectionError, match="below 1e-06"):
             qsa.q_svm_train(dom, np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("precision_qubits", [2, 8, 10, 12])
+    def test_cutoff_is_the_readout_lattice(self, monkeypatch, precision_qubits):
+        """A sigma reads out 0, and is dropped, exactly when it is at or below
+        sigma_max / 2^(n-1): one just above that is kept at 1 / read, one just
+        below is not. The factorization is stood in for by a diagonal F: a
+        core of sigma_max and the two sigmas on e0, e1, e2, and c = sigma_max
+        on e3, so alpha_i is y_i / read_i, read back at ||(0, y)|| = sqrt(3)."""
+        smax, edge = 4.0, 4.0 / 2 ** (precision_qubits - 1)
+        sigma = np.array([smax, edge * (1 + 1e-9), edge * (1 - 1e-9), smax])
+        factors = (smax, np.eye(4)[:, :3], np.eye(3), sigma, np.eye(3), np.array([0.0, 1, 1, 1]))
+        monkeypatch.setattr(qsa, "_svm_factor", lambda *args: factors)
+        dom = Domain(np.array([[1.0, 2.0, 3.0]]), np.array([1, 1, 1]))
+        state = qsa.q_svm_train(dom, np.eye(1), 1.0, precision_qubits)
+        above = 4.0 / 2 ** (precision_qubits - 2)
+        assert state.model.alpha.tolist() == pytest.approx([1 / above, 0.0, 1 / smax], rel=1e-12)
+
+    def test_one_precision_qubit_keeps_nothing(self):
+        """At n = 1 even sigma_max, at phase 1/4, rounds to outcome 0."""
+        with pytest.raises(IllConditionedError, match="reads out 0 at n=1"):
+            qsa.q_svm_train(self._toy(), np.eye(2), 1.0, precision_qubits=1)
+
+    def test_exact_readout_gives_the_classical_solution(self, monkeypatch):
+        """With every sigma read out exactly, `q_svm_train` inverts F as
+        `svm_train` does: one factorization and one solve, so (b, alpha)
+        agree to 1e-12 relative on random systems with condition number up
+        to 1e3, with Q both square and not."""
+        monkeypatch.setattr(qsa, "pe_readout", lambda phases, n: np.asarray(phases, dtype=float))
+        rng = np.random.default_rng(35)
+        square = checked = 0
+        for _ in range(200):
+            n, D = int(rng.integers(2, 31)), int(rng.integers(1, 7))
+            gamma = 10.0 ** rng.uniform(-1, 2)
+            dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+            A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
+            c, B, C, _ = csa.ls_svm_system(dom, A, gamma)
+            if np.linalg.cond(c * np.eye(n + 1) + B @ C.T) > 1e3:
+                continue
+            model = csa.svm_train(dom, A, gamma)
+            state = qsa.q_svm_train(dom, A, gamma)
+            want = np.concatenate(([model.b], model.alpha))
+            got = np.concatenate(([state.model.b], state.model.alpha))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            square += n + 1 <= 2 * (D + 3)
+            checked += 1
+        assert 0 < square < checked
 
     def test_labels_outside_pm_one_rejected(self):
         # the readout scale assumes ||(0, y)|| = sqrt(n), true only for +-1 labels
