@@ -96,11 +96,10 @@ class SubspaceBasis:
         d = self.P.shape[1]
         if self.eigenvalues.shape != (d,):
             raise ShapeError("eigenvalue count must equal basis column count")
-        if np.max(np.abs(self.P.T @ self.P - np.eye(d))) > 1e-10:
+        # both checks are written so that NaN fails them too
+        if not np.max(np.abs(self.P.T @ self.P - np.eye(d))) <= 1e-10:
             raise ShapeError("basis columns are not orthonormal")
-        if np.any(np.diff(self.eigenvalues) > 1e-10) or np.any(
-            self.eigenvalues < -1e-12
-        ):
+        if not (np.all(np.diff(self.eigenvalues) <= 1e-10) and np.all(self.eigenvalues >= -1e-12)):
             raise ConfigurationError("eigenvalues must be descending and >= 0")
 
     @property
@@ -158,6 +157,16 @@ def _top_basis(w: np.ndarray, V: np.ndarray, d: int) -> SubspaceBasis:
     return SubspaceBasis(_fix_signs(V[:, :d]), np.maximum(w[:d], 0.0), warnings, gap)
 
 
+def _scatter(M: np.ndarray) -> np.ndarray:
+    """The D x D scatter M M^T of the D x n samples ``M``, rejected when it
+    overflows float64: its eigenpairs would be NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = M @ M.T
+    if not np.all(np.isfinite(S)):
+        raise ConfigurationError("the scatter X X^T overflows float64: rescale the samples")
+    return S
+
+
 def pca_subspace(X, d: int) -> SubspaceBasis:
     """Top-d eigenvectors of X X^T (X must be centered), with the gap at the
     cut and a warning when it is below 1e-12."""
@@ -165,7 +174,7 @@ def pca_subspace(X, d: int) -> SubspaceBasis:
     D, n = M.shape
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range for D={D}, n={n}")
-    return _top_basis(*np.linalg.eigh(M @ M.T), d)
+    return _top_basis(*np.linalg.eigh(_scatter(M)), d)
 
 
 def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -392,21 +391,21 @@ def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain,
 
 def _run_seed(config: ExperimentConfig, seed: int) -> dict:
     t_start = time.perf_counter()
-    want_nn = config.classifier in ("nn", "both")
-    want_svm = config.classifier in ("svm", "both")
+    classifiers = ("nn", "svm") if config.classifier == "both" else (config.classifier,)
     quantum = config.track in ("quantum", "both")
     # past its domain's pass, a domain's samples are read only by the kernel
     # fit (its hard-kernel range spans both domains), run right after the
     # target's pass, and by SVM training (both tracks), which reads the
     # source alone and runs right after the alignment: the SVMs decide on
     # X_hat_t. Each domain is dropped as soon as nothing later reads it, so
-    # none is alive at any classifier
-    accuracy, parity, trace, seconds = [], [], [], {}
+    # none is alive at any quantum product stage or classifier
+    source_read_late = config.kernel is not None or "svm" in classifiers
+    parity, trace, seconds = [], [], {}
     domains = _load_domains(config, seed)
     source = next(domains)
     Ps, X_hat_s, q_Ps, q_X_hat_s = _domain_pass(config, seed, "source", source, trace, seconds)
     ys = source.visible_labels
-    if not want_svm and config.kernel is None:
+    if not source_read_late:
         del source
     target = next(domains)
     del domains  # and with it the loader's frames, which every later peak would carry
@@ -424,13 +423,22 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             "dim_t": Bt.P.shape[0], "lambda_d_t": float(Bt.eigenvalues[-1]), "gap_t": Bt.gap,
             "warnings": fit.warnings,
         })
-        if not want_svm:
-            del source
     del target
     with _stage(seconds, "classical_align"):
         art = csa.build_alignment(Ps, Pt, X_hat_s, X_hat_t, projected=True)
     del X_hat_s  # the aligned source replaces it
     A_factors = (art.P_a, art.P_t)  # A = P_a P_t^T, never formed
+
+    # both SVM trainings, each timed in its track's classify stage
+    if "svm" in classifiers:
+        with _stage(seconds, "classical_classify"):
+            svm_model = csa.svm_train(source, A_factors, config.gamma)
+        if quantum:
+            with _stage(seconds, "quantum_classify"):
+                q_model = qsa.q_svm_train(source, A_factors, config.gamma,
+                                          precision_qubits=max(config.precision_qubits, 10))
+    if source_read_late:
+        del source
 
     if quantum:
         with _stage(seconds, "quantum_align"):
@@ -457,45 +465,33 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
             dev_a, eps * 3 * scale_a,
         ))
 
-    # SVM training is the last reader of the source
-    if want_svm:
-        with _stage(seconds, "classical_classify"):
-            svm_model = csa.svm_train(source, A_factors, config.gamma)
-        if quantum:
-            with _stage(seconds, "quantum_classify"):
-                q_model = qsa.q_svm_train(source, A_factors, config.gamma,
-                                          precision_qubits=max(config.precision_qubits, 10))
-        del source
-
-    # the classical labels are both the classical track's output and the
+    # the target labels of each (track, classifier), in report order. The
+    # classical labels are both the classical track's output and the
     # reference the quantum track's label parity is measured against
+    labels = {}
     with _stage(seconds, "classical_classify"):
-        if want_nn:
-            nn_pred = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
-        if want_svm:
-            svm_pred = csa.svm_classify(svm_model, art.X_hat_t)
-        if config.track in ("classical", "both"):
-            if want_nn:
-                accuracy.append(_accuracy_row(seed, "classical", "nn", nn_pred, truth))
-            if want_svm:
-                accuracy.append(_accuracy_row(seed, "classical", "svm", svm_pred, truth))
+        if "nn" in classifiers:
+            labels["classical", "nn"] = csa.nn_classify(art.X_hat_a, ys, art.X_hat_t)
+        if "svm" in classifiers:
+            labels["classical", "svm"] = csa.svm_classify(svm_model, art.X_hat_t)
 
     if config.kernel is not None:
         with _stage(seconds, "kernel_track"):
-            pred = csa.nn_classify(fit.Z_a, ys, fit.Z_t)
-            accuracy.append(_accuracy_row(seed, "kernel", "nn", pred, truth))
+            labels["kernel", "nn"] = csa.nn_classify(fit.Z_a, ys, fit.Z_t)
 
+    label_tol = {}  # each quantum classifier's label-parity tolerance
     if quantum:
         plan = ShotPlan(
             shots=config.shots, seed=seed,
             mode="exact_expectation" if config.exact_theta else "sampled",
         )
         with _stage(seconds, "quantum_classify"):
-            if want_nn:
-                q_pred, records = qsa.q_nn_classify(
+            if "nn" in classifiers:
+                labels["quantum", "nn"], records = qsa.q_nn_classify(
                     X_hat_a, ys, q_X_hat_t, plan, ae_bits=config.ae_bits, repeats=config.repeats,
                 )
-                flips = q_pred != nn_pred  # exact mode, unflagged: a search miss or a bug
+                # exact mode, unflagged: a search miss or a bug
+                flips = labels["quantum", "nn"] != labels["classical", "nn"]
                 trace.append({
                     "seed": seed, "stage": "q_nn_classify", "m": len(records),
                     "oracle_queries": int(records["oracle_queries"].sum()),
@@ -505,18 +501,15 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                 })
                 # exact mode can still disagree when the AE lattice ties two
                 # distances, so allow a couple of flips; sampled mode gets more
-                parity.append(_label_row(
-                    f"seed{seed}.nn_labels", q_pred, nn_pred, 0.02 if config.exact_theta else 0.05,
-                ))
-                accuracy.append(_accuracy_row(seed, "quantum", "nn", q_pred, truth))
-            if want_svm:
-                q_pred, info = qsa.q_svm_classify(q_model, art.X_hat_t, plan)
+                label_tol["nn"] = 0.02 if config.exact_theta else 0.05
+            if "svm" in classifiers:
+                labels["quantum", "svm"], info = qsa.q_svm_classify(q_model, art.X_hat_t, plan)
                 trace.append({
-                    "seed": seed, "stage": "q_svm_classify", "m": len(q_pred),
+                    "seed": seed, "stage": "q_svm_classify", "m": len(labels["quantum", "svm"]),
                     "low_confidence": int(np.sum(info["low_confidence"])),
                     "success_probability": q_model.success_probability, "N_x": q_model.N_x,
                 })
-                svm_tol = 0.02
+                label_tol["svm"] = 0.02
                 if not plan.exact:
                     # A sampled decision is 2k/shots - 1 with k ~ Binomial(shots,
                     # (1 + r)/2), r the exact overlap; sign(0) -> +1. It flips the
@@ -527,10 +520,14 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
                     # mean bound by more than sqrt(ln(100) / (2m)) with
                     # probability below 1%. The exact-mode allowance stays on top.
                     r = info["exact_overlap"]
-                    svm_tol += float(np.mean(np.exp(-config.shots * r**2 / 2)))
-                    svm_tol += math.sqrt(math.log(100) / (2 * r.size))
-                parity.append(_label_row(f"seed{seed}.svm_labels", q_pred, svm_pred, svm_tol))
-                accuracy.append(_accuracy_row(seed, "quantum", "svm", q_pred, truth))
+                    label_tol["svm"] += float(np.mean(np.exp(-config.shots * r**2 / 2)))
+                    label_tol["svm"] += math.sqrt(math.log(100) / (2 * r.size))
+    for c, tol in label_tol.items():
+        parity.append(_label_row(f"seed{seed}.{c}_labels", labels["quantum", c],
+                                 labels["classical", c], tol))
+    # on track=quantum the classical labels are the parity reference alone
+    accuracy = [_accuracy_row(seed, track, c, pred, truth) for (track, c), pred in labels.items()
+                if track != "classical" or config.track != "quantum"]
 
     timings = [{"seed": seed, "stage": name, "seconds": s} for name, s in seconds.items()]
     timings.append({"seed": seed, "stage": "total", "seconds": time.perf_counter() - t_start})
@@ -544,6 +541,9 @@ def run(config: ExperimentConfig) -> RunReport:
     config.validate()
     seeds = list(config.seeds)
     if config.workers > 1:
+        # imported here: it loads logging too, which a sequential run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(lambda s: _run_seed(config, s), seeds))
     else:

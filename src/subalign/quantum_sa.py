@@ -27,6 +27,7 @@ from .classical_sa import (
     _factor_pair,
     _fix_signs,
     _nn_inputs,
+    _scatter,
     _svm_factor,
     _svm_solve,
     svm_decision_values,
@@ -121,7 +122,7 @@ def qpca(
         raise ConfigurationError(f"d={d} out of range")
     # the trace from the D x D scatter the eigensolver reads anyway, not from
     # a D x n temporary of the samples
-    S = M @ M.T
+    S = _scatter(M)
     cov_trace = float(np.trace(S))
     if cov_trace == 0:
         raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")

@@ -87,6 +87,23 @@ class TestPcaSubspace:
         basis = csa.pca_subspace(X, 2)
         assert basis.warnings
 
+    def test_overflowing_scatter_is_rejected(self):
+        """X X^T of samples of order 1e200 overflows: its eigenpairs were
+        NaN, and a NaN eigenvalue passed the basis checks."""
+        X = 1e200 * np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, 0.0, 0.0]])
+        with pytest.raises(ConfigurationError, match="overflow"):
+            csa.pca_subspace(X, 1)
+
+    @pytest.mark.parametrize("eigenvalues", [[math.nan], [math.nan, 1.0], [2.0, math.nan]])
+    def test_nan_eigenvalue_is_rejected(self, eigenvalues):
+        P = np.eye(3)[:, : len(eigenvalues)]
+        with pytest.raises(ConfigurationError, match="eigenvalues"):
+            csa.SubspaceBasis(P, np.array(eigenvalues))
+
+    def test_nan_basis_is_rejected(self):
+        with pytest.raises(ShapeError, match="orthonormal"):
+            csa.SubspaceBasis(np.array([[math.nan], [0.0]]), np.array([1.0]))
+
 
 class TestAlignmentMatrix:
     def test_identity_case(self):

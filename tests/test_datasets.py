@@ -214,6 +214,9 @@ class TestCsv:
             # a first row with a number is data, not a header: it was dropped
             ("1,x\n2,3\n4,5\n", None, ParseError, "non-numeric cell 'x' in row 1"),
             ("h,h\n1,2\n 3 ,0x10\n", None, ParseError, "non-numeric cell '0x10' in row 3"),
+            # numbered column names, as pandas writes them by default, make
+            # the header a data row: such columns must be renamed
+            ("0,1,label\n1.5,2,1\n3,4,-1\n", 3, ParseError, "non-numeric cell 'label' in row 1"),
             ("1,2\n3,4,5\n", 3, ConfigurationError,
              "label_column 3 outside 1..2 (the column count)"),
             ("1,2\n3,4.5\n", 2, ParseError, "label column 2: labels must be integers, got 4.5"),

@@ -197,6 +197,29 @@ class TestRun:
             ]
             assert len([r for r in report.parity if r["quantity"].startswith(f"seed{seed}.")]) == 4
 
+    @pytest.mark.parametrize("kernel", ["none", "hard"])
+    @pytest.mark.parametrize("classifier", ["nn", "svm", "both"])
+    @pytest.mark.parametrize("track", ["classical", "quantum", "both"])
+    def test_rows_come_in_report_order(self, tmp_path, track, classifier, kernel):
+        """Per seed: accuracy rows classical (not on track=quantum), kernel,
+        quantum, nn before svm; parity rows M*, X_hat_a, then the labels."""
+        extra = f"track = {track}\nclassifier = {classifier}\n"
+        if kernel != "none":
+            extra += f"kernel.kind = {kernel}\n"
+        cfg = _config(tmp_path, extra)
+        report = run(cfg)
+        classifiers = ["nn", "svm"] if classifier == "both" else [classifier]
+        per_seed = [("classical", c) for c in classifiers if track != "quantum"]
+        per_seed += [("kernel", "nn")] if kernel != "none" else []
+        per_seed += [("quantum", c) for c in classifiers if track != "classical"]
+        assert [(r["seed"], r["track"], r["classifier"]) for r in report.accuracy] == [
+            (seed, t, c) for seed in cfg.seeds for t, c in per_seed
+        ]
+        quantities = ["M_star", "X_hat_a"] + [f"{c}_labels" for c in classifiers]
+        assert [r["quantity"] for r in report.parity] == [
+            f"seed{seed}.{q}" for seed in cfg.seeds for q in quantities if track != "classical"
+        ]
+
     @staticmethod
     def _spy_svm_decisions(monkeypatch):
         """Record (plan, (labels, info)) of every `q_svm_classify` call."""
@@ -818,6 +841,22 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_sequential_run_imports_no_thread_pool(self, tmp_path):
+        """Only workers > 1 needs concurrent.futures, and logging, which it
+        imports; `test_workers_match_sequential` covers that path."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); from subalign import harness; "
+            "harness.run(harness.ExperimentConfig(dataset=harness.SynthSpec(D=4, n_s=12, n_t=10), "
+            "d=2, track='both', classifier='both', kernel=harness.csa.KernelSpec('hard'), "
+            f"output_dir={str(tmp_path)!r})); "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_svm_run_imports_no_numpy_ma(self, tmp_path):
         """numpy.ma costs about 1 MiB and 13 ms when it is first imported,
         and `np.unique` imports it; the LS-SVM label check does without."""
@@ -968,6 +1007,23 @@ class TestCli:
         assert out.returncode == 2
         (line,) = out.stderr.splitlines()
         assert line.startswith("error:") and "polynomial" in line and "non-finite" in line
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("track", ["classical", "both"])
+    def test_overflowing_scatter_exits_with_code_2(self, tmp_path, track):
+        """A finite but huge class separation overflows the PCA scatter: the
+        run once went to exit 0 after numpy's overflow warning, with a NaN
+        eigenvalue, classical NN accuracy 0.45 and a bare NaN gap in the pca
+        trace row; on track=both it exited 2 blaming the eigenvalue order."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "subalign.cli", "run", "--set", "dataset.separation=1e200",
+             "--set", f"track={track}", "--set", f"output_dir={tmp_path / 'o'}"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("error:") and "overflow" in line and "rescale" in line
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_with_code_2(self, tmp_path, capsys):

@@ -76,6 +76,11 @@ class TestQpca:
         expect = round(0.95 * math.pi / (2 * math.pi) * 256)
         assert res.outcomes.tolist() == [expect]
 
+    def test_overflowing_scatter_is_rejected(self):
+        X = 1e200 * np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, 0.0, 0.0]])
+        with pytest.raises(ConfigurationError, match="overflow"):
+            qsa.qpca(X, 1)
+
     def test_degenerate_spectrum_warns_but_spans(self):
         X = np.hstack([np.eye(2), -np.eye(2)])  # isotropic: equal eigenvalues
         res = qsa.qpca(X, 2, precision_qubits=8)
@@ -877,6 +882,24 @@ class TestQsvm:
         assert np.max(np.abs(info["exact_overlap"] - dense_info["exact_overlap"])) <= 1e-12
         with pytest.raises(ShapeError, match=f"D = {r},"):
             qsa.q_svm_classify(qmodel, X, EXACT)
+
+    def test_overlap_is_the_inner_product_of_the_dense_states(self):
+        """The exact overlap is <u|v> / (||u|| ||v||) for the training state
+        u = (b, alpha_1 x_1, ..., alpha_n x_n) and the query state
+        v = (1, A x, ..., A x), built here as dense vectors for A = L R^T:
+        ||v||^2 = N_t = 1 + n ||A x||^2 carries the factor n of its n copies."""
+        rng = np.random.default_rng(34)
+        D, n, r, m = 4, 6, 2, 20
+        dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
+        L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
+        X = rng.standard_normal((D, m))
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        _, info = qsa.q_svm_classify(qmodel, R.T @ X, EXACT)
+        u = np.concatenate(([qmodel.model.b], (dom.samples * qmodel.model.alpha).T.ravel()))
+        for j in range(m):
+            v = np.concatenate(([1.0], np.tile(L @ (R.T @ X[:, j]), n)))
+            expect = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert info["exact_overlap"][j] == pytest.approx(expect, rel=0, abs=1e-12)
 
     def test_decides_without_a_D_by_m_array(self):
         """On a factor pair (L, R) the overlap's numerator is the model's
