@@ -56,7 +56,6 @@ class ExperimentConfig:
     precision_qubits: int = 8
     ae_bits: int = 7
     shots: int = 1024
-    repeats: int = 15
     exact_theta: bool = True
     gamma: float = 1.0
     seeds: tuple[int, ...] = (0,)
@@ -78,8 +77,8 @@ class ExperimentConfig:
             raise ConfigurationError("quantum.precision_qubits: must be in 1..12")
         if not 1 <= self.ae_bits <= MAX_AE_QUBITS:
             raise ConfigurationError(f"quantum.ae_bits: must be in 1..{MAX_AE_QUBITS}")
-        if self.shots < 1 or self.repeats < 1 or self.workers < 1:
-            raise ConfigurationError("shots, repeats, workers must be >= 1")
+        if self.shots < 1 or self.workers < 1:
+            raise ConfigurationError("shots, workers must be >= 1")
         if not self.gamma > 0:  # written so that NaN fails it too
             raise ConfigurationError("gamma: must be > 0")
         if self.dataset is None and (self.source_csv is None or self.target_csv is None):
@@ -171,7 +170,6 @@ _KEY_MAP = {
     "quantum.precision_qubits": (None, "precision_qubits", int),
     "quantum.ae_bits": (None, "ae_bits", int),
     "quantum.shots": (None, "shots", int),
-    "quantum.repeats": (None, "repeats", int),
     "quantum.exact_theta": (None, "exact_theta", _parse_bool),
     "seeds": (None, "seeds", _parse_seeds),
     "output_dir": (None, "output_dir", str),
@@ -368,6 +366,11 @@ def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain,
     with _stage(seconds, "classical_align"):
         basis = csa.pca_subspace(domain, config.d)
         X_hat = basis.P.T @ domain.samples
+    if not basis.eigenvalues[0] > 0:  # before qPCA, whose error names no domain
+        raise ConfigurationError(
+            f"the {name} domain's centered samples are all 0: every sample is the same "
+            "point, or a shift or scale swamps the draws in float64"
+        )
     # the eigenvalue gap at the cut and the degeneracy warning
     trace.append({"seed": seed, "stage": "pca", "domain": name,
                   "gap": basis.gap, "warnings": basis.warnings})
@@ -487,10 +490,16 @@ def _run_seed(config: ExperimentConfig, seed: int) -> dict:
         )
         with _stage(seconds, "quantum_classify"):
             if "nn" in classifiers:
+                # a Durr-Hoyer search finds its row's minimum with probability
+                # >= 1/2 (grover_min_find), so r repeats all miss with
+                # probability <= 2^-r, and a union bound over the m targets
+                # keeps a seed's chance of any miss at m 2^-r <= 1%, the
+                # budget the sampled svm_labels row uses too
+                repeats = math.ceil(math.log2(100 * q_X_hat_t.shape[1]))
                 labels["quantum", "nn"], records = qsa.q_nn_classify(
-                    X_hat_a, ys, q_X_hat_t, plan, ae_bits=config.ae_bits, repeats=config.repeats,
+                    X_hat_a, ys, q_X_hat_t, plan, ae_bits=config.ae_bits, repeats=repeats,
                 )
-                # exact mode, unflagged: a search miss or a bug
+                # exact mode, unflagged: a search miss (chance <= 1%) or a bug
                 flips = labels["quantum", "nn"] != labels["classical", "nn"]
                 trace.append({
                     "seed": seed, "stage": "q_nn_classify", "m": len(records),

@@ -77,9 +77,13 @@ class TestConfigParsing:
         cfg = _config(tmp_path, "# a comment\n\ngamma = 2.5  # trailing\n")
         assert cfg.gamma == 2.5
 
-    def test_unknown_key(self):
+    @pytest.mark.parametrize("text", ["bogus.key = 1", "quantum.repeats = 15"],
+                             ids=["bogus", "quantum.repeats"])
+    def test_unknown_key(self, text):
+        """quantum.repeats is no key: the repeat count follows from the
+        target count (`test_nn_repeats_follow_the_target_count`)."""
         with pytest.raises(ConfigurationError, match="unknown config key"):
-            parse_config_text("bogus.key = 1")
+            parse_config_text(text, environ={})
 
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -256,17 +260,17 @@ class TestRun:
     @pytest.mark.parametrize("shape, seeds", [
         ("dataset.D = 16\ndataset.n_s = 15\ndataset.n_t = 200\nd = 4\n", range(12)),
         ("dataset.D = 64\ndataset.n_s = 60\ndataset.n_t = 3000\nd = 4\n", range(3)),
-        ("dataset.D = 4\ndataset.n_s = 4097\ndataset.n_t = 40\nd = 2\n", range(2)),
+        ("dataset.D = 4\ndataset.n_s = 4097\ndataset.n_t = 50\nd = 2\n", range(2)),
     ], ids=["quantum-caps", "D64-blocks", "ns4097-blocks"])
     def test_every_exact_flip_is_flagged(self, tmp_path, shape, seeds):
         """In exact mode a quantum NN label differs from the classical one
         where the AE lattice tied sources of different labels, which flags
-        it, or where a Durr-Hoyer search missed the minimum (at most
-        2^-repeats per target), which does not. These seeds are pinned ones
-        on which no search misses, so an unflagged flip here is a bug. The
-        flips match the nn_labels parity row. At D=64 the 3000 targets go in
-        6 blocks of 546; at n_s = 4097, above the old limit of 4096 sources,
-        the 40 targets go in blocks of 35 and 5."""
+        it, or where a Durr-Hoyer search missed the minimum (at most 1% per
+        seed), which does not. These seeds are pinned ones on which no
+        search misses, so an unflagged flip here is a bug. The flips match
+        the nn_labels parity row. At D=64 the 3000 targets go in 6 blocks of
+        546 (19 repeats); at n_s = 4097, above the old limit of 4096 sources,
+        the 50 targets go in blocks of 40 and 10 (13 repeats)."""
         cfg = parse_config_text(
             shape + f"seeds = {','.join(map(str, seeds))}\ntrack = both\nclassifier = nn\n"
             f"output_dir = {tmp_path}\n"
@@ -280,6 +284,25 @@ class TestRun:
             assert row["flips"] == round((1 - agree) * row["m"])
             assert row["unflagged_flips"] == 0
         assert sum(row["flips"] for row in rows) > 0
+
+    def test_nn_repeats_follow_the_target_count(self, tmp_path, monkeypatch):
+        """Each search finds its minimum with probability >= 1/2, so m
+        targets get r = ceil(log2(100 m)) repeats each: a seed misses any
+        minimum with probability m 2^-r <= 1%. It was a fixed 15."""
+        received = []
+        q_nn_classify = qsa.q_nn_classify
+
+        def spy(*args, repeats, **kwargs):
+            received.append(repeats)
+            return q_nn_classify(*args, repeats=repeats, **kwargs)
+
+        monkeypatch.setattr(harness.qsa, "q_nn_classify", spy)
+        for n_t in (40, 200, 1000):
+            run(parse_config_text(
+                f"dataset.D = 4\ndataset.n_s = 15\ndataset.n_t = {n_t}\nd = 2\nseeds = 0\n"
+                f"track = both\nclassifier = nn\noutput_dir = {tmp_path}\n", environ={},
+            ))
+        assert received == [12, 15, 17]
 
     def test_trace_registers_follow_array_shapes(self, tmp_path):
         run(parse_config_text(SAMPLED_D4 + f"output_dir = {tmp_path}\n"))
@@ -1024,6 +1047,23 @@ class TestCli:
         assert out.returncode == 2
         (line,) = out.stderr.splitlines()
         assert line.startswith("error:") and "overflow" in line and "rescale" in line
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("track", ["classical", "both"])
+    def test_domain_centered_to_zero_exits_with_code_2(self, tmp_path, track):
+        """A translation that swamps every target draw in float64 centers
+        the target to exact zeros: the run once went to exit 0 with a
+        gap-0 warning and classical NN accuracy 0.525, and on track=both
+        exited 2 with qPCA's trace-0 error, which named neither domain."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "subalign.cli", "run", "--set", "dataset.translation=1e200",
+             "--set", f"track={track}", "--set", f"output_dir={tmp_path / 'o'}"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("error:") and "target domain" in line and "all 0" in line
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_with_code_2(self, tmp_path, capsys):
