@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"track: unknown value {self.track!r}")
         if self.classifier not in ("nn", "svm", "both"):
             raise ConfigurationError(f"classifier: unknown value {self.classifier!r}")
+        if self.kernel is not None and self.classifier == "svm":
+            raise ConfigurationError(
+                "kernel.kind: the kernel track classifies with the NN alone; "
+                "set classifier = nn or both"
+            )
         if not 1 <= self.precision_qubits <= 12:
             raise ConfigurationError("quantum.precision_qubits: must be in 1..12")
         if not 1 <= self.ae_bits <= MAX_AE_QUBITS:

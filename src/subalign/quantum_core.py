@@ -5,14 +5,14 @@ The engine holds exact phase-estimation outcome distributions on the 2^-n
 lattice, the readouts built on them (amplitude estimation and the Hadamard
 test, over arrays), and Grover-based minimum finding.
 
-Everything is simulated exactly; each readout returns the exact (most
-probable) outcome, or one seeded shot-sampled outcome per entry when given a
-generator. The gate-level circuits that these distributions stand for live
-in the test suite as their oracle.
+Everything is simulated exactly; each phase-estimation readout returns the
+nearest lattice point of its eigenphase (`pe_readout`, the most probable
+outcome), or one seeded outcome per entry drawn from its `pe_outcome_kernel`
+row when given a generator. The gate-level circuits that these
+distributions stand for live in the test suite as their oracle.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -86,8 +86,9 @@ MAX_AE_QUBITS = 10
 MAX_GROVER_N = np.iinfo(np.int16).max
 # twice the entries per block of a sampled amplitude-estimation readout,
 # however many a call has: it builds each entry's full 2^m-outcome
-# distribution, a peak of about 6 MiB per block at m = 10 (128 x 1024 floats
-# are 1 MiB per array). The exact readout is a table lookup and has no blocks
+# distribution, a tracemalloc peak of 5.1 MiB per block at m = 10 (128 x 1024
+# floats are 1 MiB per array). The exact readout rounds in place and has no
+# blocks
 BLOCK_ELEMENTS = 2**8
 # Durr-Hoyer searches in flight at once in a `grover_min_find` call, and the
 # entries per chunk of its sort tables and per piece of an exact AE distance
@@ -125,80 +126,24 @@ def pe_readout(phases, n: int) -> np.ndarray:
     return np.round(np.asarray(phases, dtype=float) * N) / N
 
 
-def _ae_distribution(amps: np.ndarray, m: int) -> np.ndarray:
-    """Outcome distribution of amplitude estimation: phase estimation of the
-    Grover iterate, whose eigenphases are +-theta/pi with sin^2(theta) = amp,
-    on a state weighting both eigenvectors equally."""
-    theta = np.arcsin(np.sqrt(amps))
-    return 0.5 * (pe_outcome_kernel(theta / math.pi, m) + pe_outcome_kernel(-theta / math.pi, m))
-
-
-def _ae_outcomes(amps: np.ndarray, m: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Most probable (or, with ``rng``, sampled) AE outcome k for each entry."""
-    N = 2**m
-    if rng is None:
-        # The distribution is symmetric under k -> N - k, and on [0, N/2]
-        # its maximum sits at one of the two lattice neighbours of the
-        # eigenphase theta/pi, so only those two outcomes are evaluated.
-        phase = np.arcsin(np.sqrt(amps))[:, None] / math.pi
-        k = np.minimum(np.floor(phase * N), N // 2 - 1) + np.arange(2)
-        weight = _fejer(phase - k / N, N) + _fejer(phase + k / N, N)
-        return k[np.arange(amps.size), np.argmax(weight, axis=-1)].astype(int)
-    # inverse-CDF draw, as Generator.choice does for one entry
-    dist = _ae_distribution(amps, m)
-    cdf = np.cumsum(dist / dist.sum(axis=-1, keepdims=True), axis=-1)
-    cdf /= cdf[:, -1:]
-    return np.sum(cdf <= rng.random(amps.size)[:, None], axis=-1)
-
-
-def _ae_lattice(m: int) -> np.ndarray:
-    """The amplitude sin^2(pi k / 2^m) read out at folded outcome k, for
-    k = 0..2^(m-1)."""
-    N = 2**m
-    return np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
-
-
-@functools.cache
-def _ae_thresholds(m: int) -> np.ndarray:
-    """The exact AE readout as a step function: entry k - 1 is the smallest
-    amplitude whose most probable folded outcome (`_ae_outcomes`, the
-    definition) is at least k, for k = 1..2^(m-1).
-
-    The readout is nondecreasing in the amplitude, and lattice point k reads
-    out k, so each threshold is bisected between lattice points k - 1 and
-    k, all k at once, until the bracket holds two adjacent floats: about 54
-    evaluations of the definition on 2^(m-1) entries, once per m and
-    process. The result is read-only, as every caller shares it; the
-    tables of all ten m take 8 KiB.
-    """
-    k = np.arange(1, 2 ** (m - 1) + 1)
-    lattice = _ae_lattice(m)
-    lo, hi = lattice[:-1], lattice[1:]
-    mid = (lo + hi) / 2
-    while np.any((lo < mid) & (mid < hi)):
-        up = _ae_outcomes(mid, m, None) >= k
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        mid = (lo + hi) / 2
-    hi.flags.writeable = False
-    return hi
-
-
 def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Canonical amplitude estimation with an m-qubit phase register, for
     every good-state probability in ``amps``.
 
-    Returns sin^2(pi k / 2^m) for the most probable outcome k, or with
-    ``rng`` for one sampled outcome per entry; error <= pi/2^m + pi^2/2^(2m)
-    with probability >= 8/pi^2. Outcomes k and 2^m - k read out the same
-    amplitude, so k is folded into [0, 2^(m-1)] before the readout: the
-    result takes one of exactly 2^(m-1) + 1 values.
+    The Grover iterate's eigenphases are +-theta/pi, sin^2(theta) = amp, and
+    outcome k of the -theta/pi branch is outcome 2^m - k of the +theta/pi
+    one; both read out sin^2(pi k / 2^m). So the +theta/pi branch alone is
+    read out, like every phase estimation of the engine: at its nearest
+    lattice point (`pe_readout`; angle error <= pi/2^(m+1)), or with ``rng``
+    by one draw per entry from its `pe_outcome_kernel` row (error <= pi/2^m
+    + pi^2/2^(2m) with probability >= 8/pi^2). k is folded into [0, 2^(m-1)]
+    (theta/pi <= 1/2 does so for the exact readout), so the result takes one
+    of exactly 2^(m-1) + 1 values.
 
-    The exact readout is one table lookup: the number of `_ae_thresholds`
-    at or below an amplitude is its folded outcome, bit for bit what the
-    definition gives entry by entry. A sampled readout goes in blocks of
-    BLOCK_ELEMENTS // 2 entries, so memory stays bounded whatever the size
-    of ``amps``; draws are taken in entry order, so the blocking does not
-    change them.
+    The exact readout works in place and holds at most two arrays of the
+    input's size. A sampled readout goes in blocks of BLOCK_ELEMENTS // 2
+    entries, so its temporaries stay bounded whatever the size of ``amps``;
+    draws are taken in entry order, so the blocking does not change them.
     """
     if not 1 <= m <= MAX_AE_QUBITS:
         raise ConfigurationError(f"m must be in 1..{MAX_AE_QUBITS}")
@@ -206,17 +151,29 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     # written so that NaN fails it too
     if not np.all((amps >= -1e-12) & (amps <= 1.0 + 1e-12)):
         raise RangeError("amplitudes must lie in [0, 1]")
-    lattice = _ae_lattice(m)
-    if rng is None:
-        return lattice[np.searchsorted(_ae_thresholds(m), np.clip(amps, 0.0, 1.0), side="right")]
     N = 2**m
-    flat = amps.reshape(-1)
-    out = np.empty(flat.size)
+    # the amplitude sin^2(pi k / N) read out at folded outcome k
+    lattice = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+    # one buffer, in place: amp, then theta / pi, then (sampled) the readout
+    phase = np.clip(amps, 0.0, 1.0, out=np.empty(amps.shape))
+    np.sqrt(phase, out=phase)
+    np.arcsin(phase, out=phase)
+    phase /= math.pi
+    if rng is None:
+        # N pe_readout(theta / pi, m), bit for bit: the scaling by N is exact
+        phase *= N
+        k = np.round(phase, out=phase).astype(np.intp)
+        del phase
+        return lattice[k]
+    flat = phase.reshape(-1)
     rows = BLOCK_ELEMENTS // 2
     for lo in range(0, flat.size, rows):
-        k = _ae_outcomes(np.clip(flat[lo : lo + rows], 0.0, 1.0), m, rng)
-        out[lo : lo + rows] = lattice[np.minimum(k, N - k)]
-    return out.reshape(amps.shape)
+        # inverse-CDF draw, as Generator.choice does for one entry
+        cdf = np.cumsum(pe_outcome_kernel(flat[lo : lo + rows], m), axis=-1)
+        cdf /= cdf[:, -1:]
+        k = np.sum(cdf <= rng.random(cdf.shape[0])[:, None], axis=-1)
+        flat[lo : lo + rows] = lattice[np.minimum(k, N - k)]
+    return phase
 
 
 def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -206,10 +206,15 @@ class TestRun:
     @pytest.mark.parametrize("track", ["classical", "quantum", "both"])
     def test_rows_come_in_report_order(self, tmp_path, track, classifier, kernel):
         """Per seed: accuracy rows classical (not on track=quantum), kernel,
-        quantum, nn before svm; parity rows M*, X_hat_a, then the labels."""
+        quantum, nn before svm; parity rows M*, X_hat_a, then the labels. A
+        kernel with the SVM alone is rejected: the kernel track has no SVM."""
         extra = f"track = {track}\nclassifier = {classifier}\n"
         if kernel != "none":
             extra += f"kernel.kind = {kernel}\n"
+        if kernel != "none" and classifier == "svm":
+            with pytest.raises(ConfigurationError, match="NN alone.*classifier = nn or both"):
+                _config(tmp_path, extra)
+            return
         cfg = _config(tmp_path, extra)
         report = run(cfg)
         classifiers = ["nn", "svm"] if classifier == "both" else [classifier]
@@ -628,21 +633,22 @@ class TestRun:
 
     @pytest.mark.parametrize("data", ["synthetic", "csv"])
     @pytest.mark.parametrize("track", ["classical", "both"])
-    @pytest.mark.parametrize("classifier", ["nn", "svm"])
+    @pytest.mark.parametrize("classifier", ["nn", "both"])
     def test_no_domain_outlives_the_kernel_fit(self, tmp_path, monkeypatch, classifier, track, data):
         """The kernel fit runs right after the target's pass and is the last
         reader of the target's samples, and of the source's unless SVM
         training reads it right after the alignment, so no classifier runs
         while a domain is alive: what is held at the entry of every 1-NN and
         SVM call (the d x n projections, the fit's bases and the labels)
-        stays below either domain's bytes."""
+        stays below either domain's bytes. The SVM runs beside the NN, as the
+        kernel track classifies with the NN alone."""
         names = [(harness.csa, "nn_classify"), (harness.csa, "svm_classify"),
                  (harness.qsa, "q_nn_classify"), (harness.qsa, "q_svm_classify")]
         calls = self._held_at_classifiers(
             tmp_path, monkeypatch, data, track, classifier, names, csa.KernelSpec("hard")
         )
-        # the kernel track's 1-NN, and each track's own classifier
-        assert calls == 1 + (1 if track == "classical" else 2)
+        # the kernel track's 1-NN, and each track's own classifiers
+        assert calls == 1 + (1 if track == "classical" else 2) * (2 if classifier == "both" else 1)
 
     def test_kernel_track_times_the_fit(self, tmp_path, monkeypatch):
         """The fit runs before the classical alignment and classification
@@ -960,6 +966,21 @@ class TestCli:
         rc = cli.main(["run", "--set", "dataset.D=2", "--set", "d=3"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_kernel_with_svm_alone_exits_with_code_2(self, tmp_path):
+        """The kernel track classifies with the NN alone: a kernel run asking
+        for the SVM alone once went to exit 0, writing a kernel nn accuracy
+        row it did not ask for and paying for the kernel NN."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "subalign.cli", "run", "--set", "kernel.kind=hard",
+             "--set", "classifier=svm", "--set", f"output_dir={tmp_path / 'o'}"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("error:") and "NN alone" in line and "classifier = nn or both" in line
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_value_exits_with_code_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--set", "d=abc", "--set", f"output_dir={tmp_path}"])

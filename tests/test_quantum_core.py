@@ -32,9 +32,6 @@ from subalign.quantum_core import (
     MAX_GROVER_N,
     SEARCH_SLOTS,
     ShotPlan,
-    _ae_distribution,
-    _ae_outcomes,
-    _ae_thresholds,
     _sort_tables,
     amplitude_estimation,
     grover_min_find,
@@ -192,19 +189,32 @@ def _lattice_readout(k, m):
     return np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2
 
 
-def _definition_readout(amps, m):
-    """The exact readout entry by entry: the two-neighbour comparison of
-    `_ae_outcomes`, in blocks, as amplitude_estimation computed it before
-    the threshold table."""
-    blocks = np.array_split(amps, max(1, amps.size // 4096))
-    return _lattice_readout(np.concatenate([_ae_outcomes(b, m, None) for b in blocks]), m)
+def _folded(rows, m):
+    """Outcome distributions over k = 0..2^m-1 folded onto k = 0..2^(m-1):
+    outcomes k and 2^m - k read out the same amplitude."""
+    N = 2**m
+    folded = rows[..., : N // 2 + 1].copy()
+    folded[..., 1 : N // 2] += rows[..., : N // 2 : -1]
+    return folded
+
+
+def _plus_branch(amps, m):
+    """The +theta/pi branch of AE, sin^2(theta) = amp: its phase-estimation
+    outcome distribution over k = 0..2^m-1."""
+    return pe_outcome_kernel(np.arcsin(np.sqrt(amps)) / math.pi, m)
 
 
 def _argmax_readout(amps, m):
-    """The most probable outcome of the full AE distribution, in blocks of
-    about 2^16 outcome probabilities."""
-    blocks = np.array_split(amps, max(1, amps.size * 2**m // 2**16))
-    k = np.concatenate([np.argmax(_ae_distribution(b, m), axis=-1) for b in blocks])
+    """The folded most probable outcome of the +theta/pi branch's full
+    distribution, in blocks of about 2^16 outcome probabilities. At a lattice
+    midpoint both neighbours are most probable, and the one nearer the
+    float phase, rounding half to even as `pe_readout` does, stands."""
+    N = 2**m
+    phase = np.arcsin(np.sqrt(amps)) / math.pi * N
+    blocks = np.array_split(np.arange(amps.size), max(1, amps.size * N // 2**16))
+    k = np.concatenate([np.argmax(_plus_branch(amps[b], m), axis=-1) for b in blocks])
+    midpoint = np.abs(phase - np.floor(phase) - 0.5) < 1e-9
+    k[midpoint] = np.round(phase[midpoint])
     return _lattice_readout(k, m)
 
 
@@ -263,8 +273,35 @@ class TestAmplitudeEstimation:
         grid = np.linspace(0.0, 1.0, 4001)
         est = amplitude_estimation(grid, m)
         assert np.unique(est).size <= 2 ** (m - 1) + 1
-        # and each is the most probable outcome of the full distribution
+        # and each is the folded most probable outcome of the +theta/pi branch
         assert np.array_equal(est, _argmax_readout(grid, m))
+
+    def test_exact_readout_memory(self):
+        amps = np.random.default_rng(3).random(10**5)
+        tracemalloc.start()
+        try:
+            amplitude_estimation(amps, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * amps.nbytes + 64 * 1024
+
+    def test_sampled_folded_law(self):
+        """Sampled readouts follow the folded law of the +theta/pi branch:
+        every lattice value's frequency over 20 000 draws lies within 5
+        sigma of its probability, sigma floored at one draw. Amplitudes near
+        either end of the lattice put much of the unfolded law above 2^(m-1),
+        so a wrong fold moves whole lattice values."""
+        m, draws = 5, 20_000
+        N = 2**m
+        amps = np.sin(np.pi * np.array([0.3, 15.7, 7.5]) / N) ** 2
+        est = amplitude_estimation(np.repeat(amps, draws), m, np.random.default_rng(7))
+        k = np.round(np.arcsin(np.sqrt(est)) / math.pi * N).astype(int).reshape(amps.size, draws)
+        assert np.array_equal(_lattice_readout(k, m), est.reshape(amps.size, draws))
+        freq = np.array([np.bincount(row, minlength=N // 2 + 1) for row in k]) / draws
+        law = _folded(_plus_branch(amps, m), m)
+        sigma = np.maximum(np.sqrt(law * (1.0 - law) / draws), 1.0 / draws)
+        assert np.all(np.abs(freq - law) <= 5 * sigma)
 
     def test_sampled_draws_one_outcome_per_entry(self):
         amps = np.random.default_rng(5).uniform(0.0, 1.0, (20, 10))
@@ -284,41 +321,6 @@ class TestAmplitudeEstimation:
         rng = np.random.default_rng(1)
         one_by_one = [amplitude_estimation([a], 7, rng)[0] for a in amps]
         assert np.array_equal(est, one_by_one)
-
-
-class TestAeThresholdTable:
-    """The exact AE readout is a lookup in `_ae_thresholds`, checked against
-    the definition it replaced at every register size (and against the full
-    distribution by `test_exact_readouts_are_lattice_points`)."""
-
-    @pytest.mark.parametrize("m", range(1, MAX_AE_QUBITS + 1))
-    def test_lookup_matches_the_definition(self, m):
-        thresholds = _ae_thresholds(m)
-        assert thresholds.shape == (2 ** (m - 1),)
-        assert np.all(np.diff(thresholds) > 0)
-        uniform = np.random.default_rng(m).random(10**5)
-        # every threshold and the floats 1 and 2 ulps to either side: a
-        # threshold one float off reads out one lattice point off there
-        ulps = thresholds.view(np.int64)[:, None] + np.arange(-2, 3)
-        near = ulps.ravel().view(np.float64)
-        for amps in (uniform, near):
-            assert np.array_equal(amplitude_estimation(amps, m), _definition_readout(amps, m))
-
-    def test_table_is_shared_read_only(self):
-        assert _ae_thresholds(7) is _ae_thresholds(7)
-        with pytest.raises(ValueError):
-            _ae_thresholds(7)[0] = 0.0
-
-    def test_exact_readout_memory(self):
-        amps = np.random.default_rng(3).random(10**5)
-        amplitude_estimation(amps[:1], 7)  # the table is built once per process
-        tracemalloc.start()
-        try:
-            amplitude_estimation(amps, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * amps.nbytes + 64 * 1024
 
 
 class TestSignedOverlap:
@@ -377,15 +379,20 @@ class TestEngineAgainstGateOracle:
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_ae_matches_grover_iterate_phase_estimation(self, m):
         amps = np.random.default_rng(12 + m).uniform(0.0, 1.0, 50)
-        engine = _ae_distribution(amps, m)
-        for amp, row in zip(amps, engine):
+        plus = _plus_branch(amps, m)
+        theta = np.arcsin(np.sqrt(amps))
+        # the Grover iterate's eigenphases +-theta/pi, weighted equally
+        law = 0.5 * (plus + pe_outcome_kernel(-theta / math.pi, m))
+        for amp, row, branch in zip(amps, law, plus):
             s, c = math.sqrt(amp), math.sqrt(1.0 - amp)
             prep = np.array([[c, -s], [s, c]])
             circuit = ae_distribution(prep, np.diag([0.0, 1.0]), m)
             assert np.max(np.abs(circuit - row)) <= 1e-12
-        # the exact readout is the folded most probable outcome
-        k = np.argmax(engine, axis=-1)
-        expect = np.sin(np.pi * np.minimum(k, 2**m - k) / 2**m) ** 2
+            # folded, the circuit's law is the +theta/pi branch's alone,
+            # the law a sampled readout draws from
+            assert np.max(np.abs(_folded(circuit, m) - _folded(branch, m))) <= 1e-12
+        # the exact readout is that branch's most probable outcome
+        expect = _lattice_readout(np.argmax(plus, axis=-1), m)
         assert np.array_equal(amplitude_estimation(amps, m), expect)
 
     @pytest.mark.parametrize("n", [3, 5, 6])
