@@ -361,12 +361,8 @@ def _svm_solve(
     return x
 
 
-def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
-    """Solve the least-squares SVM system F (b, alpha) = (0, y) with 1/sigma
-    (`_svm_factor`, `_svm_solve`), gating F's condition number
-    max sigma / min sigma at 1e12; ``A`` is a D x D array or the pair (L, R).
-    The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`)."""
-    c, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
+def _svm_condition(c: float, sigma: np.ndarray, gamma: float) -> float:
+    """F's condition number max sigma / min sigma, gated at 1e12 for both trainers."""
     smin, smax = float(sigma.min()), float(sigma.max())
     cond = smax / smin if smin > 0 else math.inf
     if cond > 1e12:
@@ -376,6 +372,16 @@ def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
             f"SVM system is numerically singular at gamma={gamma:g} (condition number "
             f"{cond:.3g}); try a {toward} gamma"
         )
+    return cond
+
+
+def svm_train(Xs: Domain, A, gamma: float) -> SvmModel:
+    """Solve the least-squares SVM system F (b, alpha) = (0, y) with 1/sigma
+    (`_svm_factor`, `_svm_solve`), gating F's condition number at 1e12
+    (`_svm_condition`); ``A`` is a D x D array or the pair (L, R).
+    The model's ``w`` is the r-vector L^T (X_s alpha) (see `SvmModel`)."""
+    c, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
+    _svm_condition(c, sigma, gamma)
     sol = _svm_solve(Q, U, Wt, 1.0 / sigma, rhs)
     alpha = sol[1:]
     L, _ = _factor_pair(A)

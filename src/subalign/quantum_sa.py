@@ -28,12 +28,13 @@ from .classical_sa import (
     _fix_signs,
     _nn_inputs,
     _scatter,
+    _svm_condition,
     _svm_factor,
     _svm_solve,
     svm_decision_values,
 )
 from .datasets import Domain
-from .errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
+from .errors import ConfigurationError, PostselectionError, ShapeError
 from .quantum_core import (
     SEARCH_SLOTS,
     ShotPlan,
@@ -88,13 +89,14 @@ class InnerProductState:
 class QsvmState:
     """The inverted SVM system: the `SvmModel` whose (b, alpha) the
     postselected state encodes, read back exactly (simulation privilege),
-    the postselection probability, N_x, the squared norm of the
-    training-parameter state, and the Gram L^T L of A = L R^T's left factor."""
+    the postselection probability, N_x, the squared norm of the training-parameter
+    state, the Gram L^T L of A = L R^T's left factor, and the phase register's n."""
 
     model: SvmModel
     success_probability: float
     N_x: float
     gram: np.ndarray
+    precision_qubits: int
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +311,39 @@ def q_nn_classify(
 # ---------------------------------------------------------------------------
 # qSVM
 
+# HHL (Harrow, Hassidim & Lloyd, PRL 2009), as the qSVM of Rebentrost, Mohseni & Lloyd
+# (PRL 2014) inherits it, sizes its phase register from F's condition number kappa and
+# a target relative error epsilon: t0 ~ kappa / epsilon. A singular value sigma sits at
+# phase sigma 0.25 / sigma_max, which the readout moves by at most 2^-(n+1), so sigma
+# reads sigma (1 + delta), |delta| <= 2 kappa / 2^n <= epsilon, at the least such n,
+# ceil(log2(2 kappa / epsilon)). Then sigma_min reads >= 0.5 / epsilon lattice steps
+# up, and (b, alpha) reads back within epsilon / (1 - epsilon) of `svm_train`'s. kappa
+# <= 1e12 (`_svm_condition`) bounds n at 48, so phase 2^n <= 2^46 is exact in float64.
+QSVM_EPSILON = 0.01
 
-def q_svm_train(
-    Xs: Domain,
-    A,
-    gamma: float,
-    precision_qubits: int = 10,
-) -> QsvmState:
+
+def q_svm_train(Xs: Domain, A, gamma: float) -> QsvmState:
     """Matrix inversion (HHL) of the SVM system F (b, alpha) = (0, y) by
     spectral emulation of phase estimation plus the 1/sigma conditional
     rotation. ``A`` is a D x D array or a factor pair (L, R) with A = L R^T.
 
     HHL inverts the Hermitian embedding [[0, F], [F^T, 0]], whose
     eigenvalues are +-sigma for the singular values sigma of F, from
-    `_svm_factor`. Each sigma reads out at its most probable outcome,
-    read = pe_readout(sigma 0.25 / sigma_max, n) sigma_max / 0.25, and a
-    sigma that reads out 0 is dropped: that is every sigma at or below
-    sigma_max / 2^(n-1), and a kept one reads at least sigma_max / 2^(n-2),
-    so the effective condition number is 2^(n-1). The solution is
-    `_svm_solve` of the unit (0, y) with 1/read, and the state's model is it
-    read back to (b, alpha), with w folded as `svm_train` folds it.
+    `_svm_factor`. Each sigma reads out at its most probable outcome on the
+    n = ceil(log2(2 kappa / QSVM_EPSILON)) qubits F's condition number kappa
+    calls for, read = pe_readout(sigma 0.25 / sigma_max, n) sigma_max / 0.25. The
+    solution is `_svm_solve` of the unit (0, y) with 1/read, and the state's
+    model is it read back to (b, alpha), with w folded as `svm_train` folds it.
     """
-    _, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
+    c, Q, U, sigma, Wt, rhs = _svm_factor(Xs, A, gamma)
+    n = math.ceil(math.log2(2 * _svm_condition(c, sigma, gamma) / QSVM_EPSILON))
     smax = float(sigma.max())
-    read = pe_readout(sigma * 0.25 / smax, precision_qubits) * smax / 0.25
-    keep = read > 0
-    if not np.any(keep):
-        raise IllConditionedError(f"every singular value reads out 0 at n={precision_qubits}")
-    inv = np.divide(1.0, read, out=np.zeros_like(read), where=keep)
-    x = _svm_solve(Q, U, Wt, inv, rhs / np.linalg.norm(rhs))
+    read = pe_readout(sigma * 0.25 / smax, n) * smax / 0.25
+    x = _svm_solve(Q, U, Wt, 1.0 / read, rhs / np.linalg.norm(rhs))
     mag = float(np.linalg.norm(x))
-    # the conditional rotation writes C / sigma~ on the kept branch, with C
-    # the smallest kept readout, so postselection succeeds with (C ||x||)^2
-    success = float((read[keep].min() * mag) ** 2)
+    # the conditional rotation writes C / sigma~, with C the smallest
+    # readout, so postselection succeeds with (C ||x||)^2
+    success = float((read.min() * mag) ** 2)
     if success < POSTSELECTION_FLOOR:
         raise PostselectionError(
             f"postselection probability {success:.3e} below {POSTSELECTION_FLOOR:g} "
@@ -352,7 +354,7 @@ def q_svm_train(
     b, alpha = float(vec[0]), vec[1:]
     N_x = float(b**2 + np.sum(alpha**2 * np.einsum("ij,ij->j", Xs.samples, Xs.samples)))
     L, _ = _factor_pair(A)
-    return QsvmState(SvmModel(b, alpha, L.T @ (Xs.samples @ alpha)), success, N_x, L.T @ L)
+    return QsvmState(SvmModel(b, alpha, L.T @ (Xs.samples @ alpha)), success, N_x, L.T @ L, n)
 
 
 def q_svm_classify(state: QsvmState, X: np.ndarray, plan: ShotPlan):

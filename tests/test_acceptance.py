@@ -188,7 +188,7 @@ def test_criterion_7_qsvm_parity():
         dom = Domain(X, y)
         A = np.eye(2)
         model = csa.svm_train(dom, A, 1.0)
-        qmodel = qsa.q_svm_train(dom, A, 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, A, 1.0)
         b, alpha = qmodel.model.b, qmodel.model.alpha
         u = np.concatenate(([b], alpha))
         v = np.concatenate(([model.b], model.alpha))

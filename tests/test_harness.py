@@ -258,6 +258,8 @@ class TestRun:
         # and the qSVM's postselection probability and N_x
         assert 0 < svm["success_probability"] == model.success_probability <= 1
         assert svm["N_x"] == model.N_x > 0
+        # and the qubit count of its phase register
+        assert svm["precision_qubits"] == model.precision_qubits > 0
         nn = by_stage["q_nn_classify"]
         assert nn["m"] == 20 and nn["oracle_queries"] > 0 and 0 <= nn["ambiguous"] <= 20
         assert 0 <= nn["unflagged_flips"] <= nn["flips"] <= 20
@@ -289,6 +291,19 @@ class TestRun:
             assert row["flips"] == round((1 - agree) * row["m"])
             assert row["unflagged_flips"] == 0
         assert sum(row["flips"] for row in rows) > 0
+
+    def test_exact_svm_labels_pass_at_the_caps_shape(self, tmp_path):
+        """The quantum-caps config, seeds 0-2: with the register sized from
+        F's condition number, each exact svm_labels row passes. At a fixed
+        n = 10, each of the three failed (agreement 0.915, 0.965, 0.975)."""
+        cfg = parse_config_text(
+            "dataset.D = 16\ndataset.n_s = 15\ndataset.n_t = 200\nd = 4\nseeds = 0,1,2\n"
+            "track = both\nclassifier = both\nquantum.exact_theta = true\n"
+            f"output_dir = {tmp_path}\n"
+        )
+        rows = [row for row in run(cfg).parity if row["quantity"].endswith("svm_labels")]
+        assert [row["quantity"] for row in rows] == [f"seed{s}.svm_labels" for s in range(3)]
+        assert all(row["pass"] for row in rows)
 
     def test_nn_repeats_follow_the_target_count(self, tmp_path, monkeypatch):
         """Each search finds its minimum with probability >= 1/2, so m
@@ -927,7 +942,7 @@ class TestCompareTracks:
 
     def test_single_track_rejected(self, tmp_path):
         report = run(_config(tmp_path))
-        with pytest.raises(SubalignError, match="both tracks"):
+        with pytest.raises(SubalignError, match="parity section; run with track=quantum or both"):
             compare_tracks(report)
 
     def test_empty_parity_rejected(self, tmp_path):
@@ -961,6 +976,21 @@ class TestCli:
         assert cli.main(["compare", "--report", str(out / "report_v1.json")]) == 0
         text = capsys.readouterr().out
         assert "accuracy" in text or "quantity" in text
+
+    def test_compare_reads_a_quantum_track_report(self, tmp_path, capsys):
+        """track=quantum writes no classical accuracy rows, but its parity
+        rows are complete, and they are all that compare reads."""
+        out = tmp_path / "runout"
+        args = [
+            "--set", "dataset.D=4", "--set", "dataset.n_s=12", "--set", "dataset.n_t=20",
+            "--set", "d=2", "--set", "track=quantum", "--set", "classifier=both",
+            "--set", f"output_dir={out}",
+        ]
+        assert cli.main(["run"] + args) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--report", str(out / "report_v1.json")]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert names == ["M_star", "X_hat_a", "nn_labels", "svm_labels"]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         rc = cli.main(["run", "--set", "dataset.D=2", "--set", "d=3"])

@@ -12,7 +12,7 @@ from subalign import classical_sa as csa
 from subalign import quantum_core
 from subalign import quantum_sa as qsa
 from subalign.datasets import Domain, DomainShift, SynthSpec, center_columns, synth_shifted_gaussians
-from subalign.errors import ConfigurationError, IllConditionedError, PostselectionError, ShapeError
+from subalign.errors import ConfigurationError, PostselectionError, ShapeError
 from subalign.quantum_core import (
     ShotPlan,
     _sort_tables,
@@ -700,8 +700,9 @@ class TestQuantumNn:
 def _dense_q_svm_train(Xs, A, gamma, precision_qubits):
     """Reference inversion: HHL on the dense Hermitian embedding
     [[0, F], [F^T, 0]] / tr F of the (n+1) x (n+1) LS-SVM matrix F, one
-    `eigh` of the 2(n+1)-row matrix, dropping every eigenvalue that reads
-    out 0. Returns (b, alpha), the postselection probability and N_x."""
+    `eigh` of the 2(n+1)-row matrix, every eigenvalue read out on
+    ``precision_qubits`` qubits and inverted. Returns (b, alpha), the
+    postselection probability and N_x."""
     n = Xs.n
     rows = n + 1
     c, B, C, rhs = csa.ls_svm_system(Xs, A, gamma)
@@ -714,10 +715,9 @@ def _dense_q_svm_train(Xs, A, gamma, precision_qubits):
     lmax = float(np.max(np.abs(lam)))
     t0 = 2 * math.pi * 0.25 / lmax
     lam_rounded = pe_readout(lam * t0 / (2 * math.pi), precision_qubits) * 2 * math.pi / t0
-    keep = lam_rounded != 0
     coef = V.T @ np.concatenate([rhs / np.linalg.norm(rhs), np.zeros(rows)])
-    inv_coef = np.where(keep, coef / np.where(keep, lam_rounded, 1.0), 0.0)
-    success = float(np.sum((np.min(np.abs(lam_rounded[keep])) * inv_coef) ** 2))
+    inv_coef = coef / lam_rounded
+    success = float(np.sum((np.min(np.abs(lam_rounded)) * inv_coef) ** 2))
     x = (V @ inv_coef)[rows:] * math.sqrt(n) / trF
     N_x = float(x[0] ** 2 + np.sum(x[1:] ** 2 * np.sum(Xs.samples**2, axis=0)))
     return x, success, N_x
@@ -731,7 +731,7 @@ class TestQsvm:
     def test_readout_cosine(self):
         dom = self._toy()
         model = csa.svm_train(dom, np.eye(2), 1.0)
-        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0)
         b, alpha = qmodel.model.b, qmodel.model.alpha
         u = np.concatenate(([b], alpha))
         v = np.concatenate(([model.b], model.alpha))
@@ -754,84 +754,127 @@ class TestQsvm:
         assert np.linalg.norm(inf - big) / np.linalg.norm(inf) <= 1e-3
 
     @staticmethod
-    def _assert_matches_dense_reference(dom, A, precision_qubits):
-        x, success, N_x = _dense_q_svm_train(dom, A, 1.0, precision_qubits)
-        model = qsa.q_svm_train(dom, A, 1.0, precision_qubits)
+    def _assert_matches_dense_reference(dom, A):
+        """At the n the state reports, which `test_register_is_minimal` pins."""
+        model = qsa.q_svm_train(dom, A, 1.0)
+        x, success, N_x = _dense_q_svm_train(dom, A, 1.0, model.precision_qubits)
         b, alpha = model.model.b, model.model.alpha
         got = np.concatenate(([b], alpha))
         assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
         assert model.success_probability == pytest.approx(success, rel=1e-12)
         assert model.N_x == pytest.approx(N_x, rel=1e-12)
 
-    @pytest.mark.parametrize("precision_qubits", [8, 10, 12])
-    def test_matches_dense_embedding_reference(self, precision_qubits):
-        """The low-rank inversion against the dense Hermitian embedding on
-        the quantum-caps shape (D=16, n_s=15, d=4), A = (P_a, P_t)."""
+    @staticmethod
+    def _caps_systems():
+        """The quantum-caps shape (D=16, n_s=15, d=4), A = (P_a, P_t), seeds 0-11."""
         for seed in range(12):
             source, target = synth_shifted_gaussians(SynthSpec(D=16, n_s=15, n_t=200, seed=seed))
             sc, tc = center_columns(source)[0], center_columns(target)[0]
             art = csa.build_alignment(csa.pca_subspace(sc, 4), csa.pca_subspace(tc, 4), sc, tc)
-            self._assert_matches_dense_reference(sc, (art.P_a, art.P_t), precision_qubits)
+            yield sc, (art.P_a, art.P_t)
+
+    def test_matches_dense_embedding_reference_at_caps_epsilon(self):
+        """The low-rank inversion against the dense Hermitian embedding on
+        the quantum-caps systems, where the derived register has 14 to 16
+        qubits."""
+        for dom, A in self._caps_systems():
+            self._assert_matches_dense_reference(dom, A)
+
+    @pytest.mark.parametrize("epsilon_bits", [8, 10, 12])
+    def test_matches_dense_embedding_reference(self, monkeypatch, epsilon_bits):
+        """The same on registers derived for eps = 2^-k: k qubits above the
+        ceil(log2 2 kappa) that reads every sigma out nonzero, 16 to 21 at
+        this shape."""
+        monkeypatch.setattr(qsa, "QSVM_EPSILON", 2.0**-epsilon_bits)
+        for dom, A in self._caps_systems():
+            self._assert_matches_dense_reference(dom, A)
 
     def test_trains_above_the_old_row_cap(self):
         rng = np.random.default_rng(9)
         dom = Domain(rng.standard_normal((2, 40)), rng.choice([-1, 1], 40))
-        self._assert_matches_dense_reference(dom, np.eye(2), 10)
+        self._assert_matches_dense_reference(dom, np.eye(2))
 
-    def test_vanishing_postselection_rejected(self):
-        """The labels are orthogonal to the one singular vector the cutoff
-        keeps (F's border and c = 1 read out 0, below sigma_max / 2^(n-1)), so
-        the solution is rounding noise: postselection about 1e-31."""
+    @staticmethod
+    def _assert_within_epsilon(dom, A, gamma):
+        """(b, alpha) reads back within eps / (1 - eps) of `svm_train`'s, for
+        eps = QSVM_EPSILON: 1/read is 1/sigma within that relative error, on
+        orthogonal components of the solution."""
+        model, state = csa.svm_train(dom, A, gamma), qsa.q_svm_train(dom, A, gamma)
+        want = np.concatenate(([model.b], model.alpha))
+        got = np.concatenate(([state.model.b], state.model.alpha))
+        eps = qsa.QSVM_EPSILON
+        assert np.linalg.norm(got - want) <= eps / (1 - eps) * np.linalg.norm(want)
+        return state
+
+    def test_once_vanishing_system_trains(self):
+        """At n = 10, F's border and c = 1 read out 0 on this system, below
+        sigma_max / 2^(n-1), and the labels are orthogonal to the one singular
+        vector left, so postselection fell to about 1e-31 and training was
+        rejected. Its condition number calls for n = 23, where (b, alpha)
+        reads back within eps / (1 - eps) of `svm_train`'s."""
         s = 100.0
         dom = Domain(np.array([[s, s, -s, -s], [0.0, 0.0, 0.0, 0.0]]), np.array([1, -1, 1, -1]))
-        with pytest.raises(PostselectionError, match="below 1e-06"):
-            qsa.q_svm_train(dom, np.eye(2), 1.0)
+        state = self._assert_within_epsilon(dom, np.eye(2), 1.0)
+        assert state.precision_qubits == 23
+        assert state.success_probability > qsa.POSTSELECTION_FLOOR
 
-    @pytest.mark.parametrize("precision_qubits", [2, 8, 10, 12])
-    def test_cutoff_is_the_readout_lattice(self, monkeypatch, precision_qubits):
-        """A sigma reads out 0, and is dropped, exactly when it is at or below
-        sigma_max / 2^(n-1): one just above that is kept at 1 / read, one just
-        below is not. The factorization is stood in for by a diagonal F: a
-        core of sigma_max and the two sigmas on e0, e1, e2, and c = sigma_max
-        on e3, so alpha_i is y_i / read_i, read back at ||(0, y)|| = sqrt(3)."""
-        smax, edge = 4.0, 4.0 / 2 ** (precision_qubits - 1)
-        sigma = np.array([smax, edge * (1 + 1e-9), edge * (1 - 1e-9), smax])
-        factors = (smax, np.eye(4)[:, :3], np.eye(3), sigma, np.eye(3), np.array([0.0, 1, 1, 1]))
+    def test_vanishing_postselection_rejected(self, monkeypatch):
+        """With (0, y) on sigma_max's singular vector of a diagonal F with
+        condition number 1e4, the smallest readout C, about sigma_max / 1e4, leaves
+        postselection at (C / sigma_max)^2, about 1e-8, so training is
+        rejected. The factorization is stood in for by that F: sigma_min on
+        e0 and sigma_max on e1 and e2, for a two-sample domain."""
+        factors = (1.0, np.eye(3), np.eye(3), np.array([1e-4, 1.0, 1.0]), np.eye(3),
+                   np.array([0.0, 1.0, 1.0]))
         monkeypatch.setattr(qsa, "_svm_factor", lambda *args: factors)
-        dom = Domain(np.array([[1.0, 2.0, 3.0]]), np.array([1, 1, 1]))
-        state = qsa.q_svm_train(dom, np.eye(1), 1.0, precision_qubits)
-        above = 4.0 / 2 ** (precision_qubits - 2)
-        assert state.model.alpha.tolist() == pytest.approx([1 / above, 0.0, 1 / smax], rel=1e-12)
+        dom = Domain(np.array([[1.0, 2.0]]), np.array([1, 1]))
+        with pytest.raises(PostselectionError, match="below 1e-06"):
+            qsa.q_svm_train(dom, np.eye(1), 1.0)
 
-    def test_one_precision_qubit_keeps_nothing(self):
-        """At n = 1 even sigma_max, at phase 1/4, rounds to outcome 0."""
-        with pytest.raises(IllConditionedError, match="reads out 0 at n=1"):
-            qsa.q_svm_train(self._toy(), np.eye(2), 1.0, precision_qubits=1)
-
-    def test_exact_readout_gives_the_classical_solution(self, monkeypatch):
-        """With every sigma read out exactly, `q_svm_train` inverts F as
-        `svm_train` does: one factorization and one solve, so (b, alpha)
-        agree to 1e-12 relative on random systems with condition number up
-        to 1e3, with Q both square and not."""
-        monkeypatch.setattr(qsa, "pe_readout", lambda phases, n: np.asarray(phases, dtype=float))
+    @staticmethod
+    def _random_systems():
+        """200 random LS-SVM systems, each kept when F's condition number is
+        at most 1e3, with Q both square and not: (dom, A, gamma, F)."""
         rng = np.random.default_rng(35)
-        square = checked = 0
         for _ in range(200):
             n, D = int(rng.integers(2, 31)), int(rng.integers(1, 7))
             gamma = 10.0 ** rng.uniform(-1, 2)
             dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
             A = rng.standard_normal((D, D)) * 0.3 + np.eye(D)
             c, B, C, _ = csa.ls_svm_system(dom, A, gamma)
-            if np.linalg.cond(c * np.eye(n + 1) + B @ C.T) > 1e3:
-                continue
+            F = c * np.eye(n + 1) + B @ C.T
+            if np.linalg.cond(F) <= 1e3:
+                yield dom, A, gamma, F
+
+    def test_exact_readout_gives_the_classical_solution(self, monkeypatch):
+        """With every sigma read out exactly, `q_svm_train` inverts F as
+        `svm_train` does: one factorization and one solve, so (b, alpha)
+        agree to 1e-12 relative on the random systems."""
+        monkeypatch.setattr(qsa, "pe_readout", lambda phases, n: np.asarray(phases, dtype=float))
+        square = checked = 0
+        for dom, A, gamma, _ in self._random_systems():
             model = csa.svm_train(dom, A, gamma)
             state = qsa.q_svm_train(dom, A, gamma)
             want = np.concatenate(([model.b], model.alpha))
             got = np.concatenate(([state.model.b], state.model.alpha))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            square += n + 1 <= 2 * (D + 3)
+            square += dom.n + 1 <= 2 * (dom.dim + 3)
             checked += 1
         assert 0 < square < checked
+
+    def test_derived_readout_is_within_epsilon(self):
+        """On the same random systems, read out on the derived register,
+        (b, alpha) is within eps / (1 - eps) of `svm_train`'s."""
+        for dom, A, gamma, _ in self._random_systems():
+            self._assert_within_epsilon(dom, A, gamma)
+
+    def test_register_is_minimal(self):
+        """n is the least register with 2 kappa / 2^n <= eps, kappa F's
+        condition number from a dense SVD: n - 1 qubits would not do."""
+        eps = qsa.QSVM_EPSILON
+        for dom, A, gamma, F in self._random_systems():
+            kappa, n = np.linalg.cond(F), qsa.q_svm_train(dom, A, gamma).precision_qubits
+            assert 2 * kappa / 2**n <= eps < 2 * kappa / 2 ** (n - 1)
 
     def test_labels_outside_pm_one_rejected(self):
         # the readout scale assumes ||(0, y)|| = sqrt(n), true only for +-1 labels
@@ -843,7 +886,7 @@ class TestQsvm:
         X = np.array([[1.0, -1.0], [0.0, 0.0]])
         dom = Domain(X, np.array([1, -1]))
         A = np.diag([1.0, 0.0])
-        qmodel = qsa.q_svm_train(dom, A, 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, A, 1.0)
         b = qmodel.model.b
         xt = np.array([0.0, 5.0])  # A xt = 0: kernel column vanishes
         labels, info = qsa.q_svm_classify(qmodel, xt[:, None], EXACT)
@@ -851,7 +894,7 @@ class TestQsvm:
 
     def test_batch_matches_single_points(self):
         dom = self._toy()
-        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0)
         X = np.random.default_rng(10).standard_normal((2, 25))
         labels, info = qsa.q_svm_classify(qmodel, X, EXACT)
         for j in range(X.shape[1]):
@@ -861,7 +904,7 @@ class TestQsvm:
 
     def test_vector_rejected(self):
         dom = self._toy()
-        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0)
         with pytest.raises(ShapeError, match="D x m matrix"):
             qsa.q_svm_classify(qmodel, np.array([0.3, -0.2]), EXACT)
 
@@ -874,9 +917,9 @@ class TestQsvm:
         dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
         L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
         X = rng.standard_normal((D, 15))
-        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0)
         labels, info = qsa.q_svm_classify(qmodel, R.T @ X, EXACT)
-        dense_model = qsa.q_svm_train(dom, L @ R.T, 1.0, precision_qubits=10)
+        dense_model = qsa.q_svm_train(dom, L @ R.T, 1.0)
         dense, dense_info = qsa.q_svm_classify(dense_model, X, EXACT)
         assert np.array_equal(labels, dense)
         assert np.max(np.abs(info["exact_overlap"] - dense_info["exact_overlap"])) <= 1e-12
@@ -893,7 +936,7 @@ class TestQsvm:
         dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
         L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
         X = rng.standard_normal((D, m))
-        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0)
         _, info = qsa.q_svm_classify(qmodel, R.T @ X, EXACT)
         u = np.concatenate(([qmodel.model.b], (dom.samples * qmodel.model.alpha).T.ravel()))
         for j in range(m):
@@ -910,7 +953,7 @@ class TestQsvm:
         D, n, r, m = 64, 40, 4, 3000
         dom = Domain(rng.standard_normal((D, n)), rng.choice([-1, 1], n))
         L, R = rng.standard_normal((D, r)), rng.standard_normal((D, r))
-        qmodel = qsa.q_svm_train(dom, (L, R), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, (L, R), 1.0)
         X = rng.standard_normal((r, m))
         tracemalloc.start()
         try:
@@ -923,7 +966,7 @@ class TestQsvm:
 
     def test_sampled_columns_draw_independently(self):
         dom = self._toy()
-        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0)
         X = np.tile([[0.3], [-0.2]], (1, 50))
         _, info = qsa.q_svm_classify(qmodel, X, ShotPlan(shots=256, seed=4, mode="sampled"))
         assert np.unique(info["decision_value"]).size > 1
@@ -934,7 +977,7 @@ class TestQsvm:
     def test_grid_parity_exact_and_sampled(self):
         dom = self._toy()
         model = csa.svm_train(dom, np.eye(2), 1.0)
-        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0, precision_qubits=10)
+        qmodel = qsa.q_svm_train(dom, np.eye(2), 1.0)
         grid = [np.array([gx, gy]) for gx in (-1.0, 0.0, 1.0) for gy in (-1.0, 0.0, 1.0)]
         shots, draws = 4096, 1000
         for i, xt in enumerate(grid):
@@ -979,7 +1022,7 @@ class TestEndToEndParity:
             for j in np.flatnonzero(q_nn != c_nn):
                 assert records[j]["warning"]
             model = csa.svm_train(sc, art.A, 1.0)
-            qmodel = qsa.q_svm_train(sc, art.A, 1.0, precision_qubits=10)
+            qmodel = qsa.q_svm_train(sc, art.A, 1.0)
             for j in range(tc.n):
                 xt = tc.samples[:, j]
                 assert (
