@@ -425,20 +425,16 @@ def _hard_kernel_states(X: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.n
     ring is a +-1 diagonal shared by every sample, so it cancels in every
     overlap and is left out.
 
-    The statevectors are built in one preallocated 2^q x n array. Beside it
-    only theta (q x n) and two n-vectors are alive: the D x n angle array
-    (D <= 2^q) is dropped before the output is made.
+    The angles are summed onto theta (q x n) one feature at a time, in
+    feature order, and a constant feature (span 0) adds nothing; no D x n
+    angle array is made. The statevectors are built in one preallocated
+    2^q x n array, beside which only theta and two n-vectors are alive.
     """
     D, n = X.shape
     q = max(1, math.ceil(math.log2(D)))
-    live = span > 0
-    angles = X - lo[:, None]
-    angles /= np.where(live, span, 1.0)[:, None]
-    angles *= math.pi
-    angles[~live] = 0.0
     theta = np.zeros((q, n))
-    np.add.at(theta, np.arange(D) % q, angles)
-    del angles
+    for m in np.flatnonzero(span > 0):
+        theta[m % q] += (X[m] - lo[m]) / span[m] * math.pi
     theta /= 2  # RY(theta)|0> = cos(theta / 2)|0> + sin(theta / 2)|1>
     states = np.empty((2**q, n))
     states[0] = 1.0

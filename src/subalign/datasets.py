@@ -110,11 +110,12 @@ class DomainShift:
     scale: float = 1.0
 
     def _apply_in_place(self, X: np.ndarray) -> None:
-        """Shift the float array X in place: rotate rows 0 and 1, scale every
+        """Shift the float array X in place: rotate rows 0 and 1 (a rotation
+        needs both; `SynthSpec.validate` rejects one at D = 1), scale every
         row, then add ``translation`` to every entry. A step that is the
         identity (angle 0, scale 1, translation 0) makes no pass, so it also
         leaves a -0.0 entry as it is."""
-        if X.shape[0] >= 2 and self.rotation_angle != 0.0:
+        if self.rotation_angle != 0.0:
             c, s = math.cos(self.rotation_angle), math.sin(self.rotation_angle)
             x0, x1 = c * X[0] - s * X[1], s * X[0] + c * X[1]
             X[0], X[1] = x0, x1
@@ -147,6 +148,10 @@ class SynthSpec:
             raise ConfigurationError("noise_sigma must be >= 0")
         if not 0.0 <= self.domain_shift.rotation_angle < 2 * math.pi:
             raise ConfigurationError("rotation_angle must lie in [0, 2*pi)")
+        if self.D < 2 and self.domain_shift.rotation_angle != 0.0:
+            raise ConfigurationError(
+                "dataset.rotation: rotates features 0 and 1, so it needs dataset.D >= 2"
+            )
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
 

@@ -84,11 +84,10 @@ MAX_AE_QUBITS = 10
 # bytes per entry; the rest of a search's state is 8 (N + 1) bytes of Grover
 # angles, 256 KiB at this limit, and its pool
 MAX_GROVER_N = np.iinfo(np.int16).max
-# twice the entries per block of a sampled amplitude-estimation readout,
-# however many a call has: it builds each entry's full 2^m-outcome
-# distribution, a tracemalloc peak of 5.1 MiB per block at m = 10 (128 x 1024
-# floats are 1 MiB per array). The exact readout rounds in place and has no
-# blocks
+# twice the phases per block of a sampled `pe_readout`, however many a call
+# has: it builds each phase's full 2^n-outcome distribution, a tracemalloc
+# peak of 5.1 MiB per block at n = 10 (128 x 1024 floats are 1 MiB per
+# array). The nearest-point readout has no blocks
 BLOCK_ELEMENTS = 2**8
 # Durr-Hoyer searches in flight at once in a `grover_min_find` call, and the
 # entries per chunk of its sort tables and per piece of an exact AE distance
@@ -116,14 +115,31 @@ def pe_outcome_kernel(phases, n: int) -> np.ndarray:
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def pe_readout(phases, n: int) -> np.ndarray:
-    """The most probable phase-estimation outcome of each eigenphase in
-    ``phases``, in full turns: the nearest point of the 2^-n lattice. Every
-    outcome of a row of `pe_outcome_kernel` shares the numerator
-    sin^2(pi N delta), so the nearest point mod 1 is the row's argmax. The
-    sign is kept: -k/N stands for the outcome N - k."""
+def pe_readout(phases, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """The outcome of each eigenphase in ``phases``, in full turns: the one
+    readout of every phase estimation in the engine. Without ``rng``, the
+    most probable outcome, the nearest 2^-n lattice point: every outcome of
+    a `pe_outcome_kernel` row shares the numerator sin^2(pi N delta), so the
+    nearest point mod 1 is the row's argmax (-k/N stands for outcome N - k).
+    With ``rng``, one inverse-CDF draw k/N in [0, 1) from each phase's row,
+    as Generator.choice makes for one entry, in entry order and in blocks of
+    BLOCK_ELEMENTS // 2 phases; n > MAX_AE_QUBITS is rejected first."""
     N = 2**n
-    return np.round(np.asarray(phases, dtype=float) * N) / N
+    read = np.array(phases, dtype=float, order="C")
+    if rng is None:
+        read *= N
+        np.round(read, out=read)
+    elif n > MAX_AE_QUBITS:
+        raise ConfigurationError(f"a sampled readout takes at most {MAX_AE_QUBITS} qubits")
+    else:
+        flat = read.reshape(-1)
+        rows = BLOCK_ELEMENTS // 2
+        for lo in range(0, flat.size, rows):
+            cdf = np.cumsum(pe_outcome_kernel(flat[lo : lo + rows], n), axis=-1)
+            cdf /= cdf[:, -1:]
+            flat[lo : lo + rows] = np.sum(cdf <= rng.random(cdf.shape[0])[:, None], axis=-1)
+    read /= N
+    return read
 
 
 def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -133,17 +149,12 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     The Grover iterate's eigenphases are +-theta/pi, sin^2(theta) = amp, and
     outcome k of the -theta/pi branch is outcome 2^m - k of the +theta/pi
     one; both read out sin^2(pi k / 2^m). So the +theta/pi branch alone is
-    read out, like every phase estimation of the engine: at its nearest
-    lattice point (`pe_readout`; angle error <= pi/2^(m+1)), or with ``rng``
-    by one draw per entry from its `pe_outcome_kernel` row (error <= pi/2^m
-    + pi^2/2^(2m) with probability >= 8/pi^2). k is folded into [0, 2^(m-1)]
-    (theta/pi <= 1/2 does so for the exact readout), so the result takes one
-    of exactly 2^(m-1) + 1 values.
-
-    The exact readout works in place and holds at most two arrays of the
-    input's size. A sampled readout goes in blocks of BLOCK_ELEMENTS // 2
-    entries, so its temporaries stay bounded whatever the size of ``amps``;
-    draws are taken in entry order, so the blocking does not change them.
+    read out by `pe_readout`, like every phase estimation of the engine: at
+    its nearest lattice point (angle error <= pi/2^(m+1)), or with ``rng``
+    by one draw per entry (error <= pi/2^m + pi^2/2^(2m) with probability >=
+    8/pi^2). k is folded into [0, 2^(m-1)], so the result takes one of
+    exactly 2^(m-1) + 1 values. A call holds at most two arrays of the
+    input's size at once, beside a sampled readout's blocks.
     """
     if not 1 <= m <= MAX_AE_QUBITS:
         raise ConfigurationError(f"m must be in 1..{MAX_AE_QUBITS}")
@@ -151,29 +162,12 @@ def amplitude_estimation(amps, m: int, rng: np.random.Generator | None = None) -
     # written so that NaN fails it too
     if not np.all((amps >= -1e-12) & (amps <= 1.0 + 1e-12)):
         raise RangeError("amplitudes must lie in [0, 1]")
-    N = 2**m
-    # the amplitude sin^2(pi k / N) read out at folded outcome k
-    lattice = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
-    # one buffer, in place: amp, then theta / pi, then (sampled) the readout
-    phase = np.clip(amps, 0.0, 1.0, out=np.empty(amps.shape))
-    np.sqrt(phase, out=phase)
-    np.arcsin(phase, out=phase)
-    phase /= math.pi
-    if rng is None:
-        # N pe_readout(theta / pi, m), bit for bit: the scaling by N is exact
-        phase *= N
-        k = np.round(phase, out=phase).astype(np.intp)
-        del phase
-        return lattice[k]
-    flat = phase.reshape(-1)
-    rows = BLOCK_ELEMENTS // 2
-    for lo in range(0, flat.size, rows):
-        # inverse-CDF draw, as Generator.choice does for one entry
-        cdf = np.cumsum(pe_outcome_kernel(flat[lo : lo + rows], m), axis=-1)
-        cdf /= cdf[:, -1:]
-        k = np.sum(cdf <= rng.random(cdf.shape[0])[:, None], axis=-1)
-        flat[lo : lo + rows] = lattice[np.minimum(k, N - k)]
-    return phase
+    read = pe_readout(np.arcsin(np.sqrt(np.clip(amps, 0.0, 1.0))) / math.pi, m, rng)
+    # outcomes k and N - k read the same amplitude sin^2(pi k / N)
+    np.minimum(read, 1.0 - read, out=read)
+    read *= math.pi
+    np.sin(read, out=read)
+    return np.square(read, out=read)
 
 
 def signed_overlap(re, shots: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -653,8 +653,12 @@ def _broadcast_hard_states(X, lo, span):
 
 
 class TestHardKernelStates:
-    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 16])
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 16, 100, 250])
     def test_matches_the_broadcast_construction(self, D):
+        """Bit for bit. The oracle sums the angles onto qubit m mod q with
+        np.add.at over the D x n angle array; the function sums them one
+        feature at a time and skips a constant feature (span 0, at D > 2
+        here). Most D here are not multiples of q."""
         rng = np.random.default_rng(D)
         X, other = rng.standard_normal((D, 37)), rng.standard_normal((D, 5))
         if D > 2:
@@ -667,9 +671,9 @@ class TestHardKernelStates:
     @pytest.mark.parametrize("D", [3, 8, 9, 64])
     def test_memory_is_output_plus_theta(self, D):
         """Beside the 2^q x n output only theta (q x n) and the (cos, sin)
-        pair of n-vectors are alive; the D x n angle array is gone before
-        the output is made, and D <= 2^q. The broadcast construction held
-        two generations of states at once."""
+        pair of n-vectors are alive; no D x n angle array is made, and the
+        angles are summed before the output is made. The broadcast
+        construction held two generations of states at once."""
         n, q = 3000, max(1, math.ceil(math.log2(D)))
         X = np.random.default_rng(0).standard_normal((D, n))
         fitted = csa._feature_range(X)

@@ -129,13 +129,15 @@ class TestConfigParsing:
         ("dataset.D = 4\nkernel.degree = 3\n", "kernel.degree"),
         ("kernel.kind = cosine\nkernel.degree = 2\n", "kernel.degree"),
         ("dataset.label_column = 3\n", "dataset.label_column"),
+        ("dataset.D = 1\nd = 1\ndataset.rotation = 1.0\n", "dataset.rotation"),
         *((_CSV_PAIR + f"{key} = 1\n", key) for key in SYNTH_KEYS),
-    ], ids=["degree-linear", "degree-cosine", "label_column-synth",
+    ], ids=["degree-linear", "degree-cosine", "label_column-synth", "rotation-D1",
             *(f"{key}-csv" for key in SYNTH_KEYS)])
     def test_keys_the_run_would_ignore_are_rejected(self, text, key):
         """kernel.degree without kernel.kind = polynomial, a synthetic-data
-        key beside CSV inputs and dataset.label_column without them were
-        dropped, and kernel.degree alone turned on a linear-kernel track.
+        key beside CSV inputs, dataset.label_column without them and
+        dataset.rotation at dataset.D = 1 were dropped, and kernel.degree
+        alone turned on a linear-kernel track.
         Each is rejected by name while the config is parsed, before any file
         is read; without the key, the same text parses."""
         with pytest.raises(ConfigurationError, match=f"^{key}: "):

@@ -322,6 +322,32 @@ class TestAmplitudeEstimation:
         one_by_one = [amplitude_estimation([a], 7, rng)[0] for a in amps]
         assert np.array_equal(est, one_by_one)
 
+    @pytest.mark.parametrize("m, head, tail, weighted", [
+        (4, [5, 6, 4, 3, 1, 3, 3, 1, 1, 8], [4, 2, 8, 6, 2, 2, 5, 6, 7, 1], 292_942),
+        (10, [363, 364, 261, 184, 76, 218, 226, 70, 73, 504],
+         [246, 166, 414, 399, 119, 156, 309, 369, 446, 48], 18_949_207),
+    ])
+    def test_sampled_draws_are_pinned(self, m, head, tail, weighted):
+        """Three sampled blocks and five entries more, amplitudes and draws
+        from one default_rng(5): the folded outcomes k match the ones AE drew
+        with a loop of its own, before its draws moved into `pe_readout`.
+        The first and last ten are pinned, and all of them through the sum
+        of k_i i over i = 1.., so a draw taken out of entry order fails."""
+        size = 3 * (BLOCK_ELEMENTS // 2) + 5
+        rng = np.random.default_rng(5)
+        amps = rng.random(size)
+        est = amplitude_estimation(amps, m, rng)
+        k = np.round(np.arcsin(np.sqrt(est)) / math.pi * 2**m).astype(np.int64)
+        assert np.array_equal(_lattice_readout(k, m), est)
+        assert k[:10].tolist() == head and k[-10:].tolist() == tail
+        assert int(np.sum(k * np.arange(1, size + 1))) == weighted
+
+    def test_sampled_draws_follow_c_entry_order(self):
+        """A Fortran-ordered input draws as its C-ordered copy does."""
+        amps = np.random.default_rng(8).random((30, 20))
+        est = amplitude_estimation(np.asfortranarray(amps), 6, np.random.default_rng(3))
+        assert np.array_equal(est, amplitude_estimation(amps, 6, np.random.default_rng(3)))
+
 
 class TestSignedOverlap:
     def test_exact_returns_overlaps(self):
@@ -363,6 +389,22 @@ class TestPeReadout:
         read = pe_readout(phases, n)
         assert np.array_equal(np.mod(read * N, N), k)
         assert np.all(np.abs(read - phases) <= 0.5 / N)
+
+    def test_sampled_register_is_bounded(self, monkeypatch):
+        """A sampled readout builds a 2^n-entry row per phase, so n above
+        MAX_AE_QUBITS is rejected before a row is built or a draw taken. The
+        nearest-point readout takes any n: the qSVM's derived register
+        reaches 48 qubits, where phase 2^n stays exact in float64."""
+        def no_rows(phases, n):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(quantum_core, "pe_outcome_kernel", no_rows)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_AE_QUBITS} qubits"):
+            pe_readout([0.1, 0.2], MAX_AE_QUBITS + 1, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+        phases = np.array([0.1, 0.25 / 3.0, 2.0**-47, 0.25])
+        assert np.array_equal(pe_readout(phases, 48), np.round(phases * 2**48) / 2**48)
 
 
 class TestEngineAgainstGateOracle:

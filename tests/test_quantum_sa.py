@@ -1000,6 +1000,60 @@ class TestQsvm:
             assert abs(sampled.std() - sigma) <= 3 * sigma / math.sqrt(2 * draws)
 
 
+class TestOneReadoutRule:
+    """Every phase estimation of the pipeline reads out through `pe_readout`:
+    the AE behind the quantum NN in both modes, qPCA, the product stages'
+    finite theta and the qSVM's sigma. Each test records the calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(phases, n, rng=None):
+            calls.append((np.size(phases), n, rng))
+            return pe_readout(phases, n, rng)
+
+        # AE reads out in quantum_core, the pipeline's stages in quantum_sa
+        monkeypatch.setattr(quantum_core, "pe_readout", counted)
+        monkeypatch.setattr(qsa, "pe_readout", counted)
+        return calls
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_amplitude_estimation(self, calls, sampled):
+        rng = np.random.default_rng(0) if sampled else None
+        quantum_core.amplitude_estimation(np.full((3, 4), 0.3), 5, rng)
+        assert calls == [(12, 5, rng)]
+
+    def test_quantum_nn_draws_its_ae_outcomes(self, calls):
+        """In sampled mode each target's AE outcomes are drawn from its own
+        stream, one `pe_readout` call per target."""
+        rng = np.random.default_rng(1)
+        X_hat_a, X_hat_t = rng.standard_normal((3, 6)), rng.standard_normal((3, 4))
+        qsa.q_nn_classify(X_hat_a, np.array([1, -1] * 3), X_hat_t, ShotPlan(mode="sampled"), 6)
+        assert [(size, n) for size, n, _ in calls] == [(6, 6)] * 4
+        assert all(isinstance(rng, np.random.Generator) for _, _, rng in calls)
+
+    def test_qpca(self, calls):
+        qsa.qpca(np.random.default_rng(2).standard_normal((5, 9)), 2, precision_qubits=6)
+        assert calls == [(5, 6, None)]
+
+    def test_matrix_product_state(self, calls):
+        rng = np.random.default_rng(3)
+        P, Q = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        qsa.matrix_product_state(P, Q, 7, exact_theta=False)
+        assert calls == [(6, 7, None)]
+        qsa.matrix_product_state(P, Q, 7, exact_theta=True)
+        assert len(calls) == 1  # an exact theta is not read out
+
+    def test_q_svm_train_reads_its_wide_register_without_draws(self, calls):
+        """The derived register is wider than a sampled readout may be, so
+        the qSVM must reach only the nearest-point readout."""
+        X = np.random.default_rng(4).standard_normal((3, 8))
+        state = qsa.q_svm_train(Domain(X, np.array([1, -1] * 4)), np.eye(3), 1.0)
+        assert state.precision_qubits > quantum_core.MAX_AE_QUBITS
+        assert [(n, rng) for _, n, rng in calls] == [(state.precision_qubits, None)]
+
+
 class TestEndToEndParity:
     def test_labels_agree_small_instances(self):
         for seed in range(3):
