@@ -58,6 +58,13 @@ def parse_pairs(tokens: list[str]) -> list[tuple[str, int]]:
     return [(commit, int(pr)) for commit, pr in zip(tokens[::2], tokens[1::2])]
 
 
+def extract(sha: str, tree: Path) -> None:
+    """Write the files of commit ``sha`` into the directory ``tree``."""
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
 def bench_commit(commit: str, pr: int, out_dir: Path) -> None:
     sha = git("rev-parse", "--verify", f"{commit}^{{commit}}")
     record = {
@@ -69,9 +76,7 @@ def bench_commit(commit: str, pr: int, out_dir: Path) -> None:
     }
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        extract(sha, tree)
         workloads = json.loads((tree / "perfbench/workloads.json").read_text())
         for workload in workloads["workloads"]:
             runs, errors = [], []

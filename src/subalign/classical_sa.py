@@ -26,6 +26,7 @@ __all__ = [
     "KernelSpec",
     "SvmModel",
     "KernelAlignment",
+    "scatter_spectrum",
     "pca_subspace",
     "alignment_matrix",
     "build_alignment",
@@ -149,22 +150,22 @@ def _top_basis(w: np.ndarray, V: np.ndarray, d: int) -> SubspaceBasis:
     by `_fix_signs`; eigenvalues past the last are 0. A degenerate-subspace
     warning is attached when the gap at the cut is below 1e-12."""
     order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
+    w = w[order]
     gap = float(w[d - 1] - (w[d] if d < len(w) else 0.0))
     warnings = []
     if d < len(w) and gap < DEGENERACY_GAP:
         warnings.append(f"degenerate subspace: eigenvalue gap {gap:.3e} at cut d={d}")
-    return SubspaceBasis(_fix_signs(V[:, :d]), np.maximum(w[:d], 0.0), warnings, gap)
+    return SubspaceBasis(_fix_signs(V[:, order[:d]]), np.maximum(w[:d], 0.0), warnings, gap)
 
 
-def _scatter(M: np.ndarray) -> np.ndarray:
-    """The D x D scatter M M^T of the D x n samples ``M``, rejected when it
-    overflows float64: its eigenpairs would be NaN."""
+def scatter_spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eigh` of the scatter M M^T of the D x n samples ``M``, which PCA and
+    qPCA both read; rejected when M M^T overflows float64 (NaN eigenpairs)."""
     with np.errstate(over="ignore", invalid="ignore"):
         S = M @ M.T
     if not np.all(np.isfinite(S)):
         raise ConfigurationError("the scatter X X^T overflows float64: rescale the samples")
-    return S
+    return np.linalg.eigh(S)
 
 
 def pca_subspace(X, d: int) -> SubspaceBasis:
@@ -174,7 +175,7 @@ def pca_subspace(X, d: int) -> SubspaceBasis:
     D, n = M.shape
     if not 1 <= d <= min(D, n):
         raise ConfigurationError(f"d={d} out of range for D={D}, n={n}")
-    return _top_basis(*np.linalg.eigh(_scatter(M)), d)
+    return _top_basis(*scatter_spectrum(M), d)
 
 
 def alignment_matrix(Ps: SubspaceBasis, Pt: SubspaceBasis) -> np.ndarray:

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -188,7 +189,8 @@ def parse_config_text(text: str, environ: dict | None = None) -> ExperimentConfi
     (quantum.shots -> SUBALIGN_QUANTUM_SHOTS); no other spelling is read."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a comment starts at a # that begins the line or follows whitespace
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -363,14 +365,14 @@ def _product_stage(trace: list, seed: int, stage: str, P, Q, config: ExperimentC
 
 def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain, trace, seconds):
     """One domain's pass: center ``domain`` in place (it was loaded for this
-    seed alone), then its PCA basis (and trace row) and projection and, on
-    the quantum track, its qPCA basis (and trace row) and the matrix its
-    projection's state reads back to (and that stage's trace row, X_hat_s
-    for the source). Returns (basis, X_hat, q_basis, the read-back X_hat)."""
+    seed alone) and take the `eigh` of its scatter. Its PCA basis and, on the
+    quantum track, its qPCA basis read that exact spectrum (each with a trace
+    row); then its projection and the matrix its projection's state reads back
+    to (and that stage's row). Returns (basis, X_hat, q_basis, read-back X_hat)."""
     center_columns_in_place(domain)
     with _stage(seconds, "classical_align"):
-        basis = csa.pca_subspace(domain, config.d)
-        X_hat = basis.P.T @ domain.samples
+        spectrum = csa.scatter_spectrum(domain.samples)
+        basis = csa._top_basis(*spectrum, config.d)
     if not basis.eigenvalues[0] > 0:  # before qPCA, whose error names no domain
         raise ConfigurationError(
             f"the {name} domain's centered samples are all 0: every sample is the same "
@@ -379,10 +381,9 @@ def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain,
     # the eigenvalue gap at the cut and the degeneracy warning
     trace.append({"seed": seed, "stage": "pca", "domain": name,
                   "gap": basis.gap, "warnings": basis.warnings})
-    if config.track == "classical":
-        return basis, X_hat, None, None
-    with _stage(seconds, "quantum_align"):
-        res = qsa.qpca(domain, config.d, config.precision_qubits)
+    if config.track != "classical":
+        with _stage(seconds, "quantum_align"):
+            res = qsa.qpca(spectrum, config.d, config.precision_qubits)
         # the outcome k each basis vector read out at, its probability, the
         # readout gap at the cut (eigenvalue units) and the lattice-tie warnings
         trace.append({
@@ -391,6 +392,12 @@ def _domain_pass(config: ExperimentConfig, seed: int, name: str, domain: Domain,
             "readout_probabilities": res.readout_probabilities.tolist(),
             "gap": res.basis.gap, "warnings": res.basis.warnings,
         })
+    del spectrum  # after its last reader: no D x D array is alive at the projections
+    with _stage(seconds, "classical_align"):
+        X_hat = basis.P.T @ domain.samples
+    if config.track == "classical":
+        return basis, X_hat, None, None
+    with _stage(seconds, "quantum_align"):
         q_X_hat, _ = _product_stage(
             trace, seed, f"X_hat_{name[0]}", res.basis.P, domain.samples, config, X_hat
         )

@@ -40,7 +40,6 @@ STAGE_KEYS = {
     "nn_distances": (0, 1),  # per target: Hadamard-test overlaps, then AE outcomes
     "min_find": (1, 0),  # every Durr-Hoyer search of one `q_nn_classify` call
     "svm_decisions": (2, 0),  # the qSVM Hadamard tests of one call
-    "swap_test": (3, 0),  # the swap test of the gate-level oracle
 }
 
 

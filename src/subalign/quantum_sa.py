@@ -2,9 +2,10 @@
 qPCA, the matrix-multiplication pipeline for M* and the projections,
 quantum nearest-neighbor classification, and the qSVM.
 
-There is no chain function: each stage is its own call. qPCA and the
-projection state Ps^T X of a domain need that domain's samples alone, so a
-caller can run them as the domain is loaded; M* = Ps^T Pt and the aligned
+There is no chain function: each stage is its own call. qPCA reads a
+domain's exact spectrum from the classical pass and the projection state
+Ps^T X that domain's samples, so a caller runs them as the domain is loaded;
+M* = Ps^T Pt and the aligned
 source M*^T X_hat_s then take only the d-column bases and the matrices the
 states read back to.
 
@@ -23,11 +24,9 @@ from .classical_sa import (
     NN_BLOCK_ELEMENTS,
     SubspaceBasis,
     SvmModel,
-    _as_matrix,
     _factor_pair,
     _fix_signs,
     _nn_inputs,
-    _scatter,
     _svm_condition,
     _svm_factor,
     _svm_solve,
@@ -103,36 +102,29 @@ class QsvmState:
 # qPCA
 
 
-def qpca(
-    X,
-    d: int,
-    precision_qubits: int = 8,
-) -> QpcaResult:
+def qpca(spectrum: tuple[np.ndarray, np.ndarray], d: int, precision_qubits: int = 8) -> QpcaResult:
     """Principal subspace via phase estimation of exp(i rho t0) on the
     covariance state rho = X X^T / tr(X X^T), the reduced state of the
     column encoding sum_i |i>|x_i> once the index register is traced out.
 
+    rho's exact spectrum comes from the domain's classical pass, the
+    `scatter_spectrum` (w, V) of X: eigenvectors V, eigenvalues w / sum(w).
     Each eigenvector reads out at the most probable outcome of its own
     phase-estimation distribution, and the d highest readouts form the
     basis. Eigenvalues are recovered from the readout phases as
     lambda = 2 pi phase / t0 (times the covariance trace); the basis gap is
     the readout gap at the cut.
     """
-    M = _as_matrix(X)
-    D, n = M.shape
-    if not 1 <= d <= min(D, n):
+    w, U = spectrum
+    D = len(w)
+    if not 1 <= d <= D:
         raise ConfigurationError(f"d={d} out of range")
-    # the trace from the D x D scatter the eigensolver reads anyway, not from
-    # a D x n temporary of the samples
-    S = _scatter(M)
-    cov_trace = float(np.trace(S))
+    cov_trace = float(np.sum(w))
     if cov_trace == 0:
         raise ConfigurationError("qPCA needs a nonzero input: X X^T has trace 0")
-    S /= cov_trace
-    lam, U = np.linalg.eigh(S)
     t0 = 0.95 * math.pi  # keeps every eigenphase below 1/2
     N = 2**precision_qubits
-    phase = np.maximum(lam, 0.0) * t0 / (2 * math.pi)
+    phase = np.maximum(w / cov_trace, 0.0) * t0 / (2 * math.pi)
     # Each eigenvector reads out at its own most probable outcome k. Inside a
     # lattice cell, (P(k+1) - P(k-1)) / P(k) rises with the eigenphase and
     # stays defined on the lattice, where P(k) = 1 and P(k+-1) = 0; it orders

@@ -135,6 +135,12 @@ def density_exponentiation(
     return sig / np.trace(sig).real
 
 
+def swap_test_rng(plan: ShotPlan) -> np.random.Generator:
+    """The swap test's shot stream: a child of the plan's seed keyed (3,),
+    a code no measurement stage of the program uses."""
+    return np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(3,)))
+
+
 def swap_test(a: np.ndarray, b: np.ndarray, plan: ShotPlan) -> float:
     """Squared overlap |<a|b>|^2 of two unit vectors, exact or from ancilla
     shot statistics."""
@@ -144,7 +150,7 @@ def swap_test(a: np.ndarray, b: np.ndarray, plan: ShotPlan) -> float:
     if plan.exact:
         return overlap_sq
     p0 = (1.0 + overlap_sq) / 2.0
-    hits = plan.rng("swap_test").binomial(plan.shots, p0)
+    hits = swap_test_rng(plan).binomial(plan.shots, p0)
     return 2.0 * hits / plan.shots - 1.0
 
 

@@ -120,7 +120,7 @@ def test_criterion_4_qpca_parity():
     for n in (4, 6, 8, 10):
         errs = []
         for X, c in instances:
-            q = qsa.qpca(X, 2, precision_qubits=n).basis
+            q = qsa.qpca(csa.scatter_spectrum(X), 2, precision_qubits=n).basis
             errs.append(np.linalg.norm(q.P @ q.P.T - c.P @ c.P.T))
         medians.append(float(np.median(errs)))
     ok = medians[2] <= 0.05 and all(

@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestConfigParsing:
     def test_comments_and_blanks(self, tmp_path):
         cfg = _config(tmp_path, "# a comment\n\ngamma = 2.5  # trailing\n")
         assert cfg.gamma == 2.5
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """A comment starts at a # that begins the line or follows
+        whitespace. output_dir = runs#1 parsed as runs, in a file and in
+        --set alike, so the run wrote into another directory and unlinked
+        the report files there; d=2#3 parsed as 2."""
+        out = str(tmp_path / "runs#1")
+        assert parse_config_text(f"output_dir = {out}  # trailing\n", environ={}).output_dir == out
+        args = SimpleNamespace(config=None, set=[f"output_dir={out}"])
+        assert cli._config_from_args(args).output_dir == out
+        assert parse_config_text("", environ={"SUBALIGN_OUTPUT_DIR": out}).output_dir == out
+        with pytest.raises(ConfigurationError, match="^d: malformed value '2#3'"):
+            parse_config_text("d=2#3", environ={})
 
     @pytest.mark.parametrize("text", ["bogus.key = 1", "quantum.repeats = 15"],
                              ids=["bogus", "quantum.repeats"])
@@ -373,6 +387,19 @@ class TestRun:
             assert row["warnings"] == basis.warnings
             assert bool(row["warnings"]) is warned
 
+    def test_each_domain_is_decomposed_once(self, tmp_path, monkeypatch):
+        """qPCA reads each domain's spectrum from the classical pass, so a
+        track=both run at D=16 over two seeds makes one scatter `eigh` per
+        domain: 4 calls, where PCA and qPCA each made their own (8)."""
+        eigh = np.linalg.eigh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
+            shapes.append(np.shape(a)), eigh(a, *args, **kwargs))[1])
+        run(parse_config_text(
+            "dataset.D = 16\ndataset.n_s = 15\ndataset.n_t = 40\nd = 4\nseeds = 0,1\n"
+            f"track = both\nclassifier = nn\noutput_dir = {tmp_path}\n", environ={}))
+        assert shapes == [(16, 16)] * 4
+
     def test_qpca_trace_row_per_domain_and_seed(self, tmp_path):
         cfg = _config(tmp_path, "track = both\nquantum.exact_theta = true\n")
         run(cfg)
@@ -383,8 +410,8 @@ class TestRun:
         ]
         for row in rows:
             pair = synth_shifted_gaussians(replace(cfg.dataset, seed=row["seed"]))
-            data = center_columns(pair[row["domain"] == "target"])[0]
-            res = qsa.qpca(data, cfg.d, cfg.precision_qubits)
+            data = center_columns(pair[row["domain"] == "target"])[0].samples
+            res = qsa.qpca(csa.scatter_spectrum(data), cfg.d, cfg.precision_qubits)
             assert row["outcomes"] == res.outcomes.tolist()
             assert row["readout_probabilities"] == res.readout_probabilities.tolist()
             assert all(0 < p <= 1 for p in row["readout_probabilities"])

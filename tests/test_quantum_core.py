@@ -19,6 +19,7 @@ from gate_oracle import (
     phase_estimation,
     probabilities,
     swap_test,
+    swap_test_rng,
     trace_distance,
 )
 from subalign import classical_sa as csa
@@ -442,7 +443,7 @@ class TestEngineAgainstGateOracle:
         rng = np.random.default_rng(20 + n)
         X = rng.standard_normal((3, 6))
         X -= X.mean(axis=1, keepdims=True)
-        res = qsa.qpca(X, 2, precision_qubits=n)
+        res = qsa.qpca(csa.scatter_spectrum(X), 2, precision_qubits=n)
         rho = partial_trace(column_state(X), X.shape[::-1], 0)
         # exp(i rho t0) is what density-matrix exponentiation applies; each
         # basis vector is an eigenvector of rho, so its phase estimation
@@ -675,16 +676,15 @@ class TestLockstepMinFind:
 
 
 class TestShotPlanStreams:
-    KEYS = [
-        ("nn_distances", 0), ("nn_distances", 1), ("min_find",), ("svm_decisions",), ("swap_test",)
-    ]
+    KEYS = [("nn_distances", 0), ("nn_distances", 1), ("min_find",), ("svm_decisions",)]
 
     def test_stages_draw_from_distinct_streams(self):
         # default_rng(s), default_rng([s]) and default_rng([s, 0]) coincide,
-        # so streams keyed that way would repeat each other's shot noise
+        # so streams keyed that way would repeat each other's shot noise; the
+        # gate-level oracle's swap test draws from a stream of its own
         for seed in range(10):
             plan = ShotPlan(shots=64, seed=seed, mode="sampled")
-            first = [plan.rng(*key).random() for key in self.KEYS]
+            first = [plan.rng(*key).random() for key in self.KEYS] + [swap_test_rng(plan).random()]
             assert len(set(first)) == len(first)
             assert np.random.default_rng(seed).random() not in first
             assert plan.rng("nn_distances", 1).random() == first[1]

@@ -29,17 +29,22 @@ def _random_orthonormal(rng, D, d):
     return Q
 
 
+def _qpca(X, d, precision_qubits=8):
+    """qPCA of the samples ``X`` on the spectrum of their classical pass."""
+    return qsa.qpca(csa.scatter_spectrum(X), d, precision_qubits)
+
+
 def _dense_qpca(X, d, precision_qubits):
-    """Reference readout: every eigenvector's full phase-estimation
+    """Reference readout on rho = X X^T / tr with the eigenvalues w / sum(w)
+    of the scatter's `eigh`: every eigenvector's full phase-estimation
     distribution over the 2^n outcomes, one (D, 2^n) table, read out at each
     row's argmax and ordered by the tilt taken from the table. Returns the
     basis, the outcomes and the table."""
     M = np.asarray(X, float)
     D = M.shape[0]
-    S = M @ M.T
-    cov_trace = float(np.trace(S))
-    lam, U = np.linalg.eigh(S / cov_trace)
-    lam = np.maximum(lam, 0.0)
+    w, U = np.linalg.eigh(M @ M.T)
+    cov_trace = float(np.sum(w))
+    lam = np.maximum(w / cov_trace, 0.0)
     t0 = 0.95 * math.pi
     N = 2**precision_qubits
     rows = pe_outcome_kernel(lam * t0 / (2 * math.pi), precision_qubits)
@@ -70,20 +75,21 @@ class TestQpca:
     def test_rank_one(self):
         u = np.array([3.0, 4.0]) / 5.0
         X = np.outer(u, [1.0, -2.0, 0.5])
-        res = qsa.qpca(X, 1, precision_qubits=8)
+        res = _qpca(X, 1, precision_qubits=8)
         assert np.max(np.abs(np.abs(res.basis.P[:, 0]) - np.abs(u))) <= 1e-6
         # single unit eigenvalue of rho -> phase t0 / 2pi, read at its nearest outcome
         expect = round(0.95 * math.pi / (2 * math.pi) * 256)
         assert res.outcomes.tolist() == [expect]
 
     def test_overflowing_scatter_is_rejected(self):
+        # the classical pass's scatter rejects it before qPCA can read it
         X = 1e200 * np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, 0.0, 0.0]])
         with pytest.raises(ConfigurationError, match="overflow"):
-            qsa.qpca(X, 1)
+            csa.scatter_spectrum(X)
 
     def test_degenerate_spectrum_warns_but_spans(self):
         X = np.hstack([np.eye(2), -np.eye(2)])  # isotropic: equal eigenvalues
-        res = qsa.qpca(X, 2, precision_qubits=8)
+        res = _qpca(X, 2, precision_qubits=8)
         assert res.basis.warnings
         P = res.basis.P
         assert np.max(np.abs(P @ P.T - np.eye(2))) <= 1e-10
@@ -92,7 +98,7 @@ class TestQpca:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 12))
         X -= X.mean(axis=1, keepdims=True)
-        q = qsa.qpca(X, 2, precision_qubits=8).basis
+        q = _qpca(X, 2, precision_qubits=8).basis
         c = csa.pca_subspace(X, 2)
         err = np.linalg.norm(q.P @ q.P.T - c.P @ c.P.T)
         assert err <= 0.05
@@ -109,8 +115,8 @@ class TestQpca:
         for n in (4, 6, 8, 10):
             errs = [
                 np.linalg.norm(
-                    qsa.qpca(X, 2, precision_qubits=n).basis.P
-                    @ qsa.qpca(X, 2, precision_qubits=n).basis.P.T
+                    _qpca(X, 2, precision_qubits=n).basis.P
+                    @ _qpca(X, 2, precision_qubits=n).basis.P.T
                     - c.P @ c.P.T
                 )
                 for X, c in instances
@@ -133,13 +139,13 @@ class TestQpca:
         # target eigenphases 30.67, 9.29, 8.63, 8.02, 7.56 lattice steps: a
         # scan of the summed distribution took side lobes (outcomes 6, 6, 4)
         X = self._caps_domain(0, 1)
-        res = qsa.qpca(X, 4, precision_qubits=8)
+        res = _qpca(X, 4, precision_qubits=8)
         assert res.outcomes.tolist() == [31, 9, 9, 8]
         assert self._projector_distance(X, res) < 1e-10
 
     def test_outcomes_are_descending_register_readouts(self):
         X = self._caps_domain(1, 0)
-        res = qsa.qpca(X, 3, precision_qubits=7)
+        res = _qpca(X, 3, precision_qubits=7)
         assert res.outcomes.dtype.kind in "iu"
         k = res.outcomes.tolist()
         assert k == sorted(k, reverse=True) and 0 <= k[-1] and k[0] < 2**7
@@ -153,7 +159,7 @@ class TestQpca:
         # outcome 8; the top two of them belong to the basis, so the cut
         # falls inside that cell and says so
         X = self._caps_domain(9, 1)
-        res = qsa.qpca(X, 4, precision_qubits=8)
+        res = _qpca(X, 4, precision_qubits=8)
         assert res.outcomes.tolist() == [32, 9, 8, 8]
         assert len(res.basis.warnings) == 1
         assert res.basis.warnings[0].startswith("the cut at d=4 falls inside one lattice cell")
@@ -170,7 +176,7 @@ class TestQpca:
         without a word."""
         pair = synth_shifted_gaussians(SynthSpec(D=256, n_s=2000, n_t=300, seed=0))
         X = center_columns(pair[which])[0].samples
-        res = qsa.qpca(X, 8, precision_qubits=8)
+        res = _qpca(X, 8, precision_qubits=8)
         assert any(w.startswith("the cut at d=8 falls inside one lattice cell")
                    for w in res.basis.warnings)
 
@@ -179,7 +185,7 @@ class TestQpca:
         # quantum-caps shape at 10 precision qubits: the readouts at the cut
         # differ on every domain of seeds 0-3
         for which in (0, 1):
-            res = qsa.qpca(self._caps_domain(seed, which), 4, precision_qubits=10)
+            res = _qpca(self._caps_domain(seed, which), 4, precision_qubits=10)
             assert res.basis.warnings == []
 
     def test_rank_deficient_source_reads_out_cleanly(self):
@@ -187,7 +193,7 @@ class TestQpca:
         # phases sit on the lattice with P(k +- 1) = 0
         X = self._caps_domain(0, 0)
         with np.errstate(divide="raise", invalid="raise"):
-            res = qsa.qpca(X, 4, precision_qubits=8)
+            res = _qpca(X, 4, precision_qubits=8)
         assert res.basis.warnings == []
         # readouts 46, 21, 15, 10; the fifth eigenvector reads out at 8
         assert res.basis.gap == pytest.approx(2 / 256 * 2 / 0.95 * np.sum(X * X), rel=1e-12)
@@ -199,7 +205,7 @@ class TestQpca:
         rng = np.random.default_rng(21)
         scales = np.concatenate(([4.0, 3.0], np.full(62, 0.3)))
         X = scales[:, None] * rng.standard_normal((64, 100))
-        res = qsa.qpca(X, 2, precision_qubits=8)
+        res = _qpca(X, 2, precision_qubits=8)
         assert res.basis.warnings == []
         assert self._projector_distance(X, res) < 1e-10
 
@@ -222,7 +228,7 @@ class TestQpca:
         assume(np.any(X))
         d = int(rng.integers(1, min(D, n) + 1))
         basis, outcomes, rows = _dense_qpca(X, d, precision)
-        res = qsa.qpca(X, d, precision)
+        res = _qpca(X, d, precision)
         assert np.array_equal(res.outcomes, outcomes) and res.outcomes.dtype == outcomes.dtype
         assert np.array_equal(res.basis.P, basis.P)
         assert np.array_equal(res.basis.eigenvalues, basis.eigenvalues)
@@ -234,28 +240,28 @@ class TestQpca:
     def test_memory_does_not_grow_with_precision(self):
         """qPCA holds no array with a 2^n axis: its peak at 12 precision
         qubits is within 64 KiB of its peak at 4."""
-        X = np.random.default_rng(22).standard_normal((64, 500))
-        qsa.qpca(X, 4, precision_qubits=4)  # first-call allocations out of the trace
+        spectrum = csa.scatter_spectrum(np.random.default_rng(22).standard_normal((64, 500)))
+        qsa.qpca(spectrum, 4, precision_qubits=4)  # first-call allocations out of the trace
         peaks = []
         for precision in (4, 12):
             tracemalloc.start()
             try:
-                qsa.qpca(X, 4, precision_qubits=precision)
+                qsa.qpca(spectrum, 4, precision_qubits=precision)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
 
     def test_makes_no_copy_of_its_input(self):
-        """qPCA reads the covariance trace off the D x D scatter it forms
-        for the eigensolver, so at D=128, n=5000 (4.9 MiB of samples) it
-        allocates less than half the input; a D x n temporary (M * M) would
-        allocate all of it."""
+        """qPCA reads the spectrum of the D x D scatter that the classical
+        pass forms for its eigensolver, so at D=128, n=5000 (4.9 MiB of
+        samples) the helper and qPCA allocate less than half the input; a
+        D x n temporary (M * M) would allocate all of it."""
         X = np.random.default_rng(23).standard_normal((128, 5000))
-        qsa.qpca(X, 4)  # first-call allocations out of the trace
+        _qpca(X, 4)  # first-call allocations out of the trace
         tracemalloc.start()
         try:
-            qsa.qpca(X, 4)
+            _qpca(X, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,7 +270,7 @@ class TestQpca:
     def test_all_zero_input_rejected(self):
         # rho = X X^T / tr(X X^T) does not exist for X = 0
         with pytest.raises(ConfigurationError, match="nonzero"):
-            qsa.qpca(np.zeros((4, 5)), 1)
+            _qpca(np.zeros((4, 5)), 1)
 
 
 class TestThetaPipeline:
@@ -1034,7 +1040,7 @@ class TestOneReadoutRule:
         assert all(isinstance(rng, np.random.Generator) for _, _, rng in calls)
 
     def test_qpca(self, calls):
-        qsa.qpca(np.random.default_rng(2).standard_normal((5, 9)), 2, precision_qubits=6)
+        _qpca(np.random.default_rng(2).standard_normal((5, 9)), 2, precision_qubits=6)
         assert calls == [(5, 6, None)]
 
     def test_matrix_product_state(self, calls):
